@@ -13,18 +13,11 @@
 //! `engine/count_steps_compiled` the compiled per-step cache with jump and
 //! batch disabled, and `engine/count_steps_reference` the uncached per-step
 //! fallback (hashing, cloning, and `Protocol::transition` calls every
-//! step). `engine/count_steps_wide` runs the `WideSimulation` lane engine
-//! on the batch group's workload at lane widths 1/4/8/16 with **per-seed**
-//! element throughput, tracing the lane-scaling curve against the scalar
-//! batch row (plus a `lawonly_lanes/8` row for the shared-round law-equal
-//! wide mode). `engine/count_steps_round` pits the batch tier's three
-//! round laws (`sequence` / `contingency` / `multiround`) against each
-//! other in adjacent rows on a small-support workload (fratricide) and a
-//! wide-support control (`P_LL`). `engine/count_steps_obs` prices the
-//! observability layer: the pinned-batch workload with and without an
-//! attached `EngineObserver`, adjacent rows the CI smoke gate holds to a
-//! 2 % spread. The step groups run mid-election workloads where null
-//! interactions never dominate — the regime the batch tier was built for
+//! step). `engine/count_steps_obs` prices the observability layer: the
+//! pinned-batch workload with and without an attached `EngineObserver`,
+//! adjacent rows the CI smoke gate holds to a 2 % spread. The step groups
+//! run mid-election workloads where null interactions never dominate — the
+//! regime the batch tier was built for
 //! (`P_LL`'s timer ticks pin its null fraction near 0.56, so jumping never
 //! engages there). The jump scheduler's own regime is measured by
 //! `engine/election_*`, which times *entire* fratricide elections — a
@@ -39,12 +32,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pp_bench::fast_criterion;
 use pp_core::Pll;
-use pp_engine::{
-    CountSimulation, EngineConfig, EngineObserver, LawMode, LeaderElection, Simulation,
-    UniformScheduler, WideSimulation, WideTierPolicy,
-};
+use pp_engine::{CountSimulation, EngineObserver, LeaderElection, Simulation, UniformScheduler};
 use pp_protocols::{Fratricide, UnboundedLottery};
-use pp_rand::{SeedSequence, Xoshiro256PlusPlus};
+use pp_rand::Xoshiro256PlusPlus;
 use std::hint::black_box;
 
 /// Interactions per benchmark iteration.
@@ -172,157 +162,6 @@ fn bench_count_engine_reference(c: &mut Criterion) {
     bench_count_engine_at("engine/count_steps_reference", Tier::Reference, c);
 }
 
-/// The batch tier's round laws measured against each other on the same
-/// pinned-batch windowed workload: for each protocol the three
-/// [`LawMode`] rows run back-to-back, so the contingency-vs-sequence
-/// ratio — the figure the round-law refactor exists for — comes from
-/// adjacent measurements (machine drift across a full bench run exceeds
-/// the ratio; see the wide group's note). `fratricide` is the
-/// small-support workload (two live states, so the per-ordered-pair table
-/// has ≤ 4 cells and the contingency law skips the `O(√n)` responder
-/// shuffle outright); `pll` is the wide-support control where the table
-/// overflows its cap and the law falls back to expand-and-shuffle per
-/// segment, bounding the overhead of the dispatch itself.
-fn bench_count_engine_round(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine/count_steps_round");
-    group.throughput(Throughput::Elements(STEPS));
-    let n = 1usize << 20;
-    macro_rules! bench_laws {
-        ($label:literal, $make:expr) => {
-            for law in [
-                LawMode::SequenceExpansion,
-                LawMode::Contingency,
-                LawMode::MultiRound,
-            ] {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{}/{n}", $label), law),
-                    &law,
-                    |b, &law| {
-                        let make_protocol = $make;
-                        let config = EngineConfig {
-                            law_mode: law,
-                            ..EngineConfig::default()
-                        };
-                        let make = || {
-                            let rng = Xoshiro256PlusPlus::seed_from_u64(1);
-                            let mut sim =
-                                CountSimulation::with_config(make_protocol(n), n, rng, config)
-                                    .expect("n >= 2");
-                            sim.force_batch_mode();
-                            sim.run(WINDOW_FROM * n as u64);
-                            sim
-                        };
-                        let mut sim = make();
-                        b.iter(|| {
-                            if sim.steps() > WINDOW_TO * n as u64 {
-                                sim = make();
-                            }
-                            sim.run(STEPS);
-                            black_box(sim.steps())
-                        });
-                    },
-                );
-            }
-        };
-    }
-    bench_laws!("fratricide", |_| Fratricide);
-    bench_laws!("pll", |n| Pll::for_population(n).expect("n >= 2"));
-    group.finish();
-}
-
-/// The wide lane engine on the batch group's exact workload: `W` seeds of
-/// `P_LL@2^20` advanced in lockstep through one shared pair cache, batch
-/// rounds pinned, measured inside the same mid-election window. One element
-/// is one interaction of one seed (an iteration advances every lane by
-/// `STEPS`, declaring `W · STEPS` elements), so every row reports the
-/// bundle's aggregate seed-interactions per second: `lanes/1` is directly
-/// comparable to `engine/count_steps_batch/pll/1048576`, and the rise from
-/// `lanes/1` through `lanes/16` is the lane-scaling win — interleaved
-/// independent RNG streams filling the pipeline plus cache lookups, tier
-/// reviews, and round setup amortized across the lane set.
-///
-/// The group also re-measures the scalar batch tier as `scalar_batch`,
-/// back-to-back with `lanes/8`: the wide-vs-scalar per-seed ratio is the
-/// figure this group exists for, and on a shared 1-vCPU container the
-/// machine's throughput drifts by ±10 % across minutes — more than the
-/// ratio itself — so the two sides of the comparison (the smoke-bench gate
-/// and the `BENCH_engine.json` headline) must come from adjacent
-/// measurements, not from rows minutes apart in different groups.
-fn bench_count_engine_wide(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine/count_steps_wide");
-    let n = 1usize << 20;
-
-    group.throughput(Throughput::Elements(STEPS));
-    group.bench_with_input(
-        BenchmarkId::new(format!("pll/{n}"), "scalar_batch"),
-        &n,
-        |b, &n| {
-            let make = || {
-                let mut sim = count_sim(Pll::for_population(n).expect("n >= 2"), n, Tier::Batch);
-                sim.run(WINDOW_FROM * n as u64);
-                sim
-            };
-            let mut sim = make();
-            b.iter(|| {
-                if sim.steps() > WINDOW_TO * n as u64 {
-                    sim = make();
-                }
-                sim.run(STEPS);
-                black_box(sim.steps())
-            });
-        },
-    );
-
-    // One element = one interaction of one seed: an iteration advances
-    // every lane by STEPS, so rates are aggregate across the bundle and
-    // the scalar rows are the lanes = 1 baseline of the same metric. Row
-    // order keeps the comparisons the gates read adjacent to the
-    // scalar_batch row above: `lanes/8` (bit-identical lockstep) first,
-    // then `lawonly_lanes/8` (the shared-round law-equal mode), then the
-    // rest of the scaling curve.
-    macro_rules! wide_row {
-        ($id:expr, $lanes:expr, $policy:expr) => {
-            group.throughput(Throughput::Elements(STEPS * $lanes as u64));
-            group.bench_with_input(BenchmarkId::new($id, $lanes), &$lanes, |b, &lanes| {
-                let make = || {
-                    let mut sim = WideSimulation::with_config(
-                        Pll::for_population(n).expect("n >= 2"),
-                        n,
-                        SeedSequence::new(1).rngs(lanes),
-                        EngineConfig::default(),
-                        $policy,
-                    )
-                    .expect("n >= 2");
-                    sim.run(WINDOW_FROM * n as u64);
-                    sim
-                };
-                let mut sim = make();
-                b.iter(|| {
-                    if sim.steps() > WINDOW_TO * n as u64 {
-                        sim = make();
-                    }
-                    sim.run(STEPS);
-                    black_box(sim.steps())
-                });
-            });
-        };
-    }
-    wide_row!(
-        format!("pll/{n}/lanes"),
-        8usize,
-        WideTierPolicy::PinnedBatch
-    );
-    wide_row!(
-        format!("pll/{n}/lawonly_lanes"),
-        8usize,
-        WideTierPolicy::LawOnly
-    );
-    for &lanes in &[1usize, 4, 16] {
-        wide_row!(format!("pll/{n}/lanes"), lanes, WideTierPolicy::PinnedBatch);
-    }
-    group.finish();
-}
-
 /// The observability layer's cost when attached but otherwise idle: the
 /// pinned-batch windowed `P_LL@2^20` workload (the same one the batch
 /// group measures) run twice back-to-back, `detached` with no observer and
@@ -331,8 +170,8 @@ fn bench_count_engine_wide(c: &mut Criterion) {
 /// at episode and review boundaries — one branch plus an `Instant` read
 /// when it fires — so the attached row must stay within a few percent of
 /// the detached row; the CI smoke gate holds the pair to 2 %. Rows are
-/// adjacent for the same drift reason as the wide group's scalar/lanes
-/// pair.
+/// adjacent because on a shared machine throughput drifts across minutes
+/// by more than the spread under test.
 fn bench_count_engine_obs(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/count_steps_obs");
     group.throughput(Throughput::Elements(STEPS));
@@ -392,7 +231,6 @@ criterion_group! {
     name = benches;
     config = fast_criterion();
     targets = bench_agent_engine, bench_count_engine, bench_count_engine_batch,
-        bench_count_engine_wide, bench_count_engine_round,
         bench_count_engine_obs, bench_count_engine_compiled,
         bench_count_engine_reference, bench_election_jump
 }

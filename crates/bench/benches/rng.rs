@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pp_bench::fast_criterion;
-use pp_rand::{AliasTable, FenwickSampler, Pcg32, Rng64, SplitMix64, Xoshiro256PlusPlus};
+use pp_rand::{FenwickSampler, Pcg32, Rng64, SplitMix64, Xoshiro256PlusPlus};
 use std::hint::black_box;
 
 fn bench_generators(c: &mut Criterion) {
@@ -35,11 +35,6 @@ fn bench_weighted(c: &mut Criterion) {
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(3);
     group.bench_function("fenwick_sample_512", |b| {
         b.iter(|| black_box(fenwick.sample(&mut rng).expect("non-zero total")))
-    });
-    let alias = AliasTable::new(&(1..=512).map(|w| w as f64).collect::<Vec<_>>())
-        .expect("non-empty weights");
-    group.bench_function("alias_sample_512", |b| {
-        b.iter(|| black_box(alias.sample(&mut rng)))
     });
     group.finish();
 }

@@ -22,18 +22,15 @@
 //!    exchangeability, the initiator states are a multivariate
 //!    hypergeometric draw of `L` from the counts, the responder states an
 //!    `L`-draw from what remains. *How* the two multisets pair into ordered
-//!    interactions is the round's [`RoundLaw`](crate::round::RoundLaw) —
-//!    a permuted responder sequence (the bit-identical default) or a direct
-//!    contingency-table draw (see [`crate::round`] for the pipeline and the
-//!    bit-identical-vs-law-equal contract).
+//!    interactions is the round law of [`crate::round`]: a direct
+//!    contingency-table draw while the table is small, a permuted responder
+//!    sequence otherwise.
 //! 3. **Collisions, exactly.** The run ends because the *next* interaction
 //!    touches a used agent. Used agents are exchangeable given their state
 //!    counts, so the colliding interaction is executed individually from a
 //!    two-urn (fresh/used) configuration with exact integer category
 //!    weights — the sampled schedule stays distributionally identical to
-//!    sequential stepping, collision included. Multi-round episodes keep
-//!    the urns alive and chain further segments from the continuation
-//!    run-length law.
+//!    sequential stepping, collision included.
 //!
 //! Convergence detection stays **step-exact**: conditioned on the run's pair
 //! multiset, the true process orders the interactions as a uniformly random
@@ -50,18 +47,17 @@
 //!
 //! This module owns the tier's public stats and ride-along state; the
 //! statistical machinery (urn scratch, run-length inversion, the round
-//! laws) lives in [`crate::round`], and the episode orchestration (which
+//! law) lives in [`crate::round`], and the episode orchestration (which
 //! needs the pair cache and interning) in
 //! [`CountSimulation`](crate::CountSimulation).
 
 use crate::round::BatchScratch;
 
-/// Throughput counters of the batch tier (see
-/// [`CountSimulation::batch_stats`](crate::CountSimulation::batch_stats)).
+/// Throughput counters of the batch tier (field `batch` of
+/// [`CountSimulation::metrics`](crate::CountSimulation::metrics)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Batch episodes executed (one per `begin`/merge cycle; a multi-round
-    /// episode spans several collision-free segments).
+    /// Batch episodes executed (one collision-free segment each).
     pub episodes: u64,
     /// Interactions applied through collision-free bulk rounds.
     pub bulk_interactions: u64,
@@ -70,15 +66,11 @@ pub struct BatchStats {
     /// Segments resolved by the exact shuffled walk (leader count near 1).
     pub exact_walks: u64,
     /// Conditional draws spent pairing margins into contingency cells
-    /// (margin draws are common to every law and not counted).
+    /// (margin draws are common to both sides and not counted).
     pub contingency_draws: u64,
     /// Segments whose responder shuffle was replaced by a contingency
     /// table.
     pub shuffle_skips: u64,
-    /// Collision-free segments executed (equals `episodes` for
-    /// single-round laws; the per-episode average `episode_segments /
-    /// episodes` is the multi-round chain length).
-    pub episode_segments: u64,
 }
 
 /// Batch-tier state riding along the count engine.

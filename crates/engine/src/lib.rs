@@ -85,7 +85,6 @@ mod scheduler;
 pub mod snapshot;
 mod tier;
 mod trace;
-pub mod wide;
 
 pub use batch::BatchStats;
 pub use config::Configuration;
@@ -94,14 +93,12 @@ pub use engine::{RunOutcome, Simulation};
 pub use error::EngineError;
 pub use obs::{EngineEvent, EngineMetrics, EngineObserver, TierTimeline, TrajectorySampler};
 pub use protocol::{check_symmetry, LeaderElection, Protocol, Role};
-pub use round::LawMode;
 pub use scheduler::{
     Interaction, ReplayScheduler, RoundRobinScheduler, Scheduler, UniformScheduler,
 };
 pub use snapshot::{SnapshotError, SnapshotState, SNAPSHOT_VERSION};
 pub use tier::{EngineConfig, EngineTier, JumpStats, TierUsage};
 pub use trace::Trace;
-pub use wide::{WideElection, WideLaneExport, WideSimulation, WideTierPolicy};
 
 /// How many interactions run between hoisted checks (step budget, sampled
 /// debug assertions) in both engines' batched convergence loops.

@@ -1,6 +1,5 @@
 //! Engine observability: structured events, unified metrics, and trajectory
-//! sampling for [`CountSimulation`](crate::CountSimulation) and
-//! [`WideSimulation`](crate::WideSimulation).
+//! sampling for [`CountSimulation`](crate::CountSimulation).
 //!
 //! The engine's tier dispatch is invisible from the outside: a run reports
 //! end-state numbers (`steps`, final counts, the two ad-hoc stats structs)
@@ -9,14 +8,13 @@
 //!
 //! * [`EngineObserver`] — an attachable hook that sinks structured
 //!   [`EngineEvent`]s (tier transitions, jump engage/disengage with
-//!   hysteresis context, batch-round episodes with their law and segment
-//!   shape, compactions, snapshot/resume ops), accounts per-tier
+//!   hysteresis context, batch-round episodes with their shape,
+//!   compactions, snapshot/resume ops), accounts per-tier
 //!   interactions and wall time in a monotonic-clock [`TierTimeline`], and
 //!   optionally samples a [`TrajectorySampler`] trace.
 //! * [`EngineMetrics`] — one unified snapshot of everything the engine can
-//!   report (superseding the `jump_stats()`/`batch_stats()` split, which
-//!   remain as thin shims), serializable to JSON by hand (this workspace
-//!   takes no serde dependency) and parseable back for round-trip checks.
+//!   report, serializable to JSON by hand (this workspace takes no serde
+//!   dependency) and parseable back for round-trip checks.
 //! * A JSONL event-log encoding — one [`EngineEvent`] per line via
 //!   [`EngineEvent::to_json_line`] / [`EngineEvent::parse_json_line`].
 //!
@@ -26,10 +24,9 @@
 //! executes: a simulation with an observer attached produces bit-identical
 //! trajectories, final counts, step counts, and
 //! [`snapshot`](crate::CountSimulation::snapshot) bytes to its detached
-//! twin, on all four tiers and on the wide lane engine (pinned by the
-//! `tests/obs_identity.rs` suite). The disabled path costs one predictable
-//! branch at episode/review boundaries — never inside the per-interaction
-//! hot loops. Trajectory sampling only subdivides *per-step* chunk windows
+//! twin, on all four tiers (pinned by the `tests/obs_identity.rs` suite).
+//! The disabled path costs one predictable branch at episode/review
+//! boundaries — never inside the per-interaction hot loops. Trajectory sampling only subdivides *per-step* chunk windows
 //! (per-step draws are identical per step, so window partitioning is
 //! invisible); jump and batch episode budgets are never capped for a sample,
 //! so on those tiers samples land on the first episode boundary at or past
@@ -47,15 +44,12 @@
 //! | `jump_disengage` | `w_active`, `w_total`, `episodes`, `skipped` (cumulative) |
 //! | `batch_engage` | `support`, `expected_run` |
 //! | `batch_exit` | `support`, `expected_run` |
-//! | `batch_episode` | `law`, `segments`, `bulk`, `collision`, `walked` |
+//! | `batch_episode` | `bulk`, `collision`, `walked` |
 //! | `compaction` | `live_before`, `live_after` (interned state ids) |
 //! | `snapshot` | `bytes` (serialized size) |
 //! | `resumed` | — |
-//! | `lane_retired` | `lane` (wide engine: lane index) |
-//! | `lane_spilled` | `lane` (wide engine: lane index) |
 
 use crate::batch::BatchStats;
-use crate::round::LawMode;
 use crate::tier::{EngineTier, JumpStats, TierUsage};
 use crate::trace::Trace;
 
@@ -123,15 +117,11 @@ pub enum EngineEvent {
     BatchEpisode {
         /// Engine step count after the episode.
         step: u64,
-        /// Round law the episode drew from.
-        law: LawMode,
-        /// Collision-free segments chained in this episode.
-        segments: u64,
         /// Bulk (collision-free) interactions applied.
         bulk: u64,
         /// Whether the episode ended in a collision interaction.
         collision: bool,
-        /// Whether any segment ran the exact shuffled walk (leader count
+        /// Whether the episode ran the exact shuffled walk (leader count
         /// near 1).
         walked: bool,
     },
@@ -157,22 +147,6 @@ pub enum EngineEvent {
         /// Engine step count the snapshot restored.
         step: u64,
     },
-    /// A wide-engine lane finished (converged or exhausted its budget) and
-    /// left the lane set.
-    LaneRetired {
-        /// The retiring lane's steps at retirement.
-        step: u64,
-        /// Original lane index.
-        lane: u64,
-    },
-    /// A wide-engine lane was spilled out for scalar completion
-    /// (null-dominated under the auto policy).
-    LaneSpilled {
-        /// The spilled lane's steps at the spill.
-        step: u64,
-        /// Original lane index.
-        lane: u64,
-    },
 }
 
 impl EngineEvent {
@@ -187,9 +161,7 @@ impl EngineEvent {
             | EngineEvent::BatchEpisode { step, .. }
             | EngineEvent::Compaction { step, .. }
             | EngineEvent::SnapshotTaken { step, .. }
-            | EngineEvent::Resumed { step }
-            | EngineEvent::LaneRetired { step, .. }
-            | EngineEvent::LaneSpilled { step, .. } => step,
+            | EngineEvent::Resumed { step } => step,
         }
     }
 
@@ -205,8 +177,6 @@ impl EngineEvent {
             EngineEvent::Compaction { .. } => "compaction",
             EngineEvent::SnapshotTaken { .. } => "snapshot",
             EngineEvent::Resumed { .. } => "resumed",
-            EngineEvent::LaneRetired { .. } => "lane_retired",
-            EngineEvent::LaneSpilled { .. } => "lane_spilled",
         }
     }
 
@@ -254,13 +224,11 @@ impl EngineEvent {
             ),
             EngineEvent::BatchEpisode {
                 step,
-                law,
-                segments,
                 bulk,
                 collision,
                 walked,
             } => format!(
-                "{},\"law\":\"{law}\",\"segments\":{segments},\"bulk\":{bulk},\"collision\":{collision},\"walked\":{walked}}}",
+                "{},\"bulk\":{bulk},\"collision\":{collision},\"walked\":{walked}}}",
                 head(step)
             ),
             EngineEvent::Compaction {
@@ -275,12 +243,6 @@ impl EngineEvent {
                 format!("{},\"bytes\":{bytes}}}", head(step))
             }
             EngineEvent::Resumed { step } => format!("{}}}", head(step)),
-            EngineEvent::LaneRetired { step, lane } => {
-                format!("{},\"lane\":{lane}}}", head(step))
-            }
-            EngineEvent::LaneSpilled { step, lane } => {
-                format!("{},\"lane\":{lane}}}", head(step))
-            }
         }
     }
 
@@ -320,8 +282,6 @@ impl EngineEvent {
             },
             "batch_episode" => EngineEvent::BatchEpisode {
                 step,
-                law: parse_law(&scan_str(line, "\"law\"")?)?,
-                segments: scan_u64(line, "\"segments\"")?,
                 bulk: scan_u64(line, "\"bulk\"")?,
                 collision: scan_bool(line, "\"collision\"")?,
                 walked: scan_bool(line, "\"walked\"")?,
@@ -336,14 +296,6 @@ impl EngineEvent {
                 bytes: scan_u64(line, "\"bytes\"")?,
             },
             "resumed" => EngineEvent::Resumed { step },
-            "lane_retired" => EngineEvent::LaneRetired {
-                step,
-                lane: scan_u64(line, "\"lane\"")?,
-            },
-            "lane_spilled" => EngineEvent::LaneSpilled {
-                step,
-                lane: scan_u64(line, "\"lane\"")?,
-            },
             _ => return None,
         })
     }
@@ -355,15 +307,6 @@ fn parse_tier(name: &str) -> Option<EngineTier> {
         "compiled" => EngineTier::Compiled,
         "jump" => EngineTier::Jump,
         "batch" => EngineTier::Batch,
-        _ => return None,
-    })
-}
-
-fn parse_law(name: &str) -> Option<LawMode> {
-    Some(match name {
-        "sequence" => LawMode::SequenceExpansion,
-        "contingency" => LawMode::Contingency,
-        "multiround" => LawMode::MultiRound,
         _ => return None,
     })
 }
@@ -491,8 +434,7 @@ impl TrajectorySampler {
 /// optionally drives a [`TrajectorySampler`].
 ///
 /// Attach with [`CountSimulation::set_observer`]
-/// (crate::CountSimulation::set_observer) (or the wide-engine equivalent),
-/// read through [`CountSimulation::observer`]
+/// (crate::CountSimulation::set_observer), read through [`CountSimulation::observer`]
 /// (crate::CountSimulation::observer), detach with
 /// [`CountSimulation::take_observer`]
 /// (crate::CountSimulation::take_observer).
@@ -598,11 +540,9 @@ impl EngineObserver {
     }
 }
 
-/// One unified metrics snapshot of a count or wide simulation: population,
-/// progress, tier usage, and the per-tier stats the engine previously
-/// reported only through `jump_stats()` / `batch_stats()`. Obtained from
-/// [`CountSimulation::metrics`](crate::CountSimulation::metrics) or
-/// [`WideSimulation::metrics`](crate::WideSimulation::metrics); always
+/// One unified metrics snapshot of a count simulation: population,
+/// progress, tier usage, and the per-tier stats. Obtained from
+/// [`CountSimulation::metrics`](crate::CountSimulation::metrics); always
 /// available — the observer-only extras (event counts, timeline) are
 /// populated when an observer is attached.
 #[derive(Debug, Clone, PartialEq)]
@@ -613,14 +553,12 @@ pub struct EngineMetrics {
     pub steps: u64,
     /// `steps / n`.
     pub parallel_time: f64,
-    /// Live support (states with nonzero count; wide: maximum over lanes).
+    /// Live support (states with nonzero count).
     pub support: u64,
     /// Distinct states interned over the whole execution.
     pub distinct_states_seen: u64,
     /// The tier the engine is currently dispatching to.
     pub active_tier: EngineTier,
-    /// The batch tier's configured round law.
-    pub law: LawMode,
     /// Interactions executed per tier (persistent: serialized in snapshots
     /// and restored on resume).
     pub tier_usage: TierUsage,
@@ -641,8 +579,9 @@ pub struct EngineMetrics {
     pub timeline: Option<TierTimeline>,
 }
 
-/// Schema tag embedded in (and required from) the metrics JSON.
-pub const METRICS_SCHEMA: &str = "pp-engine-metrics/v1";
+/// Schema tag embedded in (and required from) the metrics JSON. Version 2
+/// dropped the round-law tag and the batch tier's segment counter.
+pub const METRICS_SCHEMA: &str = "pp-engine-metrics/v2";
 
 impl EngineMetrics {
     /// Serializes the metrics as one JSON object (pretty-stable field
@@ -652,14 +591,13 @@ impl EngineMetrics {
         out.push_str(&format!(
             "{{\"schema\":\"{METRICS_SCHEMA}\",\"population\":{},\"steps\":{},\
              \"parallel_time\":{},\"support\":{},\"distinct_states_seen\":{},\
-             \"active_tier\":\"{}\",\"law\":\"{}\",",
+             \"active_tier\":\"{}\",",
             self.population,
             self.steps,
             self.parallel_time,
             self.support,
             self.distinct_states_seen,
             self.active_tier,
-            self.law,
         ));
         out.push_str(&format!(
             "\"tier_usage\":{{\"reference\":{},\"compiled\":{},\"jump\":{},\"batch\":{}}},",
@@ -674,15 +612,13 @@ impl EngineMetrics {
         ));
         out.push_str(&format!(
             "\"batch\":{{\"episodes\":{},\"bulk_interactions\":{},\"collision_interactions\":{},\
-             \"exact_walks\":{},\"contingency_draws\":{},\"shuffle_skips\":{},\
-             \"episode_segments\":{}}},",
+             \"exact_walks\":{},\"contingency_draws\":{},\"shuffle_skips\":{}}},",
             self.batch.episodes,
             self.batch.bulk_interactions,
             self.batch.collision_interactions,
             self.batch.exact_walks,
             self.batch.contingency_draws,
             self.batch.shuffle_skips,
-            self.batch.episode_segments,
         ));
         out.push_str(&format!(
             "\"cache\":{{\"active\":{},\"compiled_pairs\":{}}},",
@@ -758,7 +694,6 @@ impl EngineMetrics {
             support: scan_u64(text, "\"support\"")?,
             distinct_states_seen: scan_u64(text, "\"distinct_states_seen\"")?,
             active_tier: parse_tier(&scan_str(text, "\"active_tier\"")?)?,
-            law: parse_law(&scan_str(text, "\"law\"")?)?,
             tier_usage: TierUsage {
                 reference: scan_u64(usage, "\"reference\"")?,
                 compiled: scan_u64(usage, "\"compiled\"")?,
@@ -776,7 +711,6 @@ impl EngineMetrics {
                 exact_walks: scan_u64(batch, "\"exact_walks\"")?,
                 contingency_draws: scan_u64(batch, "\"contingency_draws\"")?,
                 shuffle_skips: scan_u64(batch, "\"shuffle_skips\"")?,
-                episode_segments: scan_u64(batch, "\"episode_segments\"")?,
             },
             cache_active: scan_bool(cache, "\"active\"")?,
             compiled_pairs: scan_u64(cache, "\"compiled_pairs\"")?,
@@ -900,8 +834,6 @@ mod tests {
             },
             EngineEvent::BatchEpisode {
                 step: 700,
-                law: LawMode::Contingency,
-                segments: 2,
                 bulk: 633,
                 collision: true,
                 walked: false,
@@ -916,8 +848,6 @@ mod tests {
                 bytes: 2048,
             },
             EngineEvent::Resumed { step: 5000 },
-            EngineEvent::LaneRetired { step: 777, lane: 3 },
-            EngineEvent::LaneSpilled { step: 778, lane: 0 },
         ]
     }
 
@@ -987,7 +917,6 @@ mod tests {
             support: 130,
             distinct_states_seen: 280,
             active_tier: EngineTier::Batch,
-            law: LawMode::MultiRound,
             tier_usage: TierUsage {
                 reference: 1,
                 compiled: 2,
@@ -1005,7 +934,6 @@ mod tests {
                 exact_walks: 1,
                 contingency_draws: 17,
                 shuffle_skips: 2,
-                episode_segments: 9,
             },
             cache_active: true,
             compiled_pairs: 412,

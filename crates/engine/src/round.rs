@@ -1,116 +1,57 @@
-//! The **round-law pipeline**: pluggable structures for the batch tier's
-//! collision-free rounds.
+//! The batch tier's **collision-free round**: the urn scratch
+//! ([`BatchScratch`]), the run-length inversion
+//! ([`collision_free_prefix`]), the one round law ([`draw_segment`]), and
+//! the descending-count order maintenance the engine uses for draw
+//! decompositions and compaction alike.
 //!
 //! The batch tier (see [`crate::batch`] for the statistical derivation)
 //! advances a simulation by whole collision-free runs: sample the run
 //! length, sample *which* states interact, apply the interactions through
-//! the compiled cache, resolve the terminating collision. Everything
-//! except "which states interact, in what representation" is shared; this
-//! module factors that varying part into a [`RoundLaw`] and owns the
-//! machinery every law builds on — the urn scratch ([`BatchScratch`]), the
-//! run-length inversion ([`collision_free_prefix_from`]), and the
-//! descending-count order maintenance the engines use for draw
-//! decompositions and compaction alike.
+//! the compiled cache, resolve the terminating collision. This module owns
+//! the middle step. Both multisets of a segment are drawn as sparse
+//! `(state, count)` margins; then the segment is paired one of two ways:
 //!
-//! Three laws, selected by [`LawMode`] in
-//! [`EngineConfig`](crate::EngineConfig):
-//!
-//! * [`SequenceExpansionLaw`] (default) — the historical round: expand both
-//!   multisets into sequences, Fisher–Yates the responders, pair
-//!   positionally. **Bit-identical** to the pre-refactor batch tier: same
-//!   RNG stream, same draws, same state.
-//! * [`ContingencyLaw`] — draw the per-ordered-pair contingency table
-//!   directly (nested conditional hypergeometric rows, the law of
+//! * **Cells** — draw the per-ordered-pair contingency table directly
+//!   (nested conditional hypergeometric rows, the law of
 //!   [`pp_rand::contingency_table`]) and apply each cell as one bulk count
 //!   delta. Skips the `Θ(√n)` responder shuffle and the per-interaction
-//!   apply loop whenever the table is smaller than the round
-//!   (`support² ≪ √n` — two-state epidemics, Fratricide); falls back to
-//!   sequence expansion, per segment, when the table would cost more draws
-//!   than it saves. **Law-equal**, not bit-identical: the executions equal
-//!   the reference tier in distribution (chi-square-pinned by
-//!   `tests/round_law.rs`) but consume the RNG stream differently.
-//! * [`MultiRoundLaw`] — contingency segments chained through up to
-//!   [`MULTI_ROUND_SEGMENTS`] collisions per episode, keeping the
-//!   fresh/used urn split alive across segments so the `O(#states)`
-//!   begin/merge bookkeeping amortizes over several rounds. The
-//!   continuation run-length law conditions on the agents already used
-//!   (`collision_free_prefix_from`); each segment's bulk is disjoint from
-//!   everything executed since the episode began, so segment interactions
-//!   still commute and the two-urn collision resolution stays exact.
-//!   **Law-equal**; the win is at small `n`, where `√n` rounds are short
-//!   and per-round fixed costs dominate.
+//!   apply loop whenever the table is much smaller than the round
+//!   (two-state epidemics, Fratricide).
+//! * **Sequences** — expand the margins into state sequences, Fisher–Yates
+//!   the responders, and pair positionally. Taken when the table would cost
+//!   more than the shuffle it replaces (see [`CELL_FALLBACK_FACTOR`]), and
+//!   always for exact walks, which need an ordered interleaving.
 //!
-//! The wide engine's `WideTierPolicy::LawOnly` builds on the same
-//! machinery: one shared run-length inversion for the whole lane set (see
-//! [`invert_prefix`]) plus per-lane contingency rounds, trading per-lane
-//! bit-identity for amortized sampling — the cross-lane analogue of the
-//! scalar law modes.
+//! Both sides sample the uniformly random matching of the drawn margins, so
+//! executions equal the reference tier in distribution (chi-square-pinned
+//! by `tests/round_law.rs`). A sequence segment consumes the RNG exactly as
+//! the historical sequence-expansion round did — margins, expansion and
+//! shuffle draw the same words as two multiset expansions and a shuffle —
+//! which a known-answer test pins.
 
 use crate::batch::BatchStats;
 use pp_rand::{Hypergeometric, Rng64};
 use std::cmp::Reverse;
 
-/// Which law the batch tier draws its collision-free rounds from. See the
-/// module docs for the contract: `SequenceExpansion` is bit-identical to
-/// the historical batch tier, the others are law-equal (same distribution,
-/// different RNG stream), pinned by the chi-square suite.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum LawMode {
-    /// Expanded multiset sequences paired by a responder shuffle — the
-    /// bit-identical default.
-    #[default]
-    SequenceExpansion,
-    /// Per-ordered-pair contingency table, shuffle-free when the support
-    /// is small; falls back to sequence expansion per segment otherwise.
-    Contingency,
-    /// Contingency segments chained across several collisions per
-    /// episode, amortizing round setup at small `n`.
-    MultiRound,
-}
-
-impl LawMode {
-    /// Stable wire encoding, shared by engine snapshots and checkpoint
-    /// fingerprints (additions append; values never change).
-    #[must_use]
-    pub fn tag(self) -> u8 {
-        match self {
-            LawMode::SequenceExpansion => 0,
-            LawMode::Contingency => 1,
-            LawMode::MultiRound => 2,
-        }
-    }
-
-    /// Inverse of [`tag`](Self::tag).
-    pub(crate) fn from_tag(tag: u8) -> Option<Self> {
-        Some(match tag {
-            0 => LawMode::SequenceExpansion,
-            1 => LawMode::Contingency,
-            2 => LawMode::MultiRound,
-            _ => return None,
-        })
-    }
-}
-
-impl std::fmt::Display for LawMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            LawMode::SequenceExpansion => "sequence",
-            LawMode::Contingency => "contingency",
-            LawMode::MultiRound => "multiround",
-        })
-    }
-}
-
-/// Maximal collision-free segments chained into one [`MultiRoundLaw`]
-/// episode. Segment lengths shrink as the used urn grows (the continuation
-/// law conditions on every agent touched since `begin`), so chaining far
-/// past this point buys little bulk for full per-segment sampling cost.
-pub(crate) const MULTI_ROUND_SEGMENTS: u32 = 6;
-
-/// A contingency segment falls back to sequence expansion when the table
-/// could cost more than this many conditional draws per bulk interaction —
-/// past that, the `Θ(bulk)` shuffle it replaces is the cheaper structure.
-pub(crate) const CELL_FALLBACK_FACTOR: u64 = 1;
+/// A segment is paired as cells only while `CELL_FALLBACK_FACTOR · table ≤
+/// bulk`, where `table` is the margin-list product bounding the cells to
+/// draw; otherwise it expands into sequences and shuffles.
+///
+/// The factor prices one conditional hypergeometric draw in sequence
+/// slots. The benchmark's per-layer rows (P_LL at n = 2^20, 2-vCPU
+/// container) put a draw at `rand.hypergeom_inv_ns` ≈ 63 ns
+/// (`rand.hypergeom_hrua_ns` ≈ 117 ns) against `rand.shuffle_ns_per_elem`
+/// ≈ 1.6 ns, a ratio of ~38 — but a sequence slot also pays its expansion
+/// and its own apply (a pair-cache lookup and two urn updates), which the
+/// cells side pays once per cell. Timed directly on forced-batch
+/// Fratricide, the break-even sits at 8–16 slots per draw: at n = 2^14
+/// (bulk ≈ 80, 4 cells) factors 4–16 run at 58–68M interactions/s and 38
+/// at 36M, the all-sequences path at 32M. Eight keeps the cells path on
+/// every such table and sends P_LL's wide-support segments to the
+/// shuffle: over its first 40n interactions at n = 2^20, ~230 of ~65k
+/// segments per election take the cells path (~5.5k draws), against ~3.9k
+/// segments and ~1.1M draws at factor 1.
+pub(crate) const CELL_FALLBACK_FACTOR: u64 = 8;
 
 /// Rows with margins below this cutoff are drawn as sequential weighted
 /// picks (one `O(support)` scan each) instead of a full conditional
@@ -119,9 +60,8 @@ pub(crate) const CELL_FALLBACK_FACTOR: u64 = 1;
 const ROW_WEIGHTED_CUTOFF: u64 = 4;
 
 // ---------------------------------------------------------------------------
-// Descending-count order maintenance (shared by the batch scratch, the
-// scalar engine's state compaction, and the wide engine's lane/global
-// compaction).
+// Descending-count order maintenance (shared by the batch scratch and
+// the engine's state compaction).
 // ---------------------------------------------------------------------------
 
 /// The canonical visiting order of the engines: the total order
@@ -168,38 +108,29 @@ pub(crate) fn repair_descending(ids: &mut [u32], key: impl Fn(u32) -> u64) {
 /// flag says a collision interaction terminates the run inside the budget.
 ///
 /// Exact single-uniform inversion of `P(L ≥ m) = Π_{j<m}
-/// (n−used−2j)(n−used−2j−1) / (n(n−1))`, the continuation law of a round
-/// already in progress: `used` agents have interacted since the urns were
-/// seeded, and each successive interaction must avoid every one of them,
-/// not just this segment's. The product is accumulated incrementally, so
-/// the cost is `O(min(L, budget))` multiplications.
-///
-/// With `used = 0` this is bit-identical to the original fresh-round
-/// sampler (same uniform, same f64 product sequence), and the first step
-/// is always collision-free (`P(L ≥ 1) = 1`), so the returned length is at
-/// least 1 for any positive budget. With `used > 0` the first step can
-/// already collide, so the returned length may be 0.
-pub(crate) fn collision_free_prefix_from<R: Rng64 + ?Sized>(
+/// (n−2j)(n−2j−1) / (n(n−1))`: each successive interaction must avoid
+/// every agent the run has already touched. The product is accumulated
+/// incrementally, so the cost is `O(min(L, budget))` multiplications. The
+/// first step is always collision-free (`P(L ≥ 1) = 1`), so the returned
+/// length is at least 1 for any positive budget.
+pub(crate) fn collision_free_prefix<R: Rng64 + ?Sized>(
     rng: &mut R,
     n: u64,
-    used: u64,
     budget: u64,
 ) -> (u64, bool) {
-    debug_assert!(n >= 2 && budget >= 1 && used <= n);
+    debug_assert!(n >= 2 && budget >= 1);
     let u = rng.unit_f64();
-    invert_prefix(u, n, used, budget)
+    invert_prefix(u, n, budget)
 }
 
-/// The deterministic inversion behind [`collision_free_prefix_from`]:
-/// walks the survival product for the single uniform `u`. Split out so the
-/// wide engine's law-only mode can draw *one* uniform for the whole lane
-/// set and invert it against each lane's budget.
+/// The deterministic inversion behind [`collision_free_prefix`]: walks the
+/// survival product for the single uniform `u`.
 ///
 /// The product multiplies factors in `[0, 1]`, so it is monotone
-/// non-increasing even in f64, and it reaches exact `0.0` once the fresh
-/// urn drops below 2 agents — the loop terminates for any `u`, including
-/// `u = 0`, after at most `(n − used)/2 + 1` steps.
-pub(crate) fn invert_prefix(u: f64, n: u64, used: u64, budget: u64) -> (u64, bool) {
+/// non-increasing even in f64, and it reaches exact `0.0` once fewer than
+/// 2 untouched agents remain — the loop terminates for any `u`, including
+/// `u = 0`, after at most `n/2 + 1` steps.
+fn invert_prefix(u: f64, n: u64, budget: u64) -> (u64, bool) {
     let denom = n as f64 * (n - 1) as f64;
     let mut survive = 1.0f64;
     let mut m = 0u64;
@@ -207,7 +138,7 @@ pub(crate) fn invert_prefix(u: f64, n: u64, used: u64, budget: u64) -> (u64, boo
         if m == budget {
             return (budget, false);
         }
-        let fresh = (n - used).saturating_sub(2 * m);
+        let fresh = n.saturating_sub(2 * m);
         let step = if fresh >= 2 {
             fresh as f64 * (fresh - 1) as f64 / denom
         } else {
@@ -247,10 +178,10 @@ pub(crate) struct BatchScratch {
     pub init_seq: Vec<u32>,
     /// Responder state sequence of the round (expanded multiset).
     pub resp_seq: Vec<u32>,
-    /// Initiator margins `(state, count)` of a contingency segment, in
-    /// visiting order.
+    /// Initiator margins `(state, count)` of the segment, in visiting
+    /// order.
     pub init_margin: Vec<(u32, u64)>,
-    /// Responder margins `(state, count)` of a contingency segment.
+    /// Responder margins `(state, count)` of the segment.
     pub resp_margin: Vec<(u32, u64)>,
     /// Remaining responder margins while cells are drawn (parallel to
     /// `resp_margin`).
@@ -310,56 +241,10 @@ impl BatchScratch {
     }
 
     /// Draws a `draws`-element multiset from the fresh urn (without
-    /// replacement) by conditional hypergeometric decomposition, appending
-    /// the expanded state sequence to `init_seq` or `resp_seq` and removing
-    /// the drawn agents from the urn.
-    pub(crate) fn draw_multiset<R: Rng64 + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        draws: u64,
-        responders: bool,
-    ) {
-        debug_assert!(draws <= self.fresh_total);
-        let seq = if responders {
-            &mut self.resp_seq
-        } else {
-            &mut self.init_seq
-        };
-        let mut remaining = draws;
-        // Classes not yet visited form the conditioning population.
-        let mut pop = self.fresh_total;
-        for &id in &self.order {
-            if remaining == 0 {
-                break;
-            }
-            let c = self.fresh[id as usize];
-            if c == 0 {
-                pop -= c;
-                continue;
-            }
-            let x = if pop == c {
-                remaining
-            } else {
-                Hypergeometric::new(pop, c, remaining)
-                    .expect("class within remaining population")
-                    .sample(rng)
-            };
-            // Run-length fill (no RNG involved; only the expansion speed).
-            seq.resize(seq.len() + x as usize, id);
-            self.fresh[id as usize] -= x;
-            remaining -= x;
-            pop -= c;
-        }
-        debug_assert_eq!(remaining, 0, "classes must exhaust the draws");
-        self.fresh_total -= draws;
-    }
-
-    /// Draws a `draws`-element multiset from the fresh urn like
-    /// [`draw_multiset`](Self::draw_multiset) — same decomposition, same
-    /// law — but records it sparsely as `(state, count)` margins instead
-    /// of expanding it, removing the drawn agents from the urn. The
-    /// contingency law's entry point: margins feed
-    /// [`draw_cells`](Self::draw_cells) or, on fallback, expand via
+    /// replacement) by conditional hypergeometric decomposition in visiting
+    /// order, recording it sparsely as `(state, count)` margins and
+    /// removing the drawn agents from the urn. The margins feed
+    /// [`draw_cells`](Self::draw_cells) or expand via
     /// [`expand_margins`](Self::expand_margins).
     pub(crate) fn draw_margins<R: Rng64 + ?Sized>(
         &mut self,
@@ -403,9 +288,8 @@ impl BatchScratch {
     }
 
     /// Expands the margin lists of the current segment into `init_seq` /
-    /// `resp_seq` (run-length, visiting order) — the fallback from a
-    /// too-large contingency table back to the sequence representation.
-    /// The caller still owes the responder shuffle.
+    /// `resp_seq` (run-length, visiting order). The caller still owes the
+    /// responder shuffle.
     pub(crate) fn expand_margins(&mut self) {
         self.init_seq.clear();
         for &(id, c) in &self.init_margin {
@@ -523,8 +407,7 @@ impl BatchScratch {
     }
 
     /// Adds `k` agents in state `id` to the used urn at once — the bulk
-    /// apply of contingency cells and the wide engine's
-    /// category-deduplicated rounds (`k` identical interactions collapse to
+    /// apply of contingency cells (`k` identical interactions collapse to
     /// one cache lookup and one urn update).
     pub(crate) fn add_used_n(&mut self, id: usize, k: u64) {
         self.used[id] += k;
@@ -540,7 +423,7 @@ impl BatchScratch {
 }
 
 // ---------------------------------------------------------------------------
-// Laws.
+// The round law.
 // ---------------------------------------------------------------------------
 
 /// How a segment's interaction structure is represented for the apply
@@ -555,111 +438,40 @@ pub(crate) enum SegmentDraw {
     Cells,
 }
 
-/// One law for drawing a collision-free segment's interaction structure
-/// out of the fresh urn. The host (`CountSimulation::batch_episode` and
-/// the wide engine's law-only rounds) owns everything else: run lengths,
+/// Draws one collision-free segment's interaction structure out of the
+/// fresh urn (see the [module docs](self)): removes exactly `2·bulk`
+/// agents and returns the representation it filled. With `walk` set the
+/// host needs a uniformly interleaved pair *sequence*, so both sides are
+/// shuffled and the result is always [`SegmentDraw::Sequences`]. The host
+/// (`CountSimulation::batch_episode`) owns everything else: run lengths,
 /// the apply loop, collision resolution, urn merging.
-///
-/// Contract: `draw_segment` removes exactly `2·bulk` agents from the fresh
-/// urn and returns the representation it filled. With `walk` set the host
-/// needs a uniformly interleaved pair *sequence* (both sides shuffled), so
-/// every law must return [`SegmentDraw::Sequences`] there.
-pub(crate) trait RoundLaw {
-    /// Maximal collision-free segments one episode chains through.
-    const SEGMENTS: u32;
-
-    /// Draws one segment's structure. See the trait docs for the
-    /// contract.
-    fn draw_segment<R: Rng64>(
-        scratch: &mut BatchScratch,
-        rng: &mut R,
-        bulk: u64,
-        walk: bool,
-        stats: &mut BatchStats,
-    ) -> SegmentDraw;
-}
-
-/// The bit-identical default law (see the module docs).
-pub(crate) struct SequenceExpansionLaw;
-
-impl RoundLaw for SequenceExpansionLaw {
-    const SEGMENTS: u32 = 1;
-
-    fn draw_segment<R: Rng64>(
-        scratch: &mut BatchScratch,
-        rng: &mut R,
-        bulk: u64,
-        walk: bool,
-        _stats: &mut BatchStats,
-    ) -> SegmentDraw {
-        scratch.init_seq.clear();
-        scratch.resp_seq.clear();
-        scratch.draw_multiset(rng, bulk, false);
-        scratch.draw_multiset(rng, bulk, true);
-        // Pairing: a uniformly permuted responder sequence against the
-        // initiators realizes the uniformly random matching.
-        rng.shuffle(&mut scratch.resp_seq);
-        if walk {
-            // Both sequences uniformly permuted makes the round's pair
-            // sequence a uniformly random interleaving — the conditional
-            // law of the true process given the drawn multisets.
-            rng.shuffle(&mut scratch.init_seq);
-        }
-        SegmentDraw::Sequences
-    }
-}
-
-/// The shuffle-free contingency law (see the module docs).
-pub(crate) struct ContingencyLaw;
-
-impl RoundLaw for ContingencyLaw {
-    const SEGMENTS: u32 = 1;
-
-    fn draw_segment<R: Rng64>(
-        scratch: &mut BatchScratch,
-        rng: &mut R,
-        bulk: u64,
-        walk: bool,
-        stats: &mut BatchStats,
-    ) -> SegmentDraw {
-        if walk {
-            // Exact walks need an ordered interleaving; the table holds
-            // only aggregates.
-            return SequenceExpansionLaw::draw_segment(scratch, rng, bulk, walk, stats);
-        }
-        scratch.draw_margins(rng, bulk, false);
-        scratch.draw_margins(rng, bulk, true);
-        let table = scratch.init_margin.len() as u64 * scratch.resp_margin.len() as u64;
-        if table > CELL_FALLBACK_FACTOR * bulk {
-            // The table would cost more conditional draws than the shuffle
-            // it replaces: expand the margins back out and pair by
-            // permutation instead.
-            scratch.expand_margins();
-            rng.shuffle(&mut scratch.resp_seq);
-            return SegmentDraw::Sequences;
-        }
+pub(crate) fn draw_segment<R: Rng64>(
+    scratch: &mut BatchScratch,
+    rng: &mut R,
+    bulk: u64,
+    walk: bool,
+    stats: &mut BatchStats,
+) -> SegmentDraw {
+    scratch.draw_margins(rng, bulk, false);
+    scratch.draw_margins(rng, bulk, true);
+    let table = scratch.init_margin.len() as u64 * scratch.resp_margin.len() as u64;
+    if !walk && CELL_FALLBACK_FACTOR.saturating_mul(table) <= bulk {
         let draws = scratch.draw_cells(rng);
         stats.contingency_draws += draws;
         stats.shuffle_skips += 1;
-        SegmentDraw::Cells
+        return SegmentDraw::Cells;
     }
-}
-
-/// The multi-segment episode law (see the module docs).
-pub(crate) struct MultiRoundLaw;
-
-impl RoundLaw for MultiRoundLaw {
-    const SEGMENTS: u32 = MULTI_ROUND_SEGMENTS;
-
-    fn draw_segment<R: Rng64>(
-        scratch: &mut BatchScratch,
-        rng: &mut R,
-        bulk: u64,
-        walk: bool,
-        stats: &mut BatchStats,
-    ) -> SegmentDraw {
-        ContingencyLaw::draw_segment(scratch, rng, bulk, walk, stats)
+    scratch.expand_margins();
+    // Pairing: a uniformly permuted responder sequence against the
+    // initiators realizes the uniformly random matching.
+    rng.shuffle(&mut scratch.resp_seq);
+    if walk {
+        // Both sequences uniformly permuted makes the segment's pair
+        // sequence a uniformly random interleaving — the conditional law
+        // of the true process given the drawn multisets.
+        rng.shuffle(&mut scratch.init_seq);
     }
+    SegmentDraw::Sequences
 }
 
 #[cfg(test)]
@@ -676,7 +488,7 @@ mod tests {
         let mut r = rng(1);
         for n in [2u64, 3, 10, 1 << 20] {
             for budget in [1u64, 5, 1000] {
-                let (len, collide) = collision_free_prefix_from(&mut r, n, 0, budget);
+                let (len, collide) = collision_free_prefix(&mut r, n, budget);
                 assert!((1..=budget).contains(&len), "n={n} budget={budget}: {len}");
                 if collide {
                     assert!(len < budget);
@@ -690,7 +502,7 @@ mod tests {
         // With all agents used a collision is certain: L ≤ n/2.
         let mut r = rng(2);
         for _ in 0..500 {
-            let (len, collide) = collision_free_prefix_from(&mut r, 10, 0, 1000);
+            let (len, collide) = collision_free_prefix(&mut r, 10, 1000);
             assert!(len <= 5);
             assert!(collide);
         }
@@ -703,7 +515,7 @@ mod tests {
         let runs = 200_000;
         let mut two = 0u64;
         for _ in 0..runs {
-            let (len, _) = collision_free_prefix_from(&mut r, 4, 0, 2);
+            let (len, _) = collision_free_prefix(&mut r, 4, 2);
             if len == 2 {
                 two += 1;
             }
@@ -718,7 +530,7 @@ mod tests {
         let mut r = rng(4);
         let runs = 2000;
         let total: u64 = (0..runs)
-            .map(|_| collision_free_prefix_from(&mut r, n, 0, u64::MAX).0)
+            .map(|_| collision_free_prefix(&mut r, n, u64::MAX).0)
             .sum();
         let mean = total as f64 / runs as f64;
         let expect = (std::f64::consts::PI * n as f64 / 8.0).sqrt();
@@ -728,61 +540,23 @@ mod tests {
         );
     }
 
-    #[test]
-    fn continuation_prefix_law_matches_closed_form() {
-        // With u0 agents already used, P(L ≥ 1) = (n−u0)(n−u0−1)/(n(n−1)).
-        // n = 6, u0 = 2: P(L ≥ 1) = 4·3/30 = 2/5.
-        let mut r = rng(5);
-        let runs = 200_000;
-        let mut at_least_one = 0u64;
-        for _ in 0..runs {
-            let (len, collide) = collision_free_prefix_from(&mut r, 6, 2, 10);
-            assert!(len <= 2, "4 fresh agents cap the run at 2");
-            assert!(collide);
-            if len >= 1 {
-                at_least_one += 1;
-            }
-        }
-        let p = at_least_one as f64 / runs as f64;
-        assert!((p - 0.4).abs() < 0.005, "P(L >= 1 | u0=2) = {p}");
-    }
-
-    #[test]
-    fn continuation_prefix_can_return_zero_and_respects_fresh_cap() {
-        let mut r = rng(6);
-        let n = 1u64 << 10;
-        let used = n - 4;
-        let mut zeros = 0;
-        for _ in 0..200 {
-            let (len, collide) = collision_free_prefix_from(&mut r, n, used, 100);
-            assert!(len <= 2, "only 4 fresh agents remain");
-            assert!(collide);
-            zeros += u64::from(len == 0);
-        }
-        // P(L = 0) = 1 − 4·3/(n(n−1)) ≈ 1: effectively every draw is 0.
-        assert!(zeros >= 199, "{zeros}");
-    }
-
-    /// The PR 3 `Geometric` `ln_1p` bug class: f64 accumulation in the
+    /// The `Geometric` `ln_1p` bug class: f64 accumulation in the
     /// inversion loop silently truncating run lengths at huge `n`. Pin the
     /// linear-product inversion against an independent log-space inversion
-    /// at n ≥ 2^30, at crafted uniforms near both ends of the scale and
-    /// near the fresh-urn boundary.
+    /// at n ≥ 2^30, at crafted uniforms near both ends of the scale.
     #[test]
     fn prefix_inversion_matches_log_space_at_huge_n() {
         let n: u64 = 1 << 30;
         // Uniforms span the full range `unit_f64` can produce (granularity
         // 2^-53; smaller values never occur, so the subnormal product tail
         // is outside the sampler's contract).
-        for &(used, u) in &[
-            (0u64, 1.0 - f64::EPSILON), // earliest representable stop
-            (0, 0.5),                   // the median
-            (0, 1e-9),                  // deep tail
-            (0, f64::powi(2.0, -53)),   // the smallest nonzero uniform
-            (n - (1 << 16), 0.5),       // near the fresh-urn boundary
-            ((1 << 20) - 2, 1e-6),      // heavy continuation conditioning
+        for u in [
+            1.0 - f64::EPSILON,  // earliest representable stop
+            0.5,                 // the median
+            1e-9,                // deep tail
+            f64::powi(2.0, -53), // the smallest nonzero uniform
         ] {
-            let (m_lin, collide) = invert_prefix(u, n, used, u64::MAX);
+            let (m_lin, collide) = invert_prefix(u, n, u64::MAX);
             assert!(collide);
             // Independent inversion: accumulate ln(step) via ln_1p of the
             // per-step deficit, stopping where the log-survival crosses
@@ -794,7 +568,7 @@ mod tests {
             let mut log_survive = 0.0f64;
             let mut m_log = 0u64;
             loop {
-                let fresh = (n - used).saturating_sub(2 * m_log);
+                let fresh = n.saturating_sub(2 * m_log);
                 if fresh < 2 {
                     break;
                 }
@@ -807,7 +581,7 @@ mod tests {
             let tol = 2.0 + m_log as f64 * 1e-6;
             assert!(
                 (m_lin as f64 - m_log as f64).abs() <= tol,
-                "n={n} used={used} u={u:e}: linear {m_lin} vs log-space {m_log}"
+                "n={n} u={u:e}: linear {m_lin} vs log-space {m_log}"
             );
         }
     }
@@ -821,7 +595,7 @@ mod tests {
         let mut r = rng(7);
         let runs = 60;
         let total: u64 = (0..runs)
-            .map(|_| collision_free_prefix_from(&mut r, n, 0, u64::MAX).0)
+            .map(|_| collision_free_prefix(&mut r, n, u64::MAX).0)
             .sum();
         let mean = total as f64 / runs as f64;
         let expect = (std::f64::consts::PI * n as f64 / 8.0).sqrt();
@@ -864,8 +638,9 @@ mod tests {
         let mut r = rng(9);
         for _ in 0..200 {
             s.begin(&counts);
-            s.draw_multiset(&mut r, 40, false);
-            s.draw_multiset(&mut r, 40, true);
+            s.draw_margins(&mut r, 40, false);
+            s.draw_margins(&mut r, 40, true);
+            s.expand_margins();
             assert_eq!(s.init_seq.len(), 40);
             assert_eq!(s.resp_seq.len(), 40);
             assert_eq!(s.fresh_total, 175 - 80);
@@ -884,7 +659,7 @@ mod tests {
         let mut s = BatchScratch::default();
         s.begin(&[3, 2]);
         let mut r = rng(10);
-        s.draw_multiset(&mut r, 2, false);
+        s.draw_margins(&mut r, 2, false);
         s.add_used(0);
         s.add_used(1);
         assert_eq!(s.used_total, 2);
@@ -900,8 +675,8 @@ mod tests {
     }
 
     #[test]
-    fn draw_multiset_matches_reference_decomposition_draw_for_draw() {
-        // `draw_multiset` inlines (order-optimized) the conditional
+    fn margins_match_reference_decomposition_draw_for_draw() {
+        // `draw_margins` inlines (order-optimized) the conditional
         // decomposition that `pp_rand::multivariate_hypergeometric` is the
         // reference implementation of. With counts already in descending
         // order the visiting orders coincide, so the same RNG stream must
@@ -915,10 +690,10 @@ mod tests {
             let mut r2 = rng(seed);
             let draws = 1 + (seed % 200);
             s.begin(&counts);
-            s.draw_multiset(&mut r1, draws, false);
+            s.draw_margins(&mut r1, draws, false);
             let mut drawn = vec![0u64; counts.len()];
-            for &id in &s.init_seq {
-                drawn[id as usize] += 1;
+            for &(id, c) in &s.init_margin {
+                drawn[id as usize] += c;
             }
             let mut reference = vec![0u64; counts.len()];
             multivariate_hypergeometric(&mut r2, &counts, draws, &mut reference);
@@ -936,9 +711,9 @@ mod tests {
         let mut sums = [0u64; 3];
         for _ in 0..runs {
             s.begin(&counts);
-            s.draw_multiset(&mut r, draws, false);
-            for &id in &s.init_seq {
-                sums[id as usize] += 1;
+            s.draw_margins(&mut r, draws, false);
+            for &(id, c) in &s.init_margin {
+                sums[id as usize] += c;
             }
         }
         for (i, &c) in counts.iter().enumerate() {
@@ -953,30 +728,87 @@ mod tests {
 
     #[test]
     fn margins_match_multiset_law() {
-        // draw_margins is draw_multiset without the expansion: same
-        // decomposition, same stream, so identical per-class counts.
+        // The expanded sequences are the drawn multisets: run-length blocks
+        // in visiting order, one block per nonzero margin, and the urn
+        // loses exactly what was drawn.
         let counts = [500u64, 300, 200, 200, 7, 1, 0];
-        let mut s1 = BatchScratch::default();
-        let mut s2 = BatchScratch::default();
+        let mut s = BatchScratch::default();
         for seed in 0..50 {
-            let mut r1 = rng(seed);
-            let mut r2 = rng(seed);
+            let mut r = rng(seed);
             let draws = 1 + (seed % 200);
-            s1.begin(&counts);
-            s1.draw_multiset(&mut r1, draws, false);
-            s2.begin(&counts);
-            s2.draw_margins(&mut r2, draws, false);
-            let mut expanded = vec![0u64; counts.len()];
-            for &id in &s1.init_seq {
-                expanded[id as usize] += 1;
+            s.begin(&counts);
+            s.draw_margins(&mut r, draws, false);
+            s.draw_margins(&mut r, draws, true);
+            s.expand_margins();
+            for (margin, seq) in [(&s.init_margin, &s.init_seq), (&s.resp_margin, &s.resp_seq)] {
+                let mut blocks: Vec<(u32, u64)> = Vec::new();
+                for &id in seq.iter() {
+                    match blocks.last_mut() {
+                        Some(block) if block.0 == id => block.1 += 1,
+                        _ => blocks.push((id, 1)),
+                    }
+                }
+                assert_eq!(&blocks, margin, "seed {seed}");
             }
-            let mut sparse = vec![0u64; counts.len()];
-            for &(id, c) in &s2.init_margin {
-                sparse[id as usize] += c;
+            let mut back = s.fresh.clone();
+            for &id in s.init_seq.iter().chain(&s.resp_seq) {
+                back[id as usize] += 1;
             }
-            assert_eq!(expanded, sparse, "seed {seed}");
-            assert_eq!(s1.fresh, s2.fresh, "seed {seed}: urns diverged");
+            assert_eq!(&back[..], &counts[..], "seed {seed}");
         }
+    }
+
+    /// The sequence side of the round must consume the RNG exactly as the
+    /// historical sequence-expansion round did (two expanded multiset
+    /// draws, a responder shuffle and, for walks, an initiator shuffle).
+    /// The expected sequences and the next RNG word were recorded from that
+    /// round at the same seeds.
+    #[test]
+    fn sequence_segments_reproduce_recorded_sequence_expansion_draws() {
+        let mut stats = BatchStats::default();
+        // Wide support: 40 classes make a ~600-cell table against a bulk
+        // of 30, so the segment falls back to sequences.
+        let counts: Vec<u64> = vec![50; 40];
+        let mut s = BatchScratch::default();
+        let mut r = rng(15);
+        s.begin(&counts);
+        assert_eq!(
+            draw_segment(&mut s, &mut r, 30, false, &mut stats),
+            SegmentDraw::Sequences
+        );
+        assert_eq!(
+            s.init_seq,
+            [
+                1, 2, 4, 7, 7, 9, 9, 10, 12, 13, 14, 14, 14, 15, 15, 21, 21, 24, 25, 25, 25, 26,
+                29, 30, 34, 34, 35, 38, 39, 39
+            ]
+        );
+        assert_eq!(
+            s.resp_seq,
+            [
+                33, 30, 2, 12, 2, 39, 37, 35, 23, 11, 29, 38, 14, 36, 20, 35, 11, 5, 38, 7, 6, 16,
+                19, 31, 28, 38, 2, 0, 10, 31
+            ]
+        );
+        assert_eq!(r.next_u64(), 0x0693_61f5_2edd_9c23);
+        // A walk segment on a two-class urn: both sides shuffled.
+        let mut s = BatchScratch::default();
+        let mut r = rng(16);
+        s.begin(&[100, 50]);
+        assert_eq!(
+            draw_segment(&mut s, &mut r, 20, true, &mut stats),
+            SegmentDraw::Sequences
+        );
+        assert_eq!(
+            s.init_seq,
+            [0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0]
+        );
+        assert_eq!(
+            s.resp_seq,
+            [0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0]
+        );
+        assert_eq!(r.next_u64(), 0x3057_a9c1_dea2_cea1);
+        assert_eq!(stats.shuffle_skips, 0);
     }
 
     #[test]
@@ -988,7 +820,7 @@ mod tests {
         for trial in 0..300 {
             s.begin(&counts);
             let bulk = 20 + (trial % 150);
-            let draw = ContingencyLaw::draw_segment(&mut s, &mut r, bulk, false, &mut stats);
+            let draw = draw_segment(&mut s, &mut r, bulk, false, &mut stats);
             let (mut init, mut resp) = (vec![0u64; 5], vec![0u64; 5]);
             match draw {
                 SegmentDraw::Cells => {
@@ -1023,22 +855,24 @@ mod tests {
 
     #[test]
     fn cells_match_contingency_table_law_on_corner_cell() {
-        // Two classes, counts [6, 4]; draw 5 initiators + 5 responders and
-        // pin P(cell(0,0) = k) against pp_rand::contingency_table on the
-        // same margins, accumulated over the margin randomness: both
+        // Two classes, counts [60, 40]; draw 40 initiators + 40 responders
+        // (a ≤ 4-cell table, on the cells side of the cutover) and pin
+        // P(cell(0,0) = k) against pp_rand::contingency_table on the same
+        // margins, accumulated over the margin randomness: both
         // decompositions must agree in distribution because they sample
         // the same uniform-matching law.
-        let counts = [6u64, 4];
+        let counts = [60u64, 40];
+        let bulk = 40;
         let mut s = BatchScratch::default();
         let mut r1 = rng(13);
         let mut r2 = rng(14);
         let mut stats = BatchStats::default();
         let runs = 60_000;
-        let mut engine_hist = [0u64; 6];
-        let mut reference_hist = [0u64; 6];
+        let mut engine_hist = [0u64; 41];
+        let mut reference_hist = [0u64; 41];
         for _ in 0..runs {
             s.begin(&counts);
-            let draw = ContingencyLaw::draw_segment(&mut s, &mut r1, 5, false, &mut stats);
+            let draw = draw_segment(&mut s, &mut r1, bulk, false, &mut stats);
             assert_eq!(draw, SegmentDraw::Cells);
             let c00: u64 = s
                 .cells
@@ -1051,8 +885,8 @@ mod tests {
             // Reference: same margin law (two multiset draws from the urn)
             // paired by pp_rand's table sampler.
             s.begin(&counts);
-            s.draw_margins(&mut r2, 5, false);
-            s.draw_margins(&mut r2, 5, true);
+            s.draw_margins(&mut r2, bulk, false);
+            s.draw_margins(&mut r2, bulk, true);
             let mut rows = [0u64; 2];
             let mut cols = [0u64; 2];
             for &(id, c) in &s.init_margin {
@@ -1065,7 +899,7 @@ mod tests {
             pp_rand::contingency_table(&mut r2, &rows, &cols, &mut table);
             reference_hist[table[0] as usize] += 1;
         }
-        for k in 0..6 {
+        for k in 0..engine_hist.len() {
             let pe = engine_hist[k] as f64 / runs as f64;
             let pr = reference_hist[k] as f64 / runs as f64;
             assert!(
@@ -1077,14 +911,14 @@ mod tests {
 
     #[test]
     fn contingency_falls_back_on_wide_support() {
-        // 40 distinct classes and a bulk of 30: the 1600-cell table loses
-        // to the shuffle, so the law must expand instead.
+        // 40 distinct classes and a bulk of 30: the ~600-cell table loses
+        // to the shuffle, so the segment must expand instead.
         let counts: Vec<u64> = (0..40).map(|_| 50u64).collect();
         let mut s = BatchScratch::default();
         let mut r = rng(15);
         let mut stats = BatchStats::default();
         s.begin(&counts);
-        let draw = ContingencyLaw::draw_segment(&mut s, &mut r, 30, false, &mut stats);
+        let draw = draw_segment(&mut s, &mut r, 30, false, &mut stats);
         assert_eq!(draw, SegmentDraw::Sequences);
         assert_eq!(s.init_seq.len(), 30);
         assert_eq!(s.resp_seq.len(), 30);
@@ -1098,21 +932,9 @@ mod tests {
         let mut r = rng(16);
         let mut stats = BatchStats::default();
         s.begin(&counts);
-        let draw = ContingencyLaw::draw_segment(&mut s, &mut r, 20, true, &mut stats);
+        let draw = draw_segment(&mut s, &mut r, 20, true, &mut stats);
         assert_eq!(draw, SegmentDraw::Sequences);
         assert_eq!(s.init_seq.len(), 20);
         assert_eq!(stats.shuffle_skips, 0);
-    }
-
-    #[test]
-    fn law_mode_tags_round_trip() {
-        for mode in [
-            LawMode::SequenceExpansion,
-            LawMode::Contingency,
-            LawMode::MultiRound,
-        ] {
-            assert_eq!(LawMode::from_tag(mode.tag()), Some(mode));
-        }
-        assert_eq!(LawMode::from_tag(3), None);
     }
 }

@@ -56,7 +56,9 @@ use std::fmt;
 /// contingency/segment counters to the tier section. Version 3 appended
 /// the per-tier interaction usage counters to the tier section so resumed
 /// runs keep attributing past work in [`metrics`](crate::CountSimulation::metrics).
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// Version 4 dropped the round-law mode and the segment counter again:
+/// the batch tier has a single round law.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// 8-byte magic prefix identifying count-engine snapshots.
 pub(crate) const MAGIC: [u8; 8] = *b"PPENGSNP";
@@ -215,10 +217,6 @@ impl SnapshotWriter {
 
     pub(crate) fn put_bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
-    }
-
-    pub(crate) fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
     }
 
     pub(crate) fn put_u16(&mut self, v: u16) {

@@ -25,7 +25,6 @@
 use crate::batch::BatchState;
 use crate::compiled;
 use crate::jump::NullLedger;
-use crate::round::LawMode;
 
 /// Tuning knobs of the count engine's tier heuristics.
 ///
@@ -82,11 +81,6 @@ pub struct EngineConfig {
     /// state-unbounded protocols keep the compiled cache, the jump
     /// scheduler, and the batch tier available (default `true`).
     pub compaction: bool,
-    /// Which [`LawMode`] the batch tier draws its collision-free rounds
-    /// from (default [`LawMode::SequenceExpansion`], the bit-identical
-    /// historical round; the other modes are law-equal — see
-    /// [`crate::round`]).
-    pub law_mode: LawMode,
 }
 
 impl Default for EngineConfig {
@@ -98,7 +92,6 @@ impl Default for EngineConfig {
             batch_support_divisor: 3,
             batch_min_population: 4096,
             compaction: true,
-            law_mode: LawMode::default(),
         }
     }
 }
@@ -147,8 +140,8 @@ impl std::fmt::Display for EngineTier {
     }
 }
 
-/// Throughput counters of the jump scheduler (see
-/// [`CountSimulation::jump_stats`](crate::CountSimulation::jump_stats)).
+/// Throughput counters of the jump scheduler (field `jump` of
+/// [`CountSimulation::metrics`](crate::CountSimulation::metrics)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JumpStats {
     /// Jump episodes executed (each ends in one real interaction).
@@ -300,7 +293,6 @@ mod tests {
         assert_eq!(c.jump_engage_factor, 8);
         assert_eq!(c.jump_exit_factor, 4);
         assert!(c.compaction);
-        assert_eq!(c.law_mode, LawMode::SequenceExpansion);
     }
 
     #[test]
@@ -312,7 +304,6 @@ mod tests {
             batch_support_divisor: 0,
             batch_min_population: 0,
             compaction: false,
-            law_mode: LawMode::SequenceExpansion,
         }
         .validated();
         assert_eq!(c.max_compiled_states, compiled::MAX_COMPILED_STATES);

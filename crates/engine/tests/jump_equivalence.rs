@@ -169,7 +169,7 @@ fn jump_engages_and_telescopes_the_fratricide_tail() {
     let out = sim.run_until_single_leader(u64::MAX);
     assert!(out.converged);
     assert_eq!(sim.leader_count(), 1);
-    let stats = sim.jump_stats();
+    let stats = sim.metrics().jump;
     assert!(stats.episodes > 0, "scheduler never engaged");
     assert!(
         stats.skipped > out.steps / 2,
@@ -398,7 +398,7 @@ where
         // the tracer's final leader count matches the twin's.
         assert_eq!(twin.leader_count(), tracer.leader_count());
     }
-    assert_eq!(twin.jump_stats().skipped, skipped);
+    assert_eq!(twin.metrics().jump.skipped, skipped);
     skipped
 }
 

@@ -26,12 +26,11 @@
 //!   conditional decomposition (the engine inlines an order-optimized copy;
 //!   the two are pinned draw-for-draw equivalent by its tests), and
 //!   [`contingency_table`], the fixed-margin table law behind the count
-//!   engine's contingency round mode (nested conditional rows),
+//!   engine's contingency cells (nested conditional rows),
 //! * weighted samplers: [`FenwickSampler`] (dynamic weights, `O(log k)`
 //!   updates and draws), [`SumTreeSampler`] (same queries on a complete
 //!   binary sum tree whose fixed-depth branch-free walks feed the count
 //!   engine's hot loop — draw-for-draw identical to the Fenwick sampler),
-//!   and [`AliasTable`] (static weights, `O(1)` draws),
 //! * [`SeedSequence`] — reproducible derivation of per-run seeds.
 //!
 //! # Example
@@ -73,5 +72,5 @@ pub use seq::SeedSequence;
 pub use snapshot::RngSnapshot;
 pub use splitmix::SplitMix64;
 pub use sumtree::{SumTreeSampler, TransferEffect};
-pub use weighted::{AliasTable, FenwickSampler, WeightedError};
+pub use weighted::{FenwickSampler, WeightedError};
 pub use xoshiro::Xoshiro256PlusPlus;

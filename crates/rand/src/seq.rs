@@ -73,13 +73,6 @@ impl SeedSequence {
         Xoshiro256PlusPlus::seed_from_u64(self.seed_at(index))
     }
 
-    /// Independent simulation RNGs for runs `0..count` — the lane-bundle
-    /// form of [`rng_at`](Self::rng_at), as consumed by wide (multi-seed)
-    /// engines.
-    pub fn rngs(&self, count: usize) -> Vec<Xoshiro256PlusPlus> {
-        (0..count as u64).map(|i| self.rng_at(i)).collect()
-    }
-
     /// Derives a named sub-sequence, e.g. one per experiment, that is
     /// independent of this sequence's cursor.
     pub fn derive(&self, label: u64) -> SeedSequence {

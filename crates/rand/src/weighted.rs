@@ -1,5 +1,6 @@
-//! Weighted index sampling: a Fenwick-tree sampler for dynamic weights and an
-//! alias table for static weights.
+//! Weighted index sampling: a Fenwick-tree sampler for dynamic weights, the
+//! draw-for-draw reference the engine's
+//! [`SumTreeSampler`](crate::SumTreeSampler) is tested against.
 
 use crate::sumtree::TransferEffect;
 use crate::Rng64;
@@ -425,92 +426,6 @@ impl FenwickSampler {
     }
 }
 
-/// Static `O(1)` weighted sampler (Walker's alias method, Vose's algorithm).
-///
-/// Build once in `O(k)`, draw in `O(1)`. Used for sampling from fixed
-/// distributions such as theoretical reference laws in tests.
-///
-/// # Example
-///
-/// ```
-/// use pp_rand::{AliasTable, Rng64, Xoshiro256PlusPlus};
-///
-/// let t = AliasTable::new(&[0.5, 0.25, 0.25]).unwrap();
-/// let mut rng = Xoshiro256PlusPlus::seed_from_u64(8);
-/// assert!(t.sample(&mut rng) < 3);
-/// ```
-#[derive(Debug, Clone)]
-pub struct AliasTable {
-    prob: Vec<f64>,
-    alias: Vec<usize>,
-}
-
-impl AliasTable {
-    /// Builds an alias table from non-negative weights (need not sum to 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WeightedError::Empty`] for an empty slice and
-    /// [`WeightedError::AllZero`] when the weights sum to zero.
-    pub fn new(weights: &[f64]) -> Result<Self, WeightedError> {
-        if weights.is_empty() {
-            return Err(WeightedError::Empty);
-        }
-        let total: f64 = weights.iter().sum();
-        // NaN-safe: a NaN total must also be rejected, hence the negation.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(total > 0.0) {
-            return Err(WeightedError::AllZero);
-        }
-        let k = weights.len();
-        let mut prob: Vec<f64> = weights.iter().map(|w| w * k as f64 / total).collect();
-        let mut alias = vec![0usize; k];
-        let mut small: Vec<usize> = Vec::with_capacity(k);
-        let mut large: Vec<usize> = Vec::with_capacity(k);
-        for (i, &p) in prob.iter().enumerate() {
-            if p < 1.0 {
-                small.push(i);
-            } else {
-                large.push(i);
-            }
-        }
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            alias[s] = l;
-            prob[l] = (prob[l] + prob[s]) - 1.0;
-            if prob[l] < 1.0 {
-                large.pop();
-                small.push(l);
-            }
-        }
-        // Numerical leftovers: set to 1.
-        for &i in small.iter().chain(large.iter()) {
-            prob[i] = 1.0;
-        }
-        Ok(Self { prob, alias })
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// Whether the table has zero slots.
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
-
-    /// Draws an index with probability proportional to its weight.
-    pub fn sample<R: Rng64 + ?Sized>(&self, rng: &mut R) -> usize {
-        let i = rng.index(self.prob.len());
-        if rng.unit_f64() < self.prob[i] {
-            i
-        } else {
-            self.alias[i]
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -663,36 +578,6 @@ mod tests {
         assert!(matches!(
             FenwickSampler::from_weights(&[]),
             Err(WeightedError::Empty)
-        ));
-    }
-
-    #[test]
-    fn alias_distribution_matches_weights() {
-        let weights = [0.1, 0.0, 0.4, 0.5];
-        let t = AliasTable::new(&weights).unwrap();
-        let mut r = rng();
-        let mut counts = [0u32; 4];
-        let draws = 200_000;
-        for _ in 0..draws {
-            counts[t.sample(&mut r)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        for (i, &w) in weights.iter().enumerate() {
-            if w == 0.0 {
-                continue;
-            }
-            let expect = draws as f64 * w;
-            let dev = (counts[i] as f64 - expect).abs() / expect;
-            assert!(dev < 0.05, "slot {i} deviates {dev:.3}");
-        }
-    }
-
-    #[test]
-    fn alias_rejects_degenerate_input() {
-        assert!(matches!(AliasTable::new(&[]), Err(WeightedError::Empty)));
-        assert!(matches!(
-            AliasTable::new(&[0.0, 0.0]),
-            Err(WeightedError::AllZero)
         ));
     }
 

@@ -5,15 +5,14 @@
 //! a scratch directory, then assembles the per-group JSON the criterion
 //! stand-in emits into the tracked snapshot: machine/harness metadata, the
 //! per-group benchmark records, and the headline numbers (the `P_LL`
-//! step-rate workload on the batch tier, the wide lane engine's per-seed
-//! rate with its lane-scaling curve, the whole-election jump workload, and
-//! the observability layer's attached-vs-detached spread) with their
-//! speedups against the frozen pre-PR-2 baseline and the scalar batch
-//! tier. Each headline row also embeds an `engine_metrics` summary — the
-//! same workload re-run once at a fixed seed with detached observation, so
-//! the snapshot records *what the engine did* (per-tier interaction usage,
-//! episode counts, live support) next to how fast it did it; the summaries
-//! are deterministic, carrying no wall-clock.
+//! step-rate workload on the batch tier, the whole-election jump workload,
+//! the observability layer's attached-vs-detached spread, and the sweep
+//! fabric's worker scaling) with their speedups against the frozen
+//! seed-code baseline. Each headline row also embeds an `engine_metrics`
+//! summary — the same workload re-run once at a fixed seed with detached
+//! observation, so the snapshot records *what the engine did* (per-tier
+//! interaction usage, episode counts, live support) next to how fast it did
+//! it; the summaries are deterministic, carrying no wall-clock.
 //!
 //! ```text
 //! cargo run --release -p pp-sim --bin bench_snapshot           # full samples
@@ -27,12 +26,9 @@
 //! the tracked file with full samples on a quiet machine.
 
 use pp_core::Pll;
-use pp_engine::{
-    CountSimulation, EngineConfig, EngineMetrics, EngineObserver, LawMode, WideSimulation,
-    WideTierPolicy,
-};
+use pp_engine::{CountSimulation, EngineMetrics, EngineObserver};
 use pp_protocols::Fratricide;
-use pp_rand::{SeedSequence, Xoshiro256PlusPlus};
+use pp_rand::Xoshiro256PlusPlus;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -91,14 +87,6 @@ fn main() {
     assert!(
         groups.contains_key("engine/count_steps_batch"),
         "batch tier group missing from bench output"
-    );
-    assert!(
-        groups.contains_key("engine/count_steps_wide"),
-        "wide lane group missing from bench output"
-    );
-    assert!(
-        groups.contains_key("engine/count_steps_round"),
-        "round-law group missing from bench output"
     );
     assert!(
         groups.contains_key("engine/count_steps_obs"),
@@ -214,9 +202,6 @@ fn today() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// Lane widths the wide group's scaling curve covers (mirrors the bench).
-const WIDE_LANE_WIDTHS: [usize; 4] = [1, 4, 8, 16];
-
 /// Sweep-fabric scaling grid (full samples): sizes heavy enough (~3 s of
 /// single-core work) that process spawn and the orchestrator's 200 ms
 /// progress-poll quantum are noise against the measured wall clock.
@@ -261,7 +246,7 @@ fn sweep_scaling(root: &Path, quick: bool) -> SweepScaling {
         let status = Command::new(&bin)
             .args(["--protocol", "fratricide", "--ns", grid])
             .args(["--seeds", &seeds.to_string()])
-            .args(["--master", "42", "--lanes", "2", "--max-steps", "0"])
+            .args(["--master", "42", "--max-steps", "0"])
             .arg("--dir")
             .arg(&dir)
             .args(["--shards", &workers.to_string(), "--spawn"])
@@ -310,27 +295,6 @@ fn headline_metrics(quick: bool) -> BTreeMap<&'static str, EngineMetrics> {
     out.insert("step_workload", sim.metrics());
 
     let rng = Xoshiro256PlusPlus::seed_from_u64(1);
-    let config = EngineConfig {
-        law_mode: LawMode::Contingency,
-        ..EngineConfig::default()
-    };
-    let mut sim = CountSimulation::with_config(Fratricide, n, rng, config).expect("n >= 2");
-    sim.force_batch_mode();
-    sim.run(window);
-    out.insert("round_law_workload", sim.metrics());
-
-    let mut wide = WideSimulation::with_config(
-        Pll::for_population(n).expect("n >= 2"),
-        n,
-        SeedSequence::new(1).rngs(8),
-        EngineConfig::default(),
-        WideTierPolicy::PinnedBatch,
-    )
-    .expect("n >= 2");
-    wide.run(window);
-    out.insert("wide_lane_workload", wide.metrics());
-
-    let rng = Xoshiro256PlusPlus::seed_from_u64(1);
     let mut sim = CountSimulation::new(Fratricide, n, rng).expect("n >= 2");
     let outcome = sim.run_until_single_leader(u64::MAX);
     assert!(outcome.converged, "headline election must converge");
@@ -363,43 +327,6 @@ fn render_snapshot(
     let compiled_rate = compiled_pll.elements_per_second.expect("throughput group");
     let election_secs = election.median_secs;
     let effective = ELECTION_SIM_INTERACTIONS / election_secs;
-    let wide_rate_at = |lanes: usize| {
-        find(
-            groups,
-            "engine/count_steps_wide",
-            &format!("pll/1048576/lanes/{lanes}"),
-        )
-        .elements_per_second
-        .expect("throughput group")
-    };
-    let wide8_rate = wide_rate_at(8);
-    // The scalar batch tier re-measured inside the wide group, back-to-back
-    // with the lanes/8 row: on a drifting shared machine the wide-vs-scalar
-    // ratio is only meaningful between adjacent measurements (the batch
-    // group's own row runs minutes earlier).
-    let wide_scalar_rate = find(
-        groups,
-        "engine/count_steps_wide",
-        "pll/1048576/scalar_batch",
-    )
-    .elements_per_second
-    .expect("throughput group");
-    let lawonly8_rate = find(
-        groups,
-        "engine/count_steps_wide",
-        "pll/1048576/lawonly_lanes/8",
-    )
-    .elements_per_second
-    .expect("throughput group");
-    let round_rate = |protocol: &str, law: &str| {
-        find(
-            groups,
-            "engine/count_steps_round",
-            &format!("{protocol}/1048576/{law}"),
-        )
-        .elements_per_second
-        .expect("throughput group")
-    };
     let obs_rate = |row: &str| {
         find(
             groups,
@@ -446,68 +373,6 @@ fn render_snapshot(
         "      \"compiled_tier_interactions_per_second\": {compiled_rate},\n"
     ));
     out.push_str("      \"note\": \"The batch tier processes collision-free Theta(sqrt(n))-length rounds through multivariate hypergeometric draws, so P_LL's ~0.56 null fraction (which keeps the jump scheduler disengaged) no longer matters: per-interaction cost is O((support + sqrt(n))/sqrt(n)) amortized. This clears the PR-2 acceptance target (>= 5x the pre-compiled baseline, i.e. >= 24M int/s) that the compiled and jump tiers had missed twice. State-id compaction also shrinks the sampler tree and pair table to the live support, which is what lifts the state-unbounded lottery onto the fast tiers.\"\n");
-    out.push_str("    },\n");
-    out.push_str("    \"round_law_workload\": {\n");
-    out.push_str("      \"case\": \"CountSimulation / Fratricide + Pll / n = 2^20, mid-election steps under each batch round law (engine/count_steps_round, batch pinned, adjacent rows)\",\n");
-    out.push_str(&engine_metrics_line("round_law_workload"));
-    out.push_str("      \"fratricide_interactions_per_second\": {\n");
-    for (i, law) in ["sequence", "contingency", "multiround"].iter().enumerate() {
-        out.push_str(&format!(
-            "        \"{law}\": {}{}\n",
-            round_rate("fratricide", law),
-            if i < 2 { "," } else { "" }
-        ));
-    }
-    out.push_str("      },\n");
-    out.push_str(&format!(
-        "      \"contingency_speedup_vs_sequence_small_support\": {:.2},\n",
-        round_rate("fratricide", "contingency") / round_rate("fratricide", "sequence")
-    ));
-    out.push_str("      \"pll_interactions_per_second\": {\n");
-    for (i, law) in ["sequence", "contingency", "multiround"].iter().enumerate() {
-        out.push_str(&format!(
-            "        \"{law}\": {}{}\n",
-            round_rate("pll", law),
-            if i < 2 { "," } else { "" }
-        ));
-    }
-    out.push_str("      },\n");
-    out.push_str("      \"note\": \"On a small-support protocol (fratricide: two live states, so the per-ordered-pair table has <= 4 cells) the contingency law replaces the O(sqrt n) responder expansion + shuffle and the per-interaction apply loop with a handful of nested-hypergeometric cell draws and bulk count deltas — the speedup over the bit-identical sequence-expansion law is the headline ratio above, measured in adjacent rows of one group. On the wide-support control (P_LL, ~130 live states mid-election) the table overflows its cap (cells > bulk), the law falls back to expand-and-shuffle per segment, and the three rows agree within noise — the dispatch itself costs nothing measurable. Multi-round episodes chain collision-free segments across collisions through the same contingency cells; the win shows at small n where per-round fixed costs dominate (the chi-square suite tests/round_law.rs pins all laws to the reference distribution).\"\n");
-    out.push_str("    },\n");
-    out.push_str("    \"wide_lane_workload\": {\n");
-    out.push_str("      \"case\": \"WideSimulation / Pll / n = 2^20, 8 lanes in lockstep, mid-election steps (engine/count_steps_wide, pinned batch rounds)\",\n");
-    out.push_str(&engine_metrics_line("wide_lane_workload"));
-    out.push_str(&format!(
-        "      \"per_seed_interactions_per_second\": {wide8_rate},\n"
-    ));
-    out.push_str(&format!(
-        "      \"scalar_batch_adjacent_interactions_per_second\": {wide_scalar_rate},\n"
-    ));
-    out.push_str(&format!(
-        "      \"speedup_vs_scalar_batch_tier\": {:.2},\n",
-        wide8_rate / wide_scalar_rate
-    ));
-    out.push_str(&format!(
-        "      \"lawonly_per_seed_interactions_per_second\": {lawonly8_rate},\n"
-    ));
-    out.push_str(&format!(
-        "      \"lawonly_speedup_vs_scalar_batch_tier\": {:.2},\n",
-        lawonly8_rate / wide_scalar_rate
-    ));
-    out.push_str("      \"lane_scaling_per_seed_interactions_per_second\": {\n");
-    for (i, &lanes) in WIDE_LANE_WIDTHS.iter().enumerate() {
-        out.push_str(&format!(
-            "        \"{lanes}\": {}{}\n",
-            wide_rate_at(lanes),
-            if i + 1 < WIDE_LANE_WIDTHS.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("      },\n");
-    out.push_str("      \"note\": \"W same-n seeds advance in lockstep through one shared compiled pair cache with structure-of-arrays counts (counts[state][lane]), one RNG stream per lane, and fixed-width lane chunking in the bulk-delta / hypergeometric-split / convergence loops. Throughput is per seed, and the speedup is against the scalar_batch row measured back-to-back inside the same group (machine drift across minutes exceeds the ratio itself). Per-lane bit-identity with the scalar engine pins each lane's RNG sequence, so the hypergeometric sampling and multiset shuffles (~80% of a batch round) cost the same wide or scalar; what lockstep amortizes is per-seed overhead (run-length prefix table, cache warmup, tier reviews, dedup'd bulk apply), which lands the per-seed ratio at parity — 0.9-1.15x run-to-run on this container — rather than scaling with W. The shared half of the optimization pass behind it (order-reusing round setup, ln-factorial table, bulk multiset expansion) benefits the scalar tier equally. Table-1 style sweeps (hundreds of seeds per n) run on exactly this path via stabilization_sweep's thread x lane bundles. The lawonly_lanes/8 row drops per-lane bit-identity (WideTierPolicy::LawOnly): one shared run-length inversion and one shared responder-permutation index stream across the lane set, with per-lane contingency cells where the table fits. On P_LL's wide support the per-lane hypergeometric margin draws must stay conditionally exact per lane (pooling them would require a noncentral multivariate split with no cheap exact sampler), so sharing only amortizes the inversion and the index stream and the per-seed rate lands at parity with the bit-identical row — the genuine law-equal multiple lives in round_law_workload's small-support contingency ratio instead.\"\n");
     out.push_str("    },\n");
     out.push_str("    \"election_workload\": {\n");
     out.push_str("      \"case\": \"CountSimulation / Fratricide / n = 2^20, whole election (engine/election_jump)\",\n");
@@ -561,7 +426,7 @@ fn render_snapshot(
         "      \"speedup_2_workers_vs_1\": {:.2},\n",
         wall_1 / wall_2
     ));
-    out.push_str("      \"note\": \"Whole-grid wall clock of the multi-process sweep fabric: the same fratricide grid run sequentially-equivalent through ppsweep --shards N --spawn, workers claiming lane bundles largest-n-first from a shared claim directory and the orchestrator merging shard journals byte-identically to the sequential sweep (enforced by tests/sharded_equivalence.rs and the sharded-equivalence CI job). Rows are adjacent: the 1-worker baseline runs immediately before the 2-worker row on the same machine. This container exposes a single vCPU, so two worker processes time-slice one core and land at wall-clock parity — the honest ceiling here; the >= 1.7x two-worker gate is enforced by the sharded-equivalence CI job on multi-core runners, where the identical adjacent pair must show the speedup. What the fabric buys at any core count: crash recovery (stale-claim release + deterministic rerun), live cross-process progress, and shard/process-tagged throughput rollups, at no measured throughput cost versus the sequential sweep.\"\n");
+    out.push_str("      \"note\": \"Whole-grid wall clock of the multi-process sweep fabric: the same fratricide grid run sequentially-equivalent through ppsweep --shards N --spawn, workers claiming seed blocks largest-n-first from a shared claim directory and the orchestrator merging shard journals byte-identically to the sequential sweep (enforced by tests/sharded_equivalence.rs and the sharded-equivalence CI job). Rows are adjacent: the 1-worker baseline runs immediately before the 2-worker row on the same machine. On a single-vCPU machine two worker processes time-slice one core and land at wall-clock parity; with two or more cores the adjacent pair shows the speedup, and the sharded-equivalence CI job gates it at >= 1.7x on multi-core runners. What the fabric buys at any core count: crash recovery (stale-claim release + deterministic rerun), live cross-process progress, and shard/process-tagged throughput rollups, at no measured throughput cost versus the sequential sweep.\"\n");
     out.push_str("    }\n");
     out.push_str("  },\n");
     out.push_str("  \"groups\": {\n");

@@ -62,7 +62,6 @@ usage: ppsweep --ns N,N,... --dir DIR [options]
   --ns N,N,...        population sizes (required)
   --seeds N           runs per size (default 32)
   --master SEED       master seed (default 42)
-  --lanes W           lane-bundle width (default: PP_SIM_LANES resolution)
   --max-steps M       per-run step budget, 0 = unbounded (default 0)
   --dir DIR           fabric run directory (required)
   --shards N          shard count for --spawn / --merge
@@ -104,7 +103,6 @@ impl Cli {
         let mut ns: Option<Vec<usize>> = None;
         let mut seeds = 32u64;
         let mut master = 42u64;
-        let mut lanes = pp_sim::sweep_lane_width();
         let mut max_steps = 0u64;
         let mut dir: Option<PathBuf> = None;
         let mut shards: Option<u64> = None;
@@ -132,7 +130,6 @@ impl Cli {
                 }
                 "--seeds" => seeds = parse_num(&value("--seeds")?, "--seeds")?,
                 "--master" => master = parse_num(&value("--master")?, "--master")?,
-                "--lanes" => lanes = parse_num(&value("--lanes")?, "--lanes")?,
                 "--max-steps" => max_steps = parse_num(&value("--max-steps")?, "--max-steps")?,
                 "--dir" => dir = Some(PathBuf::from(value("--dir")?)),
                 "--shards" => shards = Some(parse_num(&value("--shards")?, "--shards")?),
@@ -165,7 +162,7 @@ impl Cli {
             seeds,
             master_seed: master,
             max_steps: if max_steps == 0 { u64::MAX } else { max_steps },
-            lanes,
+            lanes: pp_sim::sweep_lane_width(),
         };
         let mode = match (worker, shards, spawn, merge) {
             (Some(shard), None, false, false) => Mode::Worker { shard, job_limit },
@@ -345,8 +342,6 @@ fn spawn_worker(
         .arg(spec.seeds.to_string())
         .arg("--master")
         .arg(spec.master_seed.to_string())
-        .arg("--lanes")
-        .arg(spec.lanes.to_string())
         .arg("--max-steps")
         .arg(max_steps.to_string())
         .arg("--dir")

@@ -8,23 +8,23 @@
 //! last journal append / snapshot; rerunning the same sweep with the same
 //! checkpoint directory picks up where it left off.
 //!
-//! # Journal format (`ppsweep v2`)
+//! # Journal format (`ppsweep v3`)
 //!
 //! The header line fingerprints the sweep parameters **and the execution
 //! mode**. Two record kinds follow:
 //!
-//! * `done <job> <0|1> <f64-bits-hex>` — one completed job (one lane).
-//! * `wide <start> <len>` — a lane-bundle marker: the `len` `done` records
-//!   of bundle `[start, start + len)` follow as one appended block.
+//! * `done <job> <0|1> <f64-bits-hex>` — one completed job (one seed).
+//! * `block <start> <len>` — a block marker: the `len` `done` records of
+//!   block `[start, start + len)` follow as one appended block.
 //!
-//! In the default lane-bundle mode (no snapshot interval) the unit of
-//! crash recovery is the **bundle**: each [`parallel_map`] worker runs a
-//! whole [`WideSimulation`] lane bundle and journals its block in a single
-//! buffered append. A bundle missing *any* lane record (e.g. its block was
-//! torn by a crash mid-append) reruns whole on resume — wide runs are
-//! deterministic, so rerun lanes rewrite identical records. The job limit
-//! is bundle-granular: pending bundles are taken until the planned fresh
-//! lanes reach the limit (overshooting by at most `lanes − 1`).
+//! In the default block mode (no snapshot interval) the unit of crash
+//! recovery is the **block** of [`crate::sweep_lane_width`] seeds: each
+//! [`parallel_map`] worker runs a whole block, seed by seed, and journals
+//! it in a single buffered append. A block missing *any* record (e.g. its
+//! append was torn by a crash) reruns whole on resume — runs are
+//! deterministic, so rerun seeds rewrite identical records. The job limit
+//! is block-granular: pending blocks are taken until the planned fresh
+//! jobs reach the limit (overshooting by at most `block − 1`).
 //!
 //! # Determinism contract
 //!
@@ -34,28 +34,24 @@
 //! job-index order, so every mean, variance, and quantile string downstream
 //! comes out byte-for-byte equal.
 //!
-//! With `snapshot_interval: None` each bundle is driven exactly like
+//! With `snapshot_interval: None` each seed is driven exactly like
 //! [`stabilization_sweep`] drives it, so the checkpointed sweep equals the
-//! plain sweep *at the same lane width* bit-for-bit too. With
-//! `snapshot_interval: Some(i)` jobs fall back to scalar single-lane
-//! [`CountSimulation`] runs driven in segments that end at fixed absolute
-//! step multiples of `i` (mid-job snapshots of a lane bundle would couple
-//! the lanes' recovery); segment boundaries are a function of the step
-//! counter alone, so a job resumed from a snapshot replays the same
-//! boundaries and stays bit-identical to the same job run without the kill
-//! *at the same interval*. The two modes sample the same law but are not
-//! bit-comparable to each other, so the mode (and, in bundle mode, the
-//! lane width) is part of the journal fingerprint, as is the batch tier's
-//! round law ([`crate::sweep_law_mode`], the `PP_SIM_LAW` override) —
-//! resuming under a different mode, width, or round law is an
-//! `InvalidData` error, not a silent law-only answer.
+//! plain sweep bit-for-bit too. With `snapshot_interval: Some(i)` jobs are
+//! driven in segments that end at fixed absolute step multiples of `i`;
+//! segment boundaries are a function of the step counter alone, so a job
+//! resumed from a snapshot replays the same boundaries and stays
+//! bit-identical to the same job run without the kill *at the same
+//! interval*. The two modes sample the same law but are not bit-comparable
+//! to each other (a segment boundary truncates a batch or jump episode), so
+//! the mode (and, in block mode, the block width, which shapes the journal)
+//! is part of the journal fingerprint — resuming under a different mode or
+//! width is an `InvalidData` error, not a silently non-reproducible answer.
 //!
 //! [`stabilization_sweep`]: crate::stabilization_sweep
 //! [`parallel_map`]: crate::parallel_map
-//! [`WideSimulation`]: pp_engine::WideSimulation
 
 use crate::runner::{aggregate_points, run_bundle, sweep_bundles, sweep_jobs, SweepPoint};
-use pp_engine::{CountSimulation, EngineConfig, LawMode, LeaderElection, SnapshotState};
+use pp_engine::{CountSimulation, LeaderElection, SnapshotState};
 use pp_rand::Xoshiro256PlusPlus;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -67,8 +63,9 @@ use std::sync::Mutex;
 pub(crate) const JOURNAL_FILE: &str = "journal.txt";
 
 /// Journal header prefix; the version is part of the format. `v2` added
-/// lane-bundle blocks and the execution mode in the fingerprint.
-pub(crate) const HEADER_PREFIX: &str = "ppsweep v2";
+/// block markers and the execution mode in the fingerprint; `v3` renamed
+/// the marker to `block` and dropped the round law from the fingerprint.
+pub(crate) const HEADER_PREFIX: &str = "ppsweep v3";
 
 /// Where and how a sweep checkpoints.
 #[derive(Debug, Clone)]
@@ -78,16 +75,15 @@ pub struct CheckpointConfig {
     pub dir: PathBuf,
     /// Snapshot in-flight jobs every this many simulation steps (rounded to
     /// the next absolute multiple). `None` — the default — journals only
-    /// completed lane bundles, which keeps the sweep bit-identical to the
-    /// uncheckpointed one; `Some` falls back to scalar single-lane jobs so
-    /// each snapshot captures exactly one run.
+    /// completed blocks, which keeps the sweep bit-identical to the
+    /// uncheckpointed one; `Some` claims and journals job by job so each
+    /// snapshot captures exactly one run.
     pub snapshot_interval: Option<u64>,
     /// Stop after completing this many *fresh* (not journaled) jobs and
     /// report [`SweepStatus::Suspended`]. `None` runs to completion. Used to
     /// bound a shard's work — and by the tests to simulate crashes at
-    /// deterministic points. In lane-bundle mode the limit is
-    /// bundle-granular: the last bundle taken may overshoot it by up to
-    /// `lanes − 1` jobs.
+    /// deterministic points. In block mode the limit is block-granular: the
+    /// last block taken may overshoot it by up to `block − 1` jobs.
     pub job_limit: Option<usize>,
 }
 
@@ -125,16 +121,13 @@ pub enum SweepStatus {
 }
 
 /// [`crate::stabilization_sweep`] with crash recovery: journals every
-/// completed lane bundle under `ckpt.dir` and resumes from whatever a
-/// previous invocation left there. The lane width is
-/// [`crate::sweep_lane_width`] (the `PP_SIM_LANES` override), matching the
-/// plain sweep's.
+/// completed block under `ckpt.dir` and resumes from whatever a previous
+/// invocation left there.
 ///
 /// See the [module docs](self) for the determinism contract. The sweep
-/// parameters — including the execution mode and lane width — are
-/// fingerprinted into the journal header; reusing a checkpoint directory
-/// with different parameters is an error (`InvalidData`), not a silent
-/// wrong answer.
+/// parameters — including the execution mode — are fingerprinted into the
+/// journal header; reusing a checkpoint directory with different
+/// parameters is an error (`InvalidData`), not a silent wrong answer.
 ///
 /// # Errors
 ///
@@ -153,7 +146,7 @@ where
     P::State: SnapshotState,
     F: Fn(usize) -> P + Sync,
 {
-    stabilization_sweep_checkpointed_wide(
+    sweep_checkpointed_blocks(
         make,
         ns,
         seeds,
@@ -164,24 +157,17 @@ where
     )
 }
 
-/// [`stabilization_sweep_checkpointed`] with an explicit lane-bundle width
-/// (ignoring `PP_SIM_LANES`), bit-identical to
-/// [`crate::stabilization_sweep_wide`] at the same width. `lanes` is
-/// ignored in snapshot-interval mode (scalar single-lane jobs).
-///
-/// # Errors
-///
-/// Any journal / snapshot I/O error, or a journal whose fingerprint does not
-/// match the given parameters.
+/// [`stabilization_sweep_checkpointed`] in blocks of `block` seeds (ignored
+/// in snapshot-interval mode, which journals job by job).
 #[allow(clippy::too_many_arguments)]
-pub fn stabilization_sweep_checkpointed_wide<P, F>(
+pub(crate) fn sweep_checkpointed_blocks<P, F>(
     make: F,
     ns: &[usize],
     seeds: u64,
     master_seed: u64,
     max_steps: u64,
     ckpt: &CheckpointConfig,
-    lanes: usize,
+    block: usize,
 ) -> io::Result<SweepStatus>
 where
     P: LeaderElection,
@@ -189,9 +175,8 @@ where
     F: Fn(usize) -> P + Sync,
 {
     let jobs = sweep_jobs(ns, seeds, master_seed);
-    let lane_mode = ckpt.snapshot_interval.is_none().then_some(lanes);
-    let law = crate::sweep_law_mode();
-    let fp = fingerprint(ns, seeds, master_seed, max_steps, lane_mode, law);
+    let block_mode = ckpt.snapshot_interval.is_none().then_some(block);
+    let fp = fingerprint(ns, seeds, master_seed, max_steps, block_mode);
     std::fs::create_dir_all(&ckpt.dir)?;
     let journal_path = ckpt.dir.join(JOURNAL_FILE);
     let mut done = load_journal(&journal_path, fp, jobs.len())?;
@@ -207,7 +192,7 @@ where
                     let (n, seed) = jobs[i];
                     let snapshot_path = job_snapshot_path(&ckpt.dir, i);
                     let (converged, time) =
-                        run_job(&make, n, seed, max_steps, interval, &snapshot_path, law);
+                        run_job(&make, n, seed, max_steps, interval, &snapshot_path);
                     // Journal the result before discarding the snapshot, so a
                     // crash between the two at worst redoes a completed job.
                     {
@@ -229,7 +214,7 @@ where
             to_run.len()
         }
         None => {
-            let bundles = sweep_bundles(ns, seeds, master_seed, lanes);
+            let bundles = sweep_bundles(ns, seeds, master_seed, block);
             let limit = ckpt.job_limit.unwrap_or(usize::MAX);
             let mut to_run = Vec::new();
             let mut planned = 0;
@@ -241,30 +226,29 @@ where
                 if planned >= limit {
                     break;
                 }
-                // A bundle with any lane missing reruns whole: lanes share
-                // one lockstep execution, so there is no per-lane resume —
-                // but the rerun is deterministic and rewrites identical
-                // records for lanes whose block was partially journaled.
+                // A block with any record missing reruns whole: the rerun is
+                // deterministic and rewrites identical records for the jobs
+                // whose append was partially journaled.
                 planned += bundle.seeds.len();
                 to_run.push(bundle);
             }
             // Largest-n-first fan-out (see [`crate::runner::cost_order`]):
-            // pending bundles are selected in job order above — keeping the
+            // pending blocks are selected in job order above — keeping the
             // job limit's semantics — then *scheduled* most-expensive-first.
-            // Results are journaled and aggregated by bundle start, so the
+            // Results are journaled and aggregated by block start, so the
             // ordering changes makespan only, never a byte of output.
             to_run.sort_by_key(|bundle| std::cmp::Reverse(bundle.n));
             if !to_run.is_empty() {
                 let journal = Mutex::new(open_journal_for_append(&journal_path, fp)?);
                 let fresh = crate::parallel_map(&to_run, |bundle| {
-                    let results = run_bundle(&make, bundle.n, &bundle.seeds, max_steps, law);
-                    // One buffered append per bundle: the bundle marker plus
-                    // its lane records land in a single write, so a crash
-                    // tears at most the final block (tolerated on load).
-                    let mut block = format!("wide {} {}\n", bundle.start, bundle.seeds.len());
+                    let results = run_bundle(&make, bundle.n, &bundle.seeds, max_steps);
+                    // One buffered append per block: the block marker plus
+                    // its records land in a single write, so a crash tears at
+                    // most the final block (tolerated on load).
+                    let mut text = format!("block {} {}\n", bundle.start, bundle.seeds.len());
                     for (k, &(converged, time)) in results.iter().enumerate() {
                         let _ = writeln!(
-                            block,
+                            text,
                             "done {} {} {:016x}",
                             bundle.start + k,
                             u8::from(converged),
@@ -273,7 +257,7 @@ where
                     }
                     {
                         let mut file = journal.lock().expect("journal writers do not panic");
-                        file.write_all(block.as_bytes())
+                        file.write_all(text.as_bytes())
                             .and_then(|()| file.flush())
                             .expect("journal append failed");
                     }
@@ -303,10 +287,9 @@ where
     })
 }
 
-/// Runs one scalar (snapshot-interval mode) sweep job, resuming from its
-/// snapshot file when a readable one exists and writing fresh snapshots at
-/// every interval boundary.
-#[allow(clippy::too_many_arguments)]
+/// Runs one snapshot-interval mode sweep job, resuming from its snapshot
+/// file when a readable one exists and writing fresh snapshots at every
+/// interval boundary.
 fn run_job<P, F>(
     make: &F,
     n: usize,
@@ -314,7 +297,6 @@ fn run_job<P, F>(
     max_steps: u64,
     interval: u64,
     snapshot_path: &Path,
-    law: LawMode,
 ) -> (bool, f64)
 where
     P: LeaderElection,
@@ -323,17 +305,12 @@ where
 {
     // An unreadable or corrupt snapshot degrades to restarting the job from
     // its seed — same trajectory, just recomputed (segment boundaries are a
-    // function of the step counter, so the replay takes the same path; the
-    // snapshot carries the round law, which matches the fingerprinted one).
+    // function of the step counter, so the replay takes the same path).
     let resumed = std::fs::read(snapshot_path)
         .ok()
         .and_then(|bytes| CountSimulation::resume(make(n), &bytes).ok());
     let mut sim = resumed.unwrap_or_else(|| {
-        let config = EngineConfig {
-            law_mode: law,
-            ..EngineConfig::default()
-        };
-        CountSimulation::with_config(make(n), n, Xoshiro256PlusPlus::seed_from_u64(seed), config)
+        CountSimulation::new(make(n), n, Xoshiro256PlusPlus::seed_from_u64(seed))
             .expect("population sizes are >= 2 by construction")
     });
 
@@ -367,19 +344,17 @@ pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
 }
 
 /// FNV-1a 64 over the sweep parameters plus the execution mode: the
-/// journal's compatibility check. `lane_mode` is `Some(width)` in
-/// lane-bundle mode and `None` in snapshot-interval (scalar) mode — the
-/// two modes' results agree in law but not bit-for-bit, and neither do
-/// bundle runs at different widths or under different round laws (`law` is
-/// the `PP_SIM_LAW` resolution), so mixing them in one journal must be
-/// rejected.
+/// journal's compatibility check. `block_mode` is `Some(width)` in block
+/// mode and `None` in snapshot-interval mode — the two modes' results
+/// agree in law but not bit-for-bit, so mixing them in one journal must be
+/// rejected, and the block width shapes the journal's blocks (and the
+/// fabric's claims), so it must match too.
 pub(crate) fn fingerprint(
     ns: &[usize],
     seeds: u64,
     master_seed: u64,
     max_steps: u64,
-    lane_mode: Option<usize>,
-    law: LawMode,
+    block_mode: Option<usize>,
 ) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |word: u64| {
@@ -395,14 +370,13 @@ pub(crate) fn fingerprint(
     eat(seeds);
     eat(master_seed);
     eat(max_steps);
-    match lane_mode {
+    match block_mode {
         None => eat(0),
         Some(width) => {
             eat(1);
             eat(width as u64);
         }
     }
-    eat(u64::from(law.tag()));
     h
 }
 
@@ -439,11 +413,10 @@ pub(crate) fn load_journal(
             Some((index, result)) => {
                 done.insert(index, result);
             }
-            // Bundle markers delimit appended blocks; the lane results live
-            // in the `done` records that follow, so the marker itself
-            // carries no data — it is validated and skipped. A bundle whose
-            // block was cut short simply ends up with missing lane records
-            // and reruns.
+            // Block markers delimit appended blocks; the results live in the
+            // `done` records that follow, so the marker itself carries no
+            // data — it is validated and skipped. A block whose append was
+            // cut short simply ends up with missing records and reruns.
             None if parse_bundle_marker(line, job_count).is_some() => {}
             // Only the final record may be torn; anything else is corruption.
             None if k + 1 == records.len() => {}
@@ -478,11 +451,11 @@ fn parse_record(line: &str, job_count: usize) -> Option<(usize, (bool, f64))> {
     Some((index, (converged, time)))
 }
 
-/// Parses `wide <start> <len>`; `None` on any malformation, including a
-/// bundle range that overruns the job list.
+/// Parses `block <start> <len>`; `None` on any malformation, including a
+/// block range that overruns the job list.
 fn parse_bundle_marker(line: &str, job_count: usize) -> Option<()> {
     let mut fields = line.split_ascii_whitespace();
-    if fields.next()? != "wide" {
+    if fields.next()? != "block" {
         return None;
     }
     let start: usize = fields.next()?.parse().ok()?;
@@ -587,8 +560,7 @@ mod tests {
 
     #[test]
     fn uninterrupted_checkpointed_sweep_matches_plain_sweep() {
-        // Both sides read the same PP_SIM_LANES default, so the bundle
-        // compositions — and therefore every draw — coincide.
+        // Both sides run every seed the same way, so every draw coincides.
         let scratch = Scratch::new("plain_equiv");
         let ns = [16usize, 32];
         let plain = crate::stabilization_sweep(|_| Fratricide, &ns, 4, 11, u64::MAX);
@@ -607,19 +579,18 @@ mod tests {
         let scratch = Scratch::new("kill_resume");
         let ns = [16usize, 24];
         let (seeds, master, width) = (5u64, 77u64, 2);
-        let plain =
-            crate::stabilization_sweep_wide(|_| Fratricide, &ns, seeds, master, u64::MAX, width);
+        let plain = crate::stabilization_sweep(|_| Fratricide, &ns, seeds, master, u64::MAX);
 
         // Crash after every 3 fresh jobs until the sweep completes. At
-        // width 2 each size's 5 seeds bundle as [2, 2, 1]; the
-        // bundle-granular limit takes bundles until planned fresh jobs
-        // reach 3, so the rounds complete [4, 3, 3] fresh jobs.
+        // width 2 each size's 5 seeds block as [2, 2, 1]; the
+        // block-granular limit takes blocks until planned fresh jobs reach
+        // 3, so the rounds complete [4, 3, 3] fresh jobs.
         let mut shard = CheckpointConfig::new(&scratch.0);
         shard.job_limit = Some(3);
         let mut fresh_per_round = Vec::new();
         let points = loop {
             assert!(fresh_per_round.len() < 20, "sweep failed to make progress");
-            match stabilization_sweep_checkpointed_wide(
+            match sweep_checkpointed_blocks(
                 |_| Fratricide,
                 &ns,
                 seeds,
@@ -637,21 +608,13 @@ mod tests {
                 SweepStatus::Suspended { fresh_jobs } => fresh_per_round.push(fresh_jobs),
             }
         };
-        assert_eq!(fresh_per_round, vec![4, 3, 3], "10 jobs in width-2 bundles");
+        assert_eq!(fresh_per_round, vec![4, 3, 3], "10 jobs in width-2 blocks");
         assert_points_bit_identical(&plain, &points);
 
         // Re-invoking a finished sweep replays the journal: zero fresh jobs,
         // same points.
-        match stabilization_sweep_checkpointed_wide(
-            |_| Fratricide,
-            &ns,
-            seeds,
-            master,
-            u64::MAX,
-            &shard,
-            width,
-        )
-        .expect("sweep checkpoints")
+        match sweep_checkpointed_blocks(|_| Fratricide, &ns, seeds, master, u64::MAX, &shard, width)
+            .expect("sweep checkpoints")
         {
             SweepStatus::Complete {
                 points: replayed,
@@ -724,43 +687,21 @@ mod tests {
 
     #[test]
     fn journal_rejects_mismatched_execution_modes() {
-        // Bundle-mode results at different widths — or scalar
-        // snapshot-interval results — agree in law but not bit-for-bit, so
-        // a journal written under one execution mode must refuse the others.
+        // Snapshot-interval results agree with block-mode results in law
+        // but not bit-for-bit, and the block width shapes the journal, so a
+        // journal written under one execution mode must refuse the others.
         let scratch = Scratch::new("mode_mismatch");
         let ckpt = CheckpointConfig::new(&scratch.0);
-        stabilization_sweep_checkpointed_wide(|_| Fratricide, &[16], 2, 1, u64::MAX, &ckpt, 2)
+        sweep_checkpointed_blocks(|_| Fratricide, &[16], 2, 1, u64::MAX, &ckpt, 2)
             .expect("sweep checkpoints");
-        let err =
-            stabilization_sweep_checkpointed_wide(|_| Fratricide, &[16], 2, 1, u64::MAX, &ckpt, 3)
-                .expect_err("width mismatch must error");
+        let err = sweep_checkpointed_blocks(|_| Fratricide, &[16], 2, 1, u64::MAX, &ckpt, 3)
+            .expect_err("width mismatch must error");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let mut scalar = ckpt.clone();
         scalar.snapshot_interval = Some(512);
-        let err = stabilization_sweep_checkpointed_wide(
-            |_| Fratricide,
-            &[16],
-            2,
-            1,
-            u64::MAX,
-            &scalar,
-            2,
-        )
-        .expect_err("mode mismatch must error");
+        let err = sweep_checkpointed_blocks(|_| Fratricide, &[16], 2, 1, u64::MAX, &scalar, 2)
+            .expect_err("mode mismatch must error");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn fingerprint_separates_round_laws() {
-        // Different round laws consume the RNG differently, so their
-        // journals are not interchangeable — the law tag must perturb the
-        // fingerprint in both execution modes.
-        for lane_mode in [Some(8), None] {
-            let base = fingerprint(&[16], 2, 1, u64::MAX, lane_mode, LawMode::SequenceExpansion);
-            for law in [LawMode::Contingency, LawMode::MultiRound] {
-                assert_ne!(base, fingerprint(&[16], 2, 1, u64::MAX, lane_mode, law));
-            }
-        }
     }
 
     #[test]
@@ -769,51 +710,49 @@ mod tests {
         let ckpt = CheckpointConfig::new(&scratch.0);
         let mut limited = ckpt.clone();
         limited.job_limit = Some(2);
-        stabilization_sweep_checkpointed_wide(|_| Fratricide, &[16], 3, 9, u64::MAX, &limited, 1)
+        sweep_checkpointed_blocks(|_| Fratricide, &[16], 3, 9, u64::MAX, &limited, 1)
             .expect("sweep checkpoints");
         // Simulate a crash mid-append: a record cut off halfway through.
         let journal = scratch.0.join(JOURNAL_FILE);
         let mut text = std::fs::read_to_string(&journal).unwrap();
         text.push_str("done 2 1 3ff");
         std::fs::write(&journal, &text).unwrap();
-        let status =
-            stabilization_sweep_checkpointed_wide(|_| Fratricide, &[16], 3, 9, u64::MAX, &ckpt, 1)
-                .expect("torn tail is tolerated");
+        let status = sweep_checkpointed_blocks(|_| Fratricide, &[16], 3, 9, u64::MAX, &ckpt, 1)
+            .expect("torn tail is tolerated");
         let SweepStatus::Complete { points, fresh_jobs } = status else {
             panic!("sweep must complete");
         };
         // The torn record was discarded, so its job reran.
         assert_eq!(fresh_jobs, 1);
-        let plain = crate::stabilization_sweep_wide(|_| Fratricide, &[16], 3, 9, u64::MAX, 1);
+        let plain = crate::stabilization_sweep(|_| Fratricide, &[16], 3, 9, u64::MAX);
         assert_points_bit_identical(&plain, &points);
     }
 
     #[test]
     fn torn_bundle_block_reruns_the_whole_bundle() {
-        // Cut a width-2 bundle's block after its first lane record: the
-        // bundle is incomplete, so both of its lanes rerun — and, being
-        // deterministic, land on the same points as the clean sweep.
+        // Cut a width-2 block after its first record: the block is
+        // incomplete, so both of its jobs rerun — and, being deterministic,
+        // land on the same points as the clean sweep.
         let scratch = Scratch::new("torn_bundle");
         let ckpt = CheckpointConfig::new(&scratch.0);
         let mut limited = ckpt.clone();
         limited.job_limit = Some(1);
-        stabilization_sweep_checkpointed_wide(|_| Fratricide, &[16], 4, 13, u64::MAX, &limited, 2)
+        sweep_checkpointed_blocks(|_| Fratricide, &[16], 4, 13, u64::MAX, &limited, 2)
             .expect("sweep checkpoints");
         let journal = scratch.0.join(JOURNAL_FILE);
         let text = std::fs::read_to_string(&journal).unwrap();
-        // header + "wide 0 2" + two done lines: drop the final done line.
+        // header + "block 0 2" + two done lines: drop the final done line.
         let mut lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4, "unexpected journal shape:\n{text}");
         lines.pop();
         std::fs::write(&journal, lines.join("\n") + "\n").unwrap();
-        let status =
-            stabilization_sweep_checkpointed_wide(|_| Fratricide, &[16], 4, 13, u64::MAX, &ckpt, 2)
-                .expect("incomplete bundles rerun");
+        let status = sweep_checkpointed_blocks(|_| Fratricide, &[16], 4, 13, u64::MAX, &ckpt, 2)
+            .expect("incomplete bundles rerun");
         let SweepStatus::Complete { points, fresh_jobs } = status else {
             panic!("sweep must complete");
         };
-        assert_eq!(fresh_jobs, 4, "the cut bundle plus the remaining one");
-        let plain = crate::stabilization_sweep_wide(|_| Fratricide, &[16], 4, 13, u64::MAX, 2);
+        assert_eq!(fresh_jobs, 4, "the cut block plus the remaining one");
+        let plain = crate::stabilization_sweep(|_| Fratricide, &[16], 4, 13, u64::MAX);
         assert_points_bit_identical(&plain, &points);
     }
 
@@ -822,14 +761,14 @@ mod tests {
         let scratch = Scratch::new("corrupt_interior");
         let mut limited = CheckpointConfig::new(&scratch.0);
         limited.job_limit = Some(2);
-        stabilization_sweep_checkpointed_wide(|_| Fratricide, &[16], 3, 9, u64::MAX, &limited, 1)
+        sweep_checkpointed_blocks(|_| Fratricide, &[16], 3, 9, u64::MAX, &limited, 1)
             .expect("sweep checkpoints");
         let journal = scratch.0.join(JOURNAL_FILE);
         let text = std::fs::read_to_string(&journal).unwrap();
         let mut lines: Vec<&str> = text.lines().collect();
         lines.insert(1, "done garbage");
         std::fs::write(&journal, lines.join("\n") + "\n").unwrap();
-        let err = stabilization_sweep_checkpointed_wide(
+        let err = sweep_checkpointed_blocks(
             |_| Fratricide,
             &[16],
             3,
@@ -859,14 +798,15 @@ mod tests {
 
     #[test]
     fn bundle_marker_parser_rejects_malformed_lines() {
-        assert!(parse_bundle_marker("wide 0 2", 4).is_some());
-        assert!(parse_bundle_marker("wide 2 2", 4).is_some());
+        assert!(parse_bundle_marker("block 0 2", 4).is_some());
+        assert!(parse_bundle_marker("block 2 2", 4).is_some());
         for line in [
-            "wide 3 2",   // overruns the job list (job_count 4)
-            "wide 0 0",   // empty bundle
-            "wide 0",     // missing length
-            "wide 0 2 x", // trailing field
-            "done 0 2",   // wrong verb
+            "block 3 2",   // overruns the job list (job_count 4)
+            "block 0 0",   // empty block
+            "block 0",     // missing length
+            "block 0 2 x", // trailing field
+            "wide 0 2",    // the retired marker
+            "done 0 2",    // wrong verb
             "",
         ] {
             assert!(parse_bundle_marker(line, 4).is_none(), "accepted `{line}`");

@@ -11,32 +11,32 @@
 //!
 //! ```text
 //! dir/
-//!   claims/<start>.claim   cross-process bundle claims (create_new is atomic)
-//!   shard_<k>/journal.txt  ppsweep v2 journal of the jobs shard k ran
+//!   claims/<start>.claim   cross-process block claims (create_new is atomic)
+//!   shard_<k>/journal.txt  ppsweep v3 journal of the jobs shard k ran
 //!   shard_<k>/manifest.json  machine-readable shard exit summary
 //!   shard_<k>/progress.txt   "done total" snapshot for live aggregation
 //!   journal.txt            canonical merged journal (written by the merge)
 //! ```
 //!
-//! Work is claimed at **bundle** granularity ([`sweep_bundles`]' same-`n`
-//! lane bundles): a worker that wants a bundle atomically creates
+//! Work is claimed at **block** granularity ([`sweep_bundles`]' same-`n`
+//! seed blocks): a worker that wants a block atomically creates
 //! `claims/<start>.claim` and runs it only on success, so shards never
 //! duplicate work — *dynamic range claiming*, not static partitioning. The
 //! job space's heavy tail (stabilization times straggle far past their
 //! expectation) is what rules static shards out: whichever shard statically
 //! owned the straggler would cap the whole run. Two levers bound the
-//! makespan instead: bundles are claimed largest-`n`-first
+//! makespan instead: blocks are claimed largest-`n`-first
 //! ([`cost_order`]'s LPT schedule), and any idle worker — same box or not —
 //! can pick up whatever remains.
 //!
 //! # Merge contract
 //!
-//! Bundle results are deterministic functions of
-//! `(protocol, n, seeds, lanes, law, max_steps)` — never of which process,
-//! thread, or retry round ran them — and shard journals record exact `f64`
+//! Each job's result is a deterministic function of
+//! `(protocol, n, seed, max_steps)` — never of which process, thread,
+//! block, or retry round ran it — and shard journals record exact `f64`
 //! bit patterns. The merge unions the shard journals (refusing mismatched
 //! fingerprints and, defensively, conflicting duplicates), then renders the
-//! *canonical journal*: bundle blocks in bundle-start order, a pure
+//! *canonical journal*: blocks in block-start order, a pure
 //! function of the results. Aggregation replays job-index order exactly as
 //! [`crate::stabilization_sweep`] traverses it, and [`Summary`] retains raw
 //! values so in-order accumulation is bit-exact. Sequential run, 1 shard,
@@ -45,10 +45,10 @@
 //!
 //! # Crash recovery
 //!
-//! A worker that dies mid-bundle leaves its claim behind with no journal
+//! A worker that dies mid-block leaves its claim behind with no journal
 //! block. Between retry rounds the orchestrator calls
-//! [`clean_stale_claims`] — drop every claim whose bundle is not fully
-//! journaled in *some* shard — and relaunches workers; the released bundles
+//! [`clean_stale_claims`] — drop every claim whose block is not fully
+//! journaled in *some* shard — and relaunches workers; the released blocks
 //! get re-claimed and rerun, deterministically, to the same bits. A worker
 //! that died *after* journaling loses nothing: its journal is read by the
 //! merge whether or not the process exited cleanly. Torn final blocks are
@@ -62,8 +62,8 @@ use crate::checkpoint::{
     JOURNAL_FILE,
 };
 use crate::runner::{
-    aggregate_points, cost_order, run_bundle, sweep_bundles, sweep_flat_wide, worker_count,
-    SweepBundle, SweepPoint,
+    aggregate_points, cost_order, run_bundle, sweep_bundles, sweep_flat, worker_count, SweepBundle,
+    SweepPoint,
 };
 use pp_engine::LeaderElection;
 use pp_stats::Table;
@@ -105,15 +105,16 @@ pub struct FabricSpec {
     pub master_seed: u64,
     /// Per-run step budget (`u64::MAX` for unbounded).
     pub max_steps: u64,
-    /// Lane-bundle width. Explicit — not the `PP_SIM_LANES` resolution — so
-    /// every process of a run agrees on bundle composition.
+    /// Seeds per claimed block ([`crate::sweep_lane_width`] in `ppsweep`).
+    /// Explicit so every process of a run agrees on block composition;
+    /// results do not depend on it, the journal layout and claims do.
     pub lanes: usize,
 }
 
 impl FabricSpec {
     /// The run's journal fingerprint: the checkpoint fingerprint of the
-    /// grid (which covers the lane width and round law) extended over the
-    /// protocol name with the same FNV-1a step.
+    /// grid (which covers the block width) extended over the protocol name
+    /// with the same FNV-1a step.
     pub fn fingerprint(&self) -> u64 {
         let mut h = fingerprint(
             &self.ns,
@@ -121,7 +122,6 @@ impl FabricSpec {
             self.master_seed,
             self.max_steps,
             Some(self.lanes),
-            crate::sweep_law_mode(),
         );
         for b in self.protocol.bytes() {
             h ^= u64::from(b);
@@ -151,7 +151,7 @@ pub struct ShardOutcome {
     /// Jobs this invocation executed and journaled (the rest were already
     /// journaled, or claimed by other shards).
     pub fresh_jobs: usize,
-    /// `true` when the worker stopped at its job limit with bundles still
+    /// `true` when the worker stopped at its job limit with blocks still
     /// unclaimed; rerun with the same directory to continue.
     pub suspended: bool,
 }
@@ -224,15 +224,15 @@ fn scan_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
     Some(rest[..rest.find([',', '}'])?].trim())
 }
 
-/// Runs one worker shard of the grid: claims pending bundles from the
+/// Runs one worker shard of the grid: claims pending blocks from the
 /// shared claim directory (largest-`n`-first), journals each completed
-/// bundle into `shard_<shard>/journal.txt`, keeps a live progress snapshot,
+/// block into `shard_<shard>/journal.txt`, keeps a live progress snapshot,
 /// and writes the shard manifest on exit.
 ///
-/// Reinvoking with the same directory resumes: journaled bundles are
-/// skipped, claimed-elsewhere bundles are left alone, and everything else
+/// Reinvoking with the same directory resumes: journaled blocks are
+/// skipped, claimed-elsewhere blocks are left alone, and everything else
 /// is up for claiming. `job_limit` bounds the *fresh* jobs of this
-/// invocation (bundle-granular, like the checkpointed sweep's); hitting it
+/// invocation (block-granular, like the checkpointed sweep's); hitting it
 /// reports `suspended`.
 ///
 /// # Errors
@@ -253,7 +253,6 @@ where
     assert!(shard < MAX_SHARDS, "shard id {shard} exceeds {MAX_SHARDS}");
     let started = Instant::now();
     crate::set_sweep_shard(Some(shard));
-    let law = crate::sweep_law_mode();
     let fp = spec.fingerprint();
     let bundles = spec.bundles();
     let total = spec.total_jobs();
@@ -286,7 +285,7 @@ where
                     if range.clone().all(|i| done.contains_key(&i)) {
                         continue;
                     }
-                    // Bundle-granular budget: checked before claiming, so a
+                    // Block-granular budget: checked before claiming, so a
                     // suspended worker never strands a claim (only a killed
                     // one does — that's what clean_stale_claims is for).
                     if fresh.load(Ordering::Relaxed) >= budget {
@@ -296,26 +295,27 @@ where
                     if !claim_bundle(&claims, bundle.start, shard) {
                         continue;
                     }
-                    let results = run_bundle(&make, bundle.n, &bundle.seeds, spec.max_steps, law);
-                    // One buffered append per bundle, exactly like the
+                    let results = run_bundle(&make, bundle.n, &bundle.seeds, spec.max_steps);
+                    // One buffered append per block, exactly like the
                     // checkpointed sweep: a crash tears at most the final
                     // block, which the loader discards and the retry reruns.
-                    let mut block = format!("wide {} {}\n", bundle.start, bundle.seeds.len());
+                    let mut text = format!("block {} {}\n", bundle.start, bundle.seeds.len());
                     for (j, &(converged, time)) in results.iter().enumerate() {
                         let _ = writeln!(
-                            block,
+                            text,
                             "done {} {} {:016x}",
                             bundle.start + j,
                             u8::from(converged),
                             time.to_bits()
                         );
                     }
-                    {
-                        let mut file = journal.lock().expect("journal writers do not panic");
-                        file.write_all(block.as_bytes())
-                            .and_then(|()| file.flush())
-                            .expect("shard journal append failed");
-                    }
+                    // The progress snapshot is rewritten under the journal
+                    // lock too, so concurrent threads publish it in order and
+                    // the last write is the final count.
+                    let mut file = journal.lock().expect("journal writers do not panic");
+                    file.write_all(text.as_bytes())
+                        .and_then(|()| file.flush())
+                        .expect("shard journal append failed");
                     let so_far =
                         fresh.fetch_add(bundle.seeds.len(), Ordering::Relaxed) + bundle.seeds.len();
                     let _ = write_progress(&my_dir, journaled + so_far, total);
@@ -350,9 +350,9 @@ where
     })
 }
 
-/// Atomically claims bundle `start`: `create_new` is atomic on every
+/// Atomically claims block `start`: `create_new` is atomic on every
 /// platform the workspace targets, so exactly one worker — across all
-/// processes sharing the directory — wins each bundle. The file body
+/// processes sharing the directory — wins each block. The file body
 /// records the claimant for post-mortems; only its existence matters.
 fn claim_bundle(claims: &Path, start: usize, shard: u64) -> bool {
     match std::fs::OpenOptions::new()
@@ -397,7 +397,7 @@ pub fn aggregate_progress(dir: &Path, shards: u64) -> (usize, usize) {
     (done, total)
 }
 
-/// Removes claims on bundles no shard journal has completed: their
+/// Removes claims on blocks no shard journal has completed: their
 /// claimants died between claiming and journaling. Call between retry
 /// rounds, never while workers run — a live worker's in-flight claim is
 /// indistinguishable from a dead one's until its journal block lands.
@@ -520,7 +520,7 @@ where
     F: Fn(usize) -> P + Sync,
 {
     std::fs::create_dir_all(dir)?;
-    let flat = sweep_flat_wide(
+    let flat = sweep_flat(
         &make,
         &spec.ns,
         spec.seeds,
@@ -536,14 +536,14 @@ where
 }
 
 /// Renders the canonical journal of a fully-known job list: the `ppsweep
-/// v2` header plus one bundle block per [`sweep_bundles`] entry, in
-/// bundle-start order. A pure function of the results — which process ran
-/// which bundle, in what order, across how many crashes, leaves no trace —
+/// v3` header plus one block per [`sweep_bundles`] entry, in block-start
+/// order. A pure function of the results — which process ran which block,
+/// in what order, across how many crashes, leaves no trace —
 /// so every complete run of the same spec renders the same bytes.
 fn canonical_journal(spec: &FabricSpec, fp: u64, flat: &[(bool, f64)]) -> String {
     let mut text = format!("{HEADER_PREFIX} {fp:016x}\n");
     for bundle in spec.bundles() {
-        let _ = writeln!(text, "wide {} {}", bundle.start, bundle.seeds.len());
+        let _ = writeln!(text, "block {} {}", bundle.start, bundle.seeds.len());
         for k in 0..bundle.seeds.len() {
             let (converged, time) = flat[bundle.start + k];
             let _ = writeln!(
@@ -697,14 +697,14 @@ mod tests {
     fn stale_claim_blocks_bundle_until_cleaned() {
         let spec = spec();
         let dir = Scratch::new("stale_claim");
-        // Fake a worker that died after claiming bundle 0 and before
+        // Fake a worker that died after claiming block 0 and before
         // journaling it.
         let claims = dir.0.join(CLAIMS_DIR);
         std::fs::create_dir_all(&claims).unwrap();
         assert!(claim_bundle(&claims, 0, 7));
         let outcome =
             run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None).expect("worker runs");
-        assert_eq!(outcome.fresh_jobs, spec.total_jobs() - 2, "bundle 0 held");
+        assert_eq!(outcome.fresh_jobs, spec.total_jobs() - 2, "block 0 held");
         let report = merge_shards(&spec, &dir.0, 1).expect("merge reads journals");
         assert_eq!(report.missing, 2);
         assert!(report.points.is_none());
@@ -747,11 +747,11 @@ mod tests {
     fn suspended_worker_resumes_from_its_journal() {
         let spec = spec();
         let dir = Scratch::new("suspend_resume");
-        // 10 jobs in width-2 bundles; a limit of 3 suspends after 2 bundles.
+        // 10 jobs in width-2 blocks; a limit of 3 suspends after 2 blocks.
         let outcome = run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, Some(3))
             .expect("limited worker runs");
         assert!(outcome.suspended);
-        assert!(outcome.fresh_jobs >= 3, "bundle-granular overshoot allowed");
+        assert!(outcome.fresh_jobs >= 3, "block-granular overshoot allowed");
         let resumed =
             run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None).expect("resume runs");
         assert!(!resumed.suspended);

@@ -41,13 +41,12 @@ mod runner;
 pub mod trajectory;
 
 pub use checkpoint::{
-    stabilization_sweep_checkpointed, stabilization_sweep_checkpointed_wide, CheckpointConfig,
-    ExperimentCheckpoint, SweepStatus,
+    stabilization_sweep_checkpointed, CheckpointConfig, ExperimentCheckpoint, SweepStatus,
 };
 pub use runner::{
     enable_sweep_rollup, parallel_map, set_sweep_shard, stabilization_sweep,
-    stabilization_sweep_agents, stabilization_sweep_wide, sweep_lane_width, sweep_law_mode,
-    sweep_shard, take_sweep_rollups, SweepPoint, SweepRollup,
+    stabilization_sweep_agents, sweep_lane_width, sweep_shard, take_sweep_rollups, SweepPoint,
+    SweepRollup,
 };
 pub use trajectory::{
     observed_pll_election, pll_attribution_trajectory, ObservedElection, PllTrajectory,

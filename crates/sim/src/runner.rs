@@ -1,22 +1,14 @@
 //! Parallel execution of embarrassingly parallel experiment jobs.
 //!
-//! Two levels of parallelism compose here: [`parallel_map`] fans jobs out
-//! across worker **threads**, and [`stabilization_sweep`] packs same-`n`
-//! seeds into wide **lane bundles** (one [`WideSimulation`] advancing many
-//! seeds in lockstep through a shared pair cache) so each thread's job
-//! amortizes compilation, tier reviews, and sampling across its whole
-//! bundle. Both knobs have env overrides for reproducible benchmarking:
-//! `PP_SIM_THREADS` pins the worker count and `PP_SIM_LANES` the lanes per
-//! bundle. A third override, `PP_SIM_LAW`, selects the batch tier's
-//! [round law](pp_engine::LawMode) (`sequence` / `contingency` /
-//! `multiround`) for every engine a sweep constructs — law-equivalent
-//! execution modes, so measured distributions agree while RNG streams (and
-//! throughput) differ.
+//! [`parallel_map`] fans jobs out across worker **threads**;
+//! [`stabilization_sweep`] hands each worker a **block** of same-`n` seeds
+//! and runs every seed of the block on its own scalar [`CountSimulation`].
+//! A seed's result is a pure function of `(protocol, n, master seed, seed
+//! index, max_steps)`, so neither the block size nor the thread count
+//! (`PP_SIM_THREADS`, the one env override, for reproducible benchmarking)
+//! changes a bit of the output.
 
-use pp_engine::{
-    CountSimulation, EngineConfig, LawMode, LeaderElection, RunOutcome, Simulation,
-    UniformScheduler, WideSimulation, WideTierPolicy,
-};
+use pp_engine::{CountSimulation, LeaderElection, Simulation, UniformScheduler};
 use pp_rand::{SeedSequence, Xoshiro256PlusPlus};
 use pp_stats::Summary;
 use std::io::{IsTerminal, Write as _};
@@ -28,13 +20,10 @@ use std::time::Instant;
 /// style, rather than erroring).
 const MAX_WORKERS: usize = 1024;
 
-/// Hard cap on the `PP_SIM_LANES` override.
-const MAX_LANES: usize = 64;
-
-/// Default lanes per wide sweep bundle. Eight keeps the SoA count rows
-/// within one cache line while the per-seed win from sharing the pair
-/// cache and amortizing reviews has already saturated.
-const DEFAULT_LANES: usize = 8;
+/// Seeds per sweep block: small enough that a grid of a few sizes spreads
+/// over every worker, large enough that claim files and journal appends
+/// stay rare next to the runs they record.
+const BLOCK_SEEDS: usize = 8;
 
 /// `PP_SIM_THREADS` resolution: a parseable override is clamped to
 /// `1..=MAX_WORKERS` (validation in the `EngineConfig::validated` style —
@@ -57,40 +46,12 @@ pub(crate) fn worker_count(jobs: usize) -> usize {
     worker_override(threads.as_deref().ok(), detected).min(jobs.max(1))
 }
 
-/// `PP_SIM_LANES` resolution: parseable overrides clamp to
-/// `1..=MAX_LANES`; anything else is the default width.
-fn lane_override(raw: Option<&str>) -> usize {
-    match raw.and_then(|v| v.trim().parse::<usize>().ok()) {
-        Some(v) => v.clamp(1, MAX_LANES),
-        None => DEFAULT_LANES,
-    }
-}
-
-/// Lanes per wide sweep bundle: the `PP_SIM_LANES` override (clamped to
-/// `1..=64`), default 8.
+/// Seeds per sweep block, fixed at 8: the block size
+/// [`stabilization_sweep`] and the checkpointed sweep use, and the default
+/// width of a [`FabricSpec`](crate::fabric::FabricSpec). Results never
+/// depend on it.
 pub fn sweep_lane_width() -> usize {
-    let lanes = std::env::var("PP_SIM_LANES");
-    lane_override(lanes.as_deref().ok())
-}
-
-/// `PP_SIM_LAW` resolution: a recognized round-law name selects that law;
-/// anything else (including absence) falls back to the bit-identical
-/// default, mirroring how [`lane_override`] treats garbage.
-fn law_override(raw: Option<&str>) -> LawMode {
-    match raw.map(str::trim) {
-        Some("sequence") => LawMode::SequenceExpansion,
-        Some("contingency") => LawMode::Contingency,
-        Some("multiround") => LawMode::MultiRound,
-        _ => LawMode::default(),
-    }
-}
-
-/// Batch-tier round law for every engine a sweep constructs: the
-/// `PP_SIM_LAW` override (`sequence` / `contingency` / `multiround`),
-/// default [`LawMode::SequenceExpansion`].
-pub fn sweep_law_mode() -> LawMode {
-    let law = std::env::var("PP_SIM_LAW");
-    law_override(law.as_deref().ok())
+    BLOCK_SEEDS
 }
 
 /// Whether [`parallel_map`] should report live progress: stderr is a
@@ -372,21 +333,18 @@ pub struct SweepPoint {
 /// below `2^32` — far beyond any realistic sweep; asserted at entry rather
 /// than silently reusing seed streams across sizes.
 ///
-/// Each [`parallel_map`] worker receives a **lane bundle** — up to
-/// [`sweep_lane_width`] same-`n` seeds advanced in lockstep by one
-/// [`WideSimulation`] through a shared compiled pair cache (threads ×
-/// lanes composition; `PP_SIM_LANES` overrides the width). Lanes the wide
-/// engine spills out of its null-dominated tail finish on a scalar
-/// [`CountSimulation`] continuation, whose jump scheduler telescopes the
-/// nulls (a fratricide sweep point at `n = 2^28` telescopes `~10^16` null
-/// interactions and completes in seconds). Every lane is an exact
-/// simulation of the uniformly random scheduler, so the measured
-/// distribution is the same law as the per-agent engine's at a vanishing
-/// fraction of the cost; results are deterministic for a fixed
-/// `(master_seed, width)` but — like the engine's own heuristic tiers —
-/// not bit-comparable across different widths. Use
-/// [`stabilization_sweep_agents`] to drive the per-agent reference engine
-/// instead (e.g. to cross-validate the engines against each other).
+/// Each [`parallel_map`] worker receives a **block** of up to
+/// [`sweep_lane_width`] same-`n` seeds and runs each on its own
+/// [`CountSimulation`], whose tiers pick the cheapest exact execution per
+/// phase (the jump scheduler telescopes null-dominated tails: a fratricide
+/// sweep point at `n = 2^28` telescopes `~10^16` null interactions and
+/// completes in seconds). Every run is an exact simulation of the
+/// uniformly random scheduler, so the measured distribution is the same
+/// law as the per-agent engine's at a vanishing fraction of the cost, and
+/// every result is deterministic for a fixed `master_seed` — independent
+/// of block size and thread count. Use [`stabilization_sweep_agents`] to
+/// drive the per-agent reference engine instead (e.g. to cross-validate
+/// the engines against each other).
 ///
 /// Repeated entries in `ns` are measured independently (each job range
 /// aggregates into its own [`SweepPoint`]).
@@ -401,24 +359,7 @@ where
     P: LeaderElection,
     F: Fn(usize) -> P + Sync,
 {
-    stabilization_sweep_wide(make, ns, seeds, master_seed, max_steps, sweep_lane_width())
-}
-
-/// [`stabilization_sweep`] with an explicit lane-bundle width (ignoring
-/// `PP_SIM_LANES`), for callers pinning reproducible bundle compositions.
-pub fn stabilization_sweep_wide<P, F>(
-    make: F,
-    ns: &[usize],
-    seeds: u64,
-    master_seed: u64,
-    max_steps: u64,
-    lanes: usize,
-) -> Vec<SweepPoint>
-where
-    P: LeaderElection,
-    F: Fn(usize) -> P + Sync,
-{
-    let flat = sweep_flat_wide(&make, ns, seeds, master_seed, max_steps, lanes);
+    let flat = sweep_flat(&make, ns, seeds, master_seed, max_steps, sweep_lane_width());
     aggregate_points(ns, seeds, &flat)
 }
 
@@ -446,34 +387,34 @@ pub(crate) fn cost_order(bundles: &[SweepBundle]) -> Vec<usize> {
     order
 }
 
-/// Job-ordered flat `(converged, parallel_time)` outcomes of a wide sweep:
-/// the shared core of [`stabilization_sweep_wide`] and the sweep fabric's
-/// sequential mode. Bundles fan out largest-`n`-first ([`cost_order`]) and
-/// results scatter back by bundle start, so the returned order — and every
-/// bit of every result — is independent of the scheduling.
-pub(crate) fn sweep_flat_wide<P, F>(
+/// Job-ordered flat `(converged, parallel_time)` outcomes of a sweep in
+/// blocks of `block` seeds: the shared core of [`stabilization_sweep`] and
+/// the sweep fabric's sequential mode. Blocks fan out largest-`n`-first
+/// ([`cost_order`]) and results scatter back by block start, so the
+/// returned order — and every bit of every result — is independent of the
+/// scheduling and of `block`.
+pub(crate) fn sweep_flat<P, F>(
     make: &F,
     ns: &[usize],
     seeds: u64,
     master_seed: u64,
     max_steps: u64,
-    lanes: usize,
+    block: usize,
 ) -> Vec<(bool, f64)>
 where
     P: LeaderElection,
     F: Fn(usize) -> P + Sync,
 {
-    let bundles = sweep_bundles(ns, seeds, master_seed, lanes);
-    let law = sweep_law_mode();
+    let bundles = sweep_bundles(ns, seeds, master_seed, block);
     let order = cost_order(&bundles);
     let ordered: Vec<&SweepBundle> = order.iter().map(|&i| &bundles[i]).collect();
     let outcomes = parallel_map(&ordered, |bundle| {
         (
             bundle.start,
-            run_bundle(make, bundle.n, &bundle.seeds, max_steps, law),
+            run_bundle(make, bundle.n, &bundle.seeds, max_steps),
         )
     });
-    // Scatter each bundle's lane results back into flat job order (the
+    // Scatter each block's results back into flat job order (the
     // aggregation slices by contiguous job range).
     let total: usize = bundles.iter().map(|b| b.seeds.len()).sum();
     let mut flat: Vec<Option<(bool, f64)>> = vec![None; total];
@@ -538,29 +479,29 @@ pub(crate) fn sweep_jobs(ns: &[usize], seeds: u64, master_seed: u64) -> Vec<(usi
     jobs
 }
 
-/// One wide sweep job: a contiguous block of same-`n` seed-stream jobs,
-/// advanced in lockstep by a single [`WideSimulation`].
+/// One sweep block: a contiguous run of same-`n` seed-stream jobs, the
+/// unit a worker runs and the checkpoint layer and fabric journal.
 #[derive(Debug, Clone)]
 pub(crate) struct SweepBundle {
-    /// Population size shared by every lane.
+    /// Population size shared by every job of the block.
     pub n: usize,
-    /// Flat job index of the bundle's first lane (the aggregation order).
+    /// Flat job index of the block's first job (the aggregation order).
     pub start: usize,
-    /// Per-lane RNG seeds, in job order.
+    /// Per-job RNG seeds, in job order.
     pub seeds: Vec<u64>,
 }
 
-/// Partitions the flat job list of [`sweep_jobs`] into lane bundles of up
-/// to `lanes` same-`n` jobs. Bundles never span two entries of `ns` (each
+/// Partitions the flat job list of [`sweep_jobs`] into blocks of up to
+/// `block` same-`n` jobs. Blocks never span two entries of `ns` (each
 /// size's seed range chunks independently), so aggregation ranges stay
 /// contiguous.
 pub(crate) fn sweep_bundles(
     ns: &[usize],
     seeds: u64,
     master_seed: u64,
-    lanes: usize,
+    block: usize,
 ) -> Vec<SweepBundle> {
-    let lanes = lanes.clamp(1, MAX_LANES);
+    let block = block.max(1);
     let jobs = sweep_jobs(ns, seeds, master_seed);
     let per_size = seeds as usize;
     let mut bundles = Vec::new();
@@ -568,7 +509,7 @@ pub(crate) fn sweep_bundles(
         let base = ni * per_size;
         let mut offset = 0;
         while offset < per_size {
-            let width = lanes.min(per_size - offset);
+            let width = block.min(per_size - offset);
             let start = base + offset;
             bundles.push(SweepBundle {
                 n,
@@ -584,55 +525,28 @@ pub(crate) fn sweep_bundles(
     bundles
 }
 
-/// Runs one lane bundle to stabilization: a wide auto-policy election,
-/// with spilled (null-dominated) lanes finished on scalar
-/// [`CountSimulation`] continuations that inherit the lane's exact counts,
-/// RNG, and step counter. Both the wide engine and the continuations draw
-/// their batch rounds from `law`. Returns `(converged, parallel_time)` per
-/// lane in job order.
+/// Runs every seed of one block to stabilization, each on its own
+/// [`CountSimulation`]. Returns `(converged, parallel_time)` per seed in
+/// job order.
 pub(crate) fn run_bundle<P, F>(
     make: &F,
     n: usize,
     seeds: &[u64],
     max_steps: u64,
-    law: LawMode,
 ) -> Vec<(bool, f64)>
 where
     P: LeaderElection,
     F: Fn(usize) -> P,
 {
-    let config = EngineConfig {
-        law_mode: law,
-        ..EngineConfig::default()
-    };
-    let rngs = seeds
+    seeds
         .iter()
-        .map(|&seed| Xoshiro256PlusPlus::seed_from_u64(seed))
-        .collect();
-    let mut wide = WideSimulation::with_config(make(n), n, rngs, config, WideTierPolicy::Auto)
-        .expect("population sizes are >= 2 by construction");
-    let election = wide.run_until_single_leader(max_steps);
-    let mut results: Vec<Option<(bool, f64)>> = election
-        .outcomes
-        .iter()
-        .map(|outcome| outcome.map(|o| (o.converged, o.parallel_time(n))))
-        .collect();
-    for export in election.spilled {
-        let lane = export.index;
-        let start = export.steps;
-        let mut scalar =
-            CountSimulation::from_counts_with_config(make(n), export.counts, export.rng, config)
-                .expect("spilled lanes keep their full population");
-        let out = scalar.run_until_single_leader(max_steps - start);
-        let total = RunOutcome {
-            steps: start + out.steps,
-            converged: out.converged,
-        };
-        results[lane] = Some((total.converged, total.parallel_time(n)));
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every lane is finished or spilled"))
+        .map(|&seed| {
+            let rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+            let mut sim = CountSimulation::new(make(n), n, rng)
+                .expect("population sizes are >= 2 by construction");
+            let outcome = sim.run_until_single_leader(max_steps);
+            (outcome.converged, outcome.parallel_time(n))
+        })
         .collect()
 }
 
@@ -783,12 +697,11 @@ mod tests {
         // job-order results of a plain bundle-by-bundle traversal — same
         // order, same bits.
         let ns = [32usize, 16];
-        let law = sweep_law_mode();
-        let flat = sweep_flat_wide(&|_| Fratricide, &ns, 5, 42, u64::MAX, 2);
+        let flat = sweep_flat(&|_| Fratricide, &ns, 5, 42, u64::MAX, 2);
         let bundles = sweep_bundles(&ns, 5, 42, 2);
         let expected: Vec<(bool, f64)> = bundles
             .iter()
-            .flat_map(|b| run_bundle(&|_| Fratricide, b.n, &b.seeds, u64::MAX, law))
+            .flat_map(|b| run_bundle(&|_| Fratricide, b.n, &b.seeds, u64::MAX))
             .collect();
         assert_eq!(flat.len(), expected.len());
         for (a, b) in flat.iter().zip(&expected) {
@@ -809,56 +722,6 @@ mod tests {
         assert_eq!(worker_override(Some(""), 8), 8);
         assert_eq!(worker_override(None, 8), 8);
         assert_eq!(worker_override(None, 0), 1);
-    }
-
-    #[test]
-    fn lane_override_clamps_like_engine_config() {
-        assert_eq!(lane_override(Some("4")), 4);
-        assert_eq!(lane_override(Some("0")), 1);
-        assert_eq!(lane_override(Some("500")), MAX_LANES);
-        assert_eq!(lane_override(Some("wide")), DEFAULT_LANES);
-        assert_eq!(lane_override(None), DEFAULT_LANES);
-    }
-
-    #[test]
-    fn law_override_recognizes_round_laws() {
-        assert_eq!(law_override(Some("sequence")), LawMode::SequenceExpansion);
-        assert_eq!(law_override(Some(" contingency ")), LawMode::Contingency);
-        assert_eq!(law_override(Some("multiround")), LawMode::MultiRound);
-        // Garbage and absence fall back to the bit-identical default.
-        assert_eq!(law_override(Some("hypergeometric")), LawMode::default());
-        assert_eq!(law_override(Some("")), LawMode::default());
-        assert_eq!(law_override(None), LawMode::default());
-    }
-
-    #[test]
-    fn round_laws_agree_distributionally_in_sweeps() {
-        // The round law, like lane width, is a law-preserving execution
-        // knob: bundles run under each law draw differently but must sample
-        // the same stabilization-time distribution (pinned tightly by the
-        // chi-square suites; this is the sweep-level smoke check).
-        let ns = [32usize];
-        let bundles = sweep_bundles(&ns, 24, 7, 6);
-        let mut means = Vec::new();
-        for law in [
-            LawMode::SequenceExpansion,
-            LawMode::Contingency,
-            LawMode::MultiRound,
-        ] {
-            let flat: Vec<(bool, f64)> = bundles
-                .iter()
-                .flat_map(|b| run_bundle(&|_| Fratricide, b.n, &b.seeds, u64::MAX, law))
-                .collect();
-            let points = aggregate_points(&ns, 24, &flat);
-            assert_eq!(points[0].unconverged, 0, "{law} runs failed to converge");
-            means.push(points[0].times.mean());
-        }
-        for pair in means.windows(2) {
-            assert!(
-                (pair[0] / pair[1] - 1.0).abs() < 0.5,
-                "law means diverge: {means:?}"
-            );
-        }
     }
 
     #[test]
@@ -899,7 +762,7 @@ mod tests {
 
     #[test]
     fn engine_sweeps_agree_distributionally() {
-        // The wide count-engine sweep and the agent-engine sweep sample the
+        // The count-engine sweep and the agent-engine sweep sample the
         // same Markov chain: over enough seeds their means must agree
         // loosely (fratricide at n=32 has E[parallel time] ≈ n).
         let ns = [32usize];
@@ -912,17 +775,34 @@ mod tests {
     }
 
     #[test]
-    fn bundle_widths_agree_distributionally() {
-        // Lane width is a law-preserving execution knob, like the engine's
-        // heuristic tiers: different widths draw differently but must
-        // sample the same stabilization-time distribution.
-        let ns = [32usize];
-        let narrow = stabilization_sweep_wide(|_| Fratricide, &ns, 24, 7, u64::MAX, 1);
-        let wide = stabilization_sweep_wide(|_| Fratricide, &ns, 24, 7, u64::MAX, 6);
-        assert_eq!(narrow[0].unconverged, 0);
-        assert_eq!(wide[0].unconverged, 0);
-        let (a, b) = (narrow[0].times.mean(), wide[0].times.mean());
-        assert!((a / b - 1.0).abs() < 0.5, "width 1 {a} vs width 6 {b}");
+    fn sweep_checksums_ignore_block_width_and_threads() {
+        // Every seed runs on its own scalar engine, so a sweep's results are
+        // a function of (protocol, n, master seed, seed index, max_steps)
+        // alone: block width and worker count must not move a bit.
+        let ns = [2048usize, 32, 4096];
+        let checksums = |block: usize| -> Vec<u64> {
+            let flat = sweep_flat(&|_| Fratricide, &ns, 11, 7, u64::MAX, block);
+            aggregate_points(&ns, 11, &flat)
+                .iter()
+                .map(|p| p.times.checksum())
+                .collect()
+        };
+        let threads = std::env::var("PP_SIM_THREADS").ok();
+        let mut runs = Vec::new();
+        for workers in ["1", "2"] {
+            std::env::set_var("PP_SIM_THREADS", workers);
+            for block in [1, 3, 8] {
+                runs.push((workers, block, checksums(block)));
+            }
+        }
+        match threads {
+            Some(v) => std::env::set_var("PP_SIM_THREADS", v),
+            None => std::env::remove_var("PP_SIM_THREADS"),
+        }
+        let (_, _, reference) = &runs[0];
+        for (workers, block, sums) in &runs {
+            assert_eq!(sums, reference, "{workers} threads, block {block}");
+        }
     }
 
     #[test]
@@ -959,9 +839,8 @@ mod tests {
     fn sweep_rides_the_jump_scheduler_at_scale() {
         // 2^14 fratricide takes Θ(n²) ≈ 2.7e8 interactions per run — hours
         // of debug-build stepping without null telescoping, milliseconds
-        // with it. The wide engine spills its null-dominated lanes onto
-        // scalar jump-scheduler continuations; completing at all (under an
-        // effectively unbounded budget) is the assertion.
+        // with it. Completing at all (under an effectively unbounded
+        // budget) is the assertion.
         let points = stabilization_sweep(|_| Fratricide, &[1 << 14], 2, 5, u64::MAX);
         assert_eq!(points[0].unconverged, 0);
         assert_eq!(points[0].times.count(), 2);

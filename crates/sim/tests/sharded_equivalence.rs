@@ -160,12 +160,11 @@ fn mixed_fingerprint_shard_dirs_are_refused() {
     let dir = Scratch::new("mixed");
     run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None).expect("shard 0 runs");
 
-    // Shard 1 belongs to a different sweep — a wider lane bundle, which
-    // changes bundle composition and therefore every draw. Its journal
-    // header cannot match, and the merge must refuse rather than blend
-    // non-comparable results.
+    // Shard 1 belongs to a different sweep — another master seed, so every
+    // draw differs. Its journal header cannot match, and the merge must
+    // refuse rather than blend non-comparable results.
     let mut foreign = spec.clone();
-    foreign.lanes = 3;
+    foreign.master_seed += 1;
     run_worker_shard(|_| Fratricide, &foreign, &dir.0, 1, None).expect("foreign shard runs");
 
     let err = merge_shards(&spec, &dir.0, 2).expect_err("mixed fingerprints refused");

@@ -141,7 +141,7 @@ fn forced_batch_rounds_exercise_collisions_and_walks() {
         let out = sim.run_until_single_leader(u64::MAX);
         assert!(out.converged);
         assert_eq!(sim.leader_count(), 1);
-        let stats = sim.batch_stats();
+        let stats = sim.metrics().batch;
         assert_eq!(
             stats.bulk_interactions + stats.collision_interactions,
             out.steps

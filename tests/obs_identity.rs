@@ -2,16 +2,14 @@
 //! attached [`EngineObserver`] (with or without a trajectory sampler)
 //! consumes no randomness and leaves the execution bit-identical to a
 //! detached run: same step counts, same final configurations, and same
-//! `snapshot()` bytes, across all four scalar tiers, all three round laws,
-//! and the wide engine's lanes. Plus schema round-trips for the JSONL
-//! event log and the metrics JSON.
+//! `snapshot()` bytes, across all four tiers. Plus schema round-trips for
+//! the JSONL event log and the metrics JSON.
 
 use population_protocols::core::Pll;
 use population_protocols::engine::{
-    CountSimulation, EngineConfig, EngineEvent, EngineMetrics, EngineObserver, LawMode,
-    LeaderElection, SnapshotState, WideSimulation, WideTierPolicy,
+    CountSimulation, EngineEvent, EngineMetrics, EngineObserver, LeaderElection, SnapshotState,
 };
-use population_protocols::rand::{SeedSequence, Xoshiro256PlusPlus};
+use population_protocols::rand::Xoshiro256PlusPlus;
 use proptest::prelude::*;
 
 /// How a test pins the engine's execution tier.
@@ -30,28 +28,17 @@ const MODES: [TierMode; 4] = [
     TierMode::Batch,
 ];
 
-const LAWS: [LawMode; 3] = [
-    LawMode::SequenceExpansion,
-    LawMode::Contingency,
-    LawMode::MultiRound,
-];
-
 fn build<P>(
     protocol: P,
     n: usize,
     seed: u64,
     mode: TierMode,
-    law: LawMode,
 ) -> CountSimulation<P, Xoshiro256PlusPlus>
 where
     P: LeaderElection,
 {
     let rng = Xoshiro256PlusPlus::seed_from_u64(seed);
-    let config = EngineConfig {
-        law_mode: law,
-        ..EngineConfig::default()
-    };
-    let mut sim = CountSimulation::with_config(protocol, n, rng, config).expect("n >= 2");
+    let mut sim = CountSimulation::new(protocol, n, rng).expect("n >= 2");
     match mode {
         TierMode::Auto => {}
         TierMode::Reference => sim.set_compiled_cache(false),
@@ -63,13 +50,13 @@ where
 
 /// Drives an observed twin and a detached twin through the same segments
 /// and asserts every observable — including the snapshot bytes — matches.
-fn assert_observation_invisible<P>(protocol: P, n: usize, seed: u64, mode: TierMode, law: LawMode)
+fn assert_observation_invisible<P>(protocol: P, n: usize, seed: u64, mode: TierMode)
 where
     P: LeaderElection + Clone,
     P::State: SnapshotState,
 {
-    let mut plain = build(protocol.clone(), n, seed, mode, law);
-    let mut watched = build(protocol, n, seed, mode, law);
+    let mut plain = build(protocol.clone(), n, seed, mode);
+    let mut watched = build(protocol, n, seed, mode);
     watched.set_observer(EngineObserver::new().with_trajectory(997));
     for segment in [509u64, 4096, 12_000] {
         plain.run(segment);
@@ -78,18 +65,18 @@ where
         assert_eq!(
             plain.state_counts(),
             watched.state_counts(),
-            "counts after +{segment} ({mode:?}, {law})"
+            "counts after +{segment} ({mode:?})"
         );
     }
     let a = plain.run_until_single_leader(200_000);
     let b = watched.run_until_single_leader(200_000);
-    assert_eq!(a, b, "election outcome diverged ({mode:?}, {law})");
+    assert_eq!(a, b, "election outcome diverged ({mode:?})");
     assert_eq!(plain.leader_count(), watched.leader_count());
     let observer = watched.take_observer().expect("observer attached");
     assert_eq!(
         plain.snapshot(),
         watched.snapshot(),
-        "snapshot bytes diverged ({mode:?}, {law})"
+        "snapshot bytes diverged ({mode:?})"
     );
     // The trajectory's final row reflects the reported outcome.
     let trace = observer.trajectory().expect("sampler attached");
@@ -105,11 +92,10 @@ proptest! {
     fn observation_is_invisible_on_every_tier_and_law(
         seed in any::<u64>(),
         mode in 0usize..4,
-        law in 0usize..3,
     ) {
         let n = 1 << 11;
         let protocol = Pll::for_population(n).expect("n >= 2");
-        assert_observation_invisible(protocol, n, seed, MODES[mode], LAWS[law]);
+        assert_observation_invisible(protocol, n, seed, MODES[mode]);
     }
 }
 
@@ -117,55 +103,14 @@ proptest! {
 fn observation_is_invisible_on_the_heuristic_batch_crossover() {
     // n = 2^13 fratricide crosses Compiled → Batch/Jump on its own.
     use population_protocols::protocols::Fratricide;
-    for law in LAWS {
-        assert_observation_invisible(Fratricide, 1 << 13, 7, TierMode::Auto, law);
-    }
-}
-
-#[test]
-fn observation_is_invisible_on_wide_lanes() {
-    let n = 1 << 12;
-    let protocol = Pll::for_population(n).expect("n >= 2");
-    for policy in [
-        WideTierPolicy::Auto,
-        WideTierPolicy::PinnedPerStep,
-        WideTierPolicy::PinnedBatch,
-        WideTierPolicy::LawOnly,
-    ] {
-        let seq = SeedSequence::new(1234);
-        let rngs = |s: &SeedSequence| (0..4u64).map(|i| s.rng_at(i)).collect();
-        let mut plain =
-            WideSimulation::with_config(protocol, n, rngs(&seq), EngineConfig::default(), policy)
-                .expect("n >= 2");
-        let mut watched =
-            WideSimulation::with_config(protocol, n, rngs(&seq), EngineConfig::default(), policy)
-                .expect("n >= 2");
-        watched.set_observer(EngineObserver::new());
-        plain.run(20_000);
-        watched.run(20_000);
-        assert_eq!(plain.steps(), watched.steps(), "{policy:?}");
-        for pos in 0..plain.lanes() {
-            assert_eq!(
-                plain.lane_state_counts(pos),
-                watched.lane_state_counts(pos),
-                "{policy:?} lane {pos}"
-            );
-        }
-        let a = plain.run_until_single_leader(u64::MAX);
-        let b = watched.run_until_single_leader(u64::MAX);
-        assert_eq!(a.outcomes, b.outcomes, "{policy:?}");
-        assert_eq!(a.spilled.len(), b.spilled.len(), "{policy:?}");
-        let metrics = watched.metrics();
-        assert_eq!(metrics.population, n as u64);
-        assert_eq!(metrics.tier_usage, plain.tier_usage());
-    }
+    assert_observation_invisible(Fratricide, 1 << 13, 7, TierMode::Auto);
 }
 
 #[test]
 fn metrics_and_events_survive_their_serialized_forms() {
     let n = 1 << 12;
     let protocol = Pll::for_population(n).expect("n >= 2");
-    let mut sim = build(protocol, n, 99, TierMode::Auto, LawMode::SequenceExpansion);
+    let mut sim = build(protocol, n, 99, TierMode::Auto);
     sim.set_observer(EngineObserver::new().with_trajectory(512));
     let _ = sim.run_until_single_leader(200_000);
     let _ = sim.snapshot();
@@ -190,7 +135,7 @@ fn metrics_and_events_survive_their_serialized_forms() {
 fn metrics_survive_snapshot_resume() {
     let n = 1 << 12;
     let protocol = Pll::for_population(n).expect("n >= 2");
-    let mut sim = build(protocol, n, 17, TierMode::Auto, LawMode::SequenceExpansion);
+    let mut sim = build(protocol, n, 17, TierMode::Auto);
     sim.run(30_000);
     let before = sim.metrics();
     assert_eq!(before.tier_usage.total(), sim.steps());

@@ -1,342 +1,195 @@
-//! The batch tier's **round laws** must execute the same law: identical
-//! stabilization-time distributions whether a collision-free round is
-//! materialized by sequence expansion (the bit-identical default), drawn
-//! directly as a per-ordered-pair contingency table, or chained into
-//! multi-round fresh/used episodes — pinned by chi-square homogeneity over
-//! pooled-quantile bins against the reference (uncached) tier, the same
-//! methodology as the four-tier suite in `tests/batch_equivalence.rs`.
+//! The batch tier's **round law** must execute the same law as per-step
+//! execution: forced-batch runs against the compiled tier (the per-step
+//! pair cache with the jump scheduler and the batch tier off, bit-identical
+//! to the reference tier), pinned by chi-square homogeneity over
+//! pooled-quantile bins — the methodology of the four-tier suite in
+//! `tests/batch_equivalence.rs`.
 //!
-//! Three regimes: forced-batch elections at tiny `n` (rounds of a handful
-//! of interactions, collisions and exact walks dominate — fratricide and
-//! the paper's `P_LL`), auto-tier elections at `n = 4096` (above the batch
-//! population floor: genuine `Θ(√n)` rounds with the contingency cells
-//! path hot on fratricide's two-state support), and the wide engine's
-//! `LawOnly` policy (one shared run-length inversion and responder index
-//! stream across the lane set, per-lane contingency cells), compared at a
-//! fixed step budget through the leader-count distribution. A forced
-//! multi-round test asserts episodes genuinely chain segments, and every
-//! law mode must survive the snapshot round-trip bit-for-bit.
+//! A collision-free segment is paired either as contingency **cells** (the
+//! table is small against the segment) or as shuffled **sequences** (wide
+//! support, short segments, exact walks). Each regime below asserts which
+//! side of that cutover its segments took:
+//!
+//! * elections at tiny `n` (Fratricide at 64, `P_LL` at 128): segments of a
+//!   handful of interactions, so nearly every one is paired as sequences,
+//!   with collisions and exact walks hot;
+//! * fixed budgets at `n = 4096`: `Θ(√n)` segments, where Fratricide's
+//!   ≤ 4-cell tables take the cells side and `P_LL` crosses from cells (its
+//!   first rounds, while few states are live) to sequences.
 
 use population_protocols::core::Pll;
-use population_protocols::engine::{
-    CountSimulation, EngineConfig, LawMode, LeaderElection, WideSimulation, WideTierPolicy,
-};
+use population_protocols::engine::{BatchStats, CountSimulation, LeaderElection};
 use population_protocols::protocols::Fratricide;
 use population_protocols::rand::{SeedSequence, Xoshiro256PlusPlus};
 use population_protocols::stats::{chi_square_samples, wilson95};
 
-/// The three round laws plus the uncached reference engine.
-#[derive(Clone, Copy, Debug)]
-enum Mode {
-    Reference,
-    Law(LawMode),
-}
-
-const MODES: [Mode; 4] = [
-    Mode::Reference,
-    Mode::Law(LawMode::SequenceExpansion),
-    Mode::Law(LawMode::Contingency),
-    Mode::Law(LawMode::MultiRound),
-];
-
-fn law_config(law: LawMode) -> EngineConfig {
-    EngineConfig {
-        law_mode: law,
-        ..EngineConfig::default()
-    }
-}
-
-/// A simulation pinned to one mode: the reference tier, or the batch tier
-/// forced under one round law.
-fn mode_sim<P: LeaderElection>(
+/// A simulation pinned to the compiled tier (`batch == false`) or to the
+/// batch tier.
+fn pinned<P: LeaderElection>(
     protocol: P,
     n: usize,
     rng: Xoshiro256PlusPlus,
-    mode: Mode,
+    batch: bool,
 ) -> CountSimulation<P, Xoshiro256PlusPlus> {
-    match mode {
-        Mode::Reference => {
-            let mut sim = CountSimulation::new(protocol, n, rng).expect("n >= 2");
-            sim.set_compiled_cache(false);
-            sim
-        }
-        Mode::Law(law) => {
-            let mut sim =
-                CountSimulation::with_config(protocol, n, rng, law_config(law)).expect("n >= 2");
-            sim.force_batch_mode();
-            sim
-        }
+    let mut sim = CountSimulation::new(protocol, n, rng).expect("n >= 2");
+    if batch {
+        sim.force_batch_mode();
+    } else {
+        sim.set_jump_scheduler(false);
+        sim.set_batch_tier(false);
     }
+    sim
 }
 
-/// Stabilization parallel times over `seeds` runs on one mode.
-fn stabilization_sample<P: LeaderElection + Clone>(
+/// Segments paired as shuffled sequences without an exact walk.
+fn sequence_segments(stats: &BatchStats) -> u64 {
+    stats.episodes - stats.shuffle_skips - stats.exact_walks
+}
+
+/// Chi-square homogeneity of two samples, plus a Wilson-interval
+/// cross-check of the batch tier's probability of landing at or below the
+/// compiled tier's median.
+fn assert_same_law(what: &str, compiled: &[f64], batch: &[f64], bins: usize) {
+    let c = chi_square_samples(&[compiled, batch], bins);
+    assert!(c.df > 0, "{what}: the statistic never varies");
+    assert!(
+        c.accepts(0.001),
+        "{what}: histograms diverge: chi2 = {:.2}, df = {}",
+        c.statistic,
+        c.df
+    );
+    let mut sorted = compiled.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
+    let median = sorted[sorted.len() / 2];
+    let hit = |sample: &[f64]| sample.iter().filter(|&&t| t <= median).count() as u64;
+    let (lo, hi) = wilson95(hit(compiled), compiled.len() as u64);
+    let p = hit(batch) as f64 / batch.len() as f64;
+    let slack = 1.96 * (p * (1.0 - p) / batch.len() as f64).sqrt();
+    assert!(
+        p + slack >= lo && p - slack <= hi,
+        "{what}: P(X <= {median}) batch = {p:.3} outside Wilson interval [{lo:.3}, {hi:.3}]"
+    );
+}
+
+/// Stabilization parallel times over `seeds` elections on one tier, with
+/// the batch tier's counters summed over the batch runs.
+fn elections<P: LeaderElection + Clone>(
     protocol: &P,
     n: usize,
     seeds: u64,
     salt: u64,
-    mode: Mode,
+    batch: bool,
+    stats: &mut BatchStats,
 ) -> Vec<f64> {
     let seq = SeedSequence::new(salt);
     (0..seeds)
         .map(|seed| {
-            let mut sim = mode_sim(protocol.clone(), n, seq.rng_at(seed), mode);
+            let mut sim = pinned(protocol.clone(), n, seq.rng_at(seed), batch);
             let out = sim.run_until_single_leader(u64::MAX);
-            assert!(out.converged, "{mode:?} seed {seed} did not converge");
-            assert_eq!(sim.leader_count(), 1, "{mode:?} seed {seed}");
+            assert!(out.converged, "batch={batch} seed {seed} did not converge");
+            assert_eq!(sim.leader_count(), 1, "batch={batch} seed {seed}");
+            add(stats, &sim.metrics().batch);
             out.steps as f64 / n as f64
         })
         .collect()
 }
 
-/// Chi-square homogeneity of the modes' stabilization samples, plus a
-/// Wilson-interval cross-check of each new law's probability of
-/// stabilizing within the reference median budget.
-fn assert_law_equivalence<P: LeaderElection + Clone>(
-    protocol: P,
+/// Leader counts after `budget` interactions over `seeds` runs on one tier.
+fn leaders_after<P: LeaderElection + Clone>(
+    protocol: &P,
     n: usize,
+    budget: u64,
     seeds: u64,
     salt: u64,
-    bins: usize,
-) {
-    let samples: Vec<Vec<f64>> = MODES
-        .iter()
-        .map(|&mode| stabilization_sample(&protocol, n, seeds, salt, mode))
-        .collect();
-    let refs: Vec<&[f64]> = samples.iter().map(|s| s.as_slice()).collect();
-    let c = chi_square_samples(&refs, bins);
-    assert!(
-        c.accepts(0.001),
-        "round-law histograms diverge: chi2 = {:.2}, df = {}",
-        c.statistic,
-        c.df
-    );
+    batch: bool,
+    stats: &mut BatchStats,
+) -> Vec<f64> {
+    let seq = SeedSequence::new(salt);
+    (0..seeds)
+        .map(|seed| {
+            let mut sim = pinned(protocol.clone(), n, seq.rng_at(seed), batch);
+            sim.run(budget);
+            assert_eq!(sim.steps(), budget);
+            add(stats, &sim.metrics().batch);
+            sim.leader_count() as f64
+        })
+        .collect()
+}
 
-    // Binomial cross-check at a sensitive quantile: P(T <= pooled median of
-    // the established modes) must agree for each new law.
-    let mut pooled: Vec<f64> = samples[..2].iter().flatten().copied().collect();
-    pooled.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
-    let budget = pooled[pooled.len() / 2];
-    let hit = |sample: &[f64]| sample.iter().filter(|&&t| t <= budget).count() as u64;
-    let established: u64 = samples[..2].iter().map(|s| hit(s)).sum();
-    let (lo, hi) = wilson95(established, 2 * seeds);
-    for (sample, law) in samples[2..].iter().zip(["contingency", "multiround"]) {
-        let p = hit(sample) as f64 / seeds as f64;
-        let slack = 1.96 * (p * (1.0 - p) / seeds as f64).sqrt();
-        assert!(
-            p + slack >= lo && p - slack <= hi,
-            "P(T <= {budget}) {law} = {p:.3} outside Wilson interval [{lo:.3}, {hi:.3}]"
-        );
-    }
+fn add(acc: &mut BatchStats, stats: &BatchStats) {
+    acc.episodes += stats.episodes;
+    acc.exact_walks += stats.exact_walks;
+    acc.shuffle_skips += stats.shuffle_skips;
+    acc.contingency_draws += stats.contingency_draws;
 }
 
 #[test]
 fn round_laws_agree_on_fratricide() {
-    // n = 64 forces rounds of a handful of interactions: the collision
-    // path, the exact walk, and the multi-round continuation prefix are all
-    // hot, and fratricide's two-state support keeps the contingency cells
-    // path engaged (table of <= 4 cells never overflows its cap).
-    assert_law_equivalence(Fratricide, 64, 120, 0, 6);
+    // n = 64: segments of a handful of interactions, so even the 4-cell
+    // table nearly always loses to the shuffle; the collision path and the
+    // exact walk are hot.
+    let mut stats = BatchStats::default();
+    let compiled = elections(&Fratricide, 64, 200, 0, false, &mut BatchStats::default());
+    let batch = elections(&Fratricide, 64, 200, 0, true, &mut stats);
+    assert_same_law("fratricide@64", &compiled, &batch, 6);
+    assert!(100 * stats.shuffle_skips < stats.episodes, "{stats:?}");
+    assert!(
+        stats.exact_walks > 0 && sequence_segments(&stats) > 0,
+        "{stats:?}"
+    );
 }
 
 #[test]
 fn round_laws_agree_on_pll() {
-    // The paper's protocol: wide support, so the contingency law exercises
-    // its expand-and-shuffle fallback alongside the cells path.
+    // The paper's protocol at n = 128: wide support and short segments,
+    // all on the sequences side.
     let n = 128;
-    assert_law_equivalence(Pll::for_population(n).expect("n >= 2"), n, 120, 10_000, 6);
+    let pll = Pll::for_population(n).expect("n >= 2");
+    let mut stats = BatchStats::default();
+    let compiled = elections(&pll, n, 150, 10_000, false, &mut BatchStats::default());
+    let batch = elections(&pll, n, 150, 10_000, true, &mut stats);
+    assert_same_law("pll@128", &compiled, &batch, 6);
+    assert!(sequence_segments(&stats) > 0, "{stats:?}");
 }
 
 #[test]
 fn round_laws_agree_on_fratricide_batch_regime() {
-    // Above the batch population floor, on the auto tier (the production
-    // configuration sweeps run): genuine Θ(√n) rounds through the dense
-    // phase under each law, the jump scheduler telescoping the null tail.
-    let n = 4096;
-    let seeds = 60u64;
-    let samples: Vec<Vec<f64>> = [
-        LawMode::SequenceExpansion,
-        LawMode::Contingency,
-        LawMode::MultiRound,
-    ]
-    .iter()
-    .map(|&law| {
-        let seq = SeedSequence::new(20_000);
-        (0..seeds)
-            .map(|seed| {
-                let mut sim =
-                    CountSimulation::with_config(Fratricide, n, seq.rng_at(seed), law_config(law))
-                        .expect("n >= 2");
-                let out = sim.run_until_single_leader(u64::MAX);
-                assert!(out.converged, "{law} seed {seed} did not converge");
-                out.steps as f64 / n as f64
-            })
-            .collect()
-    })
-    .collect();
-    let refs: Vec<&[f64]> = samples.iter().map(|s| s.as_slice()).collect();
-    let c = chi_square_samples(&refs, 5);
-    assert!(
-        c.accepts(0.001),
-        "auto-tier law histograms diverge: chi2 = {:.2}, df = {}",
-        c.statistic,
-        c.df
-    );
-}
-
-#[test]
-fn law_only_wide_matches_scalar_law_at_fixed_budget() {
-    // The LawOnly policy shares one run-length inversion and one responder
-    // index stream across the lane set; each lane's marginal law must stay
-    // exact. Compared at a fixed step budget (3n interactions, all inside
-    // lockstep batch rounds — no spill, no tail) through the leader-count
-    // distribution, against scalar forced-batch contingency runs.
-    let n = 4096usize;
+    // n = 4096 for 3n interactions: Θ(√n) segments whose ≤ 4-cell tables
+    // take the cells side once they reach 32 interactions (most of them),
+    // compared through the surviving leader count.
+    let (n, seeds) = (4096usize, 300u64);
     let budget = 3 * n as u64;
-    let lanes = 4usize;
-    let bundles = 30usize;
-    let seq = SeedSequence::new(31_000);
-    let mut wide_counts: Vec<f64> = Vec::new();
-    for bundle in 0..bundles {
-        let rngs = (0..lanes)
-            .map(|lane| seq.rng_at((bundle * lanes + lane) as u64))
-            .collect();
-        let mut wide = WideSimulation::with_config(
-            Fratricide,
-            n,
-            rngs,
-            EngineConfig::default(),
-            WideTierPolicy::LawOnly,
-        )
-        .expect("n >= 2");
-        wide.run(budget);
-        for pos in 0..lanes {
-            assert_eq!(wide.lane_steps(pos), budget);
-            let leaders: u64 = wide
-                .lane_state_counts(pos)
-                .iter()
-                .filter(|(s, _)| Fratricide.is_leader(s))
-                .map(|(_, c)| *c)
-                .sum();
-            wide_counts.push(leaders as f64);
-        }
-    }
-    let scalar_counts: Vec<f64> = (0..bundles * lanes)
-        .map(|seed| {
-            let rng = seq.rng_at(1_000_000 + seed as u64);
-            let mut sim = mode_sim(Fratricide, n, rng, Mode::Law(LawMode::Contingency));
-            sim.run(budget);
-            assert_eq!(sim.steps(), budget);
-            sim.leader_count() as f64
-        })
-        .collect();
-    let c = chi_square_samples(&[&scalar_counts, &wide_counts], 5);
-    assert!(
-        c.accepts(0.001),
-        "LawOnly leader-count histogram diverges from scalar: chi2 = {:.2}, df = {}",
-        c.statistic,
-        c.df
-    );
-    // The shared machinery must actually have engaged: every round either
-    // drew cells (fratricide's 2-state table always fits) or was a walk.
-    // (Stats aggregate across the lane set.)
-    let mean_wide = wide_counts.iter().sum::<f64>() / wide_counts.len() as f64;
-    let mean_scalar = scalar_counts.iter().sum::<f64>() / scalar_counts.len() as f64;
-    assert!(
-        (mean_wide / mean_scalar - 1.0).abs() < 0.05,
-        "mean surviving leaders diverge: wide {mean_wide:.1} vs scalar {mean_scalar:.1}"
-    );
-}
-
-#[test]
-fn multi_round_episodes_chain_segments() {
-    // At n = 32 the expected collision-free run is ~3 interactions, so a
-    // multi-round episode keeps colliding and chaining: the per-episode
-    // segment average must exceed 1 (strictly more segments than episodes)
-    // while elections still converge to a unique leader.
-    let seq = SeedSequence::new(500);
-    let mut episodes = 0;
-    let mut segments = 0;
-    for seed in 0..20 {
-        let mut sim = mode_sim(
-            Fratricide,
-            32,
-            seq.rng_at(seed),
-            Mode::Law(LawMode::MultiRound),
-        );
-        let out = sim.run_until_single_leader(u64::MAX);
-        assert!(out.converged);
-        assert_eq!(sim.leader_count(), 1);
-        let stats = sim.batch_stats();
-        assert_eq!(
-            stats.bulk_interactions + stats.collision_interactions,
-            out.steps
-        );
-        episodes += stats.episodes;
-        segments += stats.episode_segments;
-    }
-    assert!(episodes > 0, "batch episodes never ran");
-    assert!(
-        segments > episodes,
-        "multi-round never chained: {segments} segments over {episodes} episodes"
-    );
-}
-
-#[test]
-fn contingency_law_skips_shuffles_on_small_support() {
-    // Fratricide's two live states keep the per-ordered-pair table at <= 4
-    // cells, far under the fallback cap, so the contingency law must be
-    // drawing cells (and skipping the responder shuffle) for essentially
-    // every non-walk segment.
-    let n = 4096;
-    let rng = Xoshiro256PlusPlus::seed_from_u64(9);
-    let mut sim = mode_sim(Fratricide, n, rng, Mode::Law(LawMode::Contingency));
-    sim.run(6 * n as u64);
-    let stats = sim.batch_stats();
-    assert!(stats.episodes > 0, "no batch episodes at n = {n}");
+    let mut stats = BatchStats::default();
+    let compiled = leaders_after(&Fratricide, n, budget, seeds, 20_000, false, &mut stats);
+    let batch = leaders_after(&Fratricide, n, budget, seeds, 20_000, true, &mut stats);
+    assert_same_law("fratricide@4096, 3n interactions", &compiled, &batch, 6);
     assert!(
         stats.shuffle_skips > 0 && stats.contingency_draws > 0,
-        "contingency path never engaged: {stats:?}"
+        "cells path never engaged: {stats:?}"
     );
-    // Nearly every segment skips; the rare exception is a budget-truncated
-    // segment whose bulk is smaller than the 4-cell table (the fallback cap
-    // compares table size against bulk), which legitimately expands.
     assert!(
-        10 * (stats.shuffle_skips + stats.exact_walks) >= 9 * stats.episode_segments,
-        "shuffling segments under a 4-cell table: {stats:?}"
+        2 * stats.shuffle_skips >= stats.episodes,
+        "most segments shuffled under a 4-cell table: {stats:?}"
     );
 }
 
 #[test]
-fn snapshots_round_trip_under_every_law_mode() {
-    // resume(bytes).snapshot() == bytes for each law mode, from a state
-    // with live batch statistics (mid-election, batch forced), and the
-    // resumed engine must keep producing the original law's trajectory
-    // (bit-identical continuation under the same mode).
+fn round_law_agrees_on_pll_across_the_cutover() {
+    // n = 4096 for n interactions: P_LL's first rounds have few live states
+    // and take the cells side, later ones the sequences side.
     let n = 4096;
-    for law in [
-        LawMode::SequenceExpansion,
-        LawMode::Contingency,
-        LawMode::MultiRound,
-    ] {
-        let rng = Xoshiro256PlusPlus::seed_from_u64(77);
-        let mut sim = mode_sim(Fratricide, n, rng, Mode::Law(law));
-        sim.run(2 * n as u64);
-        let bytes = sim.snapshot();
-        let mut resumed = CountSimulation::<_, Xoshiro256PlusPlus>::resume(Fratricide, &bytes)
-            .unwrap_or_else(|e| panic!("{law} snapshot failed to resume: {e}"));
-        assert_eq!(
-            resumed.snapshot(),
-            bytes,
-            "{law} snapshot is not a fixed point of resume"
-        );
-        sim.run(n as u64);
-        resumed.run(n as u64);
-        assert_eq!(
-            sim.state_counts(),
-            resumed.state_counts(),
-            "{law} resumed trajectory diverged"
-        );
-        assert_eq!(sim.batch_stats(), resumed.batch_stats());
-    }
+    let pll = Pll::for_population(n).expect("n >= 2");
+    let budget = n as u64;
+    let mut stats = BatchStats::default();
+    let compiled = leaders_after(&pll, n, budget, 300, 30_000, false, &mut stats);
+    let batch = leaders_after(&pll, n, budget, 300, 30_000, true, &mut stats);
+    assert_same_law("pll@4096, n interactions", &compiled, &batch, 6);
+    assert!(
+        stats.shuffle_skips > 0,
+        "cells path never engaged: {stats:?}"
+    );
+    assert!(
+        sequence_segments(&stats) > 0,
+        "sequences path never engaged: {stats:?}"
+    );
 }

@@ -275,3 +275,30 @@ fn corrupted_bytes_error_instead_of_panicking() {
         );
     }
 }
+
+/// A version-3 snapshot (the format that still carried the round-law tag
+/// and the segment counter): fratricide, n = 256, seed 42, after 1000
+/// interactions, as the version-3 writer serialized it.
+const FRATRICIDE_V3: &str = "\
+5050454e47534e500300000001002a000000000000000010000000000000080000000000000004000000\
+0000000003000000000000000010000000000000010002003a000000000000000001000000000000e803\
+0000000000001e04000000000000020000000000000001380000000000000000c8000000000000000000\
+00000000000003002e000000000000000101040000000400000000000000000000000010000200000100\
+0010000a010000000100000a010001000110000a04006e000000000000000101001b00000000000000cd\
+010000000000000100000000000000000000000000000000000000000000000000000000000000000000\
+00000000000000000000000000000000000000000000000000000000000000000002000000000000e801\
+00000000000000000000000000000500280000000000000004000000000000003301cda77a3299370207\
+af97885ae474ea9b19a78e9e0fa36148c5cda802e63f78c5f6a15f2e4a60";
+
+#[test]
+fn version_3_snapshots_are_refused_with_a_typed_error() {
+    let bytes: Vec<u8> = (0..FRATRICIDE_V3.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&FRATRICIDE_V3[i..i + 2], 16).expect("hex fixture"))
+        .collect();
+    assert_eq!(bytes.len(), 366);
+    match CountSimulation::<Fratricide, Xoshiro256PlusPlus>::resume(Fratricide, &bytes) {
+        Err(SnapshotError::UnsupportedVersion { found }) => assert_eq!(found, 3),
+        other => panic!("expected UnsupportedVersion {{ found: 3 }}, got {other:?}"),
+    }
+}

@@ -7,7 +7,7 @@ Usage:
 Checks, in order:
 
 * the metrics report parses, declares the ``pp-sim-metrics/v1`` schema,
-  embeds an engine block declaring ``pp-engine-metrics/v1``, and the
+  embeds an engine block declaring ``pp-engine-metrics/v2``, and the
   engine's per-tier interaction usage sums exactly to its step count;
 * the event log is non-empty, every line parses as a JSON object with an
   ``event`` kind and a ``step``, steps never decrease, and only known
@@ -35,8 +35,6 @@ KNOWN_EVENTS = {
     "compaction",
     "snapshot",
     "resumed",
-    "lane_retired",
-    "lane_spilled",
 }
 
 
@@ -52,7 +50,7 @@ def check_metrics(path):
     engine = report.get("engine")
     if not isinstance(engine, dict):
         fail(f"{path}: missing engine metrics block")
-    if engine.get("schema") != "pp-engine-metrics/v1":
+    if engine.get("schema") != "pp-engine-metrics/v2":
         fail(f"{path}: unexpected engine schema {engine.get('schema')!r}")
     for key in ("population", "steps", "tier_usage", "jump", "batch"):
         if key not in engine:
