@@ -174,6 +174,28 @@ fn round_laws_agree_on_fratricide_batch_regime() {
 }
 
 #[test]
+fn contingency_law_skips_shuffles_on_small_support() {
+    // Fratricide's two live states keep the per-ordered-pair table at <= 4
+    // cells, so every segment of at least 32 interactions must draw cells
+    // and skip the responder shuffle. At n = 2^16 segments average ~160
+    // interactions; only the short tail of their length distribution (and
+    // exact walks) shuffles.
+    let n = 1 << 16;
+    let mut sim = pinned(Fratricide, n, Xoshiro256PlusPlus::seed_from_u64(9), true);
+    sim.run(6 * n as u64);
+    let stats = sim.metrics().batch;
+    assert!(stats.episodes > 0, "no batch episodes at n = {n}");
+    assert!(
+        stats.shuffle_skips > 0 && stats.contingency_draws > 0,
+        "contingency path never engaged: {stats:?}"
+    );
+    assert!(
+        10 * (stats.shuffle_skips + stats.exact_walks) >= 9 * stats.episodes,
+        "shuffling segments under a 4-cell table: {stats:?}"
+    );
+}
+
+#[test]
 fn round_law_agrees_on_pll_across_the_cutover() {
     // n = 4096 for n interactions: P_LL's first rounds have few live states
     // and take the cells side, later ones the sequences side.
