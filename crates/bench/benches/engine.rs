@@ -6,13 +6,15 @@
 //! auto-dispatching default: `engine/count_steps` is the full default path
 //! (tier dispatch picks compiled/jump/batch per review),
 //! `engine/count_steps_batch` the batch tier *pinned* via
-//! `force_batch_mode` and measured inside a fixed mid-election
-//! parallel-time window (see `WINDOW_FROM`/`WINDOW_TO`) so every row
-//! reports genuine hypergeometric-round throughput in the regime heuristic
-//! dispatch uses the tier in — including rows where forcing it is a loss,
-//! `engine/count_steps_compiled` the compiled per-step cache with jump and
-//! batch disabled, and `engine/count_steps_reference` the uncached per-step
-//! fallback (hashing, cloning, and `Protocol::transition` calls every
+//! `pin_tier(EngineTier::Batch)` — so every row measures hypergeometric
+//! rounds, never a silently disengaged fallback — and measured inside a
+//! fixed mid-election parallel-time window (see `WINDOW_FROM`/`WINDOW_TO`)
+//! so every row reports genuine hypergeometric-round throughput in the
+//! regime heuristic dispatch uses the tier in — including rows where
+//! forcing it is a loss, `engine/count_steps_compiled` the compiled
+//! per-step cache (pinned, so jump and batch never engage), and
+//! `engine/count_steps_reference` the uncached per-step fallback (hashing,
+//! cloning, and `Protocol::transition` calls every
 //! step). `engine/count_steps_obs` prices the observability layer: the
 //! pinned-batch workload with and without an attached `EngineObserver`,
 //! adjacent rows the CI smoke gate holds to a 2 % spread. The step groups
@@ -32,7 +34,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pp_bench::fast_criterion;
 use pp_core::Pll;
-use pp_engine::{CountSimulation, EngineObserver, LeaderElection, Simulation, UniformScheduler};
+use pp_engine::{
+    CountSimulation, EngineObserver, EngineTier, LeaderElection, Simulation, UniformScheduler,
+};
 use pp_protocols::{Fratricide, UnboundedLottery};
 use pp_rand::Xoshiro256PlusPlus;
 use std::hint::black_box;
@@ -69,36 +73,17 @@ fn bench_agent_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// The count engine's execution tiers (see the module docs).
-#[derive(Clone, Copy)]
-enum Tier {
-    /// Full tier dispatch (compiled + jump + batch): the engine default.
-    Default,
-    /// Batch tier, pinned via `force_batch_mode` so every row measures
-    /// hypergeometric rounds — never a silently disengaged fallback the
-    /// regression gate would mistake for batch throughput.
-    Batch,
-    /// Compiled cache only: jump and batch disabled.
-    Compiled,
-    /// Uncached per-step fallback.
-    Reference,
-}
-
+/// A count simulation at seed 1, pinned to `tier` (`None`: the default
+/// heuristic dispatch).
 fn count_sim<P: LeaderElection>(
     protocol: P,
     n: usize,
-    tier: Tier,
+    tier: Option<EngineTier>,
 ) -> CountSimulation<P, Xoshiro256PlusPlus> {
     let rng = Xoshiro256PlusPlus::seed_from_u64(1);
     let mut sim = CountSimulation::new(protocol, n, rng).expect("n >= 2");
-    match tier {
-        Tier::Default => {}
-        Tier::Batch => sim.force_batch_mode(),
-        Tier::Compiled => {
-            sim.set_jump_scheduler(false);
-            sim.set_batch_tier(false);
-        }
-        Tier::Reference => sim.set_compiled_cache(false),
+    if let Some(tier) = tier {
+        sim.pin_tier(tier).expect("n within the fast tiers' cap");
     }
     sim
 }
@@ -115,8 +100,8 @@ fn count_sim<P: LeaderElection>(
 const WINDOW_FROM: u64 = 8;
 const WINDOW_TO: u64 = 136;
 
-fn bench_count_engine_at(group_name: &str, tier: Tier, c: &mut Criterion) {
-    let windowed = matches!(tier, Tier::Batch);
+fn bench_count_engine_at(group_name: &str, tier: Option<EngineTier>, c: &mut Criterion) {
+    let windowed = tier == Some(EngineTier::Batch);
     let mut group = c.benchmark_group(group_name);
     group.throughput(Throughput::Elements(STEPS));
     for &n in &COUNT_NS {
@@ -147,19 +132,23 @@ fn bench_count_engine_at(group_name: &str, tier: Tier, c: &mut Criterion) {
 }
 
 fn bench_count_engine(c: &mut Criterion) {
-    bench_count_engine_at("engine/count_steps", Tier::Default, c);
+    bench_count_engine_at("engine/count_steps", None, c);
 }
 
 fn bench_count_engine_batch(c: &mut Criterion) {
-    bench_count_engine_at("engine/count_steps_batch", Tier::Batch, c);
+    bench_count_engine_at("engine/count_steps_batch", Some(EngineTier::Batch), c);
 }
 
 fn bench_count_engine_compiled(c: &mut Criterion) {
-    bench_count_engine_at("engine/count_steps_compiled", Tier::Compiled, c);
+    bench_count_engine_at("engine/count_steps_compiled", Some(EngineTier::Compiled), c);
 }
 
 fn bench_count_engine_reference(c: &mut Criterion) {
-    bench_count_engine_at("engine/count_steps_reference", Tier::Reference, c);
+    bench_count_engine_at(
+        "engine/count_steps_reference",
+        Some(EngineTier::Reference),
+        c,
+    );
 }
 
 /// The observability layer's cost when attached but otherwise idle: the
@@ -180,8 +169,11 @@ fn bench_count_engine_obs(c: &mut Criterion) {
         ($id:literal, $observed:expr) => {
             group.bench_with_input(BenchmarkId::new(format!("pll/{n}"), $id), &n, |b, &n| {
                 let make = || {
-                    let mut sim =
-                        count_sim(Pll::for_population(n).expect("n >= 2"), n, Tier::Batch);
+                    let mut sim = count_sim(
+                        Pll::for_population(n).expect("n >= 2"),
+                        n,
+                        Some(EngineTier::Batch),
+                    );
                     if $observed {
                         sim.set_observer(EngineObserver::new());
                     }

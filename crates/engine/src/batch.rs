@@ -14,7 +14,7 @@
 //!    collision-free, given `u` agents already used, is
 //!    `(n−u)(n−u−1) / (n(n−1))`; the maximal collision-free prefix length is
 //!    sampled exactly by inverting the running product of these ratios with
-//!    a single uniform ([`crate::round::collision_free_prefix_from`]). Its
+//!    a single uniform ([`crate::round::collision_free_prefix`]). Its
 //!    expectation is the birthday bound `≈ √(πn/8)` — the `Θ(√n)` round
 //!    length.
 //! 2. **Who interacts.** The `2L` agents of a collision-free run of length
@@ -74,27 +74,10 @@ pub struct BatchStats {
 }
 
 /// Batch-tier state riding along the count engine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct BatchState {
-    /// User toggle ([`CountSimulation::set_batch_tier`]
-    /// (crate::CountSimulation::set_batch_tier)); on by default.
-    pub enabled: bool,
     /// Currently executing rounds instead of per-step chunks.
     pub engaged: bool,
-    /// Test hook: pinned engaged regardless of the engage/exit heuristics.
-    pub forced: bool,
     pub stats: BatchStats,
     pub scratch: BatchScratch,
-}
-
-impl BatchState {
-    pub(crate) fn new() -> Self {
-        Self {
-            enabled: true,
-            engaged: false,
-            forced: false,
-            stats: BatchStats::default(),
-            scratch: BatchScratch::default(),
-        }
-    }
 }

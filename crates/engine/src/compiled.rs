@@ -24,8 +24,8 @@
 //! (the paper's `P_LL` visits a few hundred states even at `n = 2^20`).
 //! Protocols whose state space grows with the population (e.g. an unbounded
 //! lottery) would blow the quadratic table up, so the addressable-id range is
-//! capped by [`EngineConfig::max_compiled_states`](crate::EngineConfig): once
-//! more states than that have been interned the cache **saturates** — pairs
+//! capped at [`MAX_COMPILED_STATES`]: once more states than that have been
+//! interned the cache **saturates** — pairs
 //! whose ids fit keep their one-load fast path, pairs touching higher ids
 //! fall back to calling `transition` per encounter. Saturation replaces the
 //! old all-or-nothing self-deactivation: there is no cliff, and the engine's
@@ -55,9 +55,7 @@ const DELTA_SHIFT: u32 = 2 * ID_BITS;
 const NULL_BIT: u32 = DELTA_SHIFT + 3;
 
 /// The hard ceiling on addressable interned states — the full reach of the
-/// packed 12-bit id fields. [`EngineConfig::max_compiled_states`]
-/// (crate::EngineConfig) defaults to this value and cannot exceed it. The
-/// worst-case table is `4096² · 4 B = 64 MiB`, but the table is grown lazily
+/// packed 12-bit id fields. The worst-case table is `4096² · 4 B = 64 MiB`, but the table is grown lazily
 /// by doubling, so a protocol only ever pays for (the next power of two of)
 /// the states it actually addresses.
 pub const MAX_COMPILED_STATES: usize = 1 << ID_BITS;
@@ -99,28 +97,26 @@ pub struct PairCache {
     table: Vec<u32>,
     /// `stride == 1 << shift`; index of `(s, t)` is `s << shift | t`.
     shift: u32,
-    /// Cap on addressable state ids (`≤ MAX_COMPILED_STATES`).
-    limit: usize,
     /// Coordinates of every filled slot, in fill order.
     filled: Vec<(u16, u16)>,
-    /// Whether the cache compiles pairs at all (engine toggle).
+    /// Whether the cache compiles pairs at all (off only under the
+    /// reference-tier pin).
     active: bool,
 }
 
 impl PairCache {
-    /// Creates an empty cache that addresses at most `limit` states
-    /// (clamped to [`MAX_COMPILED_STATES`]).
-    pub(crate) fn new(limit: usize) -> Self {
+    /// Creates an empty cache that addresses at most
+    /// [`MAX_COMPILED_STATES`] states.
+    pub(crate) fn new() -> Self {
         Self {
             table: Vec::new(),
             shift: 0,
-            limit: limit.clamp(1, MAX_COMPILED_STATES),
             filled: Vec::new(),
             active: true,
         }
     }
 
-    /// Whether the cache is enabled (the engine's explicit toggle; a
+    /// Whether the cache is enabled (off only under the reference-tier pin; a
     /// saturated cache is still active).
     pub fn is_active(&self) -> bool {
         self.active
@@ -161,19 +157,20 @@ impl PairCache {
         self.shift = 0;
     }
 
-    /// Reactivates an explicitly disabled cache.
+    /// Reactivates a cache deactivated by the reference-tier pin.
     pub(crate) fn reactivate(&mut self) {
         self.active = true;
     }
 
-    /// Grows the table so ids `< min(states, limit)` are addressable.
+    /// Grows the table so ids `< min(states, MAX_COMPILED_STATES)` are
+    /// addressable.
     /// Returns whether every id below `states` is addressable (i.e. the
     /// cache is not saturated).
     pub(crate) fn ensure_states(&mut self, states: usize) -> bool {
         if !self.active {
             return false;
         }
-        let covered = states.min(self.limit);
+        let covered = states.min(MAX_COMPILED_STATES);
         let needed = covered.next_power_of_two().max(16);
         if (1usize << self.shift) < needed || self.table.is_empty() {
             self.grow(needed.trailing_zeros());
@@ -249,7 +246,7 @@ impl PairCache {
         let old_shift = self.shift;
         let old = std::mem::take(&mut self.table);
         let old_filled = std::mem::take(&mut self.filled);
-        let covered = live.min(self.limit);
+        let covered = live.min(MAX_COMPILED_STATES);
         self.shift = covered.next_power_of_two().max(16).trailing_zeros();
         self.table = vec![EMPTY; 1 << (2 * self.shift)];
         let stride = 1usize << self.shift;
@@ -290,14 +287,15 @@ impl PairCache {
         }
     }
 
-    /// Snapshot geometry: `(active, shift, has_table)`. Together with the
-    /// filled entries from [`for_each_filled`](Self::for_each_filled) this is
-    /// the cache's complete trajectory-relevant state — the stride in
+    /// Snapshot geometry: `(shift, has_table)`. Together with the activity
+    /// flag (which the engine derives from its tier pin) and the filled
+    /// entries from [`for_each_filled`](Self::for_each_filled) this is the
+    /// cache's complete trajectory-relevant state — the stride in
     /// particular decides which pairs are addressable (and therefore which
     /// compile, feed the null ledger, and consume RNG), so it must be
     /// restored exactly rather than re-derived from the entry count.
-    pub(crate) fn snapshot_geometry(&self) -> (bool, u32, bool) {
-        (self.active, self.shift, !self.table.is_empty())
+    pub(crate) fn snapshot_geometry(&self) -> (u32, bool) {
+        (self.shift, !self.table.is_empty())
     }
 
     /// Rebuilds a cache from snapshot parts; the exact inverse of
@@ -305,13 +303,12 @@ impl PairCache {
     /// list (in fill order). Returns `None` instead of panicking on
     /// inconsistent input — this is fed from deserialized bytes.
     pub(crate) fn restore(
-        limit: usize,
         active: bool,
         shift: u32,
         has_table: bool,
         entries: &[(u16, u16, u32)],
     ) -> Option<Self> {
-        let mut cache = Self::new(limit);
+        let mut cache = Self::new();
         cache.active = active;
         if !has_table || !active {
             // An inactive cache never holds a table; a never-grown active
@@ -343,8 +340,8 @@ impl PairCache {
     }
 
     /// Visits every filled entry as `(s, t, entry)` — used to re-seed the
-    /// jump scheduler's null ledger from already-compiled pairs when the
-    /// scheduler is (re-)enabled mid-run.
+    /// jump scheduler's null ledger from already-compiled pairs (on a
+    /// mid-run jump pin, on resume, and after compaction).
     pub(crate) fn for_each_filled(&self, mut f: impl FnMut(usize, usize, u32)) {
         let shift = self.shift;
         for &(s, t) in &self.filled {
@@ -378,7 +375,7 @@ mod tests {
 
     #[test]
     fn growth_remaps_entries() {
-        let mut c = PairCache::new(MAX_COMPILED_STATES);
+        let mut c = PairCache::new();
         assert!(c.ensure_states(2));
         assert!(c.store(0, 1, 1, 0, 0, false));
         assert!(c.store(1, 1, 1, 1, 0, true));
@@ -396,29 +393,30 @@ mod tests {
 
     #[test]
     fn saturates_past_limit_instead_of_deactivating() {
-        let mut c = PairCache::new(8);
+        const M: usize = MAX_COMPILED_STATES;
+        let mut c = PairCache::new();
         assert!(c.ensure_states(8));
         assert!(c.store(0, 0, 0, 0, 0, true));
-        // Past the limit the cache stays active but stops covering new ids
-        // (the stride rounds up to the 16-slot minimum); the return value
-        // reports the saturation.
-        assert!(!c.ensure_states(40));
+        // Past the cap the cache stays active but stops covering new ids;
+        // the return value reports the saturation.
+        assert!(!c.ensure_states(M + 40));
         assert!(c.is_active());
-        assert!(c.is_saturated(40));
-        assert_eq!(c.addressable_states(), 16);
+        assert!(c.is_saturated(M + 40));
+        assert_eq!(c.addressable_states(), M);
         // In-range pairs keep their entries and accept new ones…
         assert_eq!(unpack(c.get(0, 0)), (0, 0, 0, true));
-        assert!(c.store(3, 2, 2, 3, 0, false));
+        assert!(c.store(M - 1, 2, 2, M - 1, 0, false));
         // …while out-of-range keys read EMPTY and refuse stores.
-        assert_eq!(c.get(17, 0), EMPTY);
-        assert!(!c.store(17, 0, 0, 0, 0, true));
-        assert!(!c.store(0, 39, 0, 0, 0, true));
+        assert_eq!(c.get(M + 1, 0), EMPTY);
+        assert!(!c.store(M + 1, 0, 0, 0, 0, true));
+        assert!(!c.store(0, M + 39, 0, 0, 0, true));
+        assert!(!c.store(0, 1, M, 0, 0, false), "successor ids must fit");
         assert_eq!(c.compiled_pairs(), 2);
     }
 
     #[test]
     fn explicit_deactivation_clears_everything() {
-        let mut c = PairCache::new(8);
+        let mut c = PairCache::new();
         c.ensure_states(4);
         assert!(c.store(0, 0, 0, 0, 0, true));
         c.deactivate();
@@ -434,7 +432,7 @@ mod tests {
 
     #[test]
     fn compact_remaps_live_entries_and_drops_dead() {
-        let mut c = PairCache::new(MAX_COMPILED_STATES);
+        let mut c = PairCache::new();
         c.ensure_states(40);
         assert!(c.store(3, 19, 3, 19, 0, true));
         assert!(c.store(19, 3, 0, 0, -2, false));
@@ -458,7 +456,7 @@ mod tests {
 
     #[test]
     fn for_each_filled_visits_coordinates() {
-        let mut c = PairCache::new(64);
+        let mut c = PairCache::new();
         c.ensure_states(20);
         assert!(c.store(3, 19, 3, 19, 2, false));
         assert!(c.store(19, 3, 0, 0, -2, false));

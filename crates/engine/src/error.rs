@@ -1,5 +1,6 @@
 //! Engine error types.
 
+use crate::EngineTier;
 use std::error::Error;
 use std::fmt;
 
@@ -24,6 +25,17 @@ pub enum EngineError {
         /// The agent that would interact with itself.
         agent: usize,
     },
+    /// A tier was pinned on a population beyond its cap: the jump and batch
+    /// tiers sample with exact integer pair weights bounded by `n(n−1)`,
+    /// which must fit a `u64`.
+    PopulationTooLarge {
+        /// The tier that was requested.
+        tier: EngineTier,
+        /// The offending population size.
+        n: u64,
+        /// The tier's largest supported population.
+        max: u64,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -38,6 +50,10 @@ impl fmt::Display for EngineError {
             EngineError::SelfInteraction { agent } => {
                 write!(f, "agent {agent} cannot interact with itself")
             }
+            EngineError::PopulationTooLarge { tier, n, max } => write!(
+                f,
+                "population of {n} agents exceeds the {tier} tier's cap of {max}"
+            ),
         }
     }
 }
@@ -56,6 +72,12 @@ mod tests {
         assert!(e.to_string().contains('7'));
         let e = EngineError::SelfInteraction { agent: 2 };
         assert!(e.to_string().contains("itself"));
+        let e = EngineError::PopulationTooLarge {
+            tier: EngineTier::Batch,
+            n: 1 << 33,
+            max: u64::from(u32::MAX),
+        };
+        assert!(e.to_string().contains("batch tier"));
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //! The jump path does consume a *different* RNG stream than per-step
 //! execution (two words per episode instead of one word per interaction), so
 //! its executions are equal in law, not bit-identical — the equivalence
-//! suite pins the law, and disabling the scheduler (or the compiled cache,
-//! which it requires) falls back to the bit-exact per-step path.
+//! suite pins the law, and [pinning](crate::CountSimulation::pin_tier) the
+//! compiled or reference tier keeps the bit-exact per-step path.
 //!
 //! # The ledger
 //!
@@ -53,14 +53,13 @@
 //! integer arithmetic; no floating point touches the pair selection.
 //!
 //! The engine engages the scheduler only when skipping pays: tier reviews
-//! rebuild the ledger and compare
-//! `W_active · jump_engage_factor ≤ W_total` (default factor 8, i.e. an
-//! expected skip of ≥ 8 interactions per episode), with hysteresis on exit —
-//! both factors are [`EngineConfig`](crate::EngineConfig) fields. See
-//! [`CountSimulation::set_jump_scheduler`](crate::CountSimulation::set_jump_scheduler)
-//! for the engine-level contract; an engaged scheduler preempts the batch
-//! tier in dispatch, since a null-dominated configuration telescopes in
-//! `O(1)` per episode.
+//! rebuild the ledger and compare `W_active · 8 ≤ W_total` (an expected
+//! skip of ≥ 8 interactions per episode), with hysteresis on exit
+//! (`W_active · 4 > W_total`); both factors are constants of
+//! [`crate::tier`]. Populations are capped at `2^32 − 1` agents, so that
+//! `W_total = n(n−1)` fits a `u64`; beyond the cap the engine stays
+//! per-step. An engaged scheduler preempts the batch tier in dispatch,
+//! since a null-dominated configuration telescopes in `O(1)` per episode.
 
 /// The known-null pair set with scheduler weights: membership, per-pair and
 /// total weight, per-state adjacency, and exact active-pair sampling.
@@ -97,10 +96,6 @@ fn pair_weight(counts: &[u64], s: usize, t: usize) -> u64 {
 }
 
 impl NullLedger {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Number of known-null pairs.
     pub(crate) fn len(&self) -> usize {
         self.pairs.len()
@@ -292,7 +287,7 @@ mod tests {
     }
 
     fn ledger_with(nulls: &[(usize, usize)], counts: &[u64]) -> NullLedger {
-        let mut ledger = NullLedger::new();
+        let mut ledger = NullLedger::default();
         for &(s, t) in nulls {
             ledger.register(s, t);
         }
@@ -315,7 +310,7 @@ mod tests {
 
     #[test]
     fn register_dedups_and_sorts_at_rebuild() {
-        let mut ledger = NullLedger::new();
+        let mut ledger = NullLedger::default();
         ledger.register(2, 1);
         ledger.register(0, 3);
         ledger.register(2, 1);

@@ -31,8 +31,8 @@
 //!   geometric draws wherever they dominate (making `Θ(n²)`-step election
 //!   tails at `n = 2^28`–`2^30` seconds-scale), and a collision-free
 //!   hypergeometric **batch** tier that applies `Θ(√n)`-interaction rounds
-//!   in bulk for any null density. Tier heuristics are tunable through
-//!   [`EngineConfig`].
+//!   in bulk for any null density. The tier heuristics' thresholds are
+//!   fixed constants of the engine's cost model.
 //! * [`epidemic`] — the one-way epidemic process of \[AAE08\], the workhorse of
 //!   every O(log n) bound in the paper (its Lemma 2).
 //!
@@ -97,7 +97,7 @@ pub use scheduler::{
     Interaction, ReplayScheduler, RoundRobinScheduler, Scheduler, UniformScheduler,
 };
 pub use snapshot::{SnapshotError, SnapshotState, SNAPSHOT_VERSION};
-pub use tier::{EngineConfig, EngineTier, JumpStats, TierUsage};
+pub use tier::{EngineTier, JumpStats, TierUsage};
 pub use trace::Trace;
 
 /// How many interactions run between hoisted checks (step budget, sampled

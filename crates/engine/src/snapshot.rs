@@ -31,8 +31,8 @@
 //! What makes the pause transparent is the split between serialized and
 //! recomputed state. Serialized exactly: counts and live-slot order, the
 //! pair cache's entries *and geometry* (its stride decides which pairs are
-//! addressable, hence which compile and consume RNG), tier engage flags and
-//! the review schedule, step counters, and the RNG words. Recomputed on
+//! addressable, hence which compile and consume RNG), the tier pin, tier
+//! engage flags and the review schedule, step counters, and the RNG words. Recomputed on
 //! resume, because they are deterministic functions of the serialized state:
 //! state outputs, the sampler tree (its shape is a pure function of the
 //! weights vector), the jump scheduler's null ledger (reseeded from the
@@ -57,14 +57,16 @@ use std::fmt;
 /// the per-tier interaction usage counters to the tier section so resumed
 /// runs keep attributing past work in [`metrics`](crate::CountSimulation::metrics).
 /// Version 4 dropped the round-law mode and the segment counter again:
-/// the batch tier has a single round law.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// the batch tier has a single round law. Version 5 dropped the
+/// engine-config section (the tier thresholds are constants), replaced the
+/// tier section's enabled/forced toggles with the tier pin, and dropped the
+/// cache-activity flag (the reference pin implies it).
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// 8-byte magic prefix identifying count-engine snapshots.
 pub(crate) const MAGIC: [u8; 8] = *b"PPENGSNP";
 
 /// Section tags, in the order sections appear in the buffer.
-pub(crate) const TAG_CONFIG: u16 = 1;
 pub(crate) const TAG_POPULATION: u16 = 2;
 pub(crate) const TAG_CACHE: u16 = 3;
 pub(crate) const TAG_TIERS: u16 = 4;
@@ -215,8 +217,12 @@ impl SnapshotWriter {
         self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
 
+    pub(crate) fn put_u8(&mut self, v: u8) {
+        self.buf.push(v);
+    }
+
     pub(crate) fn put_bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
+        self.put_u8(u8::from(v));
     }
 
     pub(crate) fn put_u16(&mut self, v: u16) {
@@ -390,25 +396,27 @@ mod tests {
     #[test]
     fn writer_reader_roundtrip() {
         let mut w = SnapshotWriter::new();
-        w.begin_section(TAG_CONFIG);
+        w.begin_section(TAG_POPULATION);
         w.put_u64(99);
         w.put_bool(true);
+        w.put_u8(3);
         w.end_section();
-        w.begin_section(TAG_POPULATION);
+        w.begin_section(TAG_CACHE);
         w.put_u16(7);
         w.put_u32(1234);
         w.end_section();
         let bytes = w.finish();
 
         let mut r = SnapshotReader::open(&bytes).unwrap();
-        let mut s1 = r.section(TAG_CONFIG).unwrap();
+        let mut s1 = r.section(TAG_POPULATION).unwrap();
         assert_eq!(s1.get_u64().unwrap(), 99);
         assert!(s1.get_bool().unwrap());
-        s1.expect_end("config").unwrap();
-        let mut s2 = r.section(TAG_POPULATION).unwrap();
+        assert_eq!(s1.get_u8().unwrap(), 3);
+        s1.expect_end("population").unwrap();
+        let mut s2 = r.section(TAG_CACHE).unwrap();
         assert_eq!(s2.get_u16().unwrap(), 7);
         assert_eq!(s2.get_u32().unwrap(), 1234);
-        s2.expect_end("population").unwrap();
+        s2.expect_end("cache").unwrap();
         r.expect_end("snapshot").unwrap();
     }
 
@@ -494,7 +502,7 @@ mod tests {
         let bytes = w.finish();
         let mut r = SnapshotReader::open(&bytes).unwrap();
         assert!(matches!(
-            r.section(TAG_CONFIG).unwrap_err(),
+            r.section(TAG_POPULATION).unwrap_err(),
             SnapshotError::Corrupt(_)
         ));
     }

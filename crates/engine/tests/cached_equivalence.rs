@@ -8,7 +8,7 @@
 //! `k` states), which also exercises lazy interning, cache growth, and
 //! protocols with no structure whatsoever.
 
-use pp_engine::{CountSimulation, LeaderElection, Protocol, Role};
+use pp_engine::{CountSimulation, EngineTier, LeaderElection, Protocol, Role};
 use pp_rand::Xoshiro256PlusPlus;
 use proptest::prelude::*;
 
@@ -84,7 +84,7 @@ fn fratricide_is_step_for_step_identical() {
     for seed in 0..8 {
         let mut cached = CountSimulation::new(Frat, 128, rng(seed)).unwrap();
         let mut reference = CountSimulation::new(Frat, 128, rng(seed)).unwrap();
-        reference.set_compiled_cache(false);
+        reference.pin_tier(EngineTier::Reference).unwrap();
         for step in 0..4000 {
             assert_eq!(cached.step(), reference.step(), "seed {seed} step {step}");
             assert_eq!(
@@ -105,9 +105,9 @@ fn convergence_outcomes_are_identical() {
         // This suite pins bit-exactness of the cache alone; the jump
         // scheduler consumes the RNG stream differently and has its own
         // equivalence-in-law suite (tests/jump_equivalence.rs).
-        cached.set_jump_scheduler(false);
+        cached.pin_tier(EngineTier::Compiled).unwrap();
         let mut reference = CountSimulation::new(Frat, 96, rng(seed)).unwrap();
-        reference.set_compiled_cache(false);
+        reference.pin_tier(EngineTier::Reference).unwrap();
         let a = cached.run_until_single_leader(u64::MAX);
         let b = reference.run_until_single_leader(u64::MAX);
         assert_eq!(a, b, "seed {seed}");
@@ -133,9 +133,9 @@ proptest! {
 
         let mut cached = CountSimulation::new(protocol.clone(), n, rng(rng_seed)).unwrap();
         // Jump off: bit-exactness of the cache is the property under test.
-        cached.set_jump_scheduler(false);
+        cached.pin_tier(EngineTier::Compiled).unwrap();
         let mut reference = CountSimulation::new(protocol, n, rng(rng_seed)).unwrap();
-        reference.set_compiled_cache(false);
+        reference.pin_tier(EngineTier::Reference).unwrap();
         for _step in 0..256 {
             prop_assert_eq!(cached.step(), reference.step());
             prop_assert_eq!(cached.support_size(), reference.support_size());

@@ -15,7 +15,9 @@
 //! engine's execution configuration-for-configuration and step-for-step —
 //! for *arbitrary* random transition tables.
 
-use pp_engine::{CountSimulation, LeaderElection, Protocol, Role, Simulation, UniformScheduler};
+use pp_engine::{
+    CountSimulation, EngineTier, LeaderElection, Protocol, Role, Simulation, UniformScheduler,
+};
 use pp_rand::{Geometric, Rng64, Xoshiro256PlusPlus};
 use pp_stats::{chi_square_homogeneity, quantile_bins, wilson95};
 use proptest::prelude::*;
@@ -107,7 +109,7 @@ fn stabilization_sample(n: usize, seeds: u64, path: EnginePath) -> Vec<f64> {
                 EnginePath::Compiled | EnginePath::Jump => {
                     let mut sim = CountSimulation::new(Frat, n, rng(seed)).unwrap();
                     if matches!(path, EnginePath::Compiled) {
-                        sim.set_jump_scheduler(false);
+                        sim.pin_tier(EngineTier::Compiled).unwrap();
                     }
                     let out = sim.run_until_single_leader(u64::MAX);
                     assert!(out.converged);
@@ -202,7 +204,7 @@ fn manual_steps_between_jump_runs_keep_the_ledger_exact() {
     // once enough manual interactions had shifted the configuration.
     let mut sim = CountSimulation::new(Frat, 4096, rng(21)).unwrap();
     // Run until the scheduler engages in the sparse tail.
-    while !sim.jump_engaged() {
+    while sim.active_tier() != EngineTier::Jump {
         sim.run(4096);
         assert!(sim.steps() < 1 << 40, "scheduler never engaged");
     }
@@ -214,7 +216,7 @@ fn manual_steps_between_jump_runs_keep_the_ledger_exact() {
             changed += 1;
         }
     }
-    assert!(sim.jump_engaged());
+    assert_eq!(sim.active_tier(), EngineTier::Jump);
     // Resuming batched execution must resync and stay exact to convergence.
     let out = sim.run_until_single_leader(u64::MAX);
     assert!(out.converged);
@@ -322,7 +324,7 @@ where
 {
     // Phase 1: per-step trace of the compiled engine.
     let mut tracer = CountSimulation::new(protocol.clone(), n, rng(seed)).unwrap();
-    tracer.set_jump_scheduler(false);
+    tracer.pin_tier(EngineTier::Compiled).unwrap();
     let mut trace = Vec::with_capacity(steps);
     for _ in 0..steps {
         let (s, t, changed) = tracer.step_traced();
@@ -381,7 +383,7 @@ where
     // Phase 4: replay on a jump-forced twin driven by the crafted words.
     let replay = ReplayRng { words, pos: 0 };
     let mut twin = CountSimulation::<_, ReplayRng>::new(protocol, n, replay).unwrap();
-    twin.force_jump_mode();
+    twin.pin_tier(EngineTier::Jump).unwrap();
     let mut skipped = 0u64;
     for (consumed, expect_counts, expect_steps) in &episodes {
         twin.run(*consumed);

@@ -26,7 +26,7 @@
 //! the tracked file with full samples on a quiet machine.
 
 use pp_core::Pll;
-use pp_engine::{CountSimulation, EngineMetrics, EngineObserver};
+use pp_engine::{CountSimulation, EngineMetrics, EngineObserver, EngineTier};
 use pp_protocols::Fratricide;
 use pp_rand::Xoshiro256PlusPlus;
 use std::collections::BTreeMap;
@@ -286,7 +286,8 @@ fn headline_metrics(quick: bool) -> BTreeMap<&'static str, EngineMetrics> {
         let rng = Xoshiro256PlusPlus::seed_from_u64(1);
         let mut sim =
             CountSimulation::new(Pll::for_population(n).expect("n >= 2"), n, rng).expect("n >= 2");
-        sim.force_batch_mode();
+        sim.pin_tier(EngineTier::Batch)
+            .expect("n within the batch tier's cap");
         sim
     };
 

@@ -16,8 +16,8 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Hard cap on the `PP_SIM_THREADS` override (clamped, `EngineConfig`
-/// style, rather than erroring).
+/// Hard cap on the `PP_SIM_THREADS` override (clamped rather than
+/// erroring).
 const MAX_WORKERS: usize = 1024;
 
 /// Seeds per sweep block: small enough that a grid of a few sizes spreads
@@ -26,8 +26,8 @@ const MAX_WORKERS: usize = 1024;
 const BLOCK_SEEDS: usize = 8;
 
 /// `PP_SIM_THREADS` resolution: a parseable override is clamped to
-/// `1..=MAX_WORKERS` (validation in the `EngineConfig::validated` style —
-/// out-of-range values clamp, they don't error); anything else falls back
+/// `1..=MAX_WORKERS` (out-of-range values clamp, they don't error);
+/// anything else falls back
 /// to the detected parallelism.
 fn worker_override(raw: Option<&str>, detected: usize) -> usize {
     match raw.and_then(|v| v.trim().parse::<usize>().ok()) {

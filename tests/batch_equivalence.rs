@@ -15,38 +15,29 @@
 //! live support collapses.
 
 use population_protocols::core::Pll;
-use population_protocols::engine::{CountSimulation, EngineTier, LeaderElection};
-use population_protocols::protocols::{Fratricide, UnboundedLottery};
+use population_protocols::engine::{CountSimulation, EngineTier, LeaderElection, Protocol, Role};
+use population_protocols::protocols::{Fratricide, LotteryState, UnboundedLottery};
 use population_protocols::rand::{SeedSequence, Xoshiro256PlusPlus};
 use population_protocols::stats::{chi_square_samples, wilson95};
+use std::cell::RefCell;
+use std::collections::HashSet;
 
-/// The four execution tiers under comparison.
-#[derive(Clone, Copy, Debug)]
-enum Tier {
-    Reference,
-    Compiled,
-    Jump,
-    Batch,
-}
-
-const TIERS: [Tier; 4] = [Tier::Reference, Tier::Compiled, Tier::Jump, Tier::Batch];
+/// The four execution tiers under comparison, each pinned for the whole run.
+const TIERS: [EngineTier; 4] = [
+    EngineTier::Reference,
+    EngineTier::Compiled,
+    EngineTier::Jump,
+    EngineTier::Batch,
+];
 
 fn tier_sim<P: LeaderElection>(
     protocol: P,
     n: usize,
     rng: Xoshiro256PlusPlus,
-    tier: Tier,
+    tier: EngineTier,
 ) -> CountSimulation<P, Xoshiro256PlusPlus> {
     let mut sim = CountSimulation::new(protocol, n, rng).expect("n >= 2");
-    match tier {
-        Tier::Reference => sim.set_compiled_cache(false),
-        Tier::Compiled => {
-            sim.set_jump_scheduler(false);
-            sim.set_batch_tier(false);
-        }
-        Tier::Jump => sim.set_batch_tier(false),
-        Tier::Batch => sim.force_batch_mode(),
-    }
+    sim.pin_tier(tier).expect("n within the fast tiers' cap");
     sim
 }
 
@@ -56,7 +47,7 @@ fn stabilization_sample<P: LeaderElection + Clone>(
     n: usize,
     seeds: u64,
     salt: u64,
-    tier: Tier,
+    tier: EngineTier,
 ) -> Vec<f64> {
     let seq = SeedSequence::new(salt);
     (0..seeds)
@@ -137,7 +128,7 @@ fn forced_batch_rounds_exercise_collisions_and_walks() {
     let mut walk_total = 0;
     let seq = SeedSequence::new(500);
     for seed in 0..20 {
-        let mut sim = tier_sim(Fratricide, 32, seq.rng_at(seed), Tier::Batch);
+        let mut sim = tier_sim(Fratricide, 32, seq.rng_at(seed), EngineTier::Batch);
         let out = sim.run_until_single_leader(u64::MAX);
         assert!(out.converged);
         assert_eq!(sim.leader_count(), 1);
@@ -210,33 +201,59 @@ fn unbounded_lottery_keeps_fast_tiers_at_2_20() {
     );
 }
 
+/// `UnboundedLottery` that records every state it hands the engine — the
+/// initial state and both successors of every transition — as an oracle
+/// for `distinct_states_seen` that knows nothing of the engine's slots.
+struct Recording<'a> {
+    seen: &'a RefCell<HashSet<LotteryState>>,
+}
+
+impl Protocol for Recording<'_> {
+    type State = LotteryState;
+    type Output = Role;
+
+    fn initial_state(&self) -> LotteryState {
+        let s = UnboundedLottery.initial_state();
+        self.seen.borrow_mut().insert(s);
+        s
+    }
+
+    fn transition(&self, a: &LotteryState, b: &LotteryState) -> (LotteryState, LotteryState) {
+        let (c, d) = UnboundedLottery.transition(a, b);
+        self.seen.borrow_mut().extend([c, d]);
+        (c, d)
+    }
+
+    fn output(&self, s: &LotteryState) -> Role {
+        UnboundedLottery.output(s)
+    }
+}
+
 #[test]
 fn compaction_keeps_distinct_state_count_exact() {
     // distinct_states_seen is the Table-1 "states used" metric; compaction
-    // must not recount states that die and are later revisited. Compare a
-    // compacting run against a compaction-free twin on the same RNG stream:
-    // compaction consumes no randomness, so the executions are identical.
-    use population_protocols::engine::EngineConfig;
-    let n = 1 << 14;
-    let run = |compaction: bool| {
-        let rng = Xoshiro256PlusPlus::seed_from_u64(7);
-        let config = EngineConfig {
-            compaction,
-            ..EngineConfig::default()
-        };
-        let mut sim =
-            CountSimulation::with_config(UnboundedLottery, n, rng, config).expect("n >= 2");
-        // Heuristic tiers off: jump/batch draw differently once engaged,
-        // and this twin comparison needs identical RNG consumption.
-        sim.set_jump_scheduler(false);
-        sim.set_batch_tier(false);
-        sim.run(3 * n as u64);
-        (sim.distinct_states_seen(), sim.state_counts(), sim.steps())
-    };
-    let (seen_on, counts_on, steps_on) = run(true);
-    let (seen_off, counts_off, steps_off) = run(false);
-    assert_eq!(steps_on, steps_off);
-    assert_eq!(seen_on, seen_off, "compaction distorted the Table-1 metric");
-    assert_eq!(counts_on, counts_off, "compaction distorted the execution");
-    assert!(seen_on > 1000, "workload too small to exercise compaction");
+    // reclaims the slots of dead states but must neither forget them nor
+    // recount one that is later revisited. At n = 2^10 over 30n
+    // interactions the lottery's live support stays a few dozen states
+    // while hundreds die, so reviews compact repeatedly.
+    let seen = RefCell::new(HashSet::new());
+    let n = 1 << 10;
+    let rng = Xoshiro256PlusPlus::seed_from_u64(7);
+    let mut sim = CountSimulation::new(Recording { seen: &seen }, n, rng).expect("n >= 2");
+    sim.run(30 * n as u64);
+    assert!(
+        sim.raw_counts().len() < sim.distinct_states_seen(),
+        "compaction never fired: {} live slots for {} states seen",
+        sim.raw_counts().len(),
+        sim.distinct_states_seen()
+    );
+    assert_eq!(
+        sim.distinct_states_seen(),
+        seen.borrow().len(),
+        "compaction distorted the Table-1 metric"
+    );
+    assert!(
+        seen.borrow().len() > 100,
+        "workload too small to exercise compaction"
+    );
 }

@@ -1,0 +1,168 @@
+//! Known-answer test for the count engine's batched drivers.
+//!
+//! `run(k·n)` and `run_until_single_leader(max)` share one dispatch loop,
+//! in which jump/batch budgets and tier-review points are part of the
+//! trajectory. This suite pins both drivers' exact outcome — step count,
+//! final configuration, distinct states seen, and the next word the
+//! generator would emit — for three protocols at two population sizes,
+//! under the default heuristics and under each of the four tier pins. The
+//! expected values were recorded before the two drivers were merged; any
+//! change to any tier's RNG consumption shows up here.
+
+use population_protocols::core::Pll;
+use population_protocols::engine::EngineTier::{self, Batch, Compiled, Jump, Reference};
+use population_protocols::engine::{CountSimulation, LeaderElection};
+use population_protocols::protocols::{Fratricide, UnboundedLottery};
+use population_protocols::rand::{Rng64, Xoshiro256PlusPlus};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+/// A generator shared with the engine, so the test can read the stream's
+/// next word after a run.
+#[derive(Clone)]
+struct Tap(Rc<RefCell<Xoshiro256PlusPlus>>);
+
+impl Rng64 for Tap {
+    fn next_u64(&mut self) -> u64 {
+        self.0.borrow_mut().next_u64()
+    }
+}
+
+/// `(steps, converged, counts hash, distinct states seen, next RNG word)`.
+type Fingerprint = (u64, bool, u64, usize, u64);
+
+/// Runs `run(8n)` (`elect == None`) or `run_until_single_leader(max)`.
+fn fingerprint<P: LeaderElection>(
+    protocol: P,
+    n: usize,
+    pin: Option<EngineTier>,
+    elect: Option<u64>,
+) -> Fingerprint {
+    let rng = Xoshiro256PlusPlus::seed_from_u64(0x5eed ^ n as u64);
+    let tap = Tap(Rc::new(RefCell::new(rng)));
+    let mut sim = CountSimulation::new(protocol, n, tap.clone()).expect("n >= 2");
+    if let Some(tier) = pin {
+        sim.pin_tier(tier).expect("n within the fast tiers' cap");
+    }
+    let converged = match elect {
+        None => {
+            sim.run(8 * n as u64);
+            false
+        }
+        Some(max) => sim.run_until_single_leader(max).converged,
+    };
+    // FNV-1a over the sorted `state=count` rows.
+    let counts = sim.state_counts();
+    let mut rows: Vec<String> = counts.iter().map(|(s, c)| format!("{s:?}={c}")).collect();
+    rows.sort_unstable();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in rows.concat().bytes() {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+    let seen = sim.distinct_states_seen();
+    let next_word = tap.0.borrow_mut().next_u64();
+    (sim.steps(), converged, hash, seen, next_word)
+}
+
+/// Every fingerprint of the suite with its label, in [`EXPECTED`] order.
+fn all_fingerprints() -> Vec<(String, Fingerprint)> {
+    let mut out = Vec::new();
+    for n in [1usize << 8, 1 << 14] {
+        for pin in [
+            None,
+            Some(Reference),
+            Some(Compiled),
+            Some(Jump),
+            Some(Batch),
+        ] {
+            let budget = if n <= 256 { u64::MAX } else { 48 * n as u64 };
+            for elect in [None, Some(budget)] {
+                let tag = |name: &str| format!("{name} n={n} pin={pin:?} elect={elect:?}");
+                out.push((tag("fratricide"), fingerprint(Fratricide, n, pin, elect)));
+                out.push((
+                    tag("ulottery"),
+                    fingerprint(UnboundedLottery, n, pin, elect),
+                ));
+                let pll = Pll::for_population(n).expect("n >= 2");
+                out.push((tag("pll"), fingerprint(pll, n, pin, elect)));
+            }
+        }
+    }
+    out
+}
+
+/// Recorded [`Fingerprint`]s, labelled as in [`all_fingerprints`].
+#[rustfmt::skip]
+const EXPECTED: [Fingerprint; 60] = [
+    (2048, false, 0xde5abbbda0024b62, 2, 0x4d886902b271f58e), // fratricide n=256 pin=None run
+    (2048, false, 0x3e642dd31c1b261e, 197, 0xc833fe1fb0ca55ce), // ulottery n=256 pin=None run
+    (2048, false, 0xe19d5ba32addddf6, 52, 0xc833fe1fb0ca55ce), // pll n=256 pin=None run
+    (59061, true, 0x777b070b5d4822cf, 2, 0xbfc15591f528bd06), // fratricide n=256 pin=None elect
+    (2706, true, 0x2de797117927e2e3, 222, 0x49887a33e8e7d200), // ulottery n=256 pin=None elect
+    (2325, true, 0xb7ddf5aac0e4a01b, 56, 0x120fa793dbe4be00), // pll n=256 pin=None elect
+    (2048, false, 0x989fbacf6a6dab87, 2, 0xc833fe1fb0ca55ce), // fratricide n=256 pin=Some(Reference) run
+    (2048, false, 0x3e642dd31c1b261e, 197, 0xc833fe1fb0ca55ce), // ulottery n=256 pin=Some(Reference) run
+    (2048, false, 0xe19d5ba32addddf6, 52, 0xc833fe1fb0ca55ce), // pll n=256 pin=Some(Reference) run
+    (77170, true, 0x777b070b5d4822cf, 2, 0xcf43bd1e110ee02b), // fratricide n=256 pin=Some(Reference) elect
+    (2960, true, 0x1eac842d49e17e7b, 219, 0xafe2dd577502a05b), // ulottery n=256 pin=Some(Reference) elect
+    (2325, true, 0xb7ddf5aac0e4a01b, 56, 0x120fa793dbe4be00), // pll n=256 pin=Some(Reference) elect
+    (2048, false, 0x989fbacf6a6dab87, 2, 0xc833fe1fb0ca55ce), // fratricide n=256 pin=Some(Compiled) run
+    (2048, false, 0x3e642dd31c1b261e, 197, 0xc833fe1fb0ca55ce), // ulottery n=256 pin=Some(Compiled) run
+    (2048, false, 0xe19d5ba32addddf6, 52, 0xc833fe1fb0ca55ce), // pll n=256 pin=Some(Compiled) run
+    (77170, true, 0x777b070b5d4822cf, 2, 0xcf43bd1e110ee02b), // fratricide n=256 pin=Some(Compiled) elect
+    (2960, true, 0x1eac842d49e17e7b, 219, 0xafe2dd577502a05b), // ulottery n=256 pin=Some(Compiled) elect
+    (2325, true, 0xb7ddf5aac0e4a01b, 56, 0x120fa793dbe4be00), // pll n=256 pin=Some(Compiled) elect
+    (2048, false, 0xfd0d6455c61fbdd2, 2, 0xef60be3d7ba0c5f1), // fratricide n=256 pin=Some(Jump) run
+    (2048, false, 0x333e36889bab0253, 199, 0x59d9701f9e9dbd7b), // ulottery n=256 pin=Some(Jump) run
+    (2048, false, 0xe6e3388283ce75b7, 46, 0x5a0c6ab70103b341), // pll n=256 pin=Some(Jump) run
+    (88460, true, 0x777b070b5d4822cf, 2, 0x3ea6d7b2ffd60b09), // fratricide n=256 pin=Some(Jump) elect
+    (1934, true, 0x855c4bbe23cb2a9f, 196, 0xd275a3ba4eb2940b), // ulottery n=256 pin=Some(Jump) elect
+    (2124, true, 0xfc8c0d9697c592d6, 47, 0x2ffb55307b58886f), // pll n=256 pin=Some(Jump) elect
+    (2048, false, 0x8c970c6ddc602557, 2, 0x7f0a87167d84113f), // fratricide n=256 pin=Some(Batch) run
+    (2048, false, 0xb500dba2b0fe04a7, 178, 0x82a4402e0a72ccf2), // ulottery n=256 pin=Some(Batch) run
+    (2048, false, 0xc7413e2b237c0455, 52, 0xffa9843fee9e3d8b), // pll n=256 pin=Some(Batch) run
+    (42535, true, 0x777b070b5d4822cf, 2, 0xdbb37c789c9a4bf5), // fratricide n=256 pin=Some(Batch) elect
+    (2396, true, 0xc2025068aa17e162, 205, 0xaeac9403db086cb9), // ulottery n=256 pin=Some(Batch) elect
+    (38562, true, 0xa0b2505abf6a7432, 375, 0xd266bb33db2ea9d4), // pll n=256 pin=Some(Batch) elect
+    (131072, false, 0x3f06b1dc9d2cdcd2, 2, 0x6001a851559b0412), // fratricide n=16384 pin=None run
+    (131072, false, 0x2ee115d78c3602c0, 1892, 0x5cbc7db9e34835fb), // ulottery n=16384 pin=None run
+    (131072, false, 0x23e77c536ac9208a, 76, 0x5735cdbcfd0ed5fa), // pll n=16384 pin=None run
+    (786432, false, 0x1af6445f05fcd66b, 2, 0xed8d82eb0f9ec1a3), // fratricide n=16384 pin=None elect
+    (207729, true, 0x9522e1859ef30880, 1928, 0x6f629b7cf0b7f082), // ulottery n=16384 pin=None elect
+    (257514, true, 0xfbec98a0074d2937, 93, 0xf892ba16ad9a1efe), // pll n=16384 pin=None elect
+    (131072, false, 0xe06ec88bf584afd1, 2, 0x374dce6e01b3523c), // fratricide n=16384 pin=Some(Reference) run
+    (131072, false, 0x24c520335820a992, 1762, 0x374dce6e01b3523c), // ulottery n=16384 pin=Some(Reference) run
+    (131072, false, 0x9fa7ee5affee932b, 71, 0x374dce6e01b3523c), // pll n=16384 pin=Some(Reference) run
+    (786432, false, 0x4f3319a3a5039ada, 2, 0x82a7c24277d7b360), // fratricide n=16384 pin=Some(Reference) elect
+    (195504, true, 0xf41e3c19d07c3ca6, 1807, 0x02b998cc68be7f33), // ulottery n=16384 pin=Some(Reference) elect
+    (233864, true, 0x203c56ac500461eb, 89, 0x7a0a6d694f683b94), // pll n=16384 pin=Some(Reference) elect
+    (131072, false, 0xe06ec88bf584afd1, 2, 0x374dce6e01b3523c), // fratricide n=16384 pin=Some(Compiled) run
+    (131072, false, 0x24c520335820a992, 1762, 0x374dce6e01b3523c), // ulottery n=16384 pin=Some(Compiled) run
+    (131072, false, 0x9fa7ee5affee932b, 71, 0x374dce6e01b3523c), // pll n=16384 pin=Some(Compiled) run
+    (786432, false, 0x4f3319a3a5039ada, 2, 0x82a7c24277d7b360), // fratricide n=16384 pin=Some(Compiled) elect
+    (195504, true, 0xf41e3c19d07c3ca6, 1807, 0x02b998cc68be7f33), // ulottery n=16384 pin=Some(Compiled) elect
+    (233864, true, 0x203c56ac500461eb, 89, 0x7a0a6d694f683b94), // pll n=16384 pin=Some(Compiled) elect
+    (131072, false, 0x7bdb74d8655c2c2c, 2, 0xf2ae7c52206460f9), // fratricide n=16384 pin=Some(Jump) run
+    (131072, false, 0xf3f87c152321c109, 1813, 0x52df981c31788da2), // ulottery n=16384 pin=Some(Jump) run
+    (131072, false, 0xa14bf557f6b77498, 74, 0xa57f1c75ebd2b9d4), // pll n=16384 pin=Some(Jump) run
+    (786432, false, 0xb8c5566c84650916, 2, 0x755e091439b7c801), // fratricide n=16384 pin=Some(Jump) elect
+    (288127, true, 0x353707921a0f634e, 1935, 0x56ef0c4da8257de3), // ulottery n=16384 pin=Some(Jump) elect
+    (257235, true, 0x1832ebcec270897f, 97, 0x190deab844baf79a), // pll n=16384 pin=Some(Jump) elect
+    (131072, false, 0x53b39264ad74e858, 2, 0x4275005f3ec0ba78), // fratricide n=16384 pin=Some(Batch) run
+    (131072, false, 0x00f61375554c3b2b, 1807, 0x1f4f9fa59a3b2a27), // ulottery n=16384 pin=Some(Batch) run
+    (131072, false, 0xbe03a5f373130591, 66, 0x48d7e41e6f0cdc46), // pll n=16384 pin=Some(Batch) run
+    (786432, false, 0x4f3319a3a5039ada, 2, 0x32cc7f95a952bc3e), // fratricide n=16384 pin=Some(Batch) elect
+    (228775, true, 0xc991172cd32acfb9, 1866, 0xefc1a8b2c4986bbc), // ulottery n=16384 pin=Some(Batch) elect
+    (786432, false, 0x7b0db4273f714afc, 162, 0x6deb0b6d5b2d5114), // pll n=16384 pin=Some(Batch) elect
+];
+
+#[test]
+fn drivers_reproduce_recorded_trajectories() {
+    let got = all_fingerprints();
+    assert_eq!(got.len(), EXPECTED.len());
+    let mismatches: Vec<String> = (got.iter().zip(&EXPECTED))
+        .filter(|((_, fp), want)| fp != *want)
+        .map(|((tag, fp), want)| format!("{tag}: got {fp:?}, want {want:?}"))
+        .collect();
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}

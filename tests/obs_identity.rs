@@ -7,50 +7,41 @@
 
 use population_protocols::core::Pll;
 use population_protocols::engine::{
-    CountSimulation, EngineEvent, EngineMetrics, EngineObserver, LeaderElection, SnapshotState,
+    CountSimulation, EngineEvent, EngineMetrics, EngineObserver, EngineTier, LeaderElection,
+    SnapshotState,
 };
 use population_protocols::rand::Xoshiro256PlusPlus;
 use proptest::prelude::*;
 
-/// How a test pins the engine's execution tier.
-#[derive(Debug, Clone, Copy)]
-enum TierMode {
-    Auto,
-    Reference,
-    Jump,
-    Batch,
-}
-
-const MODES: [TierMode; 4] = [
-    TierMode::Auto,
-    TierMode::Reference,
-    TierMode::Jump,
-    TierMode::Batch,
+/// The tier pins under test: heuristic dispatch (`None`) plus the
+/// reference, jump, and batch pins.
+const MODES: [Option<EngineTier>; 4] = [
+    None,
+    Some(EngineTier::Reference),
+    Some(EngineTier::Jump),
+    Some(EngineTier::Batch),
 ];
 
 fn build<P>(
     protocol: P,
     n: usize,
     seed: u64,
-    mode: TierMode,
+    mode: Option<EngineTier>,
 ) -> CountSimulation<P, Xoshiro256PlusPlus>
 where
     P: LeaderElection,
 {
     let rng = Xoshiro256PlusPlus::seed_from_u64(seed);
     let mut sim = CountSimulation::new(protocol, n, rng).expect("n >= 2");
-    match mode {
-        TierMode::Auto => {}
-        TierMode::Reference => sim.set_compiled_cache(false),
-        TierMode::Jump => sim.force_jump_mode(),
-        TierMode::Batch => sim.force_batch_mode(),
+    if let Some(tier) = mode {
+        sim.pin_tier(tier).expect("n within the fast tiers' cap");
     }
     sim
 }
 
 /// Drives an observed twin and a detached twin through the same segments
 /// and asserts every observable — including the snapshot bytes — matches.
-fn assert_observation_invisible<P>(protocol: P, n: usize, seed: u64, mode: TierMode)
+fn assert_observation_invisible<P>(protocol: P, n: usize, seed: u64, mode: Option<EngineTier>)
 where
     P: LeaderElection + Clone,
     P::State: SnapshotState,
@@ -103,14 +94,14 @@ proptest! {
 fn observation_is_invisible_on_the_heuristic_batch_crossover() {
     // n = 2^13 fratricide crosses Compiled → Batch/Jump on its own.
     use population_protocols::protocols::Fratricide;
-    assert_observation_invisible(Fratricide, 1 << 13, 7, TierMode::Auto);
+    assert_observation_invisible(Fratricide, 1 << 13, 7, None);
 }
 
 #[test]
 fn metrics_and_events_survive_their_serialized_forms() {
     let n = 1 << 12;
     let protocol = Pll::for_population(n).expect("n >= 2");
-    let mut sim = build(protocol, n, 99, TierMode::Auto);
+    let mut sim = build(protocol, n, 99, None);
     sim.set_observer(EngineObserver::new().with_trajectory(512));
     let _ = sim.run_until_single_leader(200_000);
     let _ = sim.snapshot();
@@ -135,7 +126,7 @@ fn metrics_and_events_survive_their_serialized_forms() {
 fn metrics_survive_snapshot_resume() {
     let n = 1 << 12;
     let protocol = Pll::for_population(n).expect("n >= 2");
-    let mut sim = build(protocol, n, 17, TierMode::Auto);
+    let mut sim = build(protocol, n, 17, None);
     sim.run(30_000);
     let before = sim.metrics();
     assert_eq!(before.tier_usage.total(), sim.steps());

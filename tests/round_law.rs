@@ -18,7 +18,7 @@
 //!   first rounds, while few states are live) to sequences.
 
 use population_protocols::core::Pll;
-use population_protocols::engine::{BatchStats, CountSimulation, LeaderElection};
+use population_protocols::engine::{BatchStats, CountSimulation, EngineTier, LeaderElection};
 use population_protocols::protocols::Fratricide;
 use population_protocols::rand::{SeedSequence, Xoshiro256PlusPlus};
 use population_protocols::stats::{chi_square_samples, wilson95};
@@ -32,12 +32,12 @@ fn pinned<P: LeaderElection>(
     batch: bool,
 ) -> CountSimulation<P, Xoshiro256PlusPlus> {
     let mut sim = CountSimulation::new(protocol, n, rng).expect("n >= 2");
-    if batch {
-        sim.force_batch_mode();
+    let tier = if batch {
+        EngineTier::Batch
     } else {
-        sim.set_jump_scheduler(false);
-        sim.set_batch_tier(false);
-    }
+        EngineTier::Compiled
+    };
+    sim.pin_tier(tier).expect("n within the batch tier's cap");
     sim
 }
 

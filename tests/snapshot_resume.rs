@@ -8,48 +8,34 @@
 
 use population_protocols::core::Pll;
 use population_protocols::engine::{
-    CountSimulation, LeaderElection, SnapshotError, SnapshotState, SNAPSHOT_VERSION,
+    CountSimulation, EngineTier, LeaderElection, SnapshotError, SnapshotState, SNAPSHOT_VERSION,
 };
 use population_protocols::protocols::{Fratricide, UnboundedLottery};
 use population_protocols::rand::Xoshiro256PlusPlus;
 use proptest::prelude::*;
 
-/// How a test pins the engine's execution tier before cutting.
-#[derive(Debug, Clone, Copy)]
-enum TierMode {
-    /// Heuristic dispatch (compiled, with jump/batch free to engage).
-    Auto,
-    /// Uncached reference tier.
-    Reference,
-    /// Forced null-skipping jump tier.
-    Jump,
-    /// Forced hypergeometric batch tier.
-    Batch,
-}
-
-const MODES: [TierMode; 4] = [
-    TierMode::Auto,
-    TierMode::Reference,
-    TierMode::Jump,
-    TierMode::Batch,
+/// The tier pins under test: heuristic dispatch (`None`) plus the
+/// reference, jump, and batch pins.
+const MODES: [Option<EngineTier>; 4] = [
+    None,
+    Some(EngineTier::Reference),
+    Some(EngineTier::Jump),
+    Some(EngineTier::Batch),
 ];
 
 fn build<P>(
     protocol: P,
     n: usize,
     seed: u64,
-    mode: TierMode,
+    mode: Option<EngineTier>,
 ) -> CountSimulation<P, Xoshiro256PlusPlus>
 where
     P: LeaderElection,
 {
     let rng = Xoshiro256PlusPlus::seed_from_u64(seed);
     let mut sim = CountSimulation::new(protocol, n, rng).expect("n >= 2");
-    match mode {
-        TierMode::Auto => {}
-        TierMode::Reference => sim.set_compiled_cache(false),
-        TierMode::Jump => sim.force_jump_mode(),
-        TierMode::Batch => sim.force_batch_mode(),
+    if let Some(tier) = mode {
+        sim.pin_tier(tier).expect("n within the fast tiers' cap");
     }
     sim
 }
@@ -130,7 +116,7 @@ fn election_outcomes_survive_a_mid_election_cut_on_every_tier() {
     // then race the resumed simulation against the clone to stabilization.
     fn check<P>(
         name: &str,
-        mode: TierMode,
+        mode: Option<EngineTier>,
         twin: &mut CountSimulation<P, Xoshiro256PlusPlus>,
         bytes: &[u8],
         protocol: P,
@@ -188,10 +174,10 @@ fn election_outcomes_survive_a_mid_election_cut_on_every_tier() {
 fn heuristic_tier_transition_is_crossed_transparently() {
     // At n = 2^14 fratricide engages batch/jump on its own; cut right after
     // the transition and again deep inside the engaged tier.
-    let mut sim = build(Fratricide, 1 << 14, 31, TierMode::Auto);
+    let mut sim = build(Fratricide, 1 << 14, 31, None);
     sim.run(1 << 12);
     assert!(
-        sim.batch_engaged() || sim.jump_engaged(),
+        matches!(sim.active_tier(), EngineTier::Batch | EngineTier::Jump),
         "expected a heuristic tier engagement"
     );
     assert_cut_transparent(Fratricide, &sim);
@@ -204,7 +190,7 @@ fn heuristic_tier_transition_is_crossed_transparently() {
 fn snapshot_roundtrip_at_two_to_the_twenty() {
     let n = 1 << 20;
     let protocol = Pll::for_population(n).expect("n >= 2");
-    let mut sim = build(protocol, n, 41, TierMode::Auto);
+    let mut sim = build(protocol, n, 41, None);
     sim.run(200_000);
     let bytes = sim.snapshot();
     let mut twin = sim.clone();
@@ -219,7 +205,7 @@ fn snapshot_roundtrip_at_two_to_the_twenty() {
 
 fn pll_snapshot() -> (Pll, Vec<u8>) {
     let protocol = Pll::for_population(256).expect("n >= 2");
-    let mut sim = build(protocol, 256, 51, TierMode::Auto);
+    let mut sim = build(protocol, 256, 51, None);
     sim.run(2_000);
     (protocol, sim.snapshot())
 }
@@ -276,6 +262,22 @@ fn corrupted_bytes_error_instead_of_panicking() {
     }
 }
 
+/// Decodes a hex fixture.
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex fixture"))
+        .collect()
+}
+
+/// Asserts `bytes` are refused as a snapshot of format version `found`.
+fn assert_refused_as_version(bytes: &[u8], found: u32) {
+    match CountSimulation::<Fratricide, Xoshiro256PlusPlus>::resume(Fratricide, bytes) {
+        Err(SnapshotError::UnsupportedVersion { found: got }) => assert_eq!(got, found),
+        other => panic!("expected UnsupportedVersion {{ found: {found} }}, got {other:?}"),
+    }
+}
+
 /// A version-3 snapshot (the format that still carried the round-law tag
 /// and the segment counter): fratricide, n = 256, seed 42, after 1000
 /// interactions, as the version-3 writer serialized it.
@@ -292,13 +294,28 @@ af97885ae474ea9b19a78e9e0fa36148c5cda802e63f78c5f6a15f2e4a60";
 
 #[test]
 fn version_3_snapshots_are_refused_with_a_typed_error() {
-    let bytes: Vec<u8> = (0..FRATRICIDE_V3.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&FRATRICIDE_V3[i..i + 2], 16).expect("hex fixture"))
-        .collect();
+    let bytes = unhex(FRATRICIDE_V3);
     assert_eq!(bytes.len(), 366);
-    match CountSimulation::<Fratricide, Xoshiro256PlusPlus>::resume(Fratricide, &bytes) {
-        Err(SnapshotError::UnsupportedVersion { found }) => assert_eq!(found, 3),
-        other => panic!("expected UnsupportedVersion {{ found: 3 }}, got {other:?}"),
-    }
+    assert_refused_as_version(&bytes, 3);
+}
+
+/// A version-4 snapshot (the format that still carried the engine-config
+/// section and the enabled/forced tier toggles) of the same execution as
+/// [`FRATRICIDE_V3`], as the version-4 writer serialized it.
+const FRATRICIDE_V4: &str = "\
+5050454e47534e5004000000010029000000000000000010000000000000080000000000000004000000\
+00000000030000000000000000100000000000000102003a000000000000000001000000000000e80300\
+00000000001e04000000000000020000000000000001380000000000000000c800000000000000000000\
+000000000003002e00000000000000010104000000040000000000000000000000001000020000010000\
+10000a010000000100000a010001000110000a040066000000000000000101001b00000000000000cd01\
+000000000000010000000000000000000000000000000000000000000000000000000000000000000000\
+00000000000000000000000000000000000000000000000002000000000000e801000000000000000000\
+00000000000500280000000000000004000000000000003301cda77a3299370207af97885ae474ea9b19\
+a78e9e0fa36148c5cda802e63fd4799d8e0473f5f8";
+
+#[test]
+fn version_4_snapshots_are_refused_with_a_typed_error() {
+    let bytes = unhex(FRATRICIDE_V4);
+    assert_eq!(bytes.len(), 357);
+    assert_refused_as_version(&bytes, 4);
 }
