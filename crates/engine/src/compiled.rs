@@ -157,11 +157,6 @@ impl PairCache {
         self.shift = 0;
     }
 
-    /// Reactivates a cache deactivated by the reference-tier pin.
-    pub(crate) fn reactivate(&mut self) {
-        self.active = true;
-    }
-
     /// Grows the table so ids `< min(states, MAX_COMPILED_STATES)` are
     /// addressable.
     /// Returns whether every id below `states` is addressable (i.e. the
@@ -340,8 +335,8 @@ impl PairCache {
     }
 
     /// Visits every filled entry as `(s, t, entry)` — used to re-seed the
-    /// jump scheduler's null ledger from already-compiled pairs (on a
-    /// mid-run jump pin, on resume, and after compaction).
+    /// jump scheduler's null ledger from already-compiled pairs (on resume
+    /// and after compaction).
     pub(crate) fn for_each_filled(&self, mut f: impl FnMut(usize, usize, u32)) {
         let shift = self.shift;
         for &(s, t) in &self.filled {
@@ -425,9 +420,7 @@ mod tests {
         assert_eq!(c.table_bytes(), 0);
         assert_eq!(c.compiled_pairs(), 0);
         assert!(!c.store(0, 0, 0, 0, 0, true));
-        c.reactivate();
-        assert!(c.ensure_states(4));
-        assert_eq!(c.get(0, 0), EMPTY, "deactivation dropped the entries");
+        assert!(!c.ensure_states(4), "stays off");
     }
 
     #[test]

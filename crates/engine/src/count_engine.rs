@@ -253,8 +253,8 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     /// Test hook: pins the batched drivers ([`run`](Self::run),
     /// [`run_batched`](Self::run_batched),
     /// [`run_until_single_leader`](Self::run_until_single_leader)) to one
-    /// execution tier in place of the engage/exit heuristics, for the rest
-    /// of the execution:
+    /// execution tier in place of the engage/exit heuristics, for the whole
+    /// execution. A pin is set once, before the first interaction:
     ///
     /// * [`Reference`](EngineTier::Reference) — the uncached oracle: every
     ///   step hashes, clones, and calls [`Protocol::transition`]. The cache
@@ -271,12 +271,19 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::PopulationTooLarge`] when pinning the jump or
-    /// batch tier on more than `2^32 − 1` agents (their exact integer pair
-    /// weights are bounded by `n(n−1)`, which must fit a `u64`); the engine
-    /// is left unchanged.
+    /// Returns [`EngineError::LatePin`] once an interaction has executed or
+    /// a tier is already pinned, and [`EngineError::PopulationTooLarge`]
+    /// when pinning the jump or batch tier on more than `2^32 − 1` agents
+    /// (their exact integer pair weights are bounded by `n(n−1)`, which must
+    /// fit a `u64`). On error the engine is left unchanged.
     #[doc(hidden)]
     pub fn pin_tier(&mut self, tier: EngineTier) -> Result<(), EngineError> {
+        if self.steps > 0 || self.tiers.pin.is_some() {
+            return Err(EngineError::LatePin {
+                tier,
+                steps: self.steps,
+            });
+        }
         let fast = matches!(tier, EngineTier::Jump | EngineTier::Batch);
         if fast && self.n > tier::BATCH_MAX_POPULATION {
             return Err(EngineError::PopulationTooLarge {
@@ -285,22 +292,17 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
                 max: tier::BATCH_MAX_POPULATION,
             });
         }
+        // Before the first interaction nothing is compiled or engaged yet.
         self.tiers.pin = Some(tier);
-        self.tiers.jump.engaged = false;
-        self.tiers.jump.ledger.clear();
-        self.tiers.batch.engaged = tier == EngineTier::Batch;
-        if tier == EngineTier::Reference {
-            self.pairs.deactivate();
-            return Ok(());
-        }
-        self.pairs.reactivate();
-        self.pairs.ensure_states(self.states.len());
-        if tier == EngineTier::Jump {
-            self.reseed_jump_ledger();
-            // Unconditional rebuild: episodes trust the ledger's weights
-            // exactly.
-            self.tiers.jump.ledger.rebuild(self.sampler.weights());
-            self.tiers.jump.engaged = true;
+        match tier {
+            EngineTier::Reference => self.pairs.deactivate(),
+            EngineTier::Compiled => {}
+            EngineTier::Jump => {
+                // Episodes trust the ledger's weights exactly.
+                self.tiers.jump.ledger.rebuild(self.sampler.weights());
+                self.tiers.jump.engaged = true;
+            }
+            EngineTier::Batch => self.tiers.batch.engaged = true,
         }
         Ok(())
     }
@@ -419,19 +421,26 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         }
     }
 
-    /// Test hook: executes one per-step interaction (never jumping) and
-    /// returns `(initiator_id, responder_id, changed)` — the drawn ordered
-    /// pair of interned state ids plus the step's non-null flag. The
-    /// deterministic replay suite uses this to reconstruct executions
-    /// pair-for-pair.
+    /// Test hook: [`step`](Self::step) that also returns the drawn ordered
+    /// pair of interned state ids, as `(initiator_id, responder_id,
+    /// changed)`. The deterministic replay suite uses this to reconstruct
+    /// executions pair-for-pair.
+    ///
+    /// The population invariant (`n ≥ 2`, enforced at construction) makes
+    /// the sampling error unreachable; see [`move_agent`](Self::move_agent)
+    /// for why it is absorbed without a panic edge.
     #[doc(hidden)]
+    #[inline]
     pub fn step_traced(&mut self) -> (usize, usize, bool) {
         let Ok((s, t)) = self.sampler.sample_pair_distinct(&mut self.rng) else {
-            unreachable!("population has >= 2 agents");
+            debug_assert!(false, "population has >= 2 agents");
+            return (0, 0, false);
         };
         self.steps += 1;
+        // Per-step execution mutates counts behind the jump scheduler's
+        // back; a stale ledger would make the next episode sample against
+        // wrong weights, so force a rebuild at its next sync.
         if self.tiers.jump.engaged {
-            // Same staleness hazard as in `step`.
             self.tiers.jump.ledger.mark_dirty();
         }
         let (changed, _) = self.apply_pair(s, t);
@@ -446,8 +455,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     }
 
     /// Re-seeds the ledger's known-null set from already-compiled entries
-    /// (when the jump tier is pinned mid-run, on resume, or after compaction
-    /// remapped the id space).
+    /// (on resume, or after compaction remapped the id space).
     fn reseed_jump_ledger(&mut self) {
         if !self.tiers.tracks_nulls() {
             return;
@@ -597,25 +605,11 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         (!null, delta)
     }
 
-    /// Executes one interaction; returns `true` if any state count changed.
-    ///
-    /// The population invariant (`n ≥ 2`, enforced at construction) makes
-    /// the sampling error unreachable; see [`move_agent`](Self::move_agent)
-    /// for why it is absorbed without a panic edge.
+    /// Executes one interaction (never jumping); returns `true` if any
+    /// state count changed.
     #[inline]
     pub fn step(&mut self) -> bool {
-        let Ok((s, t)) = self.sampler.sample_pair_distinct(&mut self.rng) else {
-            debug_assert!(false, "population has >= 2 agents");
-            return false;
-        };
-        self.steps += 1;
-        // Per-step execution mutates counts behind the jump scheduler's
-        // back; a stale ledger would make the next episode sample against
-        // wrong weights, so force a rebuild at its next sync.
-        if self.tiers.jump.engaged {
-            self.tiers.jump.ledger.mark_dirty();
-        }
-        self.apply_pair(s, t).0
+        self.step_traced().2
     }
 
     /// The tier-review interval: short enough to catch small populations
@@ -743,15 +737,14 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         }
     }
 
-    /// Batch engage/disengage heuristics (see [`crate::tier`]); a pin
-    /// holds the flag instead, and the jump scheduler, when engaged,
-    /// preempts batch in dispatch regardless of it.
+    /// Batch engage/disengage heuristics (heuristic dispatch only; see
+    /// [`crate::tier`]). A pin fixes the flag when it is set, and the jump
+    /// scheduler, when engaged, preempts batch in dispatch regardless of it.
     fn review_batch(&mut self) {
-        let batch = &mut self.tiers.batch;
-        if let Some(pin) = self.tiers.pin {
-            batch.engaged = pin == EngineTier::Batch;
+        if self.tiers.pin.is_some() {
             return;
         }
+        let batch = &mut self.tiers.batch;
         let was = batch.engaged;
         if was {
             if tier::batch_exits(self.support, self.n) {
@@ -1084,7 +1077,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             // Sampled invariant check: once per dispatch, not per step.
             debug_assert!(leaders
                 .as_deref()
-                .map_or(true, |&l| l == self.flagged_leaders()));
+                .map_or(true, |&l| l == self.output_leaders()));
         }
     }
 
@@ -1165,13 +1158,16 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         self.steps - start
     }
 
-    /// The leader count read from the primed leader flags (debug invariant
-    /// checks of the dispatch loop).
-    fn flagged_leaders(&self) -> i64 {
-        self.leader_flags
+    /// The leader count read from the protocol outputs, independently of
+    /// the leader flags and the cached deltas built from them (debug
+    /// invariant checks of the dispatch loop).
+    fn output_leaders(&self) -> i64 {
+        let leader = self.leader_output.as_ref();
+        self.outputs
             .iter()
             .zip(self.sampler.weights())
-            .map(|(&flag, &w)| i64::from(flag) * w as i64)
+            .filter(|&(output, _)| Some(output) == leader)
+            .map(|(_, &w)| w as i64)
             .sum()
     }
 
@@ -1919,15 +1915,26 @@ mod tests {
 
     #[test]
     fn disabling_batch_tier_disengages() {
-        let mut sim = CountSimulation::new(Frat, 1 << 14, rng(21)).unwrap();
-        sim.run(1 << 12);
-        assert_eq!(sim.active_tier(), EngineTier::Batch);
-        sim.pin_tier(EngineTier::Compiled).unwrap();
-        assert_eq!(sim.active_tier(), EngineTier::Compiled);
-        let before = sim.metrics().batch.episodes;
-        sim.run(1 << 12);
-        assert_eq!(sim.metrics().batch.episodes, before);
-        assert_eq!(sim.active_tier(), EngineTier::Compiled);
+        // Heuristic dispatch engages batch here; a pin after the first
+        // interaction is refused and changes nothing.
+        let mut free = CountSimulation::new(Frat, 1 << 14, rng(21)).unwrap();
+        free.run(1 << 12);
+        assert_eq!(free.active_tier(), EngineTier::Batch);
+        let late = free.pin_tier(EngineTier::Compiled);
+        let expected = EngineError::LatePin {
+            tier: EngineTier::Compiled,
+            steps: 1 << 12,
+        };
+        assert_eq!(late, Err(expected));
+        assert_eq!(free.active_tier(), EngineTier::Batch);
+        // The compiled pin, set up front, keeps batch out for good; a second
+        // pin is refused too.
+        let mut pinned = CountSimulation::new(Frat, 1 << 14, rng(21)).unwrap();
+        pinned.pin_tier(EngineTier::Compiled).unwrap();
+        assert!(pinned.pin_tier(EngineTier::Batch).is_err());
+        pinned.run(1 << 13);
+        assert_eq!(pinned.metrics().batch.episodes, 0);
+        assert_eq!(pinned.active_tier(), EngineTier::Compiled);
     }
 
     #[test]

@@ -36,6 +36,14 @@ pub enum EngineError {
         /// The tier's largest supported population.
         max: u64,
     },
+    /// A tier pin came after the first interaction or after another pin: a
+    /// pin holds for a whole execution, so it is set once, up front.
+    LatePin {
+        /// The tier that was requested.
+        tier: EngineTier,
+        /// Interactions already executed.
+        steps: u64,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -53,6 +61,10 @@ impl fmt::Display for EngineError {
             EngineError::PopulationTooLarge { tier, n, max } => write!(
                 f,
                 "population of {n} agents exceeds the {tier} tier's cap of {max}"
+            ),
+            EngineError::LatePin { tier, steps } => write!(
+                f,
+                "cannot pin the {tier} tier at step {steps}: a tier is pinned once, before the first interaction"
             ),
         }
     }
@@ -78,6 +90,11 @@ mod tests {
             max: u64::from(u32::MAX),
         };
         assert!(e.to_string().contains("batch tier"));
+        let e = EngineError::LatePin {
+            tier: EngineTier::Jump,
+            steps: 5,
+        };
+        assert!(e.to_string().contains("jump tier at step 5"));
     }
 
     #[test]

@@ -114,8 +114,7 @@ impl NullLedger {
         self.dirty
     }
 
-    /// Forgets everything (used when the compiled cache deactivates or the
-    /// scheduler is turned off).
+    /// Forgets everything (used when compaction remaps the id space).
     pub(crate) fn clear(&mut self) {
         self.pairs.clear();
         self.weights.clear();

@@ -2,7 +2,8 @@
 //! law**: identical stabilization-time distributions across the reference
 //! (uncached), compiled, jump, and batch tiers, pinned by chi-square
 //! homogeneity over pooled-quantile bins for the paper's own `P_LL`,
-//! fratricide, and the state-unbounded lottery.
+//! fratricide, and the state-unbounded lottery. The jump tier is covered
+//! twice: engaging and exiting under heuristic dispatch, and pinned.
 //!
 //! The batch tier is additionally exercised far outside its heuristic
 //! engagement envelope (tiny populations force rounds of a handful of
@@ -22,22 +23,29 @@ use population_protocols::stats::{chi_square_samples, wilson95};
 use std::cell::RefCell;
 use std::collections::HashSet;
 
-/// The four execution tiers under comparison, each pinned for the whole run.
-const TIERS: [EngineTier; 4] = [
-    EngineTier::Reference,
-    EngineTier::Compiled,
-    EngineTier::Jump,
-    EngineTier::Batch,
+/// The columns under comparison: the reference and compiled pins,
+/// heuristic dispatch (`None`), the batch pin, and the jump pin. Every
+/// population here is below the batch tier's floor, so heuristic dispatch
+/// is the jump tier engaging and exiting on its own (with compaction on the
+/// unbounded lottery), while the jump pin holds it engaged from step 0.
+const TIERS: [Option<EngineTier>; 5] = [
+    Some(EngineTier::Reference),
+    Some(EngineTier::Compiled),
+    None,
+    Some(EngineTier::Batch),
+    Some(EngineTier::Jump),
 ];
 
 fn tier_sim<P: LeaderElection>(
     protocol: P,
     n: usize,
     rng: Xoshiro256PlusPlus,
-    tier: EngineTier,
+    tier: Option<EngineTier>,
 ) -> CountSimulation<P, Xoshiro256PlusPlus> {
     let mut sim = CountSimulation::new(protocol, n, rng).expect("n >= 2");
-    sim.pin_tier(tier).expect("n within the fast tiers' cap");
+    if let Some(tier) = tier {
+        sim.pin_tier(tier).expect("n within the fast tiers' cap");
+    }
     sim
 }
 
@@ -47,7 +55,7 @@ fn stabilization_sample<P: LeaderElection + Clone>(
     n: usize,
     seeds: u64,
     salt: u64,
-    tier: EngineTier,
+    tier: Option<EngineTier>,
 ) -> Vec<f64> {
     let seq = SeedSequence::new(salt);
     (0..seeds)
@@ -62,9 +70,10 @@ fn stabilization_sample<P: LeaderElection + Clone>(
         .collect()
 }
 
-/// Chi-square homogeneity of the four tiers' stabilization-time samples,
-/// plus a Wilson-interval cross-check of the batch tier's probability of
-/// stabilizing within the pooled median budget.
+/// Chi-square homogeneity of the [`TIERS`] columns' stabilization-time
+/// samples, plus a Wilson-interval cross-check of the batch tier's
+/// probability of stabilizing within the pooled median budget of the
+/// reference, compiled and heuristic columns.
 fn assert_four_tier_equivalence<P: LeaderElection + Clone>(
     protocol: P,
     n: usize,
@@ -80,13 +89,13 @@ fn assert_four_tier_equivalence<P: LeaderElection + Clone>(
     let c = chi_square_samples(&refs, bins);
     assert!(
         c.accepts(0.001),
-        "four-tier histograms diverge: chi2 = {:.2}, df = {}",
+        "tier histograms diverge: chi2 = {:.2}, df = {}",
         c.statistic,
         c.df
     );
 
     // Binomial cross-check at a sensitive quantile: P(T <= pooled median)
-    // must agree between the batch tier and the three established tiers.
+    // must agree between the batch pin and the three established columns.
     let mut pooled: Vec<f64> = samples[..3].iter().flatten().copied().collect();
     pooled.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
     let budget = pooled[pooled.len() / 2];
@@ -128,7 +137,7 @@ fn forced_batch_rounds_exercise_collisions_and_walks() {
     let mut walk_total = 0;
     let seq = SeedSequence::new(500);
     for seed in 0..20 {
-        let mut sim = tier_sim(Fratricide, 32, seq.rng_at(seed), EngineTier::Batch);
+        let mut sim = tier_sim(Fratricide, 32, seq.rng_at(seed), Some(EngineTier::Batch));
         let out = sim.run_until_single_leader(u64::MAX);
         assert!(out.converged);
         assert_eq!(sim.leader_count(), 1);
