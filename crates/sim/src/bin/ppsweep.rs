@@ -156,6 +156,15 @@ impl Cli {
             return Err("--ns must list at least one size".into());
         }
         let dir = dir.ok_or("--dir is required")?;
+        if seeds >= 1 << 32 {
+            return Err("--seeds must be below 2^32".into());
+        }
+        if worker.is_some_and(|k| k >= MAX_SHARDS) {
+            return Err(format!("--worker must be below {MAX_SHARDS}"));
+        }
+        if shards.is_some_and(|k| k == 0 || k > MAX_SHARDS) {
+            return Err(format!("--shards must be in 1..={MAX_SHARDS}"));
+        }
         let spec = FabricSpec {
             protocol,
             ns,
@@ -166,16 +175,11 @@ impl Cli {
         };
         let mode = match (worker, shards, spawn, merge) {
             (Some(shard), None, false, false) => Mode::Worker { shard, job_limit },
-            (None, Some(shards), true, false) => {
-                if shards == 0 || shards > MAX_SHARDS {
-                    return Err(format!("--shards must be in 1..={MAX_SHARDS}"));
-                }
-                Mode::Orchestrate {
-                    shards,
-                    threads_per_worker: threads_per_worker.max(1),
-                    retry_rounds,
-                }
-            }
+            (None, Some(shards), true, false) => Mode::Orchestrate {
+                shards,
+                threads_per_worker: threads_per_worker.max(1),
+                retry_rounds,
+            },
             (None, Some(shards), false, true) => Mode::Merge { shards },
             (None, None, false, false) => Mode::Sequential,
             _ => {
@@ -457,4 +461,32 @@ fn finish(cli: &Cli, points: &[SweepPoint], metrics: &str) -> std::io::Result<()
     }
     print!("{}", table.to_aligned());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &str) -> Result<Cli, String> {
+        Cli::parse(args.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn out_of_range_seeds_and_shards_are_usage_errors() {
+        // Both used to reach an assert and abort the process.
+        let err = parse("--ns 64 --dir d --seeds 4294967296").err();
+        assert_eq!(err.as_deref(), Some("--seeds must be below 2^32"));
+        assert!(parse("--ns 64 --dir d --seeds 4294967295").is_ok());
+        let err = parse("--ns 64 --dir d --worker 5000").err();
+        assert_eq!(err, Some(format!("--worker must be below {MAX_SHARDS}")));
+        let last = format!("--ns 64 --dir d --worker {}", MAX_SHARDS - 1);
+        assert!(matches!(
+            parse(&last).map(|c| c.mode),
+            Ok(Mode::Worker { .. })
+        ));
+        for mode in ["--spawn", "--merge"] {
+            let err = parse(&format!("--ns 64 --dir d --shards 5000 {mode}")).err();
+            assert_eq!(err, Some(format!("--shards must be in 1..={MAX_SHARDS}")));
+        }
+    }
 }

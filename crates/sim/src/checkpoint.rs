@@ -1,12 +1,12 @@
-//! Crash-recoverable sweep shards: per-job journals plus mid-job engine
-//! snapshots.
+//! Crash-recoverable sweeps: the block journal, the one block driver every
+//! durable sweep runs on, and mid-job engine snapshots.
 //!
-//! A checkpointed sweep records progress in a *journal* — a line-oriented
-//! text file listing every completed job with its exact result — and,
+//! A durable sweep records progress in a *journal* — a line-oriented text
+//! file listing every completed job with its exact result — and,
 //! optionally, periodic [`CountSimulation::snapshot`]s of jobs still in
-//! flight. Killing the process at any point loses at most the work since the
-//! last journal append / snapshot; rerunning the same sweep with the same
-//! checkpoint directory picks up where it left off.
+//! flight. Killing the process at any point loses at most the work since
+//! the last journal append / snapshot; rerunning the same sweep with the
+//! same checkpoint directory picks up where it left off.
 //!
 //! # Journal format (`ppsweep v3`)
 //!
@@ -17,14 +17,21 @@
 //! * `block <start> <len>` — a block marker: the `len` `done` records of
 //!   block `[start, start + len)` follow as one appended block.
 //!
-//! In the default block mode (no snapshot interval) the unit of crash
-//! recovery is the **block** of [`crate::sweep_lane_width`] seeds: each
-//! [`parallel_map`] worker runs a whole block, seed by seed, and journals
-//! it in a single buffered append. A block missing *any* record (e.g. its
-//! append was torn by a crash) reruns whole on resume — runs are
-//! deterministic, so rerun seeds rewrite identical records. The job limit
-//! is block-granular: pending blocks are taken until the planned fresh
-//! jobs reach the limit (overshooting by at most `block − 1`).
+//! # The block driver
+//!
+//! [`drive_blocks`] is the one loop behind every durable sweep: both modes
+//! of [`stabilization_sweep_checkpointed`] and the fabric's
+//! [`run_worker_shard`]. It selects pending blocks (any record missing) in
+//! job order until the planned fresh jobs reach the job limit —
+//! deterministic, overshooting by at most `block − 1` jobs — runs them
+//! largest-`n`-first ([`cost_order`]) on [`parallel_map`], and appends each
+//! finished block, marker plus records, in one buffered write through
+//! [`render_block`], so a crash tears at most the final block. A block
+//! missing any record reruns whole on resume; runs are deterministic, so
+//! rerun seeds rewrite identical records. A block is
+//! [`crate::sweep_lane_width`] seeds in the default block mode and one seed
+//! in snapshot-interval mode, so each snapshot captures exactly one run
+//! (older interval journals hold bare `done` lines, which load the same).
 //!
 //! # Determinism contract
 //!
@@ -49,8 +56,12 @@
 //!
 //! [`stabilization_sweep`]: crate::stabilization_sweep
 //! [`parallel_map`]: crate::parallel_map
+//! [`run_worker_shard`]: crate::fabric::run_worker_shard
 
-use crate::runner::{aggregate_points, run_bundle, sweep_bundles, sweep_jobs, SweepPoint};
+use crate::runner::{
+    aggregate_points, check_seeds, cost_order, parallel_map, run_bundle, sweep_bundles,
+    SweepBundle, SweepPoint,
+};
 use pp_engine::{CountSimulation, LeaderElection, SnapshotState};
 use pp_rand::Xoshiro256PlusPlus;
 use std::collections::HashMap;
@@ -76,14 +87,14 @@ pub struct CheckpointConfig {
     /// Snapshot in-flight jobs every this many simulation steps (rounded to
     /// the next absolute multiple). `None` — the default — journals only
     /// completed blocks, which keeps the sweep bit-identical to the
-    /// uncheckpointed one; `Some` claims and journals job by job so each
-    /// snapshot captures exactly one run.
+    /// uncheckpointed one; `Some` runs width-1 blocks so each snapshot
+    /// captures exactly one run.
     pub snapshot_interval: Option<u64>,
     /// Stop after completing this many *fresh* (not journaled) jobs and
     /// report [`SweepStatus::Suspended`]. `None` runs to completion. Used to
     /// bound a shard's work — and by the tests to simulate crashes at
-    /// deterministic points. In block mode the limit is block-granular: the
-    /// last block taken may overshoot it by up to `block − 1` jobs.
+    /// deterministic points. The limit is block-granular: the last block
+    /// taken may overshoot it by up to `block − 1` jobs.
     pub job_limit: Option<usize>,
 }
 
@@ -131,8 +142,9 @@ pub enum SweepStatus {
 ///
 /// # Errors
 ///
-/// Any journal / snapshot I/O error, or a journal whose fingerprint does not
-/// match the given parameters.
+/// `InvalidInput` when `seeds ≥ 2^32`; otherwise the first journal /
+/// snapshot I/O error, or a journal whose fingerprint does not match the
+/// given parameters.
 pub fn stabilization_sweep_checkpointed<P, F>(
     make: F,
     ns: &[usize],
@@ -157,8 +169,8 @@ where
     )
 }
 
-/// [`stabilization_sweep_checkpointed`] in blocks of `block` seeds (ignored
-/// in snapshot-interval mode, which journals job by job).
+/// [`stabilization_sweep_checkpointed`] in blocks of `block` seeds (one
+/// seed per block in snapshot-interval mode).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep_checkpointed_blocks<P, F>(
     make: F,
@@ -174,130 +186,169 @@ where
     P::State: SnapshotState,
     F: Fn(usize) -> P + Sync,
 {
-    let jobs = sweep_jobs(ns, seeds, master_seed);
-    let block_mode = ckpt.snapshot_interval.is_none().then_some(block);
+    check_seeds(seeds)?;
+    // Interval mode fingerprints the mode, not a width: its blocks are
+    // always one seed wide.
+    let (width, block_mode) = match ckpt.snapshot_interval {
+        Some(_) => (1, None),
+        None => (block, Some(block)),
+    };
     let fp = fingerprint(ns, seeds, master_seed, max_steps, block_mode);
     std::fs::create_dir_all(&ckpt.dir)?;
     let journal_path = ckpt.dir.join(JOURNAL_FILE);
-    let mut done = load_journal(&journal_path, fp, jobs.len())?;
-
-    let fresh_jobs = match ckpt.snapshot_interval {
-        Some(interval) => {
-            let pending: Vec<usize> = (0..jobs.len()).filter(|i| !done.contains_key(i)).collect();
-            let budget = ckpt.job_limit.unwrap_or(usize::MAX).min(pending.len());
-            let to_run = &pending[..budget];
-            if !to_run.is_empty() {
-                let journal = Mutex::new(open_journal_for_append(&journal_path, fp)?);
-                let fresh = crate::parallel_map(to_run, |&i| {
-                    let (n, seed) = jobs[i];
-                    let snapshot_path = job_snapshot_path(&ckpt.dir, i);
-                    let (converged, time) =
-                        run_job(&make, n, seed, max_steps, interval, &snapshot_path);
-                    // Journal the result before discarding the snapshot, so a
-                    // crash between the two at worst redoes a completed job.
-                    {
-                        let mut file = journal.lock().expect("journal writers do not panic");
-                        writeln!(
-                            file,
-                            "done {i} {} {:016x}",
-                            u8::from(converged),
-                            time.to_bits()
-                        )
-                        .and_then(|()| file.flush())
-                        .expect("journal append failed");
-                    }
-                    let _ = std::fs::remove_file(&snapshot_path);
-                    (i, (converged, time))
-                });
-                done.extend(fresh);
+    let total = ns.len() * seeds as usize;
+    let mut done = load_journal(&journal_path, fp, total)?;
+    let bundles = sweep_bundles(ns, seeds, master_seed, width);
+    let (fresh_jobs, _) = drive_blocks(
+        &bundles,
+        &mut done,
+        ckpt.job_limit,
+        &journal_path,
+        fp,
+        |bundle| match ckpt.snapshot_interval {
+            None => Ok(Some(run_bundle(&make, bundle.n, &bundle.seeds, max_steps))),
+            Some(interval) => run_job(&make, bundle, max_steps, interval, &ckpt.dir)
+                .map(|result| Some(vec![result])),
+        },
+        // A job's snapshot goes only once the job is journaled, so a crash
+        // between the two at worst redoes a finished job.
+        |bundle, _| {
+            if ckpt.snapshot_interval.is_some() {
+                let _ = std::fs::remove_file(job_snapshot_path(&ckpt.dir, bundle.start));
             }
-            to_run.len()
-        }
-        None => {
-            let bundles = sweep_bundles(ns, seeds, master_seed, block);
-            let limit = ckpt.job_limit.unwrap_or(usize::MAX);
-            let mut to_run = Vec::new();
-            let mut planned = 0;
-            for bundle in &bundles {
-                let range = bundle.start..bundle.start + bundle.seeds.len();
-                if range.clone().all(|i| done.contains_key(&i)) {
-                    continue;
-                }
-                if planned >= limit {
-                    break;
-                }
-                // A block with any record missing reruns whole: the rerun is
-                // deterministic and rewrites identical records for the jobs
-                // whose append was partially journaled.
-                planned += bundle.seeds.len();
-                to_run.push(bundle);
-            }
-            // Largest-n-first fan-out (see [`crate::runner::cost_order`]):
-            // pending blocks are selected in job order above — keeping the
-            // job limit's semantics — then *scheduled* most-expensive-first.
-            // Results are journaled and aggregated by block start, so the
-            // ordering changes makespan only, never a byte of output.
-            to_run.sort_by_key(|bundle| std::cmp::Reverse(bundle.n));
-            if !to_run.is_empty() {
-                let journal = Mutex::new(open_journal_for_append(&journal_path, fp)?);
-                let fresh = crate::parallel_map(&to_run, |bundle| {
-                    let results = run_bundle(&make, bundle.n, &bundle.seeds, max_steps);
-                    // One buffered append per block: the block marker plus
-                    // its records land in a single write, so a crash tears at
-                    // most the final block (tolerated on load).
-                    let mut text = format!("block {} {}\n", bundle.start, bundle.seeds.len());
-                    for (k, &(converged, time)) in results.iter().enumerate() {
-                        let _ = writeln!(
-                            text,
-                            "done {} {} {:016x}",
-                            bundle.start + k,
-                            u8::from(converged),
-                            time.to_bits()
-                        );
-                    }
-                    {
-                        let mut file = journal.lock().expect("journal writers do not panic");
-                        file.write_all(text.as_bytes())
-                            .and_then(|()| file.flush())
-                            .expect("journal append failed");
-                    }
-                    (bundle.start, results)
-                });
-                for (start, results) in fresh {
-                    for (k, result) in results.into_iter().enumerate() {
-                        done.insert(start + k, result);
-                    }
-                }
-            }
-            planned
-        }
-    };
-
-    if done.len() < jobs.len() {
+        },
+    )?;
+    if done.len() < total {
         return Ok(SweepStatus::Suspended { fresh_jobs });
     }
 
     // Aggregate by contiguous job range in job-index order — the exact
     // traversal of the uncheckpointed sweep, so the summaries match it
     // bit-for-bit no matter which jobs came from the journal.
-    let flat: Vec<(bool, f64)> = (0..jobs.len()).map(|i| done[&i]).collect();
+    let flat: Vec<(bool, f64)> = (0..total).map(|i| done[&i]).collect();
     Ok(SweepStatus::Complete {
         points: aggregate_points(ns, seeds, &flat),
         fresh_jobs,
     })
 }
 
-/// Runs one snapshot-interval mode sweep job, resuming from its snapshot
-/// file when a readable one exists and writing fresh snapshots at every
-/// interval boundary.
+/// The block driver of every durable sweep (see the [module docs](self)):
+/// runs the blocks of `bundles` that `done` does not fully journal, up to
+/// `job_limit`, appends each to the journal at `path` (opened, header `fp`
+/// first, only once a block is selected) and adds its results to `done`.
+/// `run` returns a block's results in job order, or `None` to decline it
+/// (the fabric's claim gate); `after_append(block, fresh jobs so far)` runs
+/// under the journal lock. Returns the jobs it ran — a rerun block counts
+/// whole — and whether the job limit stopped the selection with pending
+/// blocks left over.
+///
+/// # Errors
+///
+/// The first error of `run` or of the journal. The failed block journals
+/// nothing, and a failed append closes the journal — no block starts or
+/// appends after it, so a torn write stays the final record.
+pub(crate) fn drive_blocks<R, A>(
+    bundles: &[SweepBundle],
+    done: &mut HashMap<usize, (bool, f64)>,
+    job_limit: Option<usize>,
+    path: &Path,
+    fp: u64,
+    run: R,
+    after_append: A,
+) -> io::Result<(usize, bool)>
+where
+    R: Fn(&SweepBundle) -> io::Result<Option<Vec<(bool, f64)>>> + Sync,
+    A: Fn(&SweepBundle, usize) + Sync,
+{
+    let limit = job_limit.unwrap_or(usize::MAX);
+    let mut selected = vec![false; bundles.len()];
+    let (mut planned, mut suspended) = (0, false);
+    for (k, bundle) in bundles.iter().enumerate() {
+        if journaled(bundle, done) {
+            continue;
+        }
+        if planned >= limit {
+            suspended = true;
+            break;
+        }
+        planned += bundle.seeds.len();
+        selected[k] = true;
+    }
+    // Selected in job order (the limit's semantics), scheduled
+    // most-expensive-first. Results are journaled and aggregated by block
+    // start, so the order changes makespan only, never a byte of output.
+    let order: Vec<&SweepBundle> = cost_order(bundles)
+        .into_iter()
+        .filter(|&k| selected[k])
+        .map(|k| &bundles[k])
+        .collect();
+    if order.is_empty() {
+        return Ok((0, suspended));
+    }
+    let journal = Mutex::new((Some(open_journal_for_append(path, fp)?), 0));
+    let lock = || journal.lock().expect("journal writers do not panic");
+    let outcomes = parallel_map(&order, |bundle| -> io::Result<Option<_>> {
+        if lock().0.is_none() {
+            return Ok(None);
+        }
+        let Some(results) = run(bundle)? else {
+            return Ok(None);
+        };
+        let mut text = String::new();
+        render_block(&mut text, bundle.start, &results);
+        let mut guard = lock();
+        let (slot, fresh) = &mut *guard;
+        let Some(file) = slot else {
+            return Ok(None);
+        };
+        if let Err(e) = file.write_all(text.as_bytes()).and_then(|()| file.flush()) {
+            *slot = None;
+            return Err(e);
+        }
+        *fresh += results.len();
+        after_append(bundle, *fresh);
+        Ok(Some((bundle.start, results)))
+    });
+    for outcome in outcomes {
+        if let Some((start, results)) = outcome? {
+            done.extend((start..).zip(results));
+        }
+    }
+    let fresh = lock().1;
+    Ok((fresh, suspended))
+}
+
+/// Appends one block to `text`: its `block` marker, then the `done` record
+/// of each job. The one writer of record text — the driver's appends and
+/// the fabric's canonical journal both render through it.
+pub(crate) fn render_block(text: &mut String, start: usize, results: &[(bool, f64)]) {
+    let _ = writeln!(text, "block {start} {}", results.len());
+    for (k, &(converged, time)) in results.iter().enumerate() {
+        let _ = writeln!(
+            text,
+            "done {} {} {:016x}",
+            start + k,
+            u8::from(converged),
+            time.to_bits()
+        );
+    }
+}
+
+/// Whether every job of `bundle` has a journaled result in `done`.
+pub(crate) fn journaled(bundle: &SweepBundle, done: &HashMap<usize, (bool, f64)>) -> bool {
+    (bundle.start..bundle.start + bundle.seeds.len()).all(|i| done.contains_key(&i))
+}
+
+/// Runs the one seed of a snapshot-interval mode block, resuming from its
+/// snapshot file in `dir` when a readable one exists and writing fresh
+/// snapshots at every interval boundary.
 fn run_job<P, F>(
     make: &F,
-    n: usize,
-    seed: u64,
+    bundle: &SweepBundle,
     max_steps: u64,
     interval: u64,
-    snapshot_path: &Path,
-) -> (bool, f64)
+    dir: &Path,
+) -> io::Result<(bool, f64)>
 where
     P: LeaderElection,
     P::State: SnapshotState,
@@ -306,7 +357,9 @@ where
     // An unreadable or corrupt snapshot degrades to restarting the job from
     // its seed — same trajectory, just recomputed (segment boundaries are a
     // function of the step counter, so the replay takes the same path).
-    let resumed = std::fs::read(snapshot_path)
+    let (n, seed) = (bundle.n, bundle.seeds[0]);
+    let snapshot_path = job_snapshot_path(dir, bundle.start);
+    let resumed = std::fs::read(&snapshot_path)
         .ok()
         .and_then(|bytes| CountSimulation::resume(make(n), &bytes).ok());
     let mut sim = resumed.unwrap_or_else(|| {
@@ -324,9 +377,9 @@ where
             .min(max_steps);
         let out = sim.run_until_single_leader(target);
         if out.converged || sim.steps() >= max_steps {
-            return (out.converged, out.parallel_time(n));
+            return Ok((out.converged, out.parallel_time(n)));
         }
-        write_atomically(snapshot_path, &sim.snapshot()).expect("job snapshot write failed");
+        write_atomically(&snapshot_path, &sim.snapshot())?;
     }
 }
 
@@ -811,5 +864,89 @@ mod tests {
         ] {
             assert!(parse_bundle_marker(line, 4).is_none(), "accepted `{line}`");
         }
+    }
+
+    /// Runs a sweep with no job limit; returns its points and fresh jobs.
+    fn complete(
+        ns: &[usize],
+        seeds: u64,
+        master: u64,
+        ckpt: &CheckpointConfig,
+        width: usize,
+    ) -> (Vec<SweepPoint>, usize) {
+        match sweep_checkpointed_blocks(|_| Fratricide, ns, seeds, master, u64::MAX, ckpt, width)
+            .expect("sweep checkpoints")
+        {
+            SweepStatus::Complete { points, fresh_jobs } => (points, fresh_jobs),
+            SweepStatus::Suspended { .. } => panic!("no job limit: sweep must complete"),
+        }
+    }
+
+    #[test]
+    fn snapshot_write_failure_is_an_error_not_a_panic() {
+        // A directory squatting on the snapshot's temporary path makes the
+        // first mid-job snapshot write fail: the sweep must return the error
+        // and journal nothing for the failed job.
+        let scratch = Scratch::new("snapshot_failure");
+        std::fs::create_dir_all(scratch.0.join("job_0.ckpt.tmp")).unwrap();
+        let mut ckpt = CheckpointConfig::new(&scratch.0);
+        ckpt.snapshot_interval = Some(512);
+        let err = stabilization_sweep_checkpointed(|_| Fratricide, &[64], 1, 5, u64::MAX, &ckpt)
+            .expect_err("a failed snapshot write must surface as an error");
+        assert_ne!(err.kind(), io::ErrorKind::InvalidData);
+        let journal = std::fs::read_to_string(scratch.0.join(JOURNAL_FILE)).unwrap();
+        assert_eq!(journal.lines().count(), 1, "header only:\n{journal}");
+        // With the obstacle gone the same directory resumes and completes,
+        // bit-identical to a clean sweep at the same interval.
+        std::fs::remove_dir(scratch.0.join("job_0.ckpt.tmp")).unwrap();
+        let (points, _) = complete(&[64], 1, 5, &ckpt, 1);
+        let clean_dir = Scratch::new("snapshot_failure_clean");
+        let mut clean = CheckpointConfig::new(&clean_dir.0);
+        clean.snapshot_interval = Some(512);
+        assert_points_bit_identical(&complete(&[64], 1, 5, &clean, 1).0, &points);
+    }
+
+    /// Incomplete `ppsweep v3` journals as earlier builds wrote them: a
+    /// suspended block-mode sweep (`[16, 24]` × 5 seeds, master 77, width
+    /// 2, job limit 3) and a suspended interval-mode sweep (`[64]` × 3
+    /// seeds, master 5, interval 512, job limit 2), whose records are bare
+    /// `done` lines in completion order.
+    const RECORDED_BLOCK_JOURNAL: &str = "ppsweep v3 7d19e488671a99bc
+block 0 2
+done 0 1 4017000000000000
+done 1 1 4023600000000000
+block 2 2
+done 2 1 403b100000000000
+done 3 1 4022800000000000
+";
+    const RECORDED_INTERVAL_JOURNAL: &str = "ppsweep v3 323887c7c268777a
+done 1 1 405c820000000000
+done 0 1 4044480000000000
+";
+
+    #[test]
+    fn recorded_journals_resume_bit_identically() {
+        // Pins the journal format and fingerprints: both recorded journals
+        // must load under today's fingerprints, keep their records (only
+        // the missing jobs run), and resume to the clean sweep's points.
+        let block_dir = Scratch::new("recorded_block");
+        std::fs::create_dir_all(&block_dir.0).unwrap();
+        std::fs::write(block_dir.0.join(JOURNAL_FILE), RECORDED_BLOCK_JOURNAL).unwrap();
+        let (resumed, fresh) = complete(&[16, 24], 5, 77, &CheckpointConfig::new(&block_dir.0), 2);
+        assert_eq!(fresh, 6, "4 of 10 jobs were journaled");
+        let clean = crate::stabilization_sweep(|_| Fratricide, &[16, 24], 5, 77, u64::MAX);
+        assert_points_bit_identical(&clean, &resumed);
+
+        let interval_dir = Scratch::new("recorded_interval");
+        std::fs::create_dir_all(&interval_dir.0).unwrap();
+        std::fs::write(interval_dir.0.join(JOURNAL_FILE), RECORDED_INTERVAL_JOURNAL).unwrap();
+        let mut ckpt = CheckpointConfig::new(&interval_dir.0);
+        ckpt.snapshot_interval = Some(512);
+        let (resumed, fresh) = complete(&[64], 3, 5, &ckpt, 1);
+        assert_eq!(fresh, 1, "2 of 3 jobs were journaled");
+        let clean_dir = Scratch::new("recorded_interval_clean");
+        let mut clean = CheckpointConfig::new(&clean_dir.0);
+        clean.snapshot_interval = Some(512);
+        assert_points_bit_identical(&complete(&[64], 3, 5, &clean, 1).0, &resumed);
     }
 }

@@ -38,7 +38,7 @@ where
         sim.run_until_single_leader(u64::MAX);
         sim.distinct_states_seen() as f64
     });
-    // Aggregate by contiguous job range (mirrors `sweep_impl`): repeated
+    // Aggregate by contiguous job range (mirrors `aggregate_points`): repeated
     // entries in `ns` stay independent instead of double-counting.
     ns.iter()
         .enumerate()

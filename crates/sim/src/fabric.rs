@@ -19,15 +19,16 @@
 //! ```
 //!
 //! Work is claimed at **block** granularity ([`sweep_bundles`]' same-`n`
-//! seed blocks): a worker that wants a block atomically creates
-//! `claims/<start>.claim` and runs it only on success, so shards never
-//! duplicate work — *dynamic range claiming*, not static partitioning. The
-//! job space's heavy tail (stabilization times straggle far past their
-//! expectation) is what rules static shards out: whichever shard statically
-//! owned the straggler would cap the whole run. Two levers bound the
-//! makespan instead: blocks are claimed largest-`n`-first
-//! ([`cost_order`]'s LPT schedule), and any idle worker — same box or not —
-//! can pick up whatever remains.
+//! seed blocks): a worker runs the checkpointed sweep's block driver over
+//! the unclaimed blocks and gates each on atomically creating
+//! `claims/<start>.claim`, so shards never duplicate work — *dynamic range
+//! claiming*, not static partitioning. The job space's heavy tail is what
+//! rules static shards out: whichever shard owned the straggler would cap
+//! the whole run. Instead a worker runs its blocks largest-`n`-first
+//! ([`cost_order`]'s LPT schedule), and any idle worker can pick up
+//! whatever remains. `--job-limit` is the driver's rule: blocks are
+//! *selected* in job order (overshoot at most `block − 1` jobs, whatever
+//! the thread count) and only then ordered largest-`n`-first.
 //!
 //! # Merge contract
 //!
@@ -58,21 +59,18 @@
 //! [`cost_order`]: crate::runner::cost_order
 
 use crate::checkpoint::{
-    fingerprint, load_journal, open_journal_for_append, write_atomically, HEADER_PREFIX,
-    JOURNAL_FILE,
+    drive_blocks, fingerprint, journaled, load_journal, open_journal_for_append, render_block,
+    write_atomically, HEADER_PREFIX, JOURNAL_FILE,
 };
 use crate::runner::{
-    aggregate_points, cost_order, run_bundle, sweep_bundles, sweep_flat, worker_count, SweepBundle,
-    SweepPoint,
+    aggregate_points, check_seeds, run_bundle, sweep_bundles, sweep_flat, worker_count,
+    SweepBundle, SweepPoint,
 };
 use pp_engine::LeaderElection;
 use pp_stats::Table;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Shard manifest file name inside a shard directory.
@@ -137,6 +135,18 @@ impl FabricSpec {
 
     fn bundles(&self) -> Vec<SweepBundle> {
         sweep_bundles(&self.ns, self.seeds, self.master_seed, self.lanes)
+    }
+
+    /// `InvalidInput` unless the seed count fits the packed job index and
+    /// `shards` shard ids fit under [`MAX_SHARDS`]: every entry point's
+    /// first step, before it builds a job list.
+    fn check(&self, shards: u64) -> io::Result<()> {
+        check_seeds(self.seeds)?;
+        if shards <= MAX_SHARDS {
+            return Ok(());
+        }
+        let msg = format!("shard ids must be below {MAX_SHARDS} (got {shards} shards)");
+        Err(io::Error::new(io::ErrorKind::InvalidInput, msg))
     }
 }
 
@@ -224,21 +234,21 @@ fn scan_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
     Some(rest[..rest.find([',', '}'])?].trim())
 }
 
-/// Runs one worker shard of the grid: claims pending blocks from the
-/// shared claim directory (largest-`n`-first), journals each completed
-/// block into `shard_<shard>/journal.txt`, keeps a live progress snapshot,
-/// and writes the shard manifest on exit.
+/// Runs one worker shard of the grid: claims unclaimed blocks from the
+/// shared claim directory, journals each completed block into
+/// `shard_<shard>/journal.txt`, keeps a live progress snapshot, and writes
+/// the shard manifest on exit.
 ///
-/// Reinvoking with the same directory resumes: journaled blocks are
-/// skipped, claimed-elsewhere blocks are left alone, and everything else
-/// is up for claiming. `job_limit` bounds the *fresh* jobs of this
-/// invocation (block-granular, like the checkpointed sweep's); hitting it
-/// reports `suspended`.
+/// Reinvoking with the same directory resumes: blocks already claimed
+/// (here, elsewhere, or by a killed run) are left alone. `job_limit` bounds
+/// the *fresh* jobs of this invocation by the checkpointed sweep's rule;
+/// hitting it with unclaimed blocks left over reports `suspended`.
 ///
 /// # Errors
 ///
-/// Journal / manifest I/O errors, or a shard journal whose fingerprint does
-/// not match `spec`.
+/// `InvalidInput` when `shard ≥ MAX_SHARDS` or `spec.seeds ≥ 2^32`;
+/// otherwise the first claim / journal / manifest I/O error, or a shard
+/// journal whose fingerprint does not match `spec`.
 pub fn run_worker_shard<P, F>(
     make: F,
     spec: &FabricSpec,
@@ -250,96 +260,55 @@ where
     P: LeaderElection,
     F: Fn(usize) -> P + Sync,
 {
-    assert!(shard < MAX_SHARDS, "shard id {shard} exceeds {MAX_SHARDS}");
+    // Shard ids 0..=shard must fit.
+    spec.check(shard.saturating_add(1))?;
     let started = Instant::now();
     crate::set_sweep_shard(Some(shard));
     let fp = spec.fingerprint();
-    let bundles = spec.bundles();
     let total = spec.total_jobs();
     let claims = dir.join(CLAIMS_DIR);
     std::fs::create_dir_all(&claims)?;
+    // A held block would count against the job limit only to be declined,
+    // so a limited rerun would pick the same held blocks forever.
+    let bundles: Vec<SweepBundle> = spec
+        .bundles()
+        .into_iter()
+        .filter(|bundle| !claim_path(&claims, bundle.start).exists())
+        .collect();
     let my_dir = shard_dir(dir, shard);
     std::fs::create_dir_all(&my_dir)?;
     let journal_path = my_dir.join(JOURNAL_FILE);
-    let done = load_journal(&journal_path, fp, total)?;
+    let mut done = load_journal(&journal_path, fp, total)?;
+    // Always leave a headed journal: the merge refuses foreign shards by it.
+    open_journal_for_append(&journal_path, fp)?;
     let journaled = done.len();
     write_progress(&my_dir, journaled, total)?;
+    // A suspended worker never strands a claim: the limit is applied when
+    // blocks are selected, before any is claimed (only a killed worker
+    // strands one — that's what clean_stale_claims is for).
+    let (fresh_jobs, suspended) = drive_blocks(
+        &bundles,
+        &mut done,
+        job_limit,
+        &journal_path,
+        fp,
+        |bundle| {
+            Ok(claim_bundle(&claims, bundle.start, shard)?
+                .then(|| run_bundle(&make, bundle.n, &bundle.seeds, spec.max_steps)))
+        },
+        // Under the journal lock, so the last progress write is the final
+        // count.
+        |_, fresh| {
+            let _ = write_progress(&my_dir, journaled + fresh, total);
+        },
+    )?;
 
-    let order = cost_order(&bundles);
-    let journal = Mutex::new(open_journal_for_append(&journal_path, fp)?);
-    let cursor = AtomicUsize::new(0);
-    let fresh = AtomicUsize::new(0);
-    let suspended = AtomicBool::new(false);
-    let budget = job_limit.unwrap_or(usize::MAX);
-    let workers = worker_count(bundles.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    if k >= order.len() {
-                        break;
-                    }
-                    let bundle = &bundles[order[k]];
-                    let range = bundle.start..bundle.start + bundle.seeds.len();
-                    if range.clone().all(|i| done.contains_key(&i)) {
-                        continue;
-                    }
-                    // Block-granular budget: checked before claiming, so a
-                    // suspended worker never strands a claim (only a killed
-                    // one does — that's what clean_stale_claims is for).
-                    if fresh.load(Ordering::Relaxed) >= budget {
-                        suspended.store(true, Ordering::Release);
-                        break;
-                    }
-                    if !claim_bundle(&claims, bundle.start, shard) {
-                        continue;
-                    }
-                    let results = run_bundle(&make, bundle.n, &bundle.seeds, spec.max_steps);
-                    // One buffered append per block, exactly like the
-                    // checkpointed sweep: a crash tears at most the final
-                    // block, which the loader discards and the retry reruns.
-                    let mut text = format!("block {} {}\n", bundle.start, bundle.seeds.len());
-                    for (j, &(converged, time)) in results.iter().enumerate() {
-                        let _ = writeln!(
-                            text,
-                            "done {} {} {:016x}",
-                            bundle.start + j,
-                            u8::from(converged),
-                            time.to_bits()
-                        );
-                    }
-                    // The progress snapshot is rewritten under the journal
-                    // lock too, so concurrent threads publish it in order and
-                    // the last write is the final count.
-                    let mut file = journal.lock().expect("journal writers do not panic");
-                    file.write_all(text.as_bytes())
-                        .and_then(|()| file.flush())
-                        .expect("shard journal append failed");
-                    let so_far =
-                        fresh.fetch_add(bundle.seeds.len(), Ordering::Relaxed) + bundle.seeds.len();
-                    let _ = write_progress(&my_dir, journaled + so_far, total);
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().expect("a fabric worker thread panicked");
-        }
-    });
-
-    let fresh_jobs = fresh.load(Ordering::Relaxed);
-    let suspended = suspended.load(Ordering::Acquire);
-    crate::runner::record_fanout_rollup(
-        fresh_jobs as u64,
-        workers as u64,
-        started.elapsed().as_secs_f64(),
-    );
     let manifest = ShardManifest {
         shard,
         pid: std::process::id(),
         fingerprint: fp,
-        jobs: (journaled + fresh_jobs) as u64,
-        threads: workers as u64,
+        jobs: done.len() as u64,
+        threads: worker_count(bundles.len()) as u64,
         wall_seconds: started.elapsed().as_secs_f64(),
         complete: !suspended,
     };
@@ -354,19 +323,24 @@ where
 /// platform the workspace targets, so exactly one worker — across all
 /// processes sharing the directory — wins each block. The file body
 /// records the claimant for post-mortems; only its existence matters.
-fn claim_bundle(claims: &Path, start: usize, shard: u64) -> bool {
+fn claim_bundle(claims: &Path, start: usize, shard: u64) -> io::Result<bool> {
     match std::fs::OpenOptions::new()
         .write(true)
         .create_new(true)
-        .open(claims.join(format!("{start}.claim")))
+        .open(claim_path(claims, start))
     {
         Ok(mut file) => {
             let _ = writeln!(file, "{shard} {}", std::process::id());
-            true
+            Ok(true)
         }
-        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => false,
-        Err(e) => panic!("claim file create failed: {e}"),
+        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(false),
+        Err(e) => Err(e),
     }
+}
+
+/// The claim file of block `start` in claim directory `claims`.
+fn claim_path(claims: &Path, start: usize) -> PathBuf {
+    claims.join(format!("{start}.claim"))
 }
 
 /// Atomically rewrites a shard's `progress.txt` as `"<done> <total>"`.
@@ -405,26 +379,17 @@ pub fn aggregate_progress(dir: &Path, shards: u64) -> (usize, usize) {
 ///
 /// # Errors
 ///
-/// Journal I/O errors, a fingerprint-mismatched shard journal, or a claim
-/// that cannot be removed.
+/// `InvalidInput` when `shards > MAX_SHARDS` or `spec.seeds ≥ 2^32`;
+/// journal I/O errors, a fingerprint-mismatched or conflicting shard
+/// journal, or a claim that cannot be removed.
 pub fn clean_stale_claims(spec: &FabricSpec, dir: &Path, shards: u64) -> io::Result<usize> {
-    let fp = spec.fingerprint();
-    let total = spec.total_jobs();
-    let mut done: HashMap<usize, (bool, f64)> = HashMap::new();
-    for shard in 0..shards {
-        done.extend(load_journal(
-            &shard_dir(dir, shard).join(JOURNAL_FILE),
-            fp,
-            total,
-        )?);
-    }
+    let done = union_journals(spec, dir, shards)?;
     let mut removed = 0;
     for bundle in spec.bundles() {
-        let range = bundle.start..bundle.start + bundle.seeds.len();
-        if range.clone().all(|i| done.contains_key(&i)) {
+        if journaled(&bundle, &done) {
             continue;
         }
-        match std::fs::remove_file(dir.join(CLAIMS_DIR).join(format!("{}.claim", bundle.start))) {
+        match std::fs::remove_file(claim_path(&dir.join(CLAIMS_DIR), bundle.start)) {
             Ok(()) => removed += 1,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
@@ -452,41 +417,21 @@ pub struct MergeReport {
 ///
 /// # Errors
 ///
-/// I/O errors; a shard journal whose header fingerprint does not match
+/// `InvalidInput` when `shards > MAX_SHARDS` or `spec.seeds ≥ 2^32`; I/O
+/// errors; a shard journal whose header fingerprint does not match
 /// `spec` (mixed-fingerprint shard directories are refused, `InvalidData`);
 /// or shard journals that disagree on a job's exact result — impossible for
 /// honestly-produced shards, since runs are deterministic, so disagreement
 /// means foreign state and the merge must not guess.
 pub fn merge_shards(spec: &FabricSpec, dir: &Path, shards: u64) -> io::Result<MergeReport> {
-    let fp = spec.fingerprint();
+    let done = union_journals(spec, dir, shards)?;
     let total = spec.total_jobs();
-    let mut done: HashMap<usize, (bool, f64)> = HashMap::new();
-    let mut manifests = Vec::new();
-    for shard in 0..shards {
-        let sdir = shard_dir(dir, shard);
-        let shard_done = load_journal(&sdir.join(JOURNAL_FILE), fp, total)?;
-        for (i, result) in shard_done {
-            if let Some(&prior) = done.get(&i) {
-                if prior.0 != result.0 || prior.1.to_bits() != result.1.to_bits() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "shard journals under {} disagree on job {i}; runs are \
-                             deterministic, so divergent duplicates mean foreign shard state",
-                            dir.display()
-                        ),
-                    ));
-                }
-            } else {
-                done.insert(i, result);
-            }
-        }
-        if let Ok(text) = std::fs::read_to_string(sdir.join(MANIFEST_FILE)) {
-            if let Some(manifest) = ShardManifest::parse(&text) {
-                manifests.push(manifest);
-            }
-        }
-    }
+    let manifests = (0..shards)
+        .filter_map(|shard| {
+            let text = std::fs::read_to_string(shard_dir(dir, shard).join(MANIFEST_FILE));
+            ShardManifest::parse(&text.ok()?)
+        })
+        .collect();
     let missing = total - done.len();
     if missing > 0 {
         return Ok(MergeReport {
@@ -498,7 +443,7 @@ pub fn merge_shards(spec: &FabricSpec, dir: &Path, shards: u64) -> io::Result<Me
     let flat: Vec<(bool, f64)> = (0..total).map(|i| done[&i]).collect();
     write_atomically(
         &dir.join(JOURNAL_FILE),
-        canonical_journal(spec, fp, &flat).as_bytes(),
+        canonical_journal(spec, spec.fingerprint(), &flat).as_bytes(),
     )?;
     Ok(MergeReport {
         points: Some(aggregate_points(&spec.ns, spec.seeds, &flat)),
@@ -507,26 +452,57 @@ pub fn merge_shards(spec: &FabricSpec, dir: &Path, shards: u64) -> io::Result<Me
     })
 }
 
+/// The union of the shard journals `shard_0 .. shard_<shards>` under
+/// `dir`, after [`FabricSpec::check`]. Refuses mismatched fingerprints and
+/// shard journals that disagree on a job's exact result (`InvalidData`).
+fn union_journals(
+    spec: &FabricSpec,
+    dir: &Path,
+    shards: u64,
+) -> io::Result<HashMap<usize, (bool, f64)>> {
+    spec.check(shards)?;
+    let (fp, total) = (spec.fingerprint(), spec.total_jobs());
+    let mut done = HashMap::new();
+    for shard in 0..shards {
+        for (i, result) in load_journal(&shard_dir(dir, shard).join(JOURNAL_FILE), fp, total)? {
+            let Some(prior) = done.insert(i, result) else {
+                continue;
+            };
+            if prior.0 != result.0 || prior.1.to_bits() != result.1.to_bits() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "shard journals under {} disagree on job {i}; runs are \
+                         deterministic, so divergent duplicates mean foreign shard state",
+                        dir.display()
+                    ),
+                ));
+            }
+        }
+    }
+    Ok(done)
+}
+
 /// Runs the whole grid in this process and writes the canonical journal —
 /// the fabric's 0-shard baseline, producing exactly the artifacts a
 /// sharded run merges to.
 ///
 /// # Errors
 ///
-/// Journal write errors.
+/// `InvalidInput` when `spec.seeds ≥ 2^32`; journal write errors.
 pub fn run_sequential<P, F>(make: F, spec: &FabricSpec, dir: &Path) -> io::Result<Vec<SweepPoint>>
 where
     P: LeaderElection,
     F: Fn(usize) -> P + Sync,
 {
+    spec.check(0)?;
     std::fs::create_dir_all(dir)?;
     let flat = sweep_flat(
-        &make,
         &spec.ns,
         spec.seeds,
         spec.master_seed,
-        spec.max_steps,
         spec.lanes,
+        |bundle| run_bundle(&make, bundle.n, &bundle.seeds, spec.max_steps),
     );
     write_atomically(
         &dir.join(JOURNAL_FILE),
@@ -543,17 +519,8 @@ where
 fn canonical_journal(spec: &FabricSpec, fp: u64, flat: &[(bool, f64)]) -> String {
     let mut text = format!("{HEADER_PREFIX} {fp:016x}\n");
     for bundle in spec.bundles() {
-        let _ = writeln!(text, "block {} {}", bundle.start, bundle.seeds.len());
-        for k in 0..bundle.seeds.len() {
-            let (converged, time) = flat[bundle.start + k];
-            let _ = writeln!(
-                text,
-                "done {} {} {:016x}",
-                bundle.start + k,
-                u8::from(converged),
-                time.to_bits()
-            );
-        }
+        let range = bundle.start..bundle.start + bundle.seeds.len();
+        render_block(&mut text, bundle.start, &flat[range]);
     }
     text
 }
@@ -701,7 +668,7 @@ mod tests {
         // journaling it.
         let claims = dir.0.join(CLAIMS_DIR);
         std::fs::create_dir_all(&claims).unwrap();
-        assert!(claim_bundle(&claims, 0, 7));
+        assert!(claim_bundle(&claims, 0, 7).expect("claim dir is writable"));
         let outcome =
             run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None).expect("worker runs");
         assert_eq!(outcome.fresh_jobs, spec.total_jobs() - 2, "block 0 held");
@@ -770,5 +737,82 @@ mod tests {
         // A shard with no snapshot contributes nothing rather than erroring.
         let (done_two, total_two) = aggregate_progress(&dir.0, 2);
         assert_eq!((done_two, total_two), (done, total));
+    }
+
+    #[test]
+    fn job_limit_holds_across_racing_worker_threads() {
+        // Regression: each worker thread used to check the budget before
+        // any block had finished, so with 4 threads a limit of 1 journaled
+        // the whole grid. The limit is now applied when blocks are
+        // selected: exactly one width-2 block runs, whatever the threads.
+        let spec = spec();
+        assert!(spec.bundles().len() >= 4);
+        let dir = Scratch::new("racing_limit");
+        let threads = std::env::var("PP_SIM_THREADS").ok();
+        std::env::set_var("PP_SIM_THREADS", "4");
+        let outcome = run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, Some(1));
+        match threads {
+            Some(v) => std::env::set_var("PP_SIM_THREADS", v),
+            None => std::env::remove_var("PP_SIM_THREADS"),
+        }
+        let outcome = outcome.expect("limited worker runs");
+        assert_eq!(outcome.fresh_jobs, 2);
+        assert!(outcome.suspended);
+    }
+
+    #[test]
+    fn limited_worker_skips_blocks_claimed_elsewhere() {
+        // Blocks [0,2) [2,4) [4,5) [5,7) [7,9) [9,10). Shard 0 runs the
+        // first; a dead worker holds [4,5). Shard 1 at limit 2 must never
+        // select either: each invocation journals fresh work until nothing
+        // unclaimed is left, then reports complete.
+        let spec = spec();
+        let dir = Scratch::new("held_blocks");
+        let first = run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, Some(2)).expect("shard 0");
+        assert_eq!(first.fresh_jobs, 2);
+        assert!(claim_bundle(&dir.0.join(CLAIMS_DIR), 4, 7).expect("claim dir is writable"));
+        let limited = |shard| {
+            run_worker_shard(|_| Fratricide, &spec, &dir.0, shard, Some(2)).expect("worker runs")
+        };
+        let outcome = limited(1);
+        assert_eq!(outcome.fresh_jobs, 2);
+        assert!(outcome.suspended);
+        let mut fresh = outcome.fresh_jobs;
+        for _ in 0..spec.total_jobs() {
+            let outcome = limited(1);
+            assert!(outcome.fresh_jobs > 0, "a limited rerun must progress");
+            fresh += outcome.fresh_jobs;
+            if !outcome.suspended {
+                break;
+            }
+        }
+        assert_eq!(fresh, spec.total_jobs() - 3);
+        let idle = limited(1);
+        assert_eq!((idle.fresh_jobs, idle.suspended), (0, false));
+    }
+
+    #[test]
+    fn out_of_range_inputs_are_invalid_input_errors() {
+        // Seeds past the packed job index, and shard ids past MAX_SHARDS,
+        // are refused before any job list is built or any file written.
+        let dir = Scratch::new("invalid_input");
+        let mut huge = spec();
+        huge.seeds = 1 << 32;
+        let invalid = |result: io::Result<()>| {
+            let err = result.expect_err("out-of-range input must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        };
+        invalid(run_sequential(|_| Fratricide, &huge, &dir.0).map(drop));
+        invalid(run_worker_shard(|_| Fratricide, &huge, &dir.0, 0, None).map(drop));
+        invalid(merge_shards(&huge, &dir.0, 1).map(drop));
+        invalid(clean_stale_claims(&huge, &dir.0, 1).map(drop));
+        let spec = spec();
+        invalid(run_worker_shard(|_| Fratricide, &spec, &dir.0, MAX_SHARDS, None).map(drop));
+        invalid(merge_shards(&spec, &dir.0, MAX_SHARDS + 1).map(drop));
+        invalid(clean_stale_claims(&spec, &dir.0, MAX_SHARDS + 1).map(drop));
+        assert!(
+            !dir.0.exists(),
+            "refused calls must not touch the directory"
+        );
     }
 }

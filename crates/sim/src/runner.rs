@@ -1,8 +1,10 @@
 //! Parallel execution of embarrassingly parallel experiment jobs.
 //!
-//! [`parallel_map`] fans jobs out across worker **threads**;
-//! [`stabilization_sweep`] hands each worker a **block** of same-`n` seeds
-//! and runs every seed of the block on its own scalar [`CountSimulation`].
+//! [`parallel_map`] fans jobs out across worker **threads**; it is the one
+//! thread pool every sweep rides. [`stabilization_sweep`] hands each worker
+//! a **block** of same-`n` seeds, largest-`n`-first ([`cost_order`]), and
+//! runs every seed of the block on its own scalar [`CountSimulation`]; the
+//! durable sweeps run the same blocks through `checkpoint::drive_blocks`.
 //! A seed's result is a pure function of `(protocol, n, master seed, seed
 //! index, max_steps)`, so neither the block size nor the thread count
 //! (`PP_SIM_THREADS`, the one env override, for reproducible benchmarking)
@@ -11,7 +13,7 @@
 use pp_engine::{CountSimulation, LeaderElection, Simulation, UniformScheduler};
 use pp_rand::{SeedSequence, Xoshiro256PlusPlus};
 use pp_stats::Summary;
-use std::io::{IsTerminal, Write as _};
+use std::io::{self, IsTerminal, Write as _};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -68,7 +70,9 @@ fn progress_enabled(jobs: usize) -> bool {
 /// sweep's experiment typically accumulates several.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepRollup {
-    /// Jobs the fan-out executed.
+    /// Items the fan-out mapped — blocks, for a sweep's fan-out. A fabric
+    /// worker's count includes blocks a racing shard claimed first, so it
+    /// is no measure of that worker's throughput.
     pub jobs: u64,
     /// Worker threads it ran on.
     pub workers: u64,
@@ -143,36 +147,6 @@ pub fn take_sweep_rollups() -> Vec<SweepRollup> {
         .unwrap_or_default()
 }
 
-fn record_rollup(rollup: SweepRollup) {
-    ROLLUPS
-        .get_or_init(|| Mutex::new(Vec::new()))
-        .lock()
-        .expect("rollup lock poisoned")
-        .push(rollup);
-}
-
-/// Records a rollup on behalf of a fan-out that drives its own worker
-/// threads instead of going through [`parallel_map`] (the sweep fabric's
-/// claim loop). No-op unless collection is enabled, like the inline
-/// recorder.
-pub(crate) fn record_fanout_rollup(jobs: u64, workers: u64, wall_seconds: f64) {
-    if !ROLLUP_ENABLED.load(Ordering::Acquire) {
-        return;
-    }
-    record_rollup(SweepRollup {
-        jobs,
-        workers,
-        wall_seconds,
-        jobs_per_second: if wall_seconds > 0.0 {
-            jobs as f64 / wall_seconds
-        } else {
-            0.0
-        },
-        pid: std::process::id(),
-        shard: sweep_shard(),
-    });
-}
-
 /// Progress-line ETA suffix, based on the **completed-job** rate.
 ///
 /// Sweep job laws are heavy-tailed (stabilization time is a random variable
@@ -185,7 +159,7 @@ pub(crate) fn record_fanout_rollup(jobs: u64, workers: u64, wall_seconds: f64) {
 /// line shows a visible `≥` qualifier: the stragglers already in flight put
 /// a floor, not a ceiling, on the time left. Empty until the first job
 /// completes (there is no completed rate to extrapolate from).
-pub(crate) fn eta_suffix(done: usize, claimed: usize, total: usize, elapsed_secs: f64) -> String {
+fn eta_suffix(done: usize, claimed: usize, total: usize, elapsed_secs: f64) -> String {
     if done == 0 || done >= total {
         return String::new();
     }
@@ -297,14 +271,19 @@ where
     });
     if ROLLUP_ENABLED.load(Ordering::Acquire) {
         let wall = started.elapsed().as_secs_f64();
-        record_rollup(SweepRollup {
+        let rollup = SweepRollup {
             jobs: total as u64,
             workers: workers as u64,
             wall_seconds: wall,
             jobs_per_second: if wall > 0.0 { total as f64 / wall } else { 0.0 },
             pid: std::process::id(),
             shard: sweep_shard(),
-        });
+        };
+        ROLLUPS
+            .get_or_init(|| Mutex::new(Vec::new()))
+            .lock()
+            .expect("rollup lock poisoned")
+            .push(rollup);
     }
     results
         .into_iter()
@@ -359,7 +338,9 @@ where
     P: LeaderElection,
     F: Fn(usize) -> P + Sync,
 {
-    let flat = sweep_flat(&make, ns, seeds, master_seed, max_steps, sweep_lane_width());
+    let flat = sweep_flat(ns, seeds, master_seed, sweep_lane_width(), |bundle| {
+        run_bundle(&make, bundle.n, &bundle.seeds, max_steps)
+    });
     aggregate_points(ns, seeds, &flat)
 }
 
@@ -388,48 +369,39 @@ pub(crate) fn cost_order(bundles: &[SweepBundle]) -> Vec<usize> {
 }
 
 /// Job-ordered flat `(converged, parallel_time)` outcomes of a sweep in
-/// blocks of `block` seeds: the shared core of [`stabilization_sweep`] and
+/// blocks of `block` seeds, each block run by `run`: the in-memory sweep
+/// fan-out of [`stabilization_sweep`], [`stabilization_sweep_agents`] and
 /// the sweep fabric's sequential mode. Blocks fan out largest-`n`-first
-/// ([`cost_order`]) and results scatter back by block start, so the
+/// ([`cost_order`]) and results come back in block-start order, so the
 /// returned order — and every bit of every result — is independent of the
 /// scheduling and of `block`.
-pub(crate) fn sweep_flat<P, F>(
-    make: &F,
+pub(crate) fn sweep_flat<R>(
     ns: &[usize],
     seeds: u64,
     master_seed: u64,
-    max_steps: u64,
     block: usize,
+    run: R,
 ) -> Vec<(bool, f64)>
 where
-    P: LeaderElection,
-    F: Fn(usize) -> P + Sync,
+    R: Fn(&SweepBundle) -> Vec<(bool, f64)> + Sync,
 {
     let bundles = sweep_bundles(ns, seeds, master_seed, block);
     let order = cost_order(&bundles);
     let ordered: Vec<&SweepBundle> = order.iter().map(|&i| &bundles[i]).collect();
-    let outcomes = parallel_map(&ordered, |bundle| {
-        (
-            bundle.start,
-            run_bundle(make, bundle.n, &bundle.seeds, max_steps),
-        )
-    });
-    // Scatter each block's results back into flat job order (the
-    // aggregation slices by contiguous job range).
-    let total: usize = bundles.iter().map(|b| b.seeds.len()).sum();
-    let mut flat: Vec<Option<(bool, f64)>> = vec![None; total];
-    for (start, results) in outcomes {
-        for (k, r) in results.into_iter().enumerate() {
-            flat[start + k] = Some(r);
-        }
-    }
-    flat.into_iter()
-        .map(|r| r.expect("bundles partition the job list"))
+    let mut outcomes = parallel_map(&ordered, |bundle| (bundle.start, run(bundle)));
+    // Blocks partition the job list into contiguous ranges, so concatenating
+    // them by start restores flat job order (the aggregation slices by
+    // contiguous job range).
+    outcomes.sort_unstable_by_key(|&(start, _)| start);
+    outcomes
+        .into_iter()
+        .flat_map(|(_, results)| results)
         .collect()
 }
 
 /// [`stabilization_sweep`] on the per-agent reference engine
-/// ([`Simulation`] + [`UniformScheduler`]).
+/// ([`Simulation`] + [`UniformScheduler`]), on the same fan-out, one seed
+/// per block.
 ///
 /// Slower and `O(n)` memory per run, but exercises the engine whose
 /// semantics are the most direct reading of the model — useful when a sweep
@@ -445,14 +417,32 @@ where
     P: LeaderElection,
     F: Fn(usize) -> P + Sync,
 {
-    sweep_impl(ns, seeds, master_seed, |n, seed| {
-        let protocol = make(n);
-        let scheduler = UniformScheduler::seed_from_u64(seed);
-        let mut sim = Simulation::new(protocol, n, scheduler)
-            .expect("population sizes are >= 2 by construction");
-        let outcome = sim.run_until_single_leader(max_steps);
-        (outcome.converged, outcome.parallel_time(n))
-    })
+    let flat = sweep_flat(ns, seeds, master_seed, 1, |bundle| {
+        let n = bundle.n;
+        bundle
+            .seeds
+            .iter()
+            .map(|&seed| {
+                let scheduler = UniformScheduler::seed_from_u64(seed);
+                let mut sim = Simulation::new(make(n), n, scheduler)
+                    .expect("population sizes are >= 2 by construction");
+                let outcome = sim.run_until_single_leader(max_steps);
+                (outcome.converged, outcome.parallel_time(n))
+            })
+            .collect()
+    });
+    aggregate_points(ns, seeds, &flat)
+}
+
+/// `InvalidInput` when `seeds ≥ 2^32`: job seeds derive from the packed
+/// index `(size_index << 32) | seed_index`, which would then collide the
+/// seed streams of different sizes. The durable sweeps check this first.
+pub(crate) fn check_seeds(seeds: u64) -> io::Result<()> {
+    if seeds < 1 << 32 {
+        return Ok(());
+    }
+    let msg = format!("sweeps support at most 2^32 - 1 seeds per size (got {seeds})");
+    Err(io::Error::new(io::ErrorKind::InvalidInput, msg))
 }
 
 /// Builds a sweep's `(n, seed)` job list: `seeds` jobs per entry of `ns`, in
@@ -465,10 +455,9 @@ where
 /// Panics when `seeds ≥ 2^32`: the packed index would silently collide the
 /// seed streams of different sizes.
 pub(crate) fn sweep_jobs(ns: &[usize], seeds: u64, master_seed: u64) -> Vec<(usize, u64)> {
-    assert!(
-        seeds < 1 << 32,
-        "sweeps support at most 2^32 - 1 seeds per size (got {seeds})"
-    );
+    if let Err(e) = check_seeds(seeds) {
+        panic!("{e}");
+    }
     let seq = SeedSequence::new(master_seed);
     let mut jobs = Vec::with_capacity(ns.len() * seeds as usize);
     for (ni, &n) in ns.iter().enumerate() {
@@ -501,25 +490,16 @@ pub(crate) fn sweep_bundles(
     master_seed: u64,
     block: usize,
 ) -> Vec<SweepBundle> {
-    let block = block.max(1);
+    let (block, per_size) = (block.max(1), (seeds as usize).max(1));
     let jobs = sweep_jobs(ns, seeds, master_seed);
-    let per_size = seeds as usize;
     let mut bundles = Vec::new();
-    for (ni, &n) in ns.iter().enumerate() {
-        let base = ni * per_size;
-        let mut offset = 0;
-        while offset < per_size {
-            let width = block.min(per_size - offset);
-            let start = base + offset;
+    for (size, size_jobs) in jobs.chunks(per_size).enumerate() {
+        for (k, chunk) in size_jobs.chunks(block).enumerate() {
             bundles.push(SweepBundle {
-                n,
-                start,
-                seeds: jobs[start..start + width]
-                    .iter()
-                    .map(|&(_, seed)| seed)
-                    .collect(),
+                n: chunk[0].0,
+                start: size * per_size + k * block,
+                seeds: chunk.iter().map(|&(_, seed)| seed).collect(),
             });
-            offset += width;
         }
     }
     bundles
@@ -579,18 +559,6 @@ pub(crate) fn aggregate_points(
             }
         })
         .collect()
-}
-
-fn sweep_impl<R>(ns: &[usize], seeds: u64, master_seed: u64, run: R) -> Vec<SweepPoint>
-where
-    R: Fn(usize, u64) -> (bool, f64) + Sync,
-{
-    let jobs = sweep_jobs(ns, seeds, master_seed);
-    let outcomes = parallel_map(&jobs, |&(n, seed)| {
-        let (converged, t) = run(n, seed);
-        (converged, t)
-    });
-    aggregate_points(ns, seeds, &outcomes)
 }
 
 #[cfg(test)]
@@ -697,7 +665,9 @@ mod tests {
         // job-order results of a plain bundle-by-bundle traversal — same
         // order, same bits.
         let ns = [32usize, 16];
-        let flat = sweep_flat(&|_| Fratricide, &ns, 5, 42, u64::MAX, 2);
+        let flat = sweep_flat(&ns, 5, 42, 2, |b| {
+            run_bundle(&|_| Fratricide, b.n, &b.seeds, u64::MAX)
+        });
         let bundles = sweep_bundles(&ns, 5, 42, 2);
         let expected: Vec<(bool, f64)> = bundles
             .iter()
@@ -781,7 +751,9 @@ mod tests {
         // alone: block width and worker count must not move a bit.
         let ns = [2048usize, 32, 4096];
         let checksums = |block: usize| -> Vec<u64> {
-            let flat = sweep_flat(&|_| Fratricide, &ns, 11, 7, u64::MAX, block);
+            let flat = sweep_flat(&ns, 11, 7, block, |b| {
+                run_bundle(&|_| Fratricide, b.n, &b.seeds, u64::MAX)
+            });
             aggregate_points(&ns, 11, &flat)
                 .iter()
                 .map(|p| p.times.checksum())
