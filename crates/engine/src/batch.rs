@@ -18,13 +18,15 @@
 //!    expectation is the birthday bound `≈ √(πn/8)` — the `Θ(√n)` round
 //!    length.
 //! 2. **Who interacts.** The `2L` agents of a collision-free run of length
-//!    `L` are a uniform without-replacement sample of the population. By
-//!    exchangeability, the initiator states are a multivariate
-//!    hypergeometric draw of `L` from the counts, the responder states an
-//!    `L`-draw from what remains. *How* the two multisets pair into ordered
-//!    interactions is the round law of [`crate::round`]: a direct
-//!    contingency-table draw while the table is small, a permuted responder
-//!    sequence otherwise.
+//!    `L` are a uniform without-replacement sample of the population, so
+//!    their states are one multivariate hypergeometric draw of `2L` from the
+//!    counts: one conditional hypergeometric per heavy class and one exact
+//!    uniform pick per light-tail draw, plus `O(support)` cheap per-class
+//!    work. *How* the sample splits into initiators and responders and
+//!    pairs into ordered interactions is the round law of [`crate::round`]:
+//!    a uniform initiator split and a direct contingency-table draw while
+//!    the table is small, otherwise one uniformly shuffled sequence of all
+//!    `2L` participants, slot `i` paired with slot `L + i`.
 //! 3. **Collisions, exactly.** The run ends because the *next* interaction
 //!    touches a used agent. Used agents are exchangeable given their state
 //!    counts, so the colliding interaction is executed individually from a
@@ -65,11 +67,12 @@ pub struct BatchStats {
     pub collision_interactions: u64,
     /// Segments resolved by the exact shuffled walk (leader count near 1).
     pub exact_walks: u64,
-    /// Conditional draws spent pairing margins into contingency cells
-    /// (margin draws are common to both sides and not counted).
+    /// Conditional draws spent splitting a segment's margin into
+    /// initiators and responders and pairing them into contingency cells
+    /// (the margin draw is common to both sides and not counted).
     pub contingency_draws: u64,
-    /// Segments whose responder shuffle was replaced by a contingency
-    /// table.
+    /// Segments paired as contingency cells instead of a shuffled
+    /// sequence.
     pub shuffle_skips: u64,
 }
 

@@ -887,9 +887,10 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         let mut executed = 0u64;
         match draw {
             SegmentDraw::Sequences => {
-                for i in 0..bulk as usize {
-                    let s = scratch.init_seq[i] as usize;
-                    let t = scratch.resp_seq[i] as usize;
+                let bulk = bulk as usize;
+                for i in 0..bulk {
+                    let s = scratch.seq[i] as usize;
+                    let t = scratch.seq[bulk + i] as usize;
                     let (a, b, delta, _) = self.pair_effect(s, t);
                     scratch.ensure_states(self.states.len());
                     scratch.add_used(a);
@@ -901,10 +902,10 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
                             hit = true;
                             // Return the reserved-but-unexecuted tail to the
                             // fresh urn; those agents never interacted.
-                            for j in i + 1..bulk as usize {
-                                let init = scratch.init_seq[j] as usize;
+                            for j in i + 1..bulk {
+                                let init = scratch.seq[j] as usize;
                                 scratch.return_fresh(init);
-                                let resp = scratch.resp_seq[j] as usize;
+                                let resp = scratch.seq[bulk + j] as usize;
                                 scratch.return_fresh(resp);
                             }
                             break;

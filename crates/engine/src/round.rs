@@ -8,34 +8,36 @@
 //! advances a simulation by whole collision-free runs: sample the run
 //! length, sample *which* states interact, apply the interactions through
 //! the compiled cache, resolve the terminating collision. This module owns
-//! the middle step. Both multisets of a segment are drawn as sparse
-//! `(state, count)` margins; then the segment is paired one of two ways:
+//! the middle step. The `2·bulk` agents of a segment are a uniform
+//! without-replacement sample, drawn as **one** sparse `(state, count)`
+//! margin ([`BatchScratch::draw_margin`]): one hypergeometric draw per
+//! heavy class and one uniform pick per light-tail draw, plus `O(support)`
+//! cheap per-class work. The segment is then paired one of two ways:
 //!
-//! * **Cells** — draw the per-ordered-pair contingency table directly
-//!   (nested conditional hypergeometric rows, the law of
-//!   [`pp_rand::contingency_table`]) and apply each cell as one bulk count
-//!   delta. Skips the `Θ(√n)` responder shuffle and the per-interaction
-//!   apply loop whenever the table is much smaller than the round
-//!   (two-state epidemics, Fratricide).
-//! * **Sequences** — expand the margins into state sequences, Fisher–Yates
-//!   the responders, and pair positionally. Taken when the table would cost
-//!   more than the shuffle it replaces (see [`CELL_FALLBACK_FACTOR`]), and
-//!   always for exact walks, which need an ordered interleaving.
+//! * **Cells** — split a uniform `bulk`-subset of initiators off the margin
+//!   and draw the per-ordered-pair contingency table directly (nested
+//!   conditional hypergeometric rows, the law of
+//!   [`pp_rand::contingency_table`]); each cell applies as one bulk count
+//!   delta. Skips the shuffle and the per-interaction apply loop whenever
+//!   the table is much smaller than the round (Fratricide).
+//! * **Sequences** — expand the margin into `2·bulk` slots, Fisher–Yates
+//!   them all, and pair slot `i` with slot `bulk + i`: at once the uniform
+//!   matching and a uniformly random interleaving, so exact walks take this
+//!   side too. Taken when the table would cost more than the shuffle it
+//!   replaces (see [`CELL_FALLBACK_FACTOR`]).
 //!
-//! Both sides sample the uniformly random matching of the drawn margins, so
-//! executions equal the reference tier in distribution (chi-square-pinned
-//! by `tests/round_law.rs`). A sequence segment consumes the RNG exactly as
-//! the historical sequence-expansion round did — margins, expansion and
-//! shuffle draw the same words as two multiset expansions and a shuffle —
-//! which a known-answer test pins.
+//! Both sides sample the uniformly random matching of the drawn margin. The
+//! unit tests judge [`draw_segment`] against exact probabilities they
+//! compute themselves, `tests/round_law.rs` compares whole runs with the
+//! compiled tier, and a known-answer test pins the RNG stream.
 
 use crate::batch::BatchStats;
 use pp_rand::{Hypergeometric, Rng64};
 use std::cmp::Reverse;
 
-/// A segment is paired as cells only while `CELL_FALLBACK_FACTOR · table ≤
-/// bulk`, where `table` is the margin-list product bounding the cells to
-/// draw; otherwise it expands into sequences and shuffles.
+/// A segment is paired as cells only while `CELL_FALLBACK_FACTOR · m² ≤
+/// bulk`, where `m²` bounds the cells of a margin of `m` classes; otherwise
+/// it expands into sequences and shuffles.
 ///
 /// The factor prices one conditional hypergeometric draw in sequence
 /// slots. The benchmark's per-layer rows (P_LL at n = 2^20, 2-vCPU
@@ -48,9 +50,9 @@ use std::cmp::Reverse;
 /// (bulk ≈ 80, 4 cells) factors 4–16 run at 58–68M interactions/s and 38
 /// at 36M, the all-sequences path at 32M. Eight keeps the cells path on
 /// every such table and sends P_LL's wide-support segments to the
-/// shuffle: over its first 40n interactions at n = 2^20, ~230 of ~65k
-/// segments per election take the cells path (~5.5k draws), against ~3.9k
-/// segments and ~1.1M draws at factor 1.
+/// shuffle: over its first 40n interactions at n = 2^20 (batch pin, seeds
+/// 1–3), ~170 of ~65k segments per run take the cells path (~4.4k draws),
+/// against ~2.5k segments and ~0.57M draws at factor 1.
 pub(crate) const CELL_FALLBACK_FACTOR: u64 = 8;
 
 /// Rows with margins below this cutoff are drawn as sequential weighted
@@ -160,8 +162,8 @@ fn invert_prefix(u: f64, n: u64, budget: u64) -> (u64, bool) {
 /// Reusable per-round urn state: the **fresh** urn (agents untouched this
 /// round, initialized from the engine counts) and the **used** urn (agents
 /// that already interacted this round, holding their *post*-transition
-/// states), plus the expansion buffers of the initiator/responder
-/// sequences and the margin/cell buffers of the contingency law.
+/// states), plus the slot buffer of the sequence side and the margin/cell
+/// buffers of the contingency law.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BatchScratch {
     /// Per-state counts of untouched agents.
@@ -174,17 +176,17 @@ pub(crate) struct BatchScratch {
     /// visiting order; any pre-round-measurable order is law-correct, and
     /// largest-first exhausts the draws soonest).
     order: Vec<u32>,
-    /// Initiator state sequence of the round (expanded multiset).
-    pub init_seq: Vec<u32>,
-    /// Responder state sequence of the round (expanded multiset).
-    pub resp_seq: Vec<u32>,
-    /// Initiator margins `(state, count)` of the segment, in visiting
-    /// order.
+    /// The segment's `2·bulk` participant states, uniformly shuffled: slot
+    /// `i` initiates against slot `bulk + i`.
+    pub seq: Vec<u32>,
+    /// Initiator margins `(state, count)` of a cells segment.
     pub init_margin: Vec<(u32, u64)>,
-    /// Responder margins `(state, count)` of the segment.
-    pub resp_margin: Vec<(u32, u64)>,
+    /// The segment's margin `(state, count)` in visiting order; the
+    /// responder margins once a cells segment splits off its initiators.
+    pub margin: Vec<(u32, u64)>,
     /// Remaining responder margins while cells are drawn (parallel to
-    /// `resp_margin`).
+    /// `margin`); the tail picker's sorted positions while the margin is
+    /// drawn.
     resp_rem: Vec<u64>,
     /// Contingency cells `(initiator, responder, multiplicity)`.
     pub cells: Vec<(u32, u32, u64)>,
@@ -227,8 +229,7 @@ impl BatchScratch {
         self.used[..counts.len()].fill(0);
         let fresh = &self.fresh;
         repair_descending(&mut self.order, |id| fresh[id as usize]);
-        self.init_seq.clear();
-        self.resp_seq.clear();
+        self.seq.clear();
         self.cells.clear();
     }
 
@@ -241,64 +242,99 @@ impl BatchScratch {
     }
 
     /// Draws a `draws`-element multiset from the fresh urn (without
-    /// replacement) by conditional hypergeometric decomposition in visiting
-    /// order, recording it sparsely as `(state, count)` margins and
-    /// removing the drawn agents from the urn. The margins feed
-    /// [`draw_cells`](Self::draw_cells) or expand via
-    /// [`expand_margins`](Self::expand_margins).
-    pub(crate) fn draw_margins<R: Rng64 + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        draws: u64,
-        responders: bool,
-    ) {
+    /// replacement) into `margin`, removing the drawn agents from the urn.
+    ///
+    /// Classes in visiting order take one conditional hypergeometric draw
+    /// each while the conditional mean `remaining · c / pop` is at least 1.
+    /// From the first class below that, the light tail (exactly `pop`
+    /// agents) gets the `remaining` draws as uniform without-replacement
+    /// picks ([`pick_tail`](Self::pick_tail)). By sequential conditioning
+    /// this is the same multivariate hypergeometric law, and the switch
+    /// point is a stopping time, so choosing it adaptively is exact.
+    pub(crate) fn draw_margin<R: Rng64 + ?Sized>(&mut self, rng: &mut R, draws: u64) {
         debug_assert!(draws <= self.fresh_total);
-        let margin = if responders {
-            &mut self.resp_margin
-        } else {
-            &mut self.init_margin
-        };
-        margin.clear();
+        self.margin.clear();
         let mut remaining = draws;
         let mut pop = self.fresh_total;
-        for &id in &self.order {
-            if remaining == 0 {
+        let mut k = 0;
+        while remaining > 0 && k < self.order.len() {
+            let id = self.order[k];
+            let c = self.fresh[id as usize];
+            if remaining.saturating_mul(c) < pop {
+                self.pick_tail(rng, k, pop, remaining);
                 break;
             }
-            let c = self.fresh[id as usize];
-            if c == 0 {
-                continue;
-            }
-            let x = if pop == c {
-                remaining
-            } else {
-                Hypergeometric::new(pop, c, remaining)
-                    .expect("class within remaining population")
-                    .sample(rng)
-            };
+            let x = Hypergeometric::new(pop, c, remaining)
+                .expect("class within remaining population")
+                .sample(rng);
             if x > 0 {
-                margin.push((id, x));
+                self.margin.push((id, x));
                 self.fresh[id as usize] -= x;
                 remaining -= x;
             }
             pop -= c;
+            k += 1;
         }
-        debug_assert_eq!(remaining, 0, "classes must exhaust the draws");
         self.fresh_total -= draws;
     }
 
-    /// Expands the margin lists of the current segment into `init_seq` /
-    /// `resp_seq` (run-length, visiting order). The caller still owes the
-    /// responder shuffle.
-    pub(crate) fn expand_margins(&mut self) {
-        self.init_seq.clear();
-        for &(id, c) in &self.init_margin {
-            self.init_seq.resize(self.init_seq.len() + c as usize, id);
+    /// Places `picks` uniform without-replacement draws among the `pop`
+    /// agents of the classes `order[start..]`, appending their margins.
+    /// Floyd's method draws a uniform `picks`-subset of the tail's agent
+    /// positions (one `below` call each), kept sorted in `resp_rem`; one
+    /// pass over the tail's running counts then tallies the positions each
+    /// class holds. Cost: `O(t log t)` comparisons and `O(t²)` word moves
+    /// for `t = picks`, plus the classes scanned; `t` is below the tail's
+    /// support.
+    fn pick_tail<R: Rng64 + ?Sized>(&mut self, rng: &mut R, start: usize, pop: u64, picks: u64) {
+        let picked = &mut self.resp_rem;
+        picked.clear();
+        for j in pop - picks..pop {
+            let t = rng.below(j + 1);
+            match picked.binary_search(&t) {
+                Ok(_) => picked.push(j),
+                Err(at) => picked.insert(at, t),
+            }
         }
-        self.resp_seq.clear();
-        for &(id, c) in &self.resp_margin {
-            self.resp_seq.resize(self.resp_seq.len() + c as usize, id);
+        let (mut end, mut next) = (0, 0);
+        for &id in &self.order[start..] {
+            if next == picked.len() {
+                break;
+            }
+            let c = &mut self.fresh[id as usize];
+            end += *c;
+            let x = picked[next..].iter().take_while(|&&p| p < end).count();
+            if x > 0 {
+                self.margin.push((id, x as u64));
+                *c -= x as u64;
+                next += x;
+            }
         }
+    }
+
+    /// Splits a uniform `bulk`-subset of initiators off the `2·bulk`-agent
+    /// margin into `init_margin`, leaving the responders in `margin`.
+    /// Returns the number of sampler invocations.
+    fn split_initiators<R: Rng64 + ?Sized>(&mut self, rng: &mut R, bulk: u64) -> u64 {
+        self.init_margin.clear();
+        let (mut remaining, mut pop, mut draws) = (bulk, 2 * bulk, 0);
+        for (id, c) in self.margin.iter_mut() {
+            if remaining == 0 {
+                break;
+            }
+            draws += u64::from(pop != *c);
+            let x = Hypergeometric::new(pop, *c, remaining)
+                .expect("class within the margin")
+                .sample(rng);
+            pop -= *c;
+            if x > 0 {
+                self.init_margin.push((*id, x));
+                *c -= x;
+                remaining -= x;
+            }
+        }
+        self.margin.retain(|&(_, c)| c > 0);
+        draws
     }
 
     /// Pairs the drawn margins into per-ordered-pair multiplicities
@@ -314,12 +350,11 @@ impl BatchScratch {
     pub(crate) fn draw_cells<R: Rng64 + ?Sized>(&mut self, rng: &mut R) -> u64 {
         self.cells.clear();
         self.resp_rem.clear();
-        self.resp_rem
-            .extend(self.resp_margin.iter().map(|&(_, c)| c));
+        self.resp_rem.extend(self.margin.iter().map(|&(_, c)| c));
         let mut pool: u64 = self.resp_rem.iter().sum();
         let mut draws = 0u64;
         for &(s, row) in &self.init_margin {
-            if row < ROW_WEIGHTED_CUTOFF && self.resp_margin.len() > 1 {
+            if row < ROW_WEIGHTED_CUTOFF && self.margin.len() > 1 {
                 // Match the row's few agents one at a time: each partner is
                 // uniform over the remaining responder pool.
                 for _ in 0..row {
@@ -339,7 +374,7 @@ impl BatchScratch {
                         .expect("target below the pool total");
                     self.resp_rem[j] -= 1;
                     pool -= 1;
-                    let t = self.resp_margin[j].0;
+                    let t = self.margin[j].0;
                     match self.cells.last_mut() {
                         Some(cell) if cell.0 == s && cell.1 == t => cell.2 += 1,
                         _ => self.cells.push((s, t, 1)),
@@ -366,7 +401,7 @@ impl BatchScratch {
                         .sample(rng)
                 };
                 if x > 0 {
-                    self.cells.push((s, self.resp_margin[j].0, x));
+                    self.cells.push((s, self.margin[j].0, x));
                     self.resp_rem[j] -= x;
                     remaining -= x;
                 }
@@ -430,8 +465,8 @@ impl BatchScratch {
 /// loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SegmentDraw {
-    /// `init_seq[i]` interacts with `resp_seq[i]`, in order — required by
-    /// exact walks, which need a uniformly interleaved sequence.
+    /// `seq[i]` interacts with `seq[bulk + i]`, in order of `i` — the
+    /// uniformly interleaved pair sequence exact walks need.
     Sequences,
     /// `cells` holds `(initiator, responder, multiplicity)` aggregates;
     /// order-free bulk apply.
@@ -441,10 +476,10 @@ pub(crate) enum SegmentDraw {
 /// Draws one collision-free segment's interaction structure out of the
 /// fresh urn (see the [module docs](self)): removes exactly `2·bulk`
 /// agents and returns the representation it filled. With `walk` set the
-/// host needs a uniformly interleaved pair *sequence*, so both sides are
-/// shuffled and the result is always [`SegmentDraw::Sequences`]. The host
-/// (`CountSimulation::batch_episode`) owns everything else: run lengths,
-/// the apply loop, collision resolution, urn merging.
+/// host needs the pair *sequence*, so the result is always
+/// [`SegmentDraw::Sequences`]. The host (`CountSimulation::batch_episode`)
+/// owns everything else: run lengths, the apply loop, collision
+/// resolution, urn merging.
 pub(crate) fn draw_segment<R: Rng64>(
     scratch: &mut BatchScratch,
     rng: &mut R,
@@ -452,25 +487,22 @@ pub(crate) fn draw_segment<R: Rng64>(
     walk: bool,
     stats: &mut BatchStats,
 ) -> SegmentDraw {
-    scratch.draw_margins(rng, bulk, false);
-    scratch.draw_margins(rng, bulk, true);
-    let table = scratch.init_margin.len() as u64 * scratch.resp_margin.len() as u64;
-    if !walk && CELL_FALLBACK_FACTOR.saturating_mul(table) <= bulk {
-        let draws = scratch.draw_cells(rng);
-        stats.contingency_draws += draws;
+    scratch.draw_margin(rng, 2 * bulk);
+    let m = scratch.margin.len() as u64;
+    if !walk && CELL_FALLBACK_FACTOR.saturating_mul(m * m) <= bulk {
+        let split = scratch.split_initiators(rng, bulk);
+        stats.contingency_draws += split + scratch.draw_cells(rng);
         stats.shuffle_skips += 1;
         return SegmentDraw::Cells;
     }
-    scratch.expand_margins();
-    // Pairing: a uniformly permuted responder sequence against the
-    // initiators realizes the uniformly random matching.
-    rng.shuffle(&mut scratch.resp_seq);
-    if walk {
-        // Both sequences uniformly permuted makes the segment's pair
-        // sequence a uniformly random interleaving — the conditional law
-        // of the true process given the drawn multisets.
-        rng.shuffle(&mut scratch.init_seq);
+    // A uniformly shuffled participant sequence, paired slot `i` with slot
+    // `bulk + i`, is at once the uniformly random matching and a uniformly
+    // random interleaving of it — the conditional law of the true process
+    // given the drawn multiset.
+    for &(id, c) in &scratch.margin {
+        scratch.seq.resize(scratch.seq.len() + c as usize, id);
     }
+    rng.shuffle(&mut scratch.seq);
     SegmentDraw::Sequences
 }
 
@@ -478,6 +510,7 @@ pub(crate) fn draw_segment<R: Rng64>(
 mod tests {
     use super::*;
     use pp_rand::Xoshiro256PlusPlus;
+    use std::collections::HashMap;
 
     fn rng(seed: u64) -> Xoshiro256PlusPlus {
         Xoshiro256PlusPlus::seed_from_u64(seed)
@@ -631,26 +664,46 @@ mod tests {
         }
     }
 
+    /// Per-class totals of the segment's participants, whichever side it
+    /// took, split into `(initiators, responders)`.
+    fn segment_margins(s: &BatchScratch, draw: SegmentDraw, bulk: u64, k: usize) -> [Vec<u64>; 2] {
+        let (mut init, mut resp) = (vec![0u64; k], vec![0u64; k]);
+        match draw {
+            SegmentDraw::Cells => {
+                for &(a, b, c) in &s.cells {
+                    init[a as usize] += c;
+                    resp[b as usize] += c;
+                }
+            }
+            SegmentDraw::Sequences => {
+                let (front, back) = s.seq.split_at(bulk as usize);
+                front.iter().for_each(|&id| init[id as usize] += 1);
+                back.iter().for_each(|&id| resp[id as usize] += 1);
+            }
+        }
+        [init, resp]
+    }
+
     #[test]
     fn multiset_draws_partition_the_round() {
-        let counts = [100u64, 50, 0, 25];
+        // Drawn + remaining reconstruct the original counts, the margin is
+        // in visiting order with no empty entry, and no empty class is
+        // drawn — across heavy-only, tail-only and mixed draws.
+        let counts = [500u64, 300, 200, 200, 7, 1, 0, 1];
         let mut s = BatchScratch::default();
         let mut r = rng(9);
-        for _ in 0..200 {
+        for draws in 1..=400 {
             s.begin(&counts);
-            s.draw_margins(&mut r, 40, false);
-            s.draw_margins(&mut r, 40, true);
-            s.expand_margins();
-            assert_eq!(s.init_seq.len(), 40);
-            assert_eq!(s.resp_seq.len(), 40);
-            assert_eq!(s.fresh_total, 175 - 80);
-            // Drawn + remaining reconstruct the original counts.
+            s.draw_margin(&mut r, draws);
+            assert_eq!(s.fresh_total, 1209 - draws);
+            assert!(s.margin.iter().all(|&(id, c)| c > 0 && id != 6));
             let mut back = s.fresh.clone();
-            for &id in s.init_seq.iter().chain(&s.resp_seq) {
-                back[id as usize] += 1;
+            for &(id, c) in &s.margin {
+                back[id as usize] += c;
             }
-            assert_eq!(&back[..], &counts[..]);
-            assert!(s.init_seq.iter().all(|&id| id != 2), "empty class drawn");
+            assert_eq!(&back[..], &counts[..], "draws {draws}");
+            let key = |&(id, _): &(u32, u64)| descending_key(counts[id as usize], id);
+            assert!(s.margin.windows(2).all(|w| key(&w[0]) < key(&w[1])));
         }
     }
 
@@ -659,7 +712,7 @@ mod tests {
         let mut s = BatchScratch::default();
         s.begin(&[3, 2]);
         let mut r = rng(10);
-        s.draw_margins(&mut r, 2, false);
+        s.draw_margin(&mut r, 2);
         s.add_used(0);
         s.add_used(1);
         assert_eq!(s.used_total, 2);
@@ -675,33 +728,6 @@ mod tests {
     }
 
     #[test]
-    fn margins_match_reference_decomposition_draw_for_draw() {
-        // `draw_margins` inlines (order-optimized) the conditional
-        // decomposition that `pp_rand::multivariate_hypergeometric` is the
-        // reference implementation of. With counts already in descending
-        // order the visiting orders coincide, so the same RNG stream must
-        // produce the exact same per-class counts — pinning the two
-        // implementations against drifting apart.
-        use pp_rand::multivariate_hypergeometric;
-        let counts = [500u64, 300, 200, 200, 7, 1, 0];
-        let mut s = BatchScratch::default();
-        for seed in 0..50 {
-            let mut r1 = rng(seed);
-            let mut r2 = rng(seed);
-            let draws = 1 + (seed % 200);
-            s.begin(&counts);
-            s.draw_margins(&mut r1, draws, false);
-            let mut drawn = vec![0u64; counts.len()];
-            for &(id, c) in &s.init_margin {
-                drawn[id as usize] += c;
-            }
-            let mut reference = vec![0u64; counts.len()];
-            multivariate_hypergeometric(&mut r2, &counts, draws, &mut reference);
-            assert_eq!(drawn, reference, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn multiset_marginals_match_hypergeometric_means() {
         let counts = [500u64, 300, 200];
         let draws = 100u64;
@@ -711,8 +737,8 @@ mod tests {
         let mut sums = [0u64; 3];
         for _ in 0..runs {
             s.begin(&counts);
-            s.draw_margins(&mut r, draws, false);
-            for &(id, c) in &s.init_margin {
+            s.draw_margin(&mut r, draws);
+            for &(id, c) in &s.margin {
                 sums[id as usize] += c;
             }
         }
@@ -726,49 +752,20 @@ mod tests {
         }
     }
 
+    /// Known answer for the round's RNG stream: one margin for all `2·bulk`
+    /// participants (heavy prefix, then tail picks), expanded and shuffled
+    /// as one sequence. Recorded from this implementation at fixed seeds, so
+    /// any change to the draw order shows up here; the law itself is judged
+    /// by the exact-law tests below.
     #[test]
-    fn margins_match_multiset_law() {
-        // The expanded sequences are the drawn multisets: run-length blocks
-        // in visiting order, one block per nonzero margin, and the urn
-        // loses exactly what was drawn.
-        let counts = [500u64, 300, 200, 200, 7, 1, 0];
-        let mut s = BatchScratch::default();
-        for seed in 0..50 {
-            let mut r = rng(seed);
-            let draws = 1 + (seed % 200);
-            s.begin(&counts);
-            s.draw_margins(&mut r, draws, false);
-            s.draw_margins(&mut r, draws, true);
-            s.expand_margins();
-            for (margin, seq) in [(&s.init_margin, &s.init_seq), (&s.resp_margin, &s.resp_seq)] {
-                let mut blocks: Vec<(u32, u64)> = Vec::new();
-                for &id in seq.iter() {
-                    match blocks.last_mut() {
-                        Some(block) if block.0 == id => block.1 += 1,
-                        _ => blocks.push((id, 1)),
-                    }
-                }
-                assert_eq!(&blocks, margin, "seed {seed}");
-            }
-            let mut back = s.fresh.clone();
-            for &id in s.init_seq.iter().chain(&s.resp_seq) {
-                back[id as usize] += 1;
-            }
-            assert_eq!(&back[..], &counts[..], "seed {seed}");
-        }
-    }
-
-    /// The sequence side of the round must consume the RNG exactly as the
-    /// historical sequence-expansion round did (two expanded multiset
-    /// draws, a responder shuffle and, for walks, an initiator shuffle).
-    /// The expected sequences and the next RNG word were recorded from that
-    /// round at the same seeds.
-    #[test]
-    fn sequence_segments_reproduce_recorded_sequence_expansion_draws() {
+    fn sequence_segments_reproduce_recorded_single_margin_draws() {
         let mut stats = BatchStats::default();
-        // Wide support: 40 classes make a ~600-cell table against a bulk
-        // of 30, so the segment falls back to sequences.
-        let counts: Vec<u64> = vec![50; 40];
+        // Wide support: 41 classes against a bulk of 30, so the segment
+        // falls back to sequences. The one heavy class takes a
+        // hypergeometric draw; the 40 classes of 10 behind it are light, so
+        // the rest of the 60 draws are tail picks.
+        let mut counts: Vec<u64> = vec![10; 41];
+        counts[0] = 1000;
         let mut s = BatchScratch::default();
         let mut r = rng(15);
         s.begin(&counts);
@@ -776,22 +773,17 @@ mod tests {
             draw_segment(&mut s, &mut r, 30, false, &mut stats),
             SegmentDraw::Sequences
         );
+        assert_eq!(s.margin[0], (0, 43));
         assert_eq!(
-            s.init_seq,
+            s.seq,
             [
-                1, 2, 4, 7, 7, 9, 9, 10, 12, 13, 14, 14, 14, 15, 15, 21, 21, 24, 25, 25, 25, 26,
-                29, 30, 34, 34, 35, 38, 39, 39
+                0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 14, 0, 0, 0, 20, 0, 0, 0, 8, 0, 38,
+                0, 0, 0, 21, 0, 20, 0, 40, 0, 8, 28, 0, 3, 0, 0, 37, 19, 0, 14, 0, 0, 0, 0, 0, 0,
+                0, 0, 34, 0, 40, 0, 0, 0, 30
             ]
         );
-        assert_eq!(
-            s.resp_seq,
-            [
-                33, 30, 2, 12, 2, 39, 37, 35, 23, 11, 29, 38, 14, 36, 20, 35, 11, 5, 38, 7, 6, 16,
-                19, 31, 28, 38, 2, 0, 10, 31
-            ]
-        );
-        assert_eq!(r.next_u64(), 0x0693_61f5_2edd_9c23);
-        // A walk segment on a two-class urn: both sides shuffled.
+        assert_eq!(r.next_u64(), 0x01d4_50e1_ab52_073e);
+        // A walk segment on a two-class urn (heavy only).
         let mut s = BatchScratch::default();
         let mut r = rng(16);
         s.begin(&[100, 50]);
@@ -800,14 +792,13 @@ mod tests {
             SegmentDraw::Sequences
         );
         assert_eq!(
-            s.init_seq,
-            [0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0]
+            s.seq,
+            [
+                1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0,
+                0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0
+            ]
         );
-        assert_eq!(
-            s.resp_seq,
-            [0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0]
-        );
-        assert_eq!(r.next_u64(), 0x3057_a9c1_dea2_cea1);
+        assert_eq!(r.next_u64(), 0x0a81_7e0a_0cd3_b7ef);
         assert_eq!(stats.shuffle_skips, 0);
     }
 
@@ -821,23 +812,7 @@ mod tests {
             s.begin(&counts);
             let bulk = 20 + (trial % 150);
             let draw = draw_segment(&mut s, &mut r, bulk, false, &mut stats);
-            let (mut init, mut resp) = (vec![0u64; 5], vec![0u64; 5]);
-            match draw {
-                SegmentDraw::Cells => {
-                    for &(a, b, c) in &s.cells {
-                        init[a as usize] += c;
-                        resp[b as usize] += c;
-                    }
-                }
-                SegmentDraw::Sequences => {
-                    for &id in &s.init_seq {
-                        init[id as usize] += 1;
-                    }
-                    for &id in &s.resp_seq {
-                        resp[id as usize] += 1;
-                    }
-                }
-            }
+            let [init, resp] = segment_margins(&s, draw, bulk, 5);
             assert_eq!(init.iter().sum::<u64>(), bulk, "trial {trial}");
             assert_eq!(resp.iter().sum::<u64>(), bulk, "trial {trial}");
             // Drawn + remaining fresh reconstruct the original counts.
@@ -854,13 +829,39 @@ mod tests {
     }
 
     #[test]
+    fn margins_match_multiset_law() {
+        // The sequence side expands the margin: the shuffled slots hold
+        // exactly the drawn multiset, and the urn loses exactly what was
+        // drawn.
+        let counts = [500u64, 300, 200, 200, 7, 1, 0];
+        let mut s = BatchScratch::default();
+        let mut stats = BatchStats::default();
+        for seed in 0..50 {
+            let mut r = rng(seed);
+            let bulk = 1 + (seed % 200);
+            s.begin(&counts);
+            let draw = draw_segment(&mut s, &mut r, bulk, true, &mut stats);
+            assert_eq!(draw, SegmentDraw::Sequences);
+            assert_eq!(s.seq.len() as u64, 2 * bulk, "seed {seed}");
+            let mut drawn = vec![0u64; counts.len()];
+            s.seq.iter().for_each(|&id| drawn[id as usize] += 1);
+            let mut margin = vec![0u64; counts.len()];
+            s.margin
+                .iter()
+                .for_each(|&(id, c)| margin[id as usize] += c);
+            assert_eq!(drawn, margin, "seed {seed}");
+            let back: Vec<u64> = s.fresh.iter().zip(&drawn).map(|(f, d)| f + d).collect();
+            assert_eq!(&back[..], &counts[..], "seed {seed}");
+        }
+    }
+
+    #[test]
     fn cells_match_contingency_table_law_on_corner_cell() {
         // Two classes, counts [60, 40]; draw 40 initiators + 40 responders
-        // (a ≤ 4-cell table, on the cells side of the cutover) and pin
-        // P(cell(0,0) = k) against pp_rand::contingency_table on the same
-        // margins, accumulated over the margin randomness: both
-        // decompositions must agree in distribution because they sample
-        // the same uniform-matching law.
+        // (two margin classes, on the cells side of the cutover) and pin
+        // P(cell(0,0) = k) against pp_rand's reference samplers: two
+        // multiset draws paired by `contingency_table`. Both sample the
+        // uniform-matching law of the round.
         let counts = [60u64, 40];
         let bulk = 40;
         let mut s = BatchScratch::default();
@@ -882,19 +883,11 @@ mod tests {
                 .sum();
             engine_hist[c00 as usize] += 1;
 
-            // Reference: same margin law (two multiset draws from the urn)
-            // paired by pp_rand's table sampler.
-            s.begin(&counts);
-            s.draw_margins(&mut r2, bulk, false);
-            s.draw_margins(&mut r2, bulk, true);
             let mut rows = [0u64; 2];
+            pp_rand::multivariate_hypergeometric(&mut r2, &counts, bulk, &mut rows);
+            let rest = [counts[0] - rows[0], counts[1] - rows[1]];
             let mut cols = [0u64; 2];
-            for &(id, c) in &s.init_margin {
-                rows[id as usize] += c;
-            }
-            for &(id, c) in &s.resp_margin {
-                cols[id as usize] += c;
-            }
+            pp_rand::multivariate_hypergeometric(&mut r2, &rest, bulk, &mut cols);
             let mut table = [0u64; 4];
             pp_rand::contingency_table(&mut r2, &rows, &cols, &mut table);
             reference_hist[table[0] as usize] += 1;
@@ -911,8 +904,8 @@ mod tests {
 
     #[test]
     fn contingency_falls_back_on_wide_support() {
-        // 40 distinct classes and a bulk of 30: the ~600-cell table loses
-        // to the shuffle, so the segment must expand instead.
+        // 40 distinct classes and a bulk of 30: the table loses to the
+        // shuffle, so the segment must expand instead.
         let counts: Vec<u64> = (0..40).map(|_| 50u64).collect();
         let mut s = BatchScratch::default();
         let mut r = rng(15);
@@ -920,21 +913,241 @@ mod tests {
         s.begin(&counts);
         let draw = draw_segment(&mut s, &mut r, 30, false, &mut stats);
         assert_eq!(draw, SegmentDraw::Sequences);
-        assert_eq!(s.init_seq.len(), 30);
-        assert_eq!(s.resp_seq.len(), 30);
+        assert_eq!(s.seq.len(), 60);
         assert_eq!(stats.shuffle_skips, 0);
     }
 
     #[test]
     fn walk_segments_always_produce_sequences() {
+        // Two classes and a bulk of 40 would take the cells side, but a
+        // walk needs the pair sequence.
         let counts = [100u64, 50];
         let mut s = BatchScratch::default();
         let mut r = rng(16);
         let mut stats = BatchStats::default();
         s.begin(&counts);
-        let draw = draw_segment(&mut s, &mut r, 20, true, &mut stats);
+        let draw = draw_segment(&mut s, &mut r, 40, true, &mut stats);
         assert_eq!(draw, SegmentDraw::Sequences);
-        assert_eq!(s.init_seq.len(), 20);
+        assert_eq!(s.seq.len(), 80);
         assert_eq!(stats.shuffle_skips, 0);
+    }
+
+    // -----------------------------------------------------------------------
+    // Exact-law oracle: `draw_segment` against probabilities these tests
+    // compute themselves, by enumeration or exact integer binomials, with no
+    // use of `pp_rand`'s samplers. Pearson chi-square at α = 0.001 over the
+    // outcomes whose expected count is at least 5; rarer outcomes are pooled
+    // into one bin.
+    // -----------------------------------------------------------------------
+
+    /// `C(n, k)` in exact integer arithmetic.
+    fn choose(n: u64, k: u64) -> u128 {
+        if k > n {
+            return 0;
+        }
+        (0..k.min(n - k)).fold(1u128, |acc, i| acc * u128::from(n - i) / u128::from(i + 1))
+    }
+
+    /// Pearson's test of observed outcome counts against exact
+    /// probabilities (which must sum to 1 over `exact`'s keys).
+    fn assert_exact_law(
+        what: &str,
+        observed: &HashMap<Vec<u64>, u64>,
+        exact: &[(Vec<u64>, f64)],
+        runs: u64,
+    ) {
+        let total: f64 = exact.iter().map(|(_, p)| p).sum();
+        assert!(
+            (total - 1.0).abs() < 1e-9,
+            "{what}: probabilities sum to {total}"
+        );
+        for key in observed.keys() {
+            assert!(
+                exact.iter().any(|(k, _)| k == key),
+                "{what}: impossible outcome {key:?}"
+            );
+        }
+        let (mut stat, mut bins) = (0.0, 0usize);
+        let (mut pooled_obs, mut pooled_exp) = (0.0, 0.0);
+        for (key, p) in exact {
+            let obs = observed.get(key).copied().unwrap_or(0) as f64;
+            let exp = p * runs as f64;
+            if exp >= 5.0 {
+                stat += (obs - exp).powi(2) / exp;
+                bins += 1;
+            } else {
+                pooled_obs += obs;
+                pooled_exp += exp;
+            }
+        }
+        if pooled_exp >= 5.0 {
+            stat += (pooled_obs - pooled_exp).powi(2) / pooled_exp;
+            bins += 1;
+        }
+        assert!(bins >= 3, "{what}: only {bins} bins");
+        let critical = pp_stats::chi_square_critical(bins - 1, 0.001);
+        assert!(
+            stat <= critical,
+            "{what}: chi2 = {stat:.2} > {critical:.2} over {bins} bins"
+        );
+    }
+
+    /// Every per-class count vector `x ≤ counts` with `Σx = draws`, with its
+    /// multivariate hypergeometric probability `Π C(c_i, x_i) / C(N, draws)`.
+    fn multiset_law(counts: &[u64], draws: u64) -> Vec<(Vec<u64>, f64)> {
+        let denom = choose(counts.iter().sum(), draws) as f64;
+        let mut out = Vec::new();
+        let mut x = vec![0u64; counts.len()];
+        fn rec(
+            i: usize,
+            left: u64,
+            counts: &[u64],
+            x: &mut Vec<u64>,
+            denom: f64,
+            out: &mut Vec<(Vec<u64>, f64)>,
+        ) {
+            if i == counts.len() {
+                if left == 0 {
+                    let ways: u128 = counts
+                        .iter()
+                        .zip(x.iter())
+                        .map(|(&c, &k)| choose(c, k))
+                        .product();
+                    out.push((x.clone(), ways as f64 / denom));
+                }
+                return;
+            }
+            for k in 0..=left.min(counts[i]) {
+                x[i] = k;
+                rec(i + 1, left - k, counts, x, denom, out);
+            }
+            x[i] = 0;
+        }
+        rec(0, draws, counts, &mut x, denom, &mut out);
+        out
+    }
+
+    /// The segment's participant multiset (`2·bulk` draws) against the exact
+    /// multivariate hypergeometric law.
+    fn check_margin_law(what: &str, counts: &[u64], bulk: u64, seed: u64) {
+        let runs = 20_000;
+        let mut s = BatchScratch::default();
+        let mut r = rng(seed);
+        let mut stats = BatchStats::default();
+        let mut observed = HashMap::new();
+        for _ in 0..runs {
+            s.begin(counts);
+            let draw = draw_segment(&mut s, &mut r, bulk, false, &mut stats);
+            assert_eq!(draw, SegmentDraw::Sequences, "{what}");
+            let [init, resp] = segment_margins(&s, draw, bulk, counts.len());
+            let total: Vec<u64> = init.iter().zip(&resp).map(|(a, b)| a + b).collect();
+            *observed.entry(total).or_insert(0) += 1;
+        }
+        assert_exact_law(what, &observed, &multiset_law(counts, 2 * bulk), runs);
+    }
+
+    #[test]
+    fn margin_law_is_exact_heavy_only() {
+        // Eight draws from [4, 3, 2]: the first class takes ≥ 3 of them, so
+        // the second sees ≥ 4 remaining against a population of 5 (mean
+        // ≥ 2.4) and the last class is the whole remaining population —
+        // every class is drawn by hypergeometric.
+        check_margin_law("heavy only", &[4, 3, 2], 4, 21);
+    }
+
+    #[test]
+    fn margin_law_is_exact_tail_only() {
+        // Four draws from 26 agents: the largest class's mean is 20/26 < 1,
+        // so every draw is a tail pick over all ten classes.
+        check_margin_law("tail only", &[5, 4, 4, 3, 3, 2, 2, 1, 1, 1], 2, 22);
+    }
+
+    #[test]
+    fn margin_law_is_exact_mixed() {
+        // Four draws from [20, 3, 2, 2, 1]: the first class is heavy; the
+        // second is heavy only when the first took at most one draw, so
+        // the switch point itself is random.
+        check_margin_law("mixed", &[20, 3, 2, 2, 1], 2, 23);
+    }
+
+    #[test]
+    fn walk_sequence_law_is_exact_on_a_tiny_urn() {
+        // Agents with states [0, 0, 0, 1, 1, 2] and bulk 2: the segment's
+        // pair sequence ((seq[0], seq[2]), (seq[1], seq[3])) must be the
+        // state image of a uniform injective 4-tuple of agents (360 of
+        // them, enumerated here).
+        let agents = [0u64, 0, 0, 1, 1, 2];
+        let mut exact: HashMap<Vec<u64>, f64> = HashMap::new();
+        for a in 0..6 {
+            for b in (0..6).filter(|&b| b != a) {
+                for c in (0..6).filter(|&c| c != a && c != b) {
+                    for d in (0..6).filter(|&d| d != a && d != b && d != c) {
+                        let key = vec![agents[a], agents[b], agents[c], agents[d]];
+                        *exact.entry(key).or_insert(0.0) += 1.0 / 360.0;
+                    }
+                }
+            }
+        }
+        let runs = 20_000;
+        let mut s = BatchScratch::default();
+        let mut r = rng(24);
+        let mut stats = BatchStats::default();
+        let mut observed = HashMap::new();
+        for _ in 0..runs {
+            s.begin(&[3, 2, 1]);
+            let draw = draw_segment(&mut s, &mut r, 2, true, &mut stats);
+            assert_eq!(draw, SegmentDraw::Sequences);
+            let q = &s.seq;
+            let key = vec![q[0] as u64, q[2] as u64, q[1] as u64, q[3] as u64];
+            *observed.entry(key).or_insert(0) += 1;
+        }
+        let exact: Vec<(Vec<u64>, f64)> = exact.into_iter().collect();
+        assert_exact_law("walk sequence", &observed, &exact, runs);
+    }
+
+    #[test]
+    fn cells_law_is_exact_on_two_classes() {
+        // Counts [60, 40] and bulk 32: both classes are always drawn, so
+        // 8·2² ≤ 32 sends every segment to the cells side. The table is
+        // fixed by (i0, r0, a00) — state-0 initiators, state-0 responders
+        // and state-0/state-0 pairs — whose exact law is: i0 a
+        // hypergeometric draw of 32 from the urn, r0 one of 32 from what
+        // remains, and a00 the hypergeometric overlap of a uniform matching.
+        let (c0, c1, bulk) = (60u64, 40u64, 32u64);
+        let hyper = |pop0: u64, pop1: u64, draws: u64, k: u64| {
+            (choose(pop0, k) * choose(pop1, draws - k)) as f64 / choose(pop0 + pop1, draws) as f64
+        };
+        let mut exact = Vec::new();
+        for i0 in 0..=bulk {
+            let p_i = hyper(c0, c1, bulk, i0);
+            for r0 in 0..=bulk {
+                let p_r = hyper(c0 - i0, c1 - (bulk - i0), bulk, r0);
+                for a00 in 0..=i0.min(r0) {
+                    let p_a = hyper(r0, bulk - r0, i0, a00);
+                    if p_i * p_r * p_a > 0.0 {
+                        exact.push((vec![i0, r0, a00], p_i * p_r * p_a));
+                    }
+                }
+            }
+        }
+        let runs = 20_000;
+        let mut s = BatchScratch::default();
+        let mut r = rng(25);
+        let mut stats = BatchStats::default();
+        let mut observed = HashMap::new();
+        for _ in 0..runs {
+            s.begin(&[c0, c1]);
+            let draw = draw_segment(&mut s, &mut r, bulk, false, &mut stats);
+            assert_eq!(draw, SegmentDraw::Cells);
+            let [init, resp] = segment_margins(&s, draw, bulk, 2);
+            let a00 = s
+                .cells
+                .iter()
+                .filter(|&&(a, b, _)| a == 0 && b == 0)
+                .map(|&(_, _, c)| c)
+                .sum();
+            *observed.entry(vec![init[0], resp[0], a00]).or_insert(0) += 1;
+        }
+        assert_exact_law("cells", &observed, &exact, runs);
     }
 }

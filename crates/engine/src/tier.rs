@@ -40,9 +40,12 @@ pub(crate) const JUMP_EXIT_FACTOR: u64 = 4;
 
 /// The batch tier engages when
 /// `support · BATCH_SUPPORT_DIVISOR ≤ E[collision-free run]`: a round costs
-/// `O(support)` hypergeometric draws plus `O(run)` cheap per-slot work, so
-/// it beats the compiled tier only while the live support is a fraction of
-/// the expected `Θ(√n)` round length. It disengages (factor-2 hysteresis)
+/// one hypergeometric draw per heavy class (mean at least one draw), one
+/// uniform pick per draw in the light tail and `O(support + run)` cheap
+/// per-class and per-slot work, so it beats the compiled tier only
+/// while the live support is a fraction of the expected `Θ(√n)` round
+/// length. The divisor predates the light-tail picks and has not been
+/// re-priced for them. It disengages (factor-2 hysteresis)
 /// once the support grows past twice the engage threshold.
 const BATCH_SUPPORT_DIVISOR: u64 = 3;
 

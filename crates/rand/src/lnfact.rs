@@ -41,7 +41,7 @@ pub(crate) fn ln_factorial(k: u64) -> f64 {
 
 /// The direct evaluation behind [`ln_factorial`].
 fn ln_factorial_uncached(k: u64) -> f64 {
-    if k < 16 {
+    if k < STIRLING_MIN {
         // 15! = 1_307_674_368_000 is exactly representable.
         let mut f = 1u64;
         for i in 2..=k {
@@ -50,12 +50,22 @@ fn ln_factorial_uncached(k: u64) -> f64 {
         return (f as f64).ln();
     }
     let x = k as f64;
-    let inv = 1.0 / x;
-    let inv2 = inv * inv;
-    // ln k! = (k + ½) ln k − k + ½ ln 2π + 1/(12k) − 1/(360k³) + 1/(1260k⁵) − 1/(1680k⁷)
-    let series = inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 / 1680.0)));
-    (x + 0.5) * x.ln() - x + HALF_LN_TWO_PI + series
+    // ln k! = (k + ½) ln k − k + ½ ln 2π + stirling_correction(k)
+    (x + 0.5) * x.ln() - x + HALF_LN_TWO_PI + stirling_correction(k)
 }
+
+/// The correction terms of Stirling's series for `ln k!`:
+/// `1/(12k) − 1/(360k³) + 1/(1260k⁵) − 1/(1680k⁷)`, accurate for
+/// `k ≥ STIRLING_MIN`.
+#[inline]
+pub(crate) fn stirling_correction(k: u64) -> f64 {
+    let inv = 1.0 / k as f64;
+    let inv2 = inv * inv;
+    inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 / 1680.0)))
+}
+
+/// The smallest argument [`ln_factorial`] evaluates by Stirling's series.
+pub(crate) const STIRLING_MIN: u64 = 16;
 
 /// `ln C(n, k)` for `k ≤ n`.
 #[inline]

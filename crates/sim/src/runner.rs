@@ -811,17 +811,30 @@ mod tests {
     fn sweep_rides_the_jump_scheduler_at_scale() {
         // 2^14 fratricide takes Θ(n²) ≈ 2.7e8 interactions per run — hours
         // of debug-build stepping without null telescoping, milliseconds
-        // with it. Completing at all (under an effectively unbounded
-        // budget) is the assertion.
-        let points = stabilization_sweep(|_| Fratricide, &[1 << 14], 2, 5, u64::MAX);
+        // with it. Every run must complete under an effectively unbounded
+        // budget, and the mean must match the exact law: from k leaders
+        // the next kill takes a geometric number of steps with success
+        // probability p_k = k(k−1)/(n(n−1)), so the parallel time has mean
+        // (n−1)²/n and variance Σ (1−p_k)/p_k² / n² (SD ≈ 0.54n). Band: 4
+        // standard errors of the 32-seed mean (≈ 0.38n).
+        let (n, seeds) = (1usize << 14, 32);
+        let points = stabilization_sweep(|_| Fratricide, &[n], seeds, 5, u64::MAX);
         assert_eq!(points[0].unconverged, 0);
-        assert_eq!(points[0].times.count(), 2);
-        // E[parallel time] ≈ n for fratricide.
+        assert_eq!(points[0].times.count(), seeds);
+        let nf = n as f64;
+        let exact = (nf - 1.0).powi(2) / nf;
+        let var: f64 = (2..=n)
+            .map(|k| {
+                let p = (k * (k - 1)) as f64 / (nf * (nf - 1.0));
+                (1.0 - p) / (p * p)
+            })
+            .sum::<f64>()
+            / (nf * nf);
+        let band = 4.0 * (var / seeds as f64).sqrt();
         let mean = points[0].times.mean();
-        let n = (1 << 14) as f64;
         assert!(
-            (mean / n - 1.0).abs() < 0.5,
-            "mean parallel time {mean} far from the Θ(n) law at n = {n}"
+            (mean - exact).abs() <= band,
+            "mean parallel time {mean:.1} vs exact {exact:.1} ± {band:.1} at n = {n}"
         );
     }
 }

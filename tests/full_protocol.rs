@@ -136,3 +136,21 @@ fn seed_sequence_drives_independent_runs() {
     // Different seeds essentially never give identical stabilization steps.
     assert!(times.windows(2).any(|w| w[0] != w[1]));
 }
+
+/// The count engine must not grow. On a 2-vCPU container, padding the batch
+/// scratch with two unused `Vec` fields (800 → 848 bytes) raised the
+/// Table-1 sweep benchmark's `setup_s` by 20–30% (0.021–0.026 s against
+/// 0.027–0.033 s over 5 alternating pairs), though timing engine
+/// construction alone showed no difference. 800 bytes is the size before
+/// the batch round moved to one margin per segment (776 after, when the
+/// responder sequence buffer went away). A new field must pay for itself by
+/// retiring another.
+#[test]
+#[cfg(target_pointer_width = "64")]
+fn count_engine_stays_within_its_size_budget() {
+    let size = std::mem::size_of::<CountSimulation<Pll, Xoshiro256PlusPlus>>();
+    assert!(
+        size <= 800,
+        "CountSimulation<Pll> is {size} bytes, over the 800-byte budget"
+    );
+}
