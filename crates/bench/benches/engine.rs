@@ -1,35 +1,25 @@
 //! Engine micro-benchmarks: interactions per second for the per-agent and
 //! count-based engines, on the paper's protocol and on the Table-1 baseline
-//! protocols.
+//! protocols, over 1000-step windows.
 //!
-//! The count engine appears five times — its four execution tiers plus the
-//! auto-dispatching default: `engine/count_steps` is the full default path
-//! (tier dispatch picks compiled/jump/batch per review),
-//! `engine/count_steps_batch` the batch tier *pinned* via
-//! `pin_tier(EngineTier::Batch)` — so every row measures hypergeometric
-//! rounds, never a silently disengaged fallback — and measured inside a
-//! fixed mid-election parallel-time window (see `WINDOW_FROM`/`WINDOW_TO`)
-//! so every row reports genuine hypergeometric-round throughput in the
-//! regime heuristic dispatch uses the tier in — including rows where
-//! forcing it is a loss, `engine/count_steps_compiled` the compiled
-//! per-step cache (pinned, so jump and batch never engage), and
+//! These are the rows the end-to-end benchmark (`perfbench/`, recorded in
+//! `BENCH_perfbench.json` by `tools/bench_record.py`) does not produce:
+//! default dispatch and whole elections are timed there, not here.
+//! `engine/agent_steps` is the per-agent engine. The count engine appears
+//! with one tier pinned per group: `engine/count_steps_batch` pins the
+//! batch tier, so every row measures hypergeometric rounds, never a
+//! silently disengaged fallback, inside a fixed mid-election parallel-time
+//! window (see `WINDOW_FROM`/`WINDOW_TO`), the regime heuristic dispatch
+//! uses the tier in, including rows where forcing it is a loss;
+//! `engine/count_steps_compiled` pins the compiled per-step cache; and
 //! `engine/count_steps_reference` the uncached per-step fallback (hashing,
-//! cloning, and `Protocol::transition` calls every
-//! step). `engine/count_steps_obs` prices the observability layer: the
-//! pinned-batch workload with and without an attached `EngineObserver`,
-//! adjacent rows the CI smoke gate holds to a 2 % spread. The step groups
-//! run mid-election workloads where null interactions never dominate — the
-//! regime the batch tier was built for
-//! (`P_LL`'s timer ticks pin its null fraction near 0.56, so jumping never
-//! engages there). The jump scheduler's own regime is measured by
-//! `engine/election_*`, which times *entire* fratricide elections — a
-//! `Θ(n²)`-interaction workload whose null tail the scheduler telescopes
-//! into `O(n)` episodes (no per-step tier can finish those sizes inside any
-//! reasonable bench budget). All step groups declare element throughput, so
-//! the JSON emitted by the criterion stand-in (see `BENCH_JSON_DIR`)
-//! reports interactions/sec directly; `BENCH_engine.json` at the repo root
-//! snapshots those numbers per PR (regenerate with
-//! `cargo run --release -p pp-sim --bin bench_snapshot`).
+//! cloning, and `Protocol::transition` calls every step).
+//! `engine/count_steps_obs` prices the observability layer: the
+//! pinned-batch workload with and without an attached `EngineObserver`.
+//! CI's smoke gates hold that pair to a 2 % spread and the batch row to at
+//! least the compiled row on `P_LL@2^20`. All groups declare element
+//! throughput, so the JSON emitted by the criterion stand-in (see
+//! `BENCH_JSON_DIR`) reports interactions/sec directly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pp_bench::fast_criterion;
@@ -73,18 +63,15 @@ fn bench_agent_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// A count simulation at seed 1, pinned to `tier` (`None`: the default
-/// heuristic dispatch).
+/// A count simulation at seed 1, pinned to `tier`.
 fn count_sim<P: LeaderElection>(
     protocol: P,
     n: usize,
-    tier: Option<EngineTier>,
+    tier: EngineTier,
 ) -> CountSimulation<P, Xoshiro256PlusPlus> {
     let rng = Xoshiro256PlusPlus::seed_from_u64(1);
     let mut sim = CountSimulation::new(protocol, n, rng).expect("n >= 2");
-    if let Some(tier) = tier {
-        sim.pin_tier(tier).expect("n within the fast tiers' cap");
-    }
+    sim.pin_tier(tier).expect("n within the fast tiers' cap");
     sim
 }
 
@@ -100,8 +87,8 @@ fn count_sim<P: LeaderElection>(
 const WINDOW_FROM: u64 = 8;
 const WINDOW_TO: u64 = 136;
 
-fn bench_count_engine_at(group_name: &str, tier: Option<EngineTier>, c: &mut Criterion) {
-    let windowed = tier == Some(EngineTier::Batch);
+fn bench_count_engine_at(group_name: &str, tier: EngineTier, c: &mut Criterion) {
+    let windowed = tier == EngineTier::Batch;
     let mut group = c.benchmark_group(group_name);
     group.throughput(Throughput::Elements(STEPS));
     for &n in &COUNT_NS {
@@ -131,24 +118,16 @@ fn bench_count_engine_at(group_name: &str, tier: Option<EngineTier>, c: &mut Cri
     group.finish();
 }
 
-fn bench_count_engine(c: &mut Criterion) {
-    bench_count_engine_at("engine/count_steps", None, c);
-}
-
 fn bench_count_engine_batch(c: &mut Criterion) {
-    bench_count_engine_at("engine/count_steps_batch", Some(EngineTier::Batch), c);
+    bench_count_engine_at("engine/count_steps_batch", EngineTier::Batch, c);
 }
 
 fn bench_count_engine_compiled(c: &mut Criterion) {
-    bench_count_engine_at("engine/count_steps_compiled", Some(EngineTier::Compiled), c);
+    bench_count_engine_at("engine/count_steps_compiled", EngineTier::Compiled, c);
 }
 
 fn bench_count_engine_reference(c: &mut Criterion) {
-    bench_count_engine_at(
-        "engine/count_steps_reference",
-        Some(EngineTier::Reference),
-        c,
-    );
+    bench_count_engine_at("engine/count_steps_reference", EngineTier::Reference, c);
 }
 
 /// The observability layer's cost when attached but otherwise idle: the
@@ -172,7 +151,7 @@ fn bench_count_engine_obs(c: &mut Criterion) {
                     let mut sim = count_sim(
                         Pll::for_population(n).expect("n >= 2"),
                         n,
-                        Some(EngineTier::Batch),
+                        EngineTier::Batch,
                     );
                     if $observed {
                         sim.set_observer(EngineObserver::new());
@@ -196,34 +175,10 @@ fn bench_count_engine_obs(c: &mut Criterion) {
     group.finish();
 }
 
-/// Whole fratricide elections on the jump scheduler: `Θ(n²)` simulated
-/// interactions per run (≈10¹² at `n = 2^20`) telescoped into `O(n)`
-/// executed episodes. No per-step tier appears alongside because none could
-/// finish one iteration inside the bench budget — that asymmetry *is* the
-/// result; wall time per election is the figure of merit.
-fn bench_election_jump(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine/election_jump");
-    let mut seed = 0u64;
-    for &n in &[1usize << 16, 1 << 20] {
-        group.bench_with_input(BenchmarkId::new("fratricide", n), &n, |b, &n| {
-            b.iter(|| {
-                seed += 1;
-                let rng = Xoshiro256PlusPlus::seed_from_u64(seed);
-                let mut sim = CountSimulation::new(Fratricide, n, rng).expect("n >= 2");
-                let out = sim.run_until_single_leader(u64::MAX);
-                assert!(out.converged);
-                black_box(out.steps)
-            });
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = fast_criterion();
-    targets = bench_agent_engine, bench_count_engine, bench_count_engine_batch,
-        bench_count_engine_obs, bench_count_engine_compiled,
-        bench_count_engine_reference, bench_election_jump
+    targets = bench_agent_engine, bench_count_engine_batch, bench_count_engine_obs,
+        bench_count_engine_compiled, bench_count_engine_reference
 }
 criterion_main!(benches);

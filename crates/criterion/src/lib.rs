@@ -21,8 +21,10 @@
 //! directory named by the `BENCH_JSON_DIR` environment variable (default
 //! `target/bench-json`). Each record carries the median seconds per
 //! iteration plus, when the group declared a [`Throughput`], the derived
-//! elements/bytes per second — which is how the workspace tracks
-//! interactions/sec across PRs (see `BENCH_engine.json` at the repo root).
+//! elements/bytes per second, which CI's smoke-bench gates read. The
+//! tracked benchmark record is `BENCH_perfbench.json` at the repo root,
+//! written by `tools/bench_record.py` from the end-to-end `perfbench/`
+//! crate, not by this harness.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -576,46 +576,51 @@ mod tests {
     /// The `Geometric` `ln_1p` bug class: f64 accumulation in the
     /// inversion loop silently truncating run lengths at huge `n`. Pin the
     /// linear-product inversion against an independent log-space inversion
-    /// at n ≥ 2^30, at crafted uniforms near both ends of the scale.
+    /// at n = 2^30, 2^31 and 2^32 − 1 (the top of the supported envelope),
+    /// at crafted uniforms near both ends of the scale.
+    ///
+    /// The reference takes each step's log factor as
+    /// `ln_1p(−2m(2n−2m−1) / (n(n−1)))`, whose deficit numerator is exact in
+    /// `u128`, so no step subtracts two nearly equal logarithms, and sums the
+    /// factors with Kahan compensation. The two walks must stop at the same
+    /// step; they may differ by one only where the reference log-survival at
+    /// the step between them lies within 1e-9 of `ln u`, a tie no f64 walk
+    /// can break.
     #[test]
     fn prefix_inversion_matches_log_space_at_huge_n() {
-        let n: u64 = 1 << 30;
-        // Uniforms span the full range `unit_f64` can produce (granularity
-        // 2^-53; smaller values never occur, so the subnormal product tail
-        // is outside the sampler's contract).
-        for u in [
-            1.0 - f64::EPSILON,  // earliest representable stop
-            0.5,                 // the median
-            1e-9,                // deep tail
-            f64::powi(2.0, -53), // the smallest nonzero uniform
-        ] {
-            let (m_lin, collide) = invert_prefix(u, n, u64::MAX);
-            assert!(collide);
-            // Independent inversion: accumulate ln(step) via ln_1p of the
-            // per-step deficit, stopping where the log-survival crosses
-            // ln(u). The two walks may disagree only where rounding moves
-            // the crossing by a step or two — never by the orders of
-            // magnitude an underflow truncation (the bug class) causes.
-            let ln_u = u.ln();
-            let denom = (n as f64).ln() + ((n - 1) as f64).ln();
-            let mut log_survive = 0.0f64;
-            let mut m_log = 0u64;
-            loop {
-                let fresh = n.saturating_sub(2 * m_log);
-                if fresh < 2 {
-                    break;
+        for n in [1u64 << 30, 1 << 31, u32::MAX as u64] {
+            let denom = n as f64 * (n - 1) as f64;
+            // Uniforms span the full range `unit_f64` can produce (granularity
+            // 2^-53; smaller values never occur, so the subnormal product
+            // tail is outside the sampler's contract).
+            for u in [
+                1.0 - f64::EPSILON,  // earliest representable stop
+                0.5,                 // the median
+                1e-9,                // deep tail
+                f64::powi(2.0, -53), // the smallest nonzero uniform
+            ] {
+                let (m_lin, collide) = invert_prefix(u, n, u64::MAX);
+                assert!(collide);
+                let ln_u = u.ln();
+                // `sum` is ln P(L > m_ref) and `prev` is ln P(L > m_ref − 1);
+                // the walk stops at the first m with ln u ≥ ln P(L > m).
+                let (mut prev, mut sum, mut carry) = (0.0f64, 0.0f64, 0.0f64);
+                let mut m_ref = 0u64;
+                while ln_u < sum {
+                    m_ref += 1;
+                    let deficit = 2 * u128::from(m_ref) * u128::from(2 * n - 2 * m_ref - 1);
+                    let term = (-(deficit as f64) / denom).ln_1p() - carry;
+                    let next = sum + term;
+                    carry = (next - sum) - term;
+                    prev = sum;
+                    sum = next;
                 }
-                log_survive += (fresh as f64).ln() + ((fresh - 1) as f64).ln() - denom;
-                if ln_u >= log_survive {
-                    break;
-                }
-                m_log += 1;
+                let tie = |log_survive: f64| (log_survive - ln_u).abs() <= 1e-9;
+                let agrees = m_lin == m_ref
+                    || (m_lin == m_ref + 1 && tie(sum))
+                    || (m_lin + 1 == m_ref && tie(prev));
+                assert!(agrees, "n={n} u={u:e}: linear {m_lin} vs log-space {m_ref}");
             }
-            let tol = 2.0 + m_log as f64 * 1e-6;
-            assert!(
-                (m_lin as f64 - m_log as f64).abs() <= tol,
-                "n={n} u={u:e}: linear {m_lin} vs log-space {m_log}"
-            );
         }
     }
 

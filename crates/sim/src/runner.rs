@@ -348,9 +348,9 @@ where
 /// most-expensive-first.
 ///
 /// Per-bundle cost is monotone in `n` for every protocol in this workspace
-/// (the power-law fits recorded in `BENCH_engine.json` and table 1's
-/// scaling exponents all have positive slope: even the `O(log n)`-time
-/// protocols cost `Ω(n)` work per seed since steps scale as `n · time`), so
+/// (table 1's scaling exponents all have positive slope: even the
+/// `O(log n)`-time protocols cost `Ω(n)` work per seed since steps scale as
+/// `n · time`), so
 /// largest-`n`-first **is** the fitted-cost order — no per-protocol rate
 /// table needed for ordering to be correct, only monotonicity. The sort is
 /// stable, so same-`n` bundles keep job order.
