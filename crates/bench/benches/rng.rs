@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pp_bench::fast_criterion;
-use pp_rand::{FenwickSampler, Pcg32, Rng64, SplitMix64, Xoshiro256PlusPlus};
+use pp_rand::{FenwickSampler, Rng64, SplitMix64, Xoshiro256PlusPlus};
 use std::hint::black_box;
 
 fn bench_generators(c: &mut Criterion) {
@@ -12,8 +12,6 @@ fn bench_generators(c: &mut Criterion) {
     group.bench_function("xoshiro256pp", |b| b.iter(|| black_box(xo.next_u64())));
     let mut sm = SplitMix64::new(1);
     group.bench_function("splitmix64", |b| b.iter(|| black_box(sm.next_u64())));
-    let mut pcg = Pcg32::new(1, 1);
-    group.bench_function("pcg32", |b| b.iter(|| black_box(pcg.next_u64())));
     group.finish();
 }
 

@@ -14,7 +14,6 @@
 //!
 //! * [`SplitMix64`] — seeding generator and stream deriver,
 //! * [`Xoshiro256PlusPlus`] — the default simulation RNG,
-//! * [`Pcg32`] — an independent family used to cross-check statistical tests,
 //! * the [`Rng64`] trait with unbiased bounded sampling
 //!   ([`Rng64::below`], Lemire's method), fair coins, unit-interval doubles,
 //!   geometric sampling, and distinct-pair sampling for interaction schedules,
@@ -53,7 +52,6 @@ mod contingency;
 mod geometric;
 mod hypergeom;
 mod lnfact;
-mod pcg;
 mod rng;
 mod seq;
 mod snapshot;
@@ -66,7 +64,6 @@ pub use binomial::Binomial;
 pub use contingency::contingency_table;
 pub use geometric::Geometric;
 pub use hypergeom::{multivariate_hypergeometric, Hypergeometric};
-pub use pcg::Pcg32;
 pub use rng::Rng64;
 pub use seq::SeedSequence;
 pub use snapshot::RngSnapshot;

@@ -11,7 +11,7 @@
 //! the original would have produced from that point on — draw-for-draw, not
 //! merely in distribution. The known-answer tests below pin this mid-stream.
 
-use crate::{Pcg32, SeedSequence, SplitMix64, Xoshiro256PlusPlus};
+use crate::{SeedSequence, SplitMix64, Xoshiro256PlusPlus};
 
 /// Checkpointable generator state: word-vector export and fallible import.
 ///
@@ -37,8 +37,7 @@ pub trait RngSnapshot: Sized {
     /// Rebuilds a generator from exported words.
     ///
     /// Returns `None` when the word count is wrong or the words violate the
-    /// generator's state invariant (all-zero xoshiro state, even PCG
-    /// increment).
+    /// generator's state invariant (the all-zero xoshiro state).
     fn import_state(words: &[u64]) -> Option<Self>;
 }
 
@@ -50,20 +49,6 @@ impl RngSnapshot for Xoshiro256PlusPlus {
     fn import_state(words: &[u64]) -> Option<Self> {
         let state: [u64; 4] = words.try_into().ok()?;
         if state == [0; 4] {
-            return None;
-        }
-        Some(Self::from_state(state))
-    }
-}
-
-impl RngSnapshot for Pcg32 {
-    fn export_state(&self) -> Vec<u64> {
-        self.state().to_vec()
-    }
-
-    fn import_state(words: &[u64]) -> Option<Self> {
-        let state: [u64; 2] = words.try_into().ok()?;
-        if state[1] & 1 == 0 {
             return None;
         }
         Some(Self::from_state(state))
@@ -113,11 +98,6 @@ mod tests {
     }
 
     #[test]
-    fn pcg_restore_is_draw_identical() {
-        assert_midstream_identical(Pcg32::new(42, 54));
-    }
-
-    #[test]
     fn splitmix_restore_is_draw_identical() {
         assert_midstream_identical(SplitMix64::new(42));
     }
@@ -147,20 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn pcg_export_kat() {
-        let rng = Pcg32::new(42, 54);
-        // state after the two seeding steps of PCG-XSH-RR 64/32(42, 54);
-        // the increment word is (54 << 1) | 1 = 109.
-        let words = rng.export_state();
-        assert_eq!(words[1], 109);
-        assert_eq!(
-            Pcg32::import_state(&words).unwrap().state(),
-            rng.state(),
-            "roundtrip must preserve the raw LCG state"
-        );
-    }
-
-    #[test]
     fn splitmix_export_kat() {
         assert_eq!(SplitMix64::new(7).export_state(), vec![7]);
     }
@@ -176,15 +142,7 @@ mod tests {
     fn import_rejects_bad_states() {
         assert!(Xoshiro256PlusPlus::import_state(&[0; 4]).is_none());
         assert!(Xoshiro256PlusPlus::import_state(&[1; 3]).is_none());
-        assert!(Pcg32::import_state(&[5, 4]).is_none(), "even increment");
-        assert!(Pcg32::import_state(&[5]).is_none());
         assert!(SplitMix64::import_state(&[]).is_none());
         assert!(SeedSequence::import_state(&[1, 2, 3]).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "increment must be odd")]
-    fn pcg_from_state_rejects_even_increment() {
-        Pcg32::from_state([1, 2]);
     }
 }

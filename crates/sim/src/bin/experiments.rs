@@ -9,31 +9,23 @@
 //! # observability: trajectory CSV, unified metrics JSON, event log
 //! experiments --quick --trajectory 256 --csv DIR \
 //!             --metrics-out metrics.json --events-out events.jsonl
-//!
-//! # crash-recoverable sweeps (table1): journal progress, kill, resume
-//! experiments table1 --checkpoint-dir ck --max-sweep-jobs 40   # exit 2
-//! experiments table1 --checkpoint-dir ck --resume              # continues
 //! ```
+//!
+//! A sweep that must survive being killed runs through `ppsweep`, whose
+//! worker shards journal every finished block and resume from it.
 
 use pp_sim::{
-    enable_sweep_rollup, observed_pll_election, pll_attribution_trajectory, run_experiment_with,
-    take_sweep_rollups, ExperimentCheckpoint, ExperimentOutput, EXPERIMENT_IDS,
+    enable_sweep_rollup, observed_pll_election, pll_attribution_trajectory, run_experiment,
+    take_sweep_rollups, ExperimentOutput, EXPERIMENT_IDS,
 };
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Exit code when a checkpointed run suspends with jobs still pending.
-const EXIT_SUSPENDED: u8 = 2;
-
 struct Args {
     ids: Vec<String>,
     quick: bool,
     csv_dir: Option<PathBuf>,
-    checkpoint_dir: Option<PathBuf>,
-    resume: bool,
-    max_sweep_jobs: Option<usize>,
-    snapshot_interval: Option<u64>,
     metrics_out: Option<PathBuf>,
     events_out: Option<PathBuf>,
     trajectory: Option<u64>,
@@ -51,10 +43,6 @@ fn parse_args() -> Result<Args, String> {
     let mut ids = Vec::new();
     let mut quick = false;
     let mut csv_dir = None;
-    let mut checkpoint_dir = None;
-    let mut resume = false;
-    let mut max_sweep_jobs = None;
-    let mut snapshot_interval = None;
     let mut metrics_out = None;
     let mut events_out = None;
     let mut trajectory = None;
@@ -68,23 +56,6 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--quick" => quick = true,
             "--csv" => csv_dir = Some(path_arg(&mut argv, "--csv")?),
-            "--checkpoint-dir" => {
-                checkpoint_dir = Some(path_arg(&mut argv, "--checkpoint-dir")?);
-            }
-            "--resume" => resume = true,
-            "--max-sweep-jobs" => {
-                let k = argv
-                    .next()
-                    .ok_or_else(|| "--max-sweep-jobs requires a count".to_string())?;
-                max_sweep_jobs = Some(k.parse().map_err(|_| format!("invalid job count `{k}`"))?);
-            }
-            "--snapshot-interval" => {
-                let s = argv
-                    .next()
-                    .ok_or_else(|| "--snapshot-interval requires a step count".to_string())?;
-                snapshot_interval =
-                    Some(s.parse().map_err(|_| format!("invalid step count `{s}`"))?);
-            }
             "--metrics-out" => metrics_out = Some(path_arg(&mut argv, "--metrics-out")?),
             "--events-out" => events_out = Some(path_arg(&mut argv, "--events-out")?),
             "--trajectory" => {
@@ -114,22 +85,10 @@ fn parse_args() -> Result<Args, String> {
     if ids.is_empty() && metrics_out.is_none() && events_out.is_none() && trajectory.is_none() {
         ids.push("help".to_string());
     }
-    if checkpoint_dir.is_none()
-        && (resume || max_sweep_jobs.is_some() || snapshot_interval.is_some())
-    {
-        return Err(
-            "--resume / --max-sweep-jobs / --snapshot-interval require --checkpoint-dir"
-                .to_string(),
-        );
-    }
     Ok(Args {
         ids,
         quick,
         csv_dir,
-        checkpoint_dir,
-        resume,
-        max_sweep_jobs,
-        snapshot_interval,
         metrics_out,
         events_out,
         trajectory,
@@ -138,8 +97,7 @@ fn parse_args() -> Result<Args, String> {
 
 fn print_help() {
     println!("Usage: experiments <id>... [--quick] [--csv DIR]");
-    println!("                   [--checkpoint-dir DIR [--resume] [--max-sweep-jobs K]");
-    println!("                    [--snapshot-interval STEPS]]");
+    println!("                   [--trajectory K] [--metrics-out FILE] [--events-out FILE]");
     println!();
     println!("Reproduces the tables and key lemmas of Sudo et al. (PODC 2019).");
     println!();
@@ -153,16 +111,6 @@ fn print_help() {
     println!("flags:");
     println!("  --quick                 smoke-test scale (seconds instead of minutes)");
     println!("  --csv DIR               also write each table as CSV into DIR");
-    println!("  --checkpoint-dir DIR    journal sweep progress under DIR (table1 only);");
-    println!("                          a killed run resumes with --resume and produces");
-    println!("                          byte-identical output");
-    println!("  --resume                continue from an existing checkpoint directory");
-    println!("  --max-sweep-jobs K      suspend after K fresh sweep jobs (exit code 2);");
-    println!("                          resume later to finish");
-    println!("  --snapshot-interval S   also snapshot in-flight sweep jobs every S steps;");
-    println!("                          use the same S across runs (results are exact per");
-    println!("                          interval setting, and omitting it keeps checkpointed");
-    println!("                          runs bit-identical to uncheckpointed ones)");
     println!("  --trajectory K          capture a P_LL election trajectory sampled every K");
     println!("                          interactions (leader count + per-mechanism demotion");
     println!("                          attribution) as CSV into --csv DIR, else to stdout");
@@ -171,6 +119,9 @@ fn print_help() {
     println!("                          throughput rollups of any experiments run");
     println!("  --events-out FILE       write the observed election's structured event log");
     println!("                          as JSONL (schema documented in pp_engine::obs)");
+    println!();
+    println!("Sweeps that must survive a kill run through `ppsweep --worker K --job-limit J`,");
+    println!("which journals each finished block and resumes from it.");
 }
 
 fn write_csvs(output: &ExperimentOutput, dir: &PathBuf) -> std::io::Result<()> {
@@ -258,29 +209,6 @@ fn run_observability(args: &Args) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Builds the checkpoint context, refusing to overwrite foreign progress: a
-/// non-empty checkpoint directory requires an explicit `--resume`.
-fn open_checkpoint(args: &Args) -> Result<Option<ExperimentCheckpoint>, String> {
-    let Some(dir) = &args.checkpoint_dir else {
-        return Ok(None);
-    };
-    let occupied = std::fs::read_dir(dir).map(|mut d| d.next().is_some());
-    if let Ok(true) = occupied {
-        if !args.resume {
-            return Err(format!(
-                "checkpoint directory {} already holds sweep progress; \
-                 pass --resume to continue it or remove the directory to start over",
-                dir.display()
-            ));
-        }
-    }
-    Ok(Some(ExperimentCheckpoint::new(
-        dir,
-        args.snapshot_interval,
-        args.max_sweep_jobs,
-    )))
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
@@ -308,14 +236,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut checkpoint = match open_checkpoint(&args) {
-        Ok(ckpt) => ckpt,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
     // Collect per-sweep throughput rollups for the metrics report while the
     // experiments below fan out.
     if args.metrics_out.is_some() {
@@ -324,8 +244,8 @@ fn main() -> ExitCode {
 
     for id in &ids {
         let started = std::time::Instant::now();
-        match run_experiment_with(id, args.quick, checkpoint.as_mut()) {
-            Ok(Some(output)) => {
+        match run_experiment(id, args.quick) {
+            Ok(output) => {
                 println!("{}", output.to_markdown());
                 eprintln!(
                     "[{}] finished in {:.1}s{}",
@@ -339,15 +259,6 @@ fn main() -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                 }
-            }
-            Ok(None) => {
-                eprintln!(
-                    "[{}] suspended after the sweep-job budget in {:.1}s; \
-                     rerun with --checkpoint-dir ... --resume to continue",
-                    id,
-                    started.elapsed().as_secs_f64(),
-                );
-                return ExitCode::from(EXIT_SUSPENDED);
             }
             Err(e) => {
                 eprintln!("error: {e}");

@@ -69,7 +69,7 @@ usage: ppsweep --ns N,N,... --dir DIR [options]
   --threads-per-worker T  PP_SIM_THREADS for spawned workers (default 1)
   --retry-rounds R    crash-recovery relaunch rounds (default 3)
   --worker K          run as worker shard K
-  --job-limit J       suspend this worker invocation after ~J fresh jobs
+  --job-limit J       suspend this worker invocation after ~J >= 1 fresh jobs
   --merge             merge existing shard dirs without running anything
   --metrics-out FILE  also write the metrics JSON to FILE";
 
@@ -164,6 +164,10 @@ impl Cli {
         }
         if shards.is_some_and(|k| k == 0 || k > MAX_SHARDS) {
             return Err(format!("--shards must be in 1..={MAX_SHARDS}"));
+        }
+        // A worker that may run nothing would report suspended forever.
+        if job_limit == Some(0) {
+            return Err("--job-limit must be at least 1".into());
         }
         let spec = FabricSpec {
             protocol,
@@ -473,7 +477,8 @@ mod tests {
 
     #[test]
     fn out_of_range_seeds_and_shards_are_usage_errors() {
-        // Both used to reach an assert and abort the process.
+        // Seeds and shards used to reach an assert and abort the process; a
+        // zero job limit used to exit "suspended" on every rerun.
         let err = parse("--ns 64 --dir d --seeds 4294967296").err();
         assert_eq!(err.as_deref(), Some("--seeds must be below 2^32"));
         assert!(parse("--ns 64 --dir d --seeds 4294967295").is_ok());
@@ -488,5 +493,8 @@ mod tests {
             let err = parse(&format!("--ns 64 --dir d --shards 5000 {mode}")).err();
             assert_eq!(err, Some(format!("--shards must be in 1..={MAX_SHARDS}")));
         }
+        let err = parse("--ns 64 --dir d --worker 0 --job-limit 0").err();
+        assert_eq!(err.as_deref(), Some("--job-limit must be at least 1"));
+        assert!(parse("--ns 64 --dir d --worker 0 --job-limit 1").is_ok());
     }
 }

@@ -1,76 +1,59 @@
-//! Crash-recoverable sweeps: the block journal, the one block driver every
-//! durable sweep runs on, and mid-job engine snapshots.
+//! The sweep journal and its block driver: what makes a `ppsweep` worker
+//! shard ([`run_worker_shard`]) crash-recoverable.
 //!
-//! A durable sweep records progress in a *journal* — a line-oriented text
-//! file listing every completed job with its exact result — and,
-//! optionally, periodic [`CountSimulation::snapshot`]s of jobs still in
-//! flight. Killing the process at any point loses at most the work since
-//! the last journal append / snapshot; rerunning the same sweep with the
-//! same checkpoint directory picks up where it left off.
+//! A worker records progress in a *journal* — a line-oriented text file
+//! listing every completed job with its exact result. Killing the process
+//! at any point loses at most the blocks in flight; rerunning the worker on
+//! the same directory picks up where it left off.
 //!
 //! # Journal format (`ppsweep v3`)
 //!
-//! The header line fingerprints the sweep parameters **and the execution
-//! mode**. Two record kinds follow:
+//! The header line fingerprints the sweep parameters and the block width.
+//! Two record kinds follow:
 //!
 //! * `done <job> <0|1> <f64-bits-hex>` — one completed job (one seed).
 //! * `block <start> <len>` — a block marker: the `len` `done` records of
 //!   block `[start, start + len)` follow as one appended block.
 //!
+//! Only whole lines count. Bytes after the last newline are an append cut
+//! short by a crash: [`load_journal`] ignores them and
+//! [`open_journal_for_append`] cuts them before the next block lands.
+//!
 //! # The block driver
 //!
-//! [`drive_blocks`] is the one loop behind every durable sweep: both modes
-//! of [`stabilization_sweep_checkpointed`] and the fabric's
-//! [`run_worker_shard`]. It selects pending blocks (any record missing) in
-//! job order until the planned fresh jobs reach the job limit —
-//! deterministic, overshooting by at most `block − 1` jobs — runs them
-//! largest-`n`-first ([`cost_order`]) on [`parallel_map`], and appends each
-//! finished block, marker plus records, in one buffered write through
-//! [`render_block`], so a crash tears at most the final block. A block
-//! missing any record reruns whole on resume; runs are deterministic, so
-//! rerun seeds rewrite identical records. A block is
-//! [`crate::sweep_lane_width`] seeds in the default block mode and one seed
-//! in snapshot-interval mode, so each snapshot captures exactly one run
-//! (older interval journals hold bare `done` lines, which load the same).
+//! [`drive_blocks`] selects pending blocks (any record missing) in job
+//! order until the planned fresh jobs reach the job limit — deterministic,
+//! overshooting by at most `block − 1` jobs — runs them largest-`n`-first
+//! ([`cost_order`]) on [`parallel_map`], and appends each finished block,
+//! marker plus records, in one buffered write through [`render_block`], so
+//! a crash tears at most the final block. A block missing any record reruns
+//! whole on resume; runs are deterministic, so rerun seeds rewrite
+//! identical records.
 //!
 //! # Determinism contract
 //!
-//! A killed-then-resumed sweep aggregates into [`SweepPoint`]s that are
-//! **bit-identical** to an uninterrupted sweep with the same configuration:
-//! job results are journaled as exact `f64` bit patterns and re-aggregated in
-//! job-index order, so every mean, variance, and quantile string downstream
-//! comes out byte-for-byte equal.
-//!
-//! With `snapshot_interval: None` each seed is driven exactly like
-//! [`stabilization_sweep`] drives it, so the checkpointed sweep equals the
-//! plain sweep bit-for-bit too. With `snapshot_interval: Some(i)` jobs are
-//! driven in segments that end at fixed absolute step multiples of `i`;
-//! segment boundaries are a function of the step counter alone, so a job
-//! resumed from a snapshot replays the same boundaries and stays
-//! bit-identical to the same job run without the kill *at the same
-//! interval*. The two modes sample the same law but are not bit-comparable
-//! to each other (a segment boundary truncates a batch or jump episode), so
-//! the mode (and, in block mode, the block width, which shapes the journal)
-//! is part of the journal fingerprint — resuming under a different mode or
-//! width is an `InvalidData` error, not a silently non-reproducible answer.
+//! Every seed runs exactly as [`stabilization_sweep`] runs it, and results
+//! are journaled as exact `f64` bit patterns and re-aggregated in job-index
+//! order, so a killed-then-resumed sweep aggregates into [`SweepPoint`]s
+//! **bit-identical** to an uninterrupted one: every mean, variance and
+//! quantile string downstream comes out byte-for-byte equal. The block
+//! width shapes the journal and the fabric's claims (never the results), so
+//! it is part of the fingerprint: resuming under another width is an
+//! `InvalidData` error, not a silently mixed journal.
 //!
 //! [`stabilization_sweep`]: crate::stabilization_sweep
+//! [`SweepPoint`]: crate::SweepPoint
 //! [`parallel_map`]: crate::parallel_map
 //! [`run_worker_shard`]: crate::fabric::run_worker_shard
 
-use crate::runner::{
-    aggregate_points, check_seeds, cost_order, parallel_map, run_bundle, sweep_bundles,
-    SweepBundle, SweepPoint,
-};
-use pp_engine::{CountSimulation, LeaderElection, SnapshotState};
-use pp_rand::Xoshiro256PlusPlus;
+use crate::runner::{cost_order, parallel_map, SweepBundle};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::io::{self, Read as _, Write};
+use std::path::Path;
 use std::sync::Mutex;
 
-/// Journal file name inside a sweep's checkpoint directory.
+/// Journal file name inside a shard or run directory.
 pub(crate) const JOURNAL_FILE: &str = "journal.txt";
 
 /// Journal header prefix; the version is part of the format. `v2` added
@@ -78,169 +61,15 @@ pub(crate) const JOURNAL_FILE: &str = "journal.txt";
 /// the marker to `block` and dropped the round law from the fingerprint.
 pub(crate) const HEADER_PREFIX: &str = "ppsweep v3";
 
-/// Where and how a sweep checkpoints.
-#[derive(Debug, Clone)]
-pub struct CheckpointConfig {
-    /// Directory holding this sweep's journal and in-flight job snapshots.
-    /// Created if absent. One directory per sweep — sweeps must not share.
-    pub dir: PathBuf,
-    /// Snapshot in-flight jobs every this many simulation steps (rounded to
-    /// the next absolute multiple). `None` — the default — journals only
-    /// completed blocks, which keeps the sweep bit-identical to the
-    /// uncheckpointed one; `Some` runs width-1 blocks so each snapshot
-    /// captures exactly one run.
-    pub snapshot_interval: Option<u64>,
-    /// Stop after completing this many *fresh* (not journaled) jobs and
-    /// report [`SweepStatus::Suspended`]. `None` runs to completion. Used to
-    /// bound a shard's work — and by the tests to simulate crashes at
-    /// deterministic points. The limit is block-granular: the last block
-    /// taken may overshoot it by up to `block − 1` jobs.
-    pub job_limit: Option<usize>,
-}
-
-impl CheckpointConfig {
-    /// A config that journals completed jobs in `dir` with no mid-job
-    /// snapshots and no job limit.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            snapshot_interval: None,
-            job_limit: None,
-        }
-    }
-}
-
-/// Outcome of a checkpointed sweep invocation.
-#[derive(Debug)]
-pub enum SweepStatus {
-    /// Every job has a journaled result; `points` aggregates them in job
-    /// order, bit-identical to an uninterrupted sweep.
-    Complete {
-        /// One aggregated point per entry of `ns`, exactly as
-        /// [`crate::stabilization_sweep`] would return them.
-        points: Vec<SweepPoint>,
-        /// Jobs executed by *this* invocation (the rest came from the
-        /// journal).
-        fresh_jobs: usize,
-    },
-    /// The job limit was reached with jobs still pending; rerun with the
-    /// same checkpoint directory to continue.
-    Suspended {
-        /// Jobs executed by this invocation before suspending.
-        fresh_jobs: usize,
-    },
-}
-
-/// [`crate::stabilization_sweep`] with crash recovery: journals every
-/// completed block under `ckpt.dir` and resumes from whatever a previous
-/// invocation left there.
-///
-/// See the [module docs](self) for the determinism contract. The sweep
-/// parameters — including the execution mode — are fingerprinted into the
-/// journal header; reusing a checkpoint directory with different
-/// parameters is an error (`InvalidData`), not a silent wrong answer.
-///
-/// # Errors
-///
-/// `InvalidInput` when `seeds ≥ 2^32`; otherwise the first journal /
-/// snapshot I/O error, or a journal whose fingerprint does not match the
-/// given parameters.
-pub fn stabilization_sweep_checkpointed<P, F>(
-    make: F,
-    ns: &[usize],
-    seeds: u64,
-    master_seed: u64,
-    max_steps: u64,
-    ckpt: &CheckpointConfig,
-) -> io::Result<SweepStatus>
-where
-    P: LeaderElection,
-    P::State: SnapshotState,
-    F: Fn(usize) -> P + Sync,
-{
-    sweep_checkpointed_blocks(
-        make,
-        ns,
-        seeds,
-        master_seed,
-        max_steps,
-        ckpt,
-        crate::sweep_lane_width(),
-    )
-}
-
-/// [`stabilization_sweep_checkpointed`] in blocks of `block` seeds (one
-/// seed per block in snapshot-interval mode).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep_checkpointed_blocks<P, F>(
-    make: F,
-    ns: &[usize],
-    seeds: u64,
-    master_seed: u64,
-    max_steps: u64,
-    ckpt: &CheckpointConfig,
-    block: usize,
-) -> io::Result<SweepStatus>
-where
-    P: LeaderElection,
-    P::State: SnapshotState,
-    F: Fn(usize) -> P + Sync,
-{
-    check_seeds(seeds)?;
-    // Interval mode fingerprints the mode, not a width: its blocks are
-    // always one seed wide.
-    let (width, block_mode) = match ckpt.snapshot_interval {
-        Some(_) => (1, None),
-        None => (block, Some(block)),
-    };
-    let fp = fingerprint(ns, seeds, master_seed, max_steps, block_mode);
-    std::fs::create_dir_all(&ckpt.dir)?;
-    let journal_path = ckpt.dir.join(JOURNAL_FILE);
-    let total = ns.len() * seeds as usize;
-    let mut done = load_journal(&journal_path, fp, total)?;
-    let bundles = sweep_bundles(ns, seeds, master_seed, width);
-    let (fresh_jobs, _) = drive_blocks(
-        &bundles,
-        &mut done,
-        ckpt.job_limit,
-        &journal_path,
-        fp,
-        |bundle| match ckpt.snapshot_interval {
-            None => Ok(Some(run_bundle(&make, bundle.n, &bundle.seeds, max_steps))),
-            Some(interval) => run_job(&make, bundle, max_steps, interval, &ckpt.dir)
-                .map(|result| Some(vec![result])),
-        },
-        // A job's snapshot goes only once the job is journaled, so a crash
-        // between the two at worst redoes a finished job.
-        |bundle, _| {
-            if ckpt.snapshot_interval.is_some() {
-                let _ = std::fs::remove_file(job_snapshot_path(&ckpt.dir, bundle.start));
-            }
-        },
-    )?;
-    if done.len() < total {
-        return Ok(SweepStatus::Suspended { fresh_jobs });
-    }
-
-    // Aggregate by contiguous job range in job-index order — the exact
-    // traversal of the uncheckpointed sweep, so the summaries match it
-    // bit-for-bit no matter which jobs came from the journal.
-    let flat: Vec<(bool, f64)> = (0..total).map(|i| done[&i]).collect();
-    Ok(SweepStatus::Complete {
-        points: aggregate_points(ns, seeds, &flat),
-        fresh_jobs,
-    })
-}
-
-/// The block driver of every durable sweep (see the [module docs](self)):
-/// runs the blocks of `bundles` that `done` does not fully journal, up to
-/// `job_limit`, appends each to the journal at `path` (opened, header `fp`
-/// first, only once a block is selected) and adds its results to `done`.
-/// `run` returns a block's results in job order, or `None` to decline it
-/// (the fabric's claim gate); `after_append(block, fresh jobs so far)` runs
-/// under the journal lock. Returns the jobs it ran — a rerun block counts
-/// whole — and whether the job limit stopped the selection with pending
-/// blocks left over.
+/// The block driver (see the [module docs](self)): runs the blocks of
+/// `bundles` that `done` does not fully journal, up to `job_limit`, appends
+/// each to the journal at `path` (opened, header `fp` first, only once a
+/// block is selected) and adds its results to `done`. `run` returns a
+/// block's results in job order, or `None` to decline it (the fabric's
+/// claim gate); `after_append(block, fresh jobs so far)` runs under the
+/// journal lock. Returns the jobs it ran — a rerun block counts whole — and
+/// whether the job limit stopped the selection with pending blocks left
+/// over.
 ///
 /// # Errors
 ///
@@ -339,75 +168,25 @@ pub(crate) fn journaled(bundle: &SweepBundle, done: &HashMap<usize, (bool, f64)>
     (bundle.start..bundle.start + bundle.seeds.len()).all(|i| done.contains_key(&i))
 }
 
-/// Runs the one seed of a snapshot-interval mode block, resuming from its
-/// snapshot file in `dir` when a readable one exists and writing fresh
-/// snapshots at every interval boundary.
-fn run_job<P, F>(
-    make: &F,
-    bundle: &SweepBundle,
-    max_steps: u64,
-    interval: u64,
-    dir: &Path,
-) -> io::Result<(bool, f64)>
-where
-    P: LeaderElection,
-    P::State: SnapshotState,
-    F: Fn(usize) -> P,
-{
-    // An unreadable or corrupt snapshot degrades to restarting the job from
-    // its seed — same trajectory, just recomputed (segment boundaries are a
-    // function of the step counter, so the replay takes the same path).
-    let (n, seed) = (bundle.n, bundle.seeds[0]);
-    let snapshot_path = job_snapshot_path(dir, bundle.start);
-    let resumed = std::fs::read(&snapshot_path)
-        .ok()
-        .and_then(|bytes| CountSimulation::resume(make(n), &bytes).ok());
-    let mut sim = resumed.unwrap_or_else(|| {
-        CountSimulation::new(make(n), n, Xoshiro256PlusPlus::seed_from_u64(seed))
-            .expect("population sizes are >= 2 by construction")
-    });
-
-    let interval = interval.max(1);
-    loop {
-        // Next absolute boundary strictly above the current step
-        // count — identical whether this job runs straight through
-        // or resumes from any snapshot.
-        let target = (sim.steps() / interval + 1)
-            .saturating_mul(interval)
-            .min(max_steps);
-        let out = sim.run_until_single_leader(target);
-        if out.converged || sim.steps() >= max_steps {
-            return Ok((out.converged, out.parallel_time(n)));
-        }
-        write_atomically(&snapshot_path, &sim.snapshot())?;
-    }
-}
-
-/// The snapshot file of in-flight job `index`.
-fn job_snapshot_path(dir: &Path, index: usize) -> PathBuf {
-    dir.join(format!("job_{index}.ckpt"))
-}
-
 /// Writes via a temporary file + rename so readers never observe a torn
-/// snapshot.
+/// file (the fabric's manifests, progress snapshots and canonical journal).
 pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = path.with_extension("ckpt.tmp");
     std::fs::write(&tmp, bytes)?;
     std::fs::rename(&tmp, path)
 }
 
-/// FNV-1a 64 over the sweep parameters plus the execution mode: the
-/// journal's compatibility check. `block_mode` is `Some(width)` in block
-/// mode and `None` in snapshot-interval mode — the two modes' results
-/// agree in law but not bit-for-bit, so mixing them in one journal must be
-/// rejected, and the block width shapes the journal's blocks (and the
-/// fabric's claims), so it must match too.
+/// FNV-1a 64 over the sweep parameters and the block width: the journal's
+/// compatibility check. The width shapes the journal's blocks and the
+/// fabric's claims, so it must match. The `1` hashed before it tags block
+/// mode, which every journal since `v2` hashes; it stays so that `v3`
+/// headers, and with them every existing journal, stay byte-identical.
 pub(crate) fn fingerprint(
     ns: &[usize],
     seeds: u64,
     master_seed: u64,
     max_steps: u64,
-    block_mode: Option<usize>,
+    width: usize,
 ) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |word: u64| {
@@ -423,19 +202,14 @@ pub(crate) fn fingerprint(
     eat(seeds);
     eat(master_seed);
     eat(max_steps);
-    match block_mode {
-        None => eat(0),
-        Some(width) => {
-            eat(1);
-            eat(width as u64);
-        }
-    }
+    eat(1);
+    eat(width as u64);
     h
 }
 
 /// Parses the journal at `path` (missing file → empty). Checks the header
-/// fingerprint and tolerates exactly one trailing unparseable line (a record
-/// cut short by a crash mid-append).
+/// fingerprint and ignores the bytes after the last newline (an append cut
+/// short by a crash); every whole line must parse.
 pub(crate) fn load_journal(
     path: &Path,
     fp: u64,
@@ -447,21 +221,23 @@ pub(crate) fn load_journal(
         Err(e) => return Err(e),
     };
     let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let lines: Vec<&str> = text.lines().collect();
-    let Some((&header, records)) = lines.split_first() else {
+    // No whole line yet: at most a torn header.
+    let Some(end) = text.rfind('\n') else {
         return Ok(HashMap::new());
     };
+    let mut lines = text[..=end].lines();
+    let header = lines.next().unwrap_or_default();
     let expected_header = format!("{HEADER_PREFIX} {fp:016x}");
     if header != expected_header {
         return Err(bad(format!(
             "sweep journal {} does not match these sweep parameters \
              (header `{header}`, expected `{expected_header}`); \
-             use a fresh checkpoint directory per sweep configuration",
+             use a fresh run directory per sweep configuration",
             path.display()
         )));
     }
     let mut done = HashMap::new();
-    for (k, line) in records.iter().enumerate() {
+    for line in lines {
         match parse_record(line, job_count) {
             Some((index, result)) => {
                 done.insert(index, result);
@@ -471,8 +247,6 @@ pub(crate) fn load_journal(
             // data — it is validated and skipped. A block whose append was
             // cut short simply ends up with missing records and reruns.
             None if parse_bundle_marker(line, job_count).is_some() => {}
-            // Only the final record may be torn; anything else is corruption.
-            None if k + 1 == records.len() => {}
             None => {
                 return Err(bad(format!(
                     "corrupt sweep journal {}: unparseable record `{line}`",
@@ -519,66 +293,42 @@ fn parse_bundle_marker(line: &str, job_count: usize) -> Option<()> {
     Some(())
 }
 
-/// Opens the journal for appending, writing the header first when the file
-/// is new or empty.
+/// Opens the journal for appending. Cuts the bytes after the last newline
+/// first (the torn append [`load_journal`] ignored), so the next block
+/// starts on a line of its own, and writes the header when nothing whole
+/// is left.
 pub(crate) fn open_journal_for_append(path: &Path, fp: u64) -> io::Result<std::fs::File> {
     let mut file = std::fs::OpenOptions::new()
         .create(true)
+        .read(true)
         .append(true)
         .open(path)?;
-    if file.metadata()?.len() == 0 {
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    if whole < bytes.len() {
+        file.set_len(whole as u64)?;
+    }
+    if whole == 0 {
         writeln!(file, "{HEADER_PREFIX} {fp:016x}")?;
         file.flush()?;
     }
     Ok(file)
 }
 
-/// Checkpoint context threaded through a multi-sweep experiment (each sweep
-/// gets a labeled subdirectory; the fresh-job budget is shared across them).
-#[derive(Debug)]
-pub struct ExperimentCheckpoint {
-    base: PathBuf,
-    snapshot_interval: Option<u64>,
-    budget: Option<usize>,
-}
-
-impl ExperimentCheckpoint {
-    /// Creates a context rooted at `base` with an optional mid-job snapshot
-    /// interval and an optional shared fresh-job budget.
-    pub fn new(
-        base: impl Into<PathBuf>,
-        snapshot_interval: Option<u64>,
-        budget: Option<usize>,
-    ) -> Self {
-        Self {
-            base: base.into(),
-            snapshot_interval,
-            budget,
-        }
-    }
-
-    /// The [`CheckpointConfig`] for the sweep labeled `label`, carrying
-    /// whatever fresh-job budget remains.
-    pub fn sweep_config(&self, label: &str) -> CheckpointConfig {
-        CheckpointConfig {
-            dir: self.base.join(label),
-            snapshot_interval: self.snapshot_interval,
-            job_limit: self.budget,
-        }
-    }
-
-    /// Deducts `fresh` completed jobs from the shared budget.
-    pub fn consume(&mut self, fresh: usize) {
-        if let Some(budget) = &mut self.budget {
-            *budget = budget.saturating_sub(fresh);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The journal's robustness, driven through the fabric's worker path:
+    //! every resumed run must merge to exactly the sequential run's
+    //! canonical journal and table.
+
     use super::*;
+    use crate::fabric::{
+        clean_stale_claims, merge_shards, points_table, run_sequential, run_worker_shard,
+        shard_dir, FabricSpec, ShardOutcome,
+    };
     use pp_protocols::Fratricide;
+    use std::path::PathBuf;
 
     /// A unique scratch directory, removed on drop.
     struct Scratch(PathBuf);
@@ -598,187 +348,158 @@ mod tests {
         }
     }
 
-    fn assert_points_bit_identical(a: &[SweepPoint], b: &[SweepPoint]) {
-        assert_eq!(a.len(), b.len());
-        for (pa, pb) in a.iter().zip(b) {
-            assert_eq!(pa.n, pb.n);
-            assert_eq!(pa.unconverged, pb.unconverged);
-            let (va, vb) = (pa.times.values(), pb.times.values());
-            assert_eq!(va.len(), vb.len());
-            for (x, y) in va.iter().zip(vb) {
-                assert_eq!(x.to_bits(), y.to_bits(), "n = {}", pa.n);
-            }
+    fn spec(ns: &[usize], seeds: u64, master_seed: u64, lanes: usize) -> FabricSpec {
+        FabricSpec {
+            protocol: "fratricide".into(),
+            ns: ns.to_vec(),
+            seeds,
+            master_seed,
+            max_steps: u64::MAX,
+            lanes,
         }
+    }
+
+    fn work(spec: &FabricSpec, dir: &Scratch, limit: Option<usize>) -> io::Result<ShardOutcome> {
+        run_worker_shard(|_| Fratricide, spec, &dir.0, 0, limit)
+    }
+
+    fn journal(dir: &Scratch) -> PathBuf {
+        shard_dir(&dir.0, 0).join(JOURNAL_FILE)
+    }
+
+    /// Rewrites shard 0's journal through `edit` on its lines.
+    fn edit_journal(dir: &Scratch, edit: impl FnOnce(&mut Vec<&str>)) {
+        let text = std::fs::read_to_string(journal(dir)).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        edit(&mut lines);
+        std::fs::write(journal(dir), lines.join("\n") + "\n").unwrap();
+    }
+
+    /// Merges shard 0 under `dir` and requires the sequential run's exact
+    /// table (checksums included) and canonical journal bytes.
+    fn assert_merges_to_sequential(spec: &FabricSpec, dir: &Scratch) {
+        let merged = merge_shards(spec, &dir.0, 1).expect("merge reads the shard");
+        let merged = merged.points.expect("every job is journaled");
+        let seq = Scratch(dir.0.with_extension("seq"));
+        let points = run_sequential(|_| Fratricide, spec, &seq.0).expect("sequential runs");
+        assert_eq!(
+            points_table(&points).to_csv(),
+            points_table(&merged).to_csv()
+        );
+        assert_eq!(
+            std::fs::read(seq.0.join(JOURNAL_FILE)).unwrap(),
+            std::fs::read(dir.0.join(JOURNAL_FILE)).unwrap()
+        );
+    }
+
+    fn assert_invalid_data<T: std::fmt::Debug>(result: io::Result<T>) {
+        let err = result.expect_err("the journal must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]
     fn uninterrupted_checkpointed_sweep_matches_plain_sweep() {
-        // Both sides run every seed the same way, so every draw coincides.
-        let scratch = Scratch::new("plain_equiv");
-        let ns = [16usize, 32];
-        let plain = crate::stabilization_sweep(|_| Fratricide, &ns, 4, 11, u64::MAX);
-        let ckpt = CheckpointConfig::new(&scratch.0);
-        let status = stabilization_sweep_checkpointed(|_| Fratricide, &ns, 4, 11, u64::MAX, &ckpt)
-            .expect("sweep checkpoints");
-        let SweepStatus::Complete { points, fresh_jobs } = status else {
-            panic!("no job limit: sweep must complete");
-        };
-        assert_eq!(fresh_jobs, 8);
-        assert_points_bit_identical(&plain, &points);
+        // A journaled worker runs every seed as `stabilization_sweep` does,
+        // so its merged points equal the plain sweep's bit for bit.
+        let spec = spec(&[16, 32], 4, 11, 2);
+        let dir = Scratch::new("plain_equiv");
+        assert_eq!(work(&spec, &dir, None).expect("worker runs").fresh_jobs, 8);
+        let merged = merge_shards(&spec, &dir.0, 1).expect("merge reads the shard");
+        let plain = crate::stabilization_sweep(|_| Fratricide, &spec.ns, 4, 11, u64::MAX);
+        assert_eq!(
+            points_table(&plain).to_csv(),
+            points_table(&merged.points.expect("every job is journaled")).to_csv()
+        );
+    }
+
+    #[test]
+    fn snapshot_write_failure_is_an_error_not_a_panic() {
+        // A directory squatting on the temporary path of the worker's
+        // progress snapshot makes its first write fail: the worker must
+        // return the error and journal nothing.
+        let spec = spec(&[16], 3, 5, 2);
+        let dir = Scratch::new("snapshot_failure");
+        let squat = shard_dir(&dir.0, 0).join("progress.ckpt.tmp");
+        std::fs::create_dir_all(&squat).unwrap();
+        let err = work(&spec, &dir, None).expect_err("a failed write must surface as an error");
+        assert_ne!(err.kind(), io::ErrorKind::InvalidData);
+        let text = std::fs::read_to_string(journal(&dir)).unwrap();
+        assert_eq!(text.lines().count(), 1, "header only:\n{text}");
+        // With the obstacle gone the same directory resumes and completes.
+        std::fs::remove_dir(&squat).unwrap();
+        assert_eq!(work(&spec, &dir, None).expect("worker runs").fresh_jobs, 3);
+        assert_merges_to_sequential(&spec, &dir);
     }
 
     #[test]
     fn killed_and_resumed_sweep_is_bit_identical_to_clean() {
-        let scratch = Scratch::new("kill_resume");
-        let ns = [16usize, 24];
-        let (seeds, master, width) = (5u64, 77u64, 2);
-        let plain = crate::stabilization_sweep(|_| Fratricide, &ns, seeds, master, u64::MAX);
-
-        // Crash after every 3 fresh jobs until the sweep completes. At
+        // Suspend after every 3 fresh jobs until the sweep completes. At
         // width 2 each size's 5 seeds block as [2, 2, 1]; the
         // block-granular limit takes blocks until planned fresh jobs reach
         // 3, so the rounds complete [4, 3, 3] fresh jobs.
-        let mut shard = CheckpointConfig::new(&scratch.0);
-        shard.job_limit = Some(3);
+        let spec = spec(&[16, 24], 5, 77, 2);
+        let dir = Scratch::new("kill_resume");
         let mut fresh_per_round = Vec::new();
-        let points = loop {
+        loop {
             assert!(fresh_per_round.len() < 20, "sweep failed to make progress");
-            match sweep_checkpointed_blocks(
-                |_| Fratricide,
-                &ns,
-                seeds,
-                master,
-                u64::MAX,
-                &shard,
-                width,
-            )
-            .expect("sweep checkpoints")
-            {
-                SweepStatus::Complete { points, fresh_jobs } => {
-                    fresh_per_round.push(fresh_jobs);
-                    break points;
-                }
-                SweepStatus::Suspended { fresh_jobs } => fresh_per_round.push(fresh_jobs),
+            let outcome = work(&spec, &dir, Some(3)).expect("worker runs");
+            fresh_per_round.push(outcome.fresh_jobs);
+            if !outcome.suspended {
+                break;
             }
-        };
-        assert_eq!(fresh_per_round, vec![4, 3, 3], "10 jobs in width-2 blocks");
-        assert_points_bit_identical(&plain, &points);
-
-        // Re-invoking a finished sweep replays the journal: zero fresh jobs,
-        // same points.
-        match sweep_checkpointed_blocks(|_| Fratricide, &ns, seeds, master, u64::MAX, &shard, width)
-            .expect("sweep checkpoints")
-        {
-            SweepStatus::Complete {
-                points: replayed,
-                fresh_jobs,
-            } => {
-                assert_eq!(fresh_jobs, 0);
-                assert_points_bit_identical(&points, &replayed);
-            }
-            SweepStatus::Suspended { .. } => panic!("journal is complete"),
         }
-    }
-
-    #[test]
-    fn mid_job_snapshots_resume_bit_identically() {
-        // Both sides run at the same snapshot interval; the killed side is
-        // forced through snapshot restores, the straight side is not.
-        let ns = [64usize];
-        let (seeds, master) = (2u64, 5u64);
-        let straight_dir = Scratch::new("midjob_straight");
-        let mut straight = CheckpointConfig::new(&straight_dir.0);
-        straight.snapshot_interval = Some(512);
-        let SweepStatus::Complete {
-            points: expected, ..
-        } = stabilization_sweep_checkpointed(
-            |_| Fratricide,
-            &ns,
-            seeds,
-            master,
-            u64::MAX,
-            &straight,
-        )
-        .expect("sweep checkpoints")
-        else {
-            panic!("no job limit: sweep must complete");
-        };
-
-        let killed_dir = Scratch::new("midjob_killed");
-        let mut killed = CheckpointConfig::new(&killed_dir.0);
-        killed.snapshot_interval = Some(512);
-        killed.job_limit = Some(1);
-        let points = loop {
-            match stabilization_sweep_checkpointed(
-                |_| Fratricide,
-                &ns,
-                seeds,
-                master,
-                u64::MAX,
-                &killed,
-            )
-            .expect("sweep checkpoints")
-            {
-                SweepStatus::Complete { points, .. } => break points,
-                SweepStatus::Suspended { .. } => {}
-            }
-        };
-        assert_points_bit_identical(&expected, &points);
+        assert_eq!(fresh_per_round, vec![4, 3, 3], "10 jobs in width-2 blocks");
+        assert_merges_to_sequential(&spec, &dir);
+        // Rerunning a finished shard replays its journal: no fresh jobs.
+        let idle = work(&spec, &dir, None).expect("worker runs");
+        assert_eq!((idle.fresh_jobs, idle.suspended), (0, false));
     }
 
     #[test]
     fn journal_rejects_mismatched_sweep_parameters() {
-        let scratch = Scratch::new("fingerprint");
-        let ckpt = CheckpointConfig::new(&scratch.0);
-        stabilization_sweep_checkpointed(|_| Fratricide, &[16], 2, 1, u64::MAX, &ckpt)
-            .expect("sweep checkpoints");
+        let dir = Scratch::new("fingerprint");
+        work(&spec(&[16], 2, 1, 2), &dir, None).expect("worker runs");
         // Same directory, different master seed: must refuse, not mis-merge.
-        let err = stabilization_sweep_checkpointed(|_| Fratricide, &[16], 2, 2, u64::MAX, &ckpt)
-            .expect_err("fingerprint mismatch must error");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let foreign = spec(&[16], 2, 2, 2);
+        assert_invalid_data(work(&foreign, &dir, None));
+        assert_invalid_data(merge_shards(&foreign, &dir.0, 1));
+        assert_invalid_data(clean_stale_claims(&foreign, &dir.0, 1));
     }
 
     #[test]
     fn journal_rejects_mismatched_execution_modes() {
-        // Snapshot-interval results agree with block-mode results in law
-        // but not bit-for-bit, and the block width shapes the journal, so a
-        // journal written under one execution mode must refuse the others.
-        let scratch = Scratch::new("mode_mismatch");
-        let ckpt = CheckpointConfig::new(&scratch.0);
-        sweep_checkpointed_blocks(|_| Fratricide, &[16], 2, 1, u64::MAX, &ckpt, 2)
-            .expect("sweep checkpoints");
-        let err = sweep_checkpointed_blocks(|_| Fratricide, &[16], 2, 1, u64::MAX, &ckpt, 3)
-            .expect_err("width mismatch must error");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let mut scalar = ckpt.clone();
-        scalar.snapshot_interval = Some(512);
-        let err = sweep_checkpointed_blocks(|_| Fratricide, &[16], 2, 1, u64::MAX, &scalar, 2)
-            .expect_err("mode mismatch must error");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // The block width is the one execution-mode parameter left: it
+        // shapes the journal's blocks and the claims, so a journal written
+        // at one width must refuse another.
+        let dir = Scratch::new("width_mismatch");
+        work(&spec(&[16], 2, 1, 2), &dir, None).expect("worker runs");
+        assert_invalid_data(work(&spec(&[16], 2, 1, 3), &dir, None));
     }
 
     #[test]
     fn journal_tolerates_a_torn_final_record() {
-        let scratch = Scratch::new("torn_tail");
-        let ckpt = CheckpointConfig::new(&scratch.0);
-        let mut limited = ckpt.clone();
-        limited.job_limit = Some(2);
-        sweep_checkpointed_blocks(|_| Fratricide, &[16], 3, 9, u64::MAX, &limited, 1)
-            .expect("sweep checkpoints");
-        // Simulate a crash mid-append: a record cut off halfway through.
-        let journal = scratch.0.join(JOURNAL_FILE);
-        let mut text = std::fs::read_to_string(&journal).unwrap();
-        text.push_str("done 2 1 3ff");
-        std::fs::write(&journal, &text).unwrap();
-        let status = sweep_checkpointed_blocks(|_| Fratricide, &[16], 3, 9, u64::MAX, &ckpt, 1)
-            .expect("torn tail is tolerated");
-        let SweepStatus::Complete { points, fresh_jobs } = status else {
-            panic!("sweep must complete");
-        };
-        // The torn record was discarded, so its job reran.
-        assert_eq!(fresh_jobs, 1);
-        let plain = crate::stabilization_sweep(|_| Fratricide, &[16], 3, 9, u64::MAX);
-        assert_points_bit_identical(&plain, &points);
+        let spec = spec(&[16], 3, 9, 1);
+        let dir = Scratch::new("torn_tail");
+        assert!(work(&spec, &dir, Some(2)).expect("worker runs").suspended);
+        // A crash mid-append: block 2 claimed, its record cut halfway.
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(journal(&dir))
+            .unwrap();
+        file.write_all(b"block 2 1\ndone 2 1 3ff").unwrap();
+        std::fs::write(dir.0.join("claims/2.claim"), "0 1\n").unwrap();
+        // The orchestrator's retry round releases the dead claim; the torn
+        // record is discarded, so its job reruns — and the rerun's append
+        // must not fuse with the torn bytes, or the merge would reread a
+        // corrupt journal.
+        assert_eq!(clean_stale_claims(&spec, &dir.0, 1).unwrap(), 1);
+        assert_eq!(
+            work(&spec, &dir, None)
+                .expect("torn tail is tolerated")
+                .fresh_jobs,
+            1
+        );
+        assert_merges_to_sequential(&spec, &dir);
     }
 
     #[test]
@@ -786,52 +507,32 @@ mod tests {
         // Cut a width-2 block after its first record: the block is
         // incomplete, so both of its jobs rerun — and, being deterministic,
         // land on the same points as the clean sweep.
-        let scratch = Scratch::new("torn_bundle");
-        let ckpt = CheckpointConfig::new(&scratch.0);
-        let mut limited = ckpt.clone();
-        limited.job_limit = Some(1);
-        sweep_checkpointed_blocks(|_| Fratricide, &[16], 4, 13, u64::MAX, &limited, 2)
-            .expect("sweep checkpoints");
-        let journal = scratch.0.join(JOURNAL_FILE);
-        let text = std::fs::read_to_string(&journal).unwrap();
-        // header + "block 0 2" + two done lines: drop the final done line.
-        let mut lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4, "unexpected journal shape:\n{text}");
-        lines.pop();
-        std::fs::write(&journal, lines.join("\n") + "\n").unwrap();
-        let status = sweep_checkpointed_blocks(|_| Fratricide, &[16], 4, 13, u64::MAX, &ckpt, 2)
-            .expect("incomplete bundles rerun");
-        let SweepStatus::Complete { points, fresh_jobs } = status else {
-            panic!("sweep must complete");
-        };
-        assert_eq!(fresh_jobs, 4, "the cut block plus the remaining one");
-        let plain = crate::stabilization_sweep(|_| Fratricide, &[16], 4, 13, u64::MAX);
-        assert_points_bit_identical(&plain, &points);
+        let spec = spec(&[16], 4, 13, 2);
+        let dir = Scratch::new("torn_bundle");
+        work(&spec, &dir, Some(1)).expect("worker runs");
+        edit_journal(&dir, |lines| {
+            // header + "block 0 2" + two done lines: drop the final one.
+            assert_eq!(lines.len(), 4, "unexpected journal shape: {lines:?}");
+            lines.pop();
+        });
+        assert_eq!(clean_stale_claims(&spec, &dir.0, 1).unwrap(), 1);
+        let outcome = work(&spec, &dir, None).expect("incomplete blocks rerun");
+        assert_eq!(
+            outcome.fresh_jobs, 4,
+            "the cut block plus the remaining one"
+        );
+        assert_merges_to_sequential(&spec, &dir);
     }
 
     #[test]
     fn corrupt_interior_record_is_an_error() {
-        let scratch = Scratch::new("corrupt_interior");
-        let mut limited = CheckpointConfig::new(&scratch.0);
-        limited.job_limit = Some(2);
-        sweep_checkpointed_blocks(|_| Fratricide, &[16], 3, 9, u64::MAX, &limited, 1)
-            .expect("sweep checkpoints");
-        let journal = scratch.0.join(JOURNAL_FILE);
-        let text = std::fs::read_to_string(&journal).unwrap();
-        let mut lines: Vec<&str> = text.lines().collect();
-        lines.insert(1, "done garbage");
-        std::fs::write(&journal, lines.join("\n") + "\n").unwrap();
-        let err = sweep_checkpointed_blocks(
-            |_| Fratricide,
-            &[16],
-            3,
-            9,
-            u64::MAX,
-            &CheckpointConfig::new(&scratch.0),
-            1,
-        )
-        .expect_err("interior corruption must error");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let spec = spec(&[16], 3, 9, 1);
+        let dir = Scratch::new("corrupt_interior");
+        work(&spec, &dir, Some(2)).expect("worker runs");
+        edit_journal(&dir, |lines| lines.insert(1, "done garbage"));
+        assert_invalid_data(work(&spec, &dir, None));
+        assert_invalid_data(merge_shards(&spec, &dir.0, 1));
+        assert_invalid_data(clean_stale_claims(&spec, &dir.0, 1));
     }
 
     #[test]
@@ -866,87 +567,37 @@ mod tests {
         }
     }
 
-    /// Runs a sweep with no job limit; returns its points and fresh jobs.
-    fn complete(
-        ns: &[usize],
-        seeds: u64,
-        master: u64,
-        ckpt: &CheckpointConfig,
-        width: usize,
-    ) -> (Vec<SweepPoint>, usize) {
-        match sweep_checkpointed_blocks(|_| Fratricide, ns, seeds, master, u64::MAX, ckpt, width)
-            .expect("sweep checkpoints")
-        {
-            SweepStatus::Complete { points, fresh_jobs } => (points, fresh_jobs),
-            SweepStatus::Suspended { .. } => panic!("no job limit: sweep must complete"),
-        }
-    }
-
-    #[test]
-    fn snapshot_write_failure_is_an_error_not_a_panic() {
-        // A directory squatting on the snapshot's temporary path makes the
-        // first mid-job snapshot write fail: the sweep must return the error
-        // and journal nothing for the failed job.
-        let scratch = Scratch::new("snapshot_failure");
-        std::fs::create_dir_all(scratch.0.join("job_0.ckpt.tmp")).unwrap();
-        let mut ckpt = CheckpointConfig::new(&scratch.0);
-        ckpt.snapshot_interval = Some(512);
-        let err = stabilization_sweep_checkpointed(|_| Fratricide, &[64], 1, 5, u64::MAX, &ckpt)
-            .expect_err("a failed snapshot write must surface as an error");
-        assert_ne!(err.kind(), io::ErrorKind::InvalidData);
-        let journal = std::fs::read_to_string(scratch.0.join(JOURNAL_FILE)).unwrap();
-        assert_eq!(journal.lines().count(), 1, "header only:\n{journal}");
-        // With the obstacle gone the same directory resumes and completes,
-        // bit-identical to a clean sweep at the same interval.
-        std::fs::remove_dir(scratch.0.join("job_0.ckpt.tmp")).unwrap();
-        let (points, _) = complete(&[64], 1, 5, &ckpt, 1);
-        let clean_dir = Scratch::new("snapshot_failure_clean");
-        let mut clean = CheckpointConfig::new(&clean_dir.0);
-        clean.snapshot_interval = Some(512);
-        assert_points_bit_identical(&complete(&[64], 1, 5, &clean, 1).0, &points);
-    }
-
-    /// Incomplete `ppsweep v3` journals as earlier builds wrote them: a
-    /// suspended block-mode sweep (`[16, 24]` × 5 seeds, master 77, width
-    /// 2, job limit 3) and a suspended interval-mode sweep (`[64]` × 3
-    /// seeds, master 5, interval 512, job limit 2), whose records are bare
-    /// `done` lines in completion order.
-    const RECORDED_BLOCK_JOURNAL: &str = "ppsweep v3 7d19e488671a99bc
-block 0 2
+    /// An incomplete shard journal as an earlier build's worker wrote it:
+    /// `ppsweep --protocol fratricide --ns 16,24 --seeds 10 --master 77
+    /// --worker 0 --job-limit 9` with blocks of 8 seeds, which journals the
+    /// two blocks of `n = 16` and suspends.
+    const RECORDED_SHARD_JOURNAL: &str = "ppsweep v3 6898447daaf563e6
+block 0 8
 done 0 1 4017000000000000
 done 1 1 4023600000000000
-block 2 2
 done 2 1 403b100000000000
 done 3 1 4022800000000000
-";
-    const RECORDED_INTERVAL_JOURNAL: &str = "ppsweep v3 323887c7c268777a
-done 1 1 405c820000000000
-done 0 1 4044480000000000
+done 4 1 402a400000000000
+done 5 1 4034b00000000000
+done 6 1 400b800000000000
+done 7 1 4034900000000000
+block 8 2
+done 8 1 402e600000000000
+done 9 1 400d800000000000
 ";
 
     #[test]
     fn recorded_journals_resume_bit_identically() {
-        // Pins the journal format and fingerprints: both recorded journals
-        // must load under today's fingerprints, keep their records (only
-        // the missing jobs run), and resume to the clean sweep's points.
-        let block_dir = Scratch::new("recorded_block");
-        std::fs::create_dir_all(&block_dir.0).unwrap();
-        std::fs::write(block_dir.0.join(JOURNAL_FILE), RECORDED_BLOCK_JOURNAL).unwrap();
-        let (resumed, fresh) = complete(&[16, 24], 5, 77, &CheckpointConfig::new(&block_dir.0), 2);
-        assert_eq!(fresh, 6, "4 of 10 jobs were journaled");
-        let clean = crate::stabilization_sweep(|_| Fratricide, &[16, 24], 5, 77, u64::MAX);
-        assert_points_bit_identical(&clean, &resumed);
-
-        let interval_dir = Scratch::new("recorded_interval");
-        std::fs::create_dir_all(&interval_dir.0).unwrap();
-        std::fs::write(interval_dir.0.join(JOURNAL_FILE), RECORDED_INTERVAL_JOURNAL).unwrap();
-        let mut ckpt = CheckpointConfig::new(&interval_dir.0);
-        ckpt.snapshot_interval = Some(512);
-        let (resumed, fresh) = complete(&[64], 3, 5, &ckpt, 1);
-        assert_eq!(fresh, 1, "2 of 3 jobs were journaled");
-        let clean_dir = Scratch::new("recorded_interval_clean");
-        let mut clean = CheckpointConfig::new(&clean_dir.0);
-        clean.snapshot_interval = Some(512);
-        assert_points_bit_identical(&complete(&[64], 3, 5, &clean, 1).0, &resumed);
+        // Pins the journal format and `FabricSpec::fingerprint`: the
+        // recorded journal must load under today's fingerprint, keep its
+        // records (only the missing jobs run), and merge to the sequential
+        // run's bytes.
+        let spec = spec(&[16, 24], 10, 77, 8);
+        let dir = Scratch::new("recorded_shard");
+        std::fs::create_dir_all(shard_dir(&dir.0, 0)).unwrap();
+        std::fs::write(journal(&dir), RECORDED_SHARD_JOURNAL).unwrap();
+        let outcome = work(&spec, &dir, None).expect("recorded journal resumes");
+        assert_eq!(outcome.fresh_jobs, 10, "10 of 20 jobs were journaled");
+        assert_merges_to_sequential(&spec, &dir);
     }
 }

@@ -16,12 +16,9 @@
 //! power-law exponents that separate `Θ(n)` from `O(log n)` scaling.
 
 use super::{f1, f3, mean_ci};
-use crate::{
-    parallel_map, stabilization_sweep, stabilization_sweep_checkpointed, ExperimentCheckpoint,
-    ExperimentOutput, SweepPoint, SweepStatus,
-};
+use crate::{parallel_map, stabilization_sweep, ExperimentOutput};
 use pp_core::Pll;
-use pp_engine::{CountSimulation, LeaderElection, SnapshotState};
+use pp_engine::CountSimulation;
 use pp_protocols::{BoundedLottery, Fratricide, UnboundedLottery};
 use pp_rand::Xoshiro256PlusPlus;
 use pp_stats::{fit_power_law, Summary, Table};
@@ -51,67 +48,8 @@ where
         .collect()
 }
 
-/// Runs one of Table 1's four stabilization sweeps, either plainly or
-/// through the experiment's checkpoint context (labeled subdirectory,
-/// shared fresh-job budget). `Ok(None)` means the budget ran out.
-fn sweep_step<P, F>(
-    ckpt: &mut Option<&mut ExperimentCheckpoint>,
-    label: &str,
-    make: F,
-    ns: &[usize],
-    seeds: u64,
-    master: u64,
-) -> std::io::Result<Option<Vec<SweepPoint>>>
-where
-    P: LeaderElection,
-    P::State: SnapshotState,
-    F: Fn(usize) -> P + Sync,
-{
-    match ckpt {
-        None => Ok(Some(stabilization_sweep(make, ns, seeds, master, u64::MAX))),
-        Some(cx) => {
-            let config = cx.sweep_config(label);
-            match stabilization_sweep_checkpointed(make, ns, seeds, master, u64::MAX, &config)? {
-                SweepStatus::Complete { points, fresh_jobs } => {
-                    cx.consume(fresh_jobs);
-                    Ok(Some(points))
-                }
-                SweepStatus::Suspended { .. } => Ok(None),
-            }
-        }
-    }
-}
-
 /// Runs the Table 1 reproduction.
 pub fn run(quick: bool) -> ExperimentOutput {
-    run_impl(quick, None)
-        .expect("uncheckpointed table1 does no checkpoint I/O")
-        .expect("uncheckpointed table1 never suspends")
-}
-
-/// [`run`] with crash-recoverable sweeps: each of the four stabilization
-/// sweeps journals per-job results under its own subdirectory of the
-/// checkpoint context. `Ok(None)` means the context's fresh-job budget was
-/// exhausted with sweep jobs still pending — rerun with the same directory
-/// to continue. A resumed run's output is byte-identical to an
-/// uninterrupted one (the distinct-states measurements are cheap and
-/// deterministic, so they rerun uncheckpointed every invocation).
-///
-/// # Errors
-///
-/// Journal / snapshot I/O failures, including a checkpoint directory whose
-/// journals were written by a different sweep configuration.
-pub fn run_checkpointed(
-    quick: bool,
-    ckpt: &mut ExperimentCheckpoint,
-) -> std::io::Result<Option<ExperimentOutput>> {
-    run_impl(quick, Some(ckpt))
-}
-
-fn run_impl(
-    quick: bool,
-    mut ckpt: Option<&mut ExperimentCheckpoint>,
-) -> std::io::Result<Option<ExperimentOutput>> {
     let ns: Vec<usize> = if quick {
         vec![64, 128, 256]
     } else {
@@ -120,35 +58,22 @@ fn run_impl(
     let seeds = if quick { 5 } else { 30 };
     let state_seeds = if quick { 2 } else { 5 };
 
-    let Some(frat) = sweep_step(&mut ckpt, "frat", |_| Fratricide, &ns, seeds, 1)? else {
-        return Ok(None);
-    };
-    let Some(blottery) = sweep_step(
-        &mut ckpt,
-        "blottery",
+    let frat = stabilization_sweep(|_| Fratricide, &ns, seeds, 1, u64::MAX);
+    let blottery = stabilization_sweep(
         |n| BoundedLottery::for_population(n).expect("n >= 2"),
         &ns,
         seeds,
         4,
-    )?
-    else {
-        return Ok(None);
-    };
-    let Some(lottery) = sweep_step(&mut ckpt, "lottery", |_| UnboundedLottery, &ns, seeds, 2)?
-    else {
-        return Ok(None);
-    };
-    let Some(pll) = sweep_step(
-        &mut ckpt,
-        "pll",
+        u64::MAX,
+    );
+    let lottery = stabilization_sweep(|_| UnboundedLottery, &ns, seeds, 2, u64::MAX);
+    let pll = stabilization_sweep(
         |n| Pll::for_population(n).expect("n >= 2"),
         &ns,
         seeds,
         3,
-    )?
-    else {
-        return Ok(None);
-    };
+        u64::MAX,
+    );
 
     let frat_states = distinct_states(|_| Fratricide, &ns, state_seeds, 10);
     let blottery_states = distinct_states(
@@ -285,10 +210,10 @@ fn run_impl(
         ),
     ];
 
-    Ok(Some(ExperimentOutput {
+    ExperimentOutput {
         id: "table1",
         title: "Table 1 — states vs. expected stabilization time",
         notes,
         tables,
-    }))
+    }
 }

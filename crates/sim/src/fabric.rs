@@ -19,16 +19,17 @@
 //! ```
 //!
 //! Work is claimed at **block** granularity ([`sweep_bundles`]' same-`n`
-//! seed blocks): a worker runs the checkpointed sweep's block driver over
-//! the unclaimed blocks and gates each on atomically creating
+//! seed blocks): a worker runs the journal's block driver over the
+//! unclaimed blocks and gates each on atomically creating
 //! `claims/<start>.claim`, so shards never duplicate work — *dynamic range
 //! claiming*, not static partitioning. The job space's heavy tail is what
 //! rules static shards out: whichever shard owned the straggler would cap
 //! the whole run. Instead a worker runs its blocks largest-`n`-first
 //! ([`cost_order`]'s LPT schedule), and any idle worker can pick up
-//! whatever remains. `--job-limit` is the driver's rule: blocks are
-//! *selected* in job order (overshoot at most `block − 1` jobs, whatever
-//! the thread count) and only then ordered largest-`n`-first.
+//! whatever remains. `--job-limit J` (at least 1) bounds one invocation's
+//! fresh jobs: blocks are *selected* in job order until the planned jobs
+//! reach `J` (overshoot at most `block − 1` jobs, whatever the thread
+//! count) and only then ordered largest-`n`-first.
 //!
 //! # Merge contract
 //!
@@ -110,16 +111,16 @@ pub struct FabricSpec {
 }
 
 impl FabricSpec {
-    /// The run's journal fingerprint: the checkpoint fingerprint of the
-    /// grid (which covers the block width) extended over the protocol name
-    /// with the same FNV-1a step.
+    /// The run's journal fingerprint: the journal fingerprint of the grid
+    /// (which covers the block width) extended over the protocol name with
+    /// the same FNV-1a step.
     pub fn fingerprint(&self) -> u64 {
         let mut h = fingerprint(
             &self.ns,
             self.seeds,
             self.master_seed,
             self.max_steps,
-            Some(self.lanes),
+            self.lanes,
         );
         for b in self.protocol.bytes() {
             h ^= u64::from(b);
@@ -241,12 +242,15 @@ fn scan_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
 ///
 /// Reinvoking with the same directory resumes: blocks already claimed
 /// (here, elsewhere, or by a killed run) are left alone. `job_limit` bounds
-/// the *fresh* jobs of this invocation by the checkpointed sweep's rule;
-/// hitting it with unclaimed blocks left over reports `suspended`.
+/// the *fresh* jobs of this invocation, block-granularly (see the [module
+/// docs](self)); hitting it with unclaimed blocks left over reports
+/// `suspended`.
 ///
 /// # Errors
 ///
-/// `InvalidInput` when `shard ≥ MAX_SHARDS` or `spec.seeds ≥ 2^32`;
+/// `InvalidInput` when `shard ≥ MAX_SHARDS`, `spec.seeds ≥ 2^32` or
+/// `job_limit` is `Some(0)` (a worker that may run nothing would suspend
+/// forever);
 /// otherwise the first claim / journal / manifest I/O error, or a shard
 /// journal whose fingerprint does not match `spec`.
 pub fn run_worker_shard<P, F>(
@@ -262,6 +266,10 @@ where
 {
     // Shard ids 0..=shard must fit.
     spec.check(shard.saturating_add(1))?;
+    if job_limit == Some(0) {
+        let msg = "a worker's job limit must be at least 1";
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+    }
     let started = Instant::now();
     crate::set_sweep_shard(Some(shard));
     let fp = spec.fingerprint();
@@ -558,6 +566,7 @@ pub fn points_table(points: &[SweepPoint]) -> Table {
 mod tests {
     use super::*;
     use pp_protocols::Fratricide;
+    use proptest::prelude::*;
 
     struct Scratch(PathBuf);
 
@@ -793,8 +802,9 @@ mod tests {
 
     #[test]
     fn out_of_range_inputs_are_invalid_input_errors() {
-        // Seeds past the packed job index, and shard ids past MAX_SHARDS,
-        // are refused before any job list is built or any file written.
+        // Seeds past the packed job index, shard ids past MAX_SHARDS and a
+        // zero job limit are refused before any job list is built or any
+        // file written.
         let dir = Scratch::new("invalid_input");
         let mut huge = spec();
         huge.seeds = 1 << 32;
@@ -808,11 +818,68 @@ mod tests {
         invalid(clean_stale_claims(&huge, &dir.0, 1).map(drop));
         let spec = spec();
         invalid(run_worker_shard(|_| Fratricide, &spec, &dir.0, MAX_SHARDS, None).map(drop));
+        invalid(run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, Some(0)).map(drop));
         invalid(merge_shards(&spec, &dir.0, MAX_SHARDS + 1).map(drop));
         invalid(clean_stale_claims(&spec, &dir.0, MAX_SHARDS + 1).map(drop));
         assert!(
             !dir.0.exists(),
             "refused calls must not touch the directory"
         );
+    }
+
+    /// A complete shard journal and manifest of [`spec`], written by a
+    /// real worker: the seed bytes the hostile inputs below mutate.
+    fn real_shard_files() -> (Vec<u8>, Vec<u8>) {
+        let dir = Scratch::new("hostile_seed");
+        run_worker_shard(|_| Fratricide, &spec(), &dir.0, 0, None).expect("worker runs");
+        let read = |name| std::fs::read(shard_dir(&dir.0, 0).join(name)).unwrap();
+        (read(JOURNAL_FILE), read(MANIFEST_FILE))
+    }
+
+    /// Arbitrary bytes (non-UTF-8 included), truncations of `real`, and
+    /// `real` with one byte flipped.
+    fn hostile(real: Vec<u8>) -> impl Strategy<Value = Vec<u8>> {
+        let (cut, flip) = (real.clone(), real.clone());
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..256),
+            (0..real.len()).prop_map(move |k| cut[..k].to_vec()),
+            (0..real.len(), 1u8..=255).prop_map(move |(k, mask)| {
+                let mut bytes = flip.clone();
+                bytes[k] ^= mask;
+                bytes
+            }),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn hostile_shard_files_are_typed_errors_never_panics(
+            (journal, manifest) in {
+                let (journal, manifest) = real_shard_files();
+                (hostile(journal), hostile(manifest))
+            }
+        ) {
+            let dir = Scratch::new("hostile");
+            std::fs::create_dir_all(shard_dir(&dir.0, 0)).unwrap();
+            std::fs::write(shard_dir(&dir.0, 0).join(JOURNAL_FILE), &journal).unwrap();
+            std::fs::write(shard_dir(&dir.0, 0).join(MANIFEST_FILE), &manifest).unwrap();
+            let spec = spec();
+            let rejected = |result: io::Result<()>| match result {
+                Ok(()) => Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => Ok(true),
+                Err(e) => Err(TestCaseError::Fail(format!("untyped rejection: {e}"))),
+            };
+            let merge = rejected(merge_shards(&spec, &dir.0, 1).map(drop))?;
+            let clean = rejected(clean_stale_claims(&spec, &dir.0, 1).map(drop))?;
+            let worker = run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None);
+            let work = rejected(worker.map(drop))?;
+            // All three read the journal the same way.
+            prop_assert_eq!((merge, clean), (work, work));
+            if !work {
+                // An accepted journal is whole once the worker has run.
+                let report = merge_shards(&spec, &dir.0, 1);
+                prop_assert_eq!(report.expect("the worker's journal merges").missing, 0);
+            }
+        }
     }
 }

@@ -40,9 +40,6 @@ pub mod fabric;
 mod runner;
 pub mod trajectory;
 
-pub use checkpoint::{
-    stabilization_sweep_checkpointed, CheckpointConfig, ExperimentCheckpoint, SweepStatus,
-};
 pub use runner::{
     enable_sweep_rollup, parallel_map, set_sweep_shard, stabilization_sweep,
     stabilization_sweep_agents, sweep_lane_width, sweep_shard, take_sweep_rollups, SweepPoint,
@@ -114,36 +111,6 @@ pub const EXPERIMENT_IDS: [&str; 14] = [
 ///
 /// Returns `Err` with the unknown id.
 pub fn run_experiment(id: &str, quick: bool) -> Result<ExperimentOutput, String> {
-    run_experiment_with(id, quick, None)
-        .map(|output| output.expect("uncheckpointed experiments never suspend"))
-}
-
-/// [`run_experiment`] with optional sweep checkpointing.
-///
-/// Only `table1` shards its sweeps through the checkpoint context (it is the
-/// long-running sweep-heavy experiment); other ids ignore `ckpt` and run
-/// uncheckpointed. Returns `Ok(None)` when the checkpoint context's fresh-job
-/// budget ran out before the experiment finished — rerun with the same
-/// checkpoint directory to continue.
-///
-/// # Errors
-///
-/// Returns `Err` on an unknown id or a checkpoint I/O failure.
-pub fn run_experiment_with(
-    id: &str,
-    quick: bool,
-    ckpt: Option<&mut ExperimentCheckpoint>,
-) -> Result<Option<ExperimentOutput>, String> {
-    if id == "table1" {
-        if let Some(cx) = ckpt {
-            return experiments::table1::run_checkpointed(quick, cx)
-                .map_err(|e| format!("table1 checkpointing: {e}"));
-        }
-    }
-    run_uncheckpointed(id, quick).map(Some)
-}
-
-fn run_uncheckpointed(id: &str, quick: bool) -> Result<ExperimentOutput, String> {
     match id {
         "table1" => Ok(experiments::table1::run(quick)),
         "table2" => Ok(experiments::table2::run(quick)),

@@ -4,7 +4,8 @@
 //! thread pool every sweep rides. [`stabilization_sweep`] hands each worker
 //! a **block** of same-`n` seeds, largest-`n`-first ([`cost_order`]), and
 //! runs every seed of the block on its own scalar [`CountSimulation`]; the
-//! durable sweeps run the same blocks through `checkpoint::drive_blocks`.
+//! fabric's durable worker shards run the same blocks through
+//! `checkpoint::drive_blocks`.
 //! A seed's result is a pure function of `(protocol, n, master seed, seed
 //! index, max_steps)`, so neither the block size nor the thread count
 //! (`PP_SIM_THREADS`, the one env override, for reproducible benchmarking)
@@ -49,8 +50,8 @@ pub(crate) fn worker_count(jobs: usize) -> usize {
 }
 
 /// Seeds per sweep block, fixed at 8: the block size
-/// [`stabilization_sweep`] and the checkpointed sweep use, and the default
-/// width of a [`FabricSpec`](crate::fabric::FabricSpec). Results never
+/// [`stabilization_sweep`] uses, and the width `ppsweep` gives every
+/// [`FabricSpec`](crate::fabric::FabricSpec). Results never
 /// depend on it.
 pub fn sweep_lane_width() -> usize {
     BLOCK_SEEDS
@@ -469,7 +470,7 @@ pub(crate) fn sweep_jobs(ns: &[usize], seeds: u64, master_seed: u64) -> Vec<(usi
 }
 
 /// One sweep block: a contiguous run of same-`n` seed-stream jobs, the
-/// unit a worker runs and the checkpoint layer and fabric journal.
+/// unit a worker thread runs and a fabric journal records.
 #[derive(Debug, Clone)]
 pub(crate) struct SweepBundle {
     /// Population size shared by every job of the block.
