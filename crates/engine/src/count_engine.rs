@@ -30,11 +30,14 @@
 //!    bit-exact oracle the fast paths are tested against.
 //! 2. **Compiled** — the hash-free per-step path: a
 //!    [compiled pair-transition cache](crate::compiled) makes each
-//!    steady-state interaction one table load plus
+//!    steady-state interaction one table load plus an `O(1)` pair draw,
+//!    with convergence bookkeeping riding on cached leader deltas. Same
+//!    RNG stream and bit-identical executions whether the cache is on or
+//!    off. Up to 2^21 agents the draw reads two uniform distinct positions
+//!    of an array of interned state ids (see [the agent
+//!    array](#the-agent-array)); past it, it is
 //!    [fused pair sampling](pp_rand::SumTreeSampler::sample_pair_distinct)
-//!    (two tree descents, zero tree writes), with convergence bookkeeping
-//!    riding on cached leader deltas. Same RNG stream and bit-identical
-//!    executions whether the cache is on or off.
+//!    from the counts (two tree descents).
 //! 3. **Jump** — the null-skipping scheduler (see [`crate::jump`]): when
 //!    known-null pairs carry at least 7/8 of the scheduler weight, each run of consecutive nulls telescopes into one geometric
 //!    draw plus one exact draw from the non-null pair distribution.
@@ -53,6 +56,22 @@
 //! are constants of the [tier module](crate::tier), and populations beyond
 //! `2^32 − 1` agents stay per-step: the jump and batch tiers' exact integer
 //! pair weights are bounded by `n(n−1)`, which must fit a `u64`.
+//!
+//! # The agent array
+//!
+//! Up to 2^21 agents (`AGENT_ARRAY_MAX_POPULATION`) the per-step
+//! windows (compiled and reference) keep `agents`, one interned id per
+//! agent. One [`pair_targets`](pp_rand::pair_targets) word gives
+//! `(ta, tb)`; positions `i = ta` and `j = tb + [tb ≥ ta]` are a uniform
+//! ordered pair of distinct agents, so the states read there are drawn
+//! exactly as the counts would draw them, whatever the arrangement. The
+//! successors are written back in place and the counts change in the sum
+//! tree's leaves only; the window rebuilds the tree's internal sums once,
+//! when it ends. An empty array means stale: jump and batch episodes,
+//! compaction and [`step`](CountSimulation::step) move agents by counts
+//! alone and clear it, and the next per-step window refills it from the
+//! counts in slot order. Construction never allocates it, and populations
+//! that only ever run batch rounds never do.
 //!
 //! # State-id compaction
 //!
@@ -73,7 +92,7 @@ use crate::round::{self, SegmentDraw};
 use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotState, SnapshotWriter};
 use crate::tier::{self, EngineTier, JumpStats, TierController, TierUsage};
 use crate::{EngineError, LeaderElection, Protocol, Role, RunOutcome, CONVERGENCE_BATCH};
-use pp_rand::{Geometric, Rng64, RngSnapshot, SumTreeSampler, Xoshiro256PlusPlus};
+use pp_rand::{pair_targets, Geometric, Rng64, RngSnapshot, SumTreeSampler, Xoshiro256PlusPlus};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -82,6 +101,16 @@ use std::time::Instant;
 /// reclaimed by compaction). Re-interning such a state allocates a fresh
 /// slot without recounting it as newly distinct.
 const DEAD_ID: u32 = u32::MAX;
+
+/// A per-step draw that missed the pair cache: the states `(s, t)` and,
+/// on the agent array, their positions `(i, j)`.
+#[derive(Debug, Clone, Copy)]
+struct Miss {
+    s: usize,
+    t: usize,
+    i: usize,
+    j: usize,
+}
 
 /// Exact count-based engine; see the module-level documentation above.
 ///
@@ -130,6 +159,10 @@ pub struct CountSimulation<P: Protocol, R = Xoshiro256PlusPlus> {
     /// Number of states with a positive count (`support_size` in O(1)).
     support: usize,
     sampler: SumTreeSampler,
+    /// One interned id per agent, for per-step windows at populations up to
+    /// `tier::AGENT_ARRAY_MAX_POPULATION`; empty when stale or unused (see
+    /// the module docs, "The agent array").
+    agents: Vec<u32>,
     pairs: PairCache,
     tiers: TierController,
     n: u64,
@@ -197,6 +230,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             leader_output: None,
             support: 0,
             sampler: SumTreeSampler::new(0),
+            agents: Vec::new(),
             pairs: PairCache::new(),
             tiers: TierController::default(),
             n: 0,
@@ -443,6 +477,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         if self.tiers.jump.engaged {
             self.tiers.jump.ledger.mark_dirty();
         }
+        self.agents.clear();
         let (changed, _) = self.apply_pair(s, t);
         (s, t, changed)
     }
@@ -532,15 +567,22 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
 
     /// Moves one agent from state slot `from` to state slot `to` (free
     /// no-op when `from == to`), folding occupancy changes into the
-    /// incremental support count.
+    /// incremental support count. With `leaf_only` it moves the count in
+    /// the sampler's leaves alone, as agent-array windows do until their
+    /// closing [`rebuild_sums`](SumTreeSampler::rebuild_sums).
     ///
     /// Interned ids are always in range, so the error arm is unreachable;
     /// it is handled with a debug assertion plus silent no-op rather than a
     /// panic so the hot loop has no unwind edges (panic paths would force
     /// every cached field back to memory at each call).
     #[inline]
-    fn move_agent(&mut self, from: usize, to: usize) {
-        let Ok(effect) = self.sampler.transfer(from, to) else {
+    fn move_agent(&mut self, from: usize, to: usize, leaf_only: bool) {
+        let moved = if leaf_only {
+            self.sampler.transfer_leaf(from, to)
+        } else {
+            self.sampler.transfer(from, to)
+        };
+        let Ok(effect) = moved else {
             debug_assert!(false, "interned slots {from}/{to} exist");
             return;
         };
@@ -600,8 +642,8 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         let (a, b, delta, null) = self.pair_effect(s, t);
         // Self-transfers fall out of the lockstep walk for free, so no
         // branching on which side changed.
-        self.move_agent(s, a);
-        self.move_agent(t, b);
+        self.move_agent(s, a, false);
+        self.move_agent(t, b, false);
         (!null, delta)
     }
 
@@ -691,6 +733,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         self.outputs = new_outputs;
         self.leader_flags = new_flags;
         self.sampler = SumTreeSampler::from_weights(&new_weights).expect("population is non-empty");
+        self.agents.clear();
         self.pairs.compact(&map, live.len());
         self.pairs.ensure_states(self.states.len());
         // Ledger ids are stale: drop and reseed from the compacted cache.
@@ -819,8 +862,11 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             .ledger
             .sample_active(self.sampler.weights(), self.n, u);
         let (a, b, delta, null) = self.pair_effect(s, t);
-        self.move_agent(s, a);
-        self.move_agent(t, b);
+        self.move_agent(s, a, false);
+        self.move_agent(t, b, false);
+        if !null {
+            self.agents.clear();
+        }
         // Resync the null weights of pairs touching the states whose counts
         // changed (idempotent per state, so shared pairs need no dedup). A
         // dirty ledger — compile_pair discovered a fresh null — rebuilds on
@@ -978,6 +1024,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
                 self.support = self.support + usize::from(old == 0) - usize::from(new == 0);
             }
         }
+        self.agents.clear();
         self.steps += consumed;
         let stats = &mut self.tiers.batch.stats;
         stats.episodes += 1;
@@ -1088,8 +1135,13 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     /// moment the count hits exactly 1, with [`steps`](Self::steps) exact;
     /// without it, `leaders` is untouched.
     ///
-    /// The inner loop holds every hot field through *split borrows* and
-    /// calls nothing that takes `&mut self`: a `&mut self` callee (such as
+    /// Up to `AGENT_ARRAY_MAX_POPULATION` agents the window steps on the
+    /// agent array (refilled first if stale) and rebuilds the sum tree's
+    /// internal sums once at its end; larger populations descend the tree.
+    ///
+    /// The inner loop ([`compiled_steps`](Self::compiled_steps)) holds
+    /// every hot field through *split borrows* and calls nothing that takes
+    /// `&mut self`: a `&mut self` callee (such as
     /// the interning [`compile_pair`](Self::compile_pair)) could touch any
     /// field, which would force the optimizer to spill the RNG words, step
     /// counter, and support count back to memory on every iteration.
@@ -1098,56 +1150,36 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     /// the drawn pair is carried out of the loop and completed through the
     /// compile path before the loop resumes.
     fn leader_chunk<const TRACK: bool>(&mut self, max: u64, leaders: &mut i64) -> u64 {
+        let array = self.n <= tier::AGENT_ARRAY_MAX_POPULATION;
+        if array && self.agents.is_empty() {
+            let Self {
+                agents, sampler, ..
+            } = self;
+            agents.reserve_exact(sampler.total() as usize);
+            for (id, &count) in sampler.weights().iter().enumerate() {
+                agents.extend(std::iter::repeat(id as u32).take(count as usize));
+            }
+        }
         let start = self.steps;
         let mut count = *leaders;
         loop {
             let budget = max - (self.steps - start);
-            let mut pending = None;
-            let mut done = 0u64;
-            {
-                let Self {
-                    sampler,
-                    rng,
-                    pairs,
-                    support,
-                    ..
-                } = self;
-                let mut sup = *support;
-                while done < budget {
-                    let Ok((s, t)) = sampler.sample_pair_distinct(rng) else {
-                        debug_assert!(false, "population has >= 2 agents");
-                        break;
-                    };
-                    let entry = pairs.get(s, t);
-                    if entry == compiled::EMPTY {
-                        pending = Some((s, t));
-                        break;
-                    }
-                    let (a, b, delta, _) = compiled::unpack(entry);
-                    let (Ok(e1), Ok(e2)) = (sampler.transfer(s, a), sampler.transfer(t, b)) else {
-                        debug_assert!(false, "interned slots exist");
-                        break;
-                    };
-                    sup = sup + usize::from(e1.populated) + usize::from(e2.populated)
-                        - usize::from(e1.emptied)
-                        - usize::from(e2.emptied);
-                    done += 1;
-                    if TRACK && delta != 0 {
-                        count += i64::from(delta);
-                        if count == 1 {
-                            break;
-                        }
-                    }
-                }
-                *support = sup;
-            }
+            let (done, pending) = if array {
+                self.compiled_steps::<TRACK, true>(budget, &mut count)
+            } else {
+                self.compiled_steps::<TRACK, false>(budget, &mut count)
+            };
             self.steps += done;
             // No pending miss: the window is exhausted or the count hit 1.
-            let Some((s, t)) = pending else { break };
+            let Some(miss) = pending else { break };
             self.steps += 1;
-            let (a, b, delta, _) = self.compile_pair(s, t);
-            self.move_agent(s, a);
-            self.move_agent(t, b);
+            let (a, b, delta, _) = self.compile_pair(miss.s, miss.t);
+            if array {
+                self.agents[miss.i] = a as u32;
+                self.agents[miss.j] = b as u32;
+            }
+            self.move_agent(miss.s, a, array);
+            self.move_agent(miss.t, b, array);
             if TRACK && delta != 0 {
                 count += i64::from(delta);
             }
@@ -1155,8 +1187,83 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
                 break;
             }
         }
+        if array {
+            self.sampler.rebuild_sums();
+        }
         *leaders = count;
         self.steps - start
+    }
+
+    /// The inner loop of [`leader_chunk`](Self::leader_chunk): runs
+    /// compiled steps until `budget` is spent, the count hits 1, or a cache
+    /// miss, which it returns. With `ARRAY` a step reads two positions of
+    /// the agent array and moves counts in the sampler's leaves only;
+    /// without it, a fused pair draw (two tree descents) picks the states
+    /// and two leaf-to-root transfers move them.
+    #[inline(always)]
+    fn compiled_steps<const TRACK: bool, const ARRAY: bool>(
+        &mut self,
+        budget: u64,
+        count: &mut i64,
+    ) -> (u64, Option<Miss>) {
+        let Self {
+            sampler,
+            rng,
+            pairs,
+            support,
+            agents,
+            n,
+            ..
+        } = self;
+        let mut sup = *support;
+        let mut done = 0u64;
+        let mut pending = None;
+        while done < budget {
+            let (s, t, i, j) = if ARRAY {
+                let (ta, tb) = pair_targets(rng, *n);
+                let (i, j) = (ta as usize, (tb + u64::from(tb >= ta)) as usize);
+                let (Some(&s), Some(&t)) = (agents.get(i), agents.get(j)) else {
+                    debug_assert!(false, "positions lie below n");
+                    break;
+                };
+                (s as usize, t as usize, i, j)
+            } else {
+                let Ok((s, t)) = sampler.sample_pair_distinct(rng) else {
+                    debug_assert!(false, "population has >= 2 agents");
+                    break;
+                };
+                (s, t, 0, 0)
+            };
+            let entry = pairs.get(s, t);
+            if entry == compiled::EMPTY {
+                pending = Some(Miss { s, t, i, j });
+                break;
+            }
+            let (a, b, delta, _) = compiled::unpack(entry);
+            let moved = if ARRAY {
+                agents[i] = a as u32;
+                agents[j] = b as u32;
+                (sampler.transfer_leaf(s, a), sampler.transfer_leaf(t, b))
+            } else {
+                (sampler.transfer(s, a), sampler.transfer(t, b))
+            };
+            let (Ok(e1), Ok(e2)) = moved else {
+                debug_assert!(false, "interned slots exist");
+                break;
+            };
+            sup = sup + usize::from(e1.populated) + usize::from(e2.populated)
+                - usize::from(e1.emptied)
+                - usize::from(e2.emptied);
+            done += 1;
+            if TRACK && delta != 0 {
+                *count += i64::from(delta);
+                if *count == 1 {
+                    break;
+                }
+            }
+        }
+        *support = sup;
+        (done, pending)
     }
 
     /// The leader count read from the protocol outputs, independently of
@@ -1379,6 +1486,15 @@ where
         }
         w.end_section();
 
+        // v6: positions are trajectory state on the per-step tiers, so the
+        // agent array travels as is (empty when stale or unused).
+        w.begin_section(snapshot::TAG_AGENTS);
+        w.put_u64(self.agents.len() as u64);
+        for &id in &self.agents {
+            w.put_u32(id);
+        }
+        w.end_section();
+
         let bytes = w.finish();
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.record(EngineEvent::SnapshotTaken {
@@ -1480,6 +1596,19 @@ where
             words.push(sec.get_u64()?);
         }
         sec.expect_end("rng section has trailing bytes")?;
+
+        let mut sec = r.section(snapshot::TAG_AGENTS)?;
+        let agent_count = sec.get_u64()?;
+        if agent_count != 0 && (agent_count != n || n > tier::AGENT_ARRAY_MAX_POPULATION) {
+            return Err(Corrupt(
+                "agent array length is neither 0 nor the population",
+            ));
+        }
+        let mut agents = Vec::new();
+        for _ in 0..agent_count {
+            agents.push(sec.get_u32()?);
+        }
+        sec.expect_end("agent section has trailing bytes")?;
         r.expect_end("trailing bytes after the last section")?;
 
         // Cross-validation: the decoded pieces must describe one consistent
@@ -1502,6 +1631,18 @@ where
             let (a, b, _, _) = compiled::unpack(entry);
             if (s as usize).max(t as usize).max(a).max(b) >= states.len() {
                 return Err(Corrupt("pair-cache entry references an unknown state id"));
+            }
+        }
+        if !agents.is_empty() {
+            let mut tally = vec![0u64; states.len()];
+            for &id in &agents {
+                let Some(slot) = tally.get_mut(id as usize) else {
+                    return Err(Corrupt("agent array references an unknown state id"));
+                };
+                *slot += 1;
+            }
+            if tally != weights {
+                return Err(Corrupt("agent array does not match the counts"));
             }
         }
 
@@ -1549,6 +1690,7 @@ where
             leader_output: None,
             support,
             sampler,
+            agents,
             pairs,
             tiers,
             n,
@@ -2107,11 +2249,62 @@ mod tests {
         assert_transparent_pause(Counter, &sim);
     }
 
+    /// Re-encodes `bytes`' agent-array section (the last one) after `edit`
+    /// and reseals the checksum, so the resume cross-checks, not the
+    /// envelope, must catch the edit.
+    fn with_agents(bytes: &[u8], edit: impl FnOnce(&mut Vec<u32>)) -> Vec<u8> {
+        let mut at = snapshot::MAGIC.len() + 4;
+        loop {
+            let tag = u16::from_le_bytes([bytes[at], bytes[at + 1]]);
+            if tag == snapshot::TAG_AGENTS {
+                break;
+            }
+            at += 10 + u64::from_le_bytes(bytes[at + 2..at + 10].try_into().unwrap()) as usize;
+        }
+        let mut agents: Vec<u32> = bytes[at + 18..bytes.len() - 8]
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        edit(&mut agents);
+        let mut out = bytes[..at].to_vec();
+        out.extend_from_slice(&snapshot::TAG_AGENTS.to_le_bytes());
+        out.extend_from_slice(&(8 + 4 * agents.len() as u64).to_le_bytes());
+        out.extend_from_slice(&(agents.len() as u64).to_le_bytes());
+        for id in agents {
+            out.extend_from_slice(&id.to_le_bytes());
+        }
+        let sum = snapshot::fnv1a64(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
+    }
+
     #[test]
     fn resume_rejects_corrupt_bytes_without_panicking() {
         let mut sim = CountSimulation::new(Frat, 128, rng(29)).unwrap();
         sim.run(200);
         let bytes = sim.snapshot();
+        let resume = |b: &[u8]| CountSimulation::<Frat, Xoshiro256PlusPlus>::resume(Frat, b);
+        // The agent array rides along, and an unedited re-encoding resumes.
+        assert!(resume(&with_agents(&bytes, |a| assert_eq!(a.len(), 128))).is_ok());
+        assert!(
+            resume(&with_agents(&bytes, Vec::clear)).is_ok(),
+            "stale array"
+        );
+        let short = with_agents(&bytes, |a| {
+            a.pop();
+        });
+        let unknown = with_agents(&bytes, |a| a[5] = 2);
+        let swapped = with_agents(&bytes, |a| {
+            let leader = a.iter().position(|&id| id == 0).unwrap();
+            a[leader] = 1;
+        });
+        for (bad, why) in [
+            (short, "agent array length is neither 0 nor the population"),
+            (unknown, "agent array references an unknown state id"),
+            (swapped, "agent array does not match the counts"),
+        ] {
+            assert_eq!(resume(&bad).unwrap_err(), SnapshotError::Corrupt(why));
+        }
         for len in 0..bytes.len() {
             assert!(
                 CountSimulation::<Frat, Xoshiro256PlusPlus>::resume(Frat, &bytes[..len]).is_err(),
@@ -2136,10 +2329,10 @@ mod tests {
         let mut sim = CountSimulation::new(Frat, 256, rng(42)).unwrap();
         sim.run(1_000);
         let hash = crate::snapshot::fnv1a64(&sim.snapshot());
-        const GOLDEN: u64 = 0x6c39_76ec_304b_e4a8;
+        const GOLDEN: u64 = 0xfdde_a1bc_6d49_f07b;
         assert!(
-            hash == GOLDEN || crate::snapshot::SNAPSHOT_VERSION > 5,
-            "snapshot bytes changed under version 5 (hash {hash:#018x}); \
+            hash == GOLDEN || crate::snapshot::SNAPSHOT_VERSION > 6,
+            "snapshot bytes changed under version 6 (hash {hash:#018x}); \
              bump SNAPSHOT_VERSION and update GOLDEN"
         );
     }

@@ -32,7 +32,9 @@
 //! recomputed state. Serialized exactly: counts and live-slot order, the
 //! pair cache's entries *and geometry* (its stride decides which pairs are
 //! addressable, hence which compile and consume RNG), the tier pin, tier
-//! engage flags and the review schedule, step counters, and the RNG words. Recomputed on
+//! engage flags and the review schedule, step counters, the RNG words, and
+//! the per-step tiers' agent array (its arrangement decides which states
+//! the next drawn positions hold). Recomputed on
 //! resume, because they are deterministic functions of the serialized state:
 //! state outputs, the sampler tree (its shape is a pure function of the
 //! weights vector), the jump scheduler's null ledger (reseeded from the
@@ -60,8 +62,10 @@ use std::fmt;
 /// the batch tier has a single round law. Version 5 dropped the
 /// engine-config section (the tier thresholds are constants), replaced the
 /// tier section's enabled/forced toggles with the tier pin, and dropped the
-/// cache-activity flag (the reference pin implies it).
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// cache-activity flag (the reference pin implies it). Version 6 appended
+/// the agent-array section: the per-step tiers draw positions, so the
+/// arrangement of agents is trajectory state.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// 8-byte magic prefix identifying count-engine snapshots.
 pub(crate) const MAGIC: [u8; 8] = *b"PPENGSNP";
@@ -71,6 +75,7 @@ pub(crate) const TAG_POPULATION: u16 = 2;
 pub(crate) const TAG_CACHE: u16 = 3;
 pub(crate) const TAG_TIERS: u16 = 4;
 pub(crate) const TAG_RNG: u16 = 5;
+pub(crate) const TAG_AGENTS: u16 = 6;
 
 /// Why a snapshot buffer could not be decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

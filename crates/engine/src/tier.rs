@@ -7,7 +7,7 @@
 //! | Tier | Mechanism | Per-interaction cost | Wins when |
 //! |------|-----------|----------------------|-----------|
 //! | [`Reference`](EngineTier::Reference) | hash + clone + `transition` per step | `O(1)`, large constant | never chosen; the pinned oracle baseline |
-//! | [`Compiled`](EngineTier::Compiled) | [pair cache](crate::compiled) + fused tree descents | ~100 cycles | dense transitions, large live support |
+//! | [`Compiled`](EngineTier::Compiled) | [pair cache](crate::compiled) + two agent-array reads (two tree descents past 2^21 agents) | ~20–35 ns below 2^21 agents, ~55 ns above | dense transitions, large live support |
 //! | [`Jump`](EngineTier::Jump) | [null-run telescoping](crate::jump) | `O(1)` per *episode* | known-null pairs ≥ 7/8 of scheduler weight |
 //! | [`Batch`](EngineTier::Batch) | [hypergeometric rounds](crate::batch) | `O((k + √n)/√n)` amortized | small live support `k`, any null density |
 //!
@@ -61,7 +61,8 @@ pub enum EngineTier {
     /// Uncached per-step fallback: hash, clone, and call
     /// [`Protocol::transition`](crate::Protocol::transition) every step.
     Reference,
-    /// Compiled pair cache + fused pair sampling, one interaction at a time.
+    /// Compiled pair cache + an O(1) pair draw (agent array up to 2^21
+    /// agents, fused sum-tree sampling above), one interaction at a time.
     Compiled,
     /// Null-run telescoping on top of the compiled cache.
     Jump,
@@ -188,6 +189,21 @@ fn isqrt(n: u64) -> u64 {
 /// `n(n−1)`, which must fit a `u64`. Beyond the cap the heuristics simply
 /// never engage and execution stays per-step.
 pub(crate) const BATCH_MAX_POPULATION: u64 = u32::MAX as u64;
+
+/// The compiled and reference tiers step on an array of the agents'
+/// interned state ids up to this population: a step reads two uniform
+/// distinct positions and writes both successors back, instead of two sum
+/// tree descents and two leaf-to-root climbs. The array costs `4n` bytes,
+/// and the cap sits where the per-step time of the compiled pin crosses
+/// the tree's: on a 2-vCPU Xeon with 2 MiB of L2 per core, `P_LL` measured
+/// 34, 51 and 72 ns per interaction on the array at 2^20, 2^21 and 2^22
+/// agents, against 57–58 ns on the tree. Larger populations keep the tree
+/// descent, which is also the only path past 2^32. The tree's cost falls
+/// with the live support and the array's does not, so a compiled *pin* on
+/// a 2-state protocol at 2^20 agents runs slower on the array (≈ 22 ns
+/// against 11); heuristic dispatch never meets that case, because such
+/// supports engage the batch tier from 4096 agents up.
+pub(crate) const AGENT_ARRAY_MAX_POPULATION: u64 = 1 << 21;
 
 /// Batch-tier engage rule (see [`BATCH_SUPPORT_DIVISOR`]).
 pub(crate) fn batch_engages(support: usize, n: u64) -> bool {

@@ -29,7 +29,9 @@
 //! * weighted samplers: [`FenwickSampler`] (dynamic weights, `O(log k)`
 //!   updates and draws), [`SumTreeSampler`] (same queries on a complete
 //!   binary sum tree whose fixed-depth branch-free walks feed the count
-//!   engine's hot loop — draw-for-draw identical to the Fenwick sampler),
+//!   engine's per-step tiers — draw-for-draw identical to the Fenwick
+//!   sampler), and [`pair_targets`], the one-word ordered-pair draw both
+//!   samplers and the count engine's agent array share,
 //! * [`SeedSequence`] — reproducible derivation of per-run seeds.
 //!
 //! # Example
@@ -69,5 +71,5 @@ pub use seq::SeedSequence;
 pub use snapshot::RngSnapshot;
 pub use splitmix::SplitMix64;
 pub use sumtree::{SumTreeSampler, TransferEffect};
-pub use weighted::{FenwickSampler, WeightedError};
+pub use weighted::{pair_targets, FenwickSampler, WeightedError};
 pub use xoshiro::Xoshiro256PlusPlus;

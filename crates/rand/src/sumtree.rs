@@ -88,11 +88,14 @@ impl SumTreeSampler {
         }
         let mut s = Self::new(weights.len());
         s.nodes[s.cap..s.cap + weights.len()].copy_from_slice(weights);
-        s.rebuild_internal();
+        s.rebuild_sums();
         Ok(s)
     }
 
-    fn rebuild_internal(&mut self) {
+    /// Recomputes every internal sum from the leaves in `O(cap)`: the
+    /// closing step of a run of [`transfer_leaf`](Self::transfer_leaf)
+    /// updates.
+    pub fn rebuild_sums(&mut self) {
         for k in (1..self.cap).rev() {
             self.nodes[k] = self.nodes[2 * k] + self.nodes[2 * k + 1];
         }
@@ -209,6 +212,43 @@ impl SumTreeSampler {
         })
     }
 
+    /// [`transfer`](Self::transfer) on the two leaves alone: the weights
+    /// (and [`total`](Self::total), which a transfer conserves) stay exact,
+    /// but the internal sums go stale, so no draw may run until
+    /// [`rebuild_sums`](Self::rebuild_sums). A caller that picks its pairs
+    /// without the tree pays `O(1)` per move instead of two `O(log k)`
+    /// climbs, then one `O(cap)` rebuild.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WeightedError::IndexOutOfBounds`] if either slot is out of
+    /// range.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if slot `from` is empty.
+    #[inline]
+    pub fn transfer_leaf(
+        &mut self,
+        from: usize,
+        to: usize,
+    ) -> Result<TransferEffect, WeightedError> {
+        if from >= self.len || to >= self.len {
+            return Err(WeightedError::IndexOutOfBounds {
+                index: from.max(to),
+                len: self.len,
+            });
+        }
+        debug_assert!(self.nodes[self.cap + from] >= 1, "slot {from} is empty");
+        self.nodes[self.cap + from] -= 1;
+        self.nodes[self.cap + to] += 1;
+        let distinct = from != to;
+        Ok(TransferEffect {
+            emptied: distinct && self.nodes[self.cap + from] == 0,
+            populated: distinct && self.nodes[self.cap + to] == 1,
+        })
+    }
+
     /// Grows the sampler by one zero-weight slot and returns its index.
     pub fn push_slot(&mut self) -> usize {
         self.len += 1;
@@ -220,7 +260,7 @@ impl SumTreeSampler {
             self.nodes = nodes;
             self.cap = cap;
             self.levels = cap.trailing_zeros();
-            self.rebuild_internal();
+            self.rebuild_sums();
         }
         // Within capacity the new slot's leaf already exists with weight 0.
         self.len - 1
@@ -407,6 +447,22 @@ mod tests {
         assert!(s.add(4, 1).is_err());
         assert!(s.transfer(0, 4).is_err());
         assert!(s.transfer(9, 0).is_err());
+    }
+
+    #[test]
+    fn leaf_transfers_then_one_rebuild_match_tree_transfers() {
+        let mut climbed = SumTreeSampler::from_weights(&[4, 7, 1, 0, 2]).unwrap();
+        let mut leaves = climbed.clone();
+        for (from, to) in [(0, 3), (1, 1), (1, 4), (3, 0), (2, 3)] {
+            let a = climbed.transfer(from, to).unwrap();
+            let b = leaves.transfer_leaf(from, to).unwrap();
+            assert_eq!(a, b);
+            assert_eq!(climbed.weights(), leaves.weights());
+            assert_eq!(climbed.total(), leaves.total());
+        }
+        assert!(leaves.transfer_leaf(0, 5).is_err());
+        leaves.rebuild_sums();
+        assert_eq!(climbed, leaves);
     }
 
     #[test]

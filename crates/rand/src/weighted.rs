@@ -90,8 +90,11 @@ fn lemire32_cold<R: Rng64 + ?Sized>(rng: &mut R, mut m: u64, bound: u32) -> u64 
 /// Shared by [`FenwickSampler::sample_pair_distinct`] and
 /// [`SumTreeSampler::sample_pair_distinct`](crate::SumTreeSampler::sample_pair_distinct)
 /// so the two samplers stay draw-for-draw identical on the same RNG stream.
+/// With `total = n` agents the same word picks an ordered pair of distinct
+/// positions, `(ta, tb + [tb ≥ ta])`: the count engine's agent-array step.
+/// Requires `total ≥ 2`.
 #[inline(always)]
-pub(crate) fn pair_targets<R: Rng64 + ?Sized>(rng: &mut R, total: u64) -> (u64, u64) {
+pub fn pair_targets<R: Rng64 + ?Sized>(rng: &mut R, total: u64) -> (u64, u64) {
     debug_assert!(total >= 2);
     if total <= u32::MAX as u64 {
         let word = rng.next_u64();

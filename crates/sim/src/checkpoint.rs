@@ -176,11 +176,18 @@ pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// FNV-1a 64 over the sweep parameters and the block width: the journal's
-/// compatibility check. The width shapes the journal's blocks and the
-/// fabric's claims, so it must match. The `1` hashed before it tags block
-/// mode, which every journal since `v2` hashes; it stays so that `v3`
-/// headers, and with them every existing journal, stay byte-identical.
+/// The engine's RNG-stream revision, hashed into every journal
+/// [`fingerprint`]. A sweep's results are functions of the stream, so a
+/// journal written under another revision would mix two streams in one
+/// table: bump this whenever a change moves any trajectory a sweep runs.
+/// Revision 1 is the agent-array pair draw of the per-step tiers; journals
+/// written before it hash no revision and are refused.
+const STREAM_REVISION: u64 = 1;
+
+/// FNV-1a 64 over the sweep parameters, the block width and the
+/// [`STREAM_REVISION`]: the journal's compatibility check. The width shapes
+/// the journal's blocks and the fabric's claims, so it must match. The `1`
+/// hashed before it tags block mode, which every journal since `v2` hashes.
 pub(crate) fn fingerprint(
     ns: &[usize],
     seeds: u64,
@@ -204,6 +211,7 @@ pub(crate) fn fingerprint(
     eat(max_steps);
     eat(1);
     eat(width as u64);
+    eat(STREAM_REVISION);
     h
 }
 
@@ -567,11 +575,29 @@ mod tests {
         }
     }
 
-    /// An incomplete shard journal as an earlier build's worker wrote it:
+    /// An incomplete shard journal as the worker writes it at stream
+    /// revision 1:
     /// `ppsweep --protocol fratricide --ns 16,24 --seeds 10 --master 77
     /// --worker 0 --job-limit 9` with blocks of 8 seeds, which journals the
     /// two blocks of `n = 16` and suspends.
-    const RECORDED_SHARD_JOURNAL: &str = "ppsweep v3 6898447daaf563e6
+    const RECORDED_SHARD_JOURNAL: &str = "ppsweep v3 7b1e29f499e39977
+block 0 8
+done 0 1 4019c00000000000
+done 1 1 4023600000000000
+done 2 1 4035400000000000
+done 3 1 4022800000000000
+done 4 1 4030400000000000
+done 5 1 4023e00000000000
+done 6 1 401bc00000000000
+done 7 1 4032400000000000
+block 8 2
+done 8 1 402e600000000000
+done 9 1 402d600000000000
+";
+
+    /// The same command's journal from before [`STREAM_REVISION`] 1: its
+    /// results come from the previous pair draw, so it must be refused.
+    const PRE_REVISION_SHARD_JOURNAL: &str = "ppsweep v3 6898447daaf563e6
 block 0 8
 done 0 1 4017000000000000
 done 1 1 4023600000000000
@@ -599,5 +625,11 @@ done 9 1 400d800000000000
         let outcome = work(&spec, &dir, None).expect("recorded journal resumes");
         assert_eq!(outcome.fresh_jobs, 10, "10 of 20 jobs were journaled");
         assert_merges_to_sequential(&spec, &dir);
+        // A journal of another stream revision is refused, not mixed in.
+        let stale = Scratch::new("pre_revision_shard");
+        std::fs::create_dir_all(shard_dir(&stale.0, 0)).unwrap();
+        std::fs::write(journal(&stale), PRE_REVISION_SHARD_JOURNAL).unwrap();
+        assert_invalid_data(work(&spec, &stale, None));
+        assert_invalid_data(merge_shards(&spec, &stale.0, 1));
     }
 }

@@ -9,8 +9,12 @@
 //! expected values were recorded before the two drivers were merged; the
 //! 18 rows that run batch rounds (every batch pin, and default dispatch at
 //! n = 2^14) were re-recorded when the round moved to one margin per
-//! segment, and the other 42 stayed byte-identical. Any change to any
-//! tier's RNG consumption shows up here.
+//! segment, and the other 42 stayed byte-identical. The 34 rows that run
+//! per-step windows (every reference and compiled pin, and default
+//! dispatch except fratricide at n = 2^14, which engages batch at its first
+//! review) were re-recorded when the per-step tiers moved to the agent
+//! array; the 24 jump and batch pins stayed byte-identical. Any change to
+//! any tier's RNG consumption shows up here.
 
 use population_protocols::core::Pll;
 use population_protocols::engine::EngineTier::{self, Batch, Compiled, Jump, Reference};
@@ -97,24 +101,24 @@ fn all_fingerprints() -> Vec<(String, Fingerprint)> {
 /// Recorded [`Fingerprint`]s, labelled as in [`all_fingerprints`].
 #[rustfmt::skip]
 const EXPECTED: [Fingerprint; 60] = [
-    (2048, false, 0xde5abbbda0024b62, 2, 0x4d886902b271f58e), // fratricide n=256 pin=None run
-    (2048, false, 0x3e642dd31c1b261e, 197, 0xc833fe1fb0ca55ce), // ulottery n=256 pin=None run
-    (2048, false, 0xe19d5ba32addddf6, 52, 0xc833fe1fb0ca55ce), // pll n=256 pin=None run
-    (59061, true, 0x777b070b5d4822cf, 2, 0xbfc15591f528bd06), // fratricide n=256 pin=None elect
-    (2706, true, 0x2de797117927e2e3, 222, 0x49887a33e8e7d200), // ulottery n=256 pin=None elect
-    (2325, true, 0xb7ddf5aac0e4a01b, 56, 0x120fa793dbe4be00), // pll n=256 pin=None elect
-    (2048, false, 0x989fbacf6a6dab87, 2, 0xc833fe1fb0ca55ce), // fratricide n=256 pin=Some(Reference) run
-    (2048, false, 0x3e642dd31c1b261e, 197, 0xc833fe1fb0ca55ce), // ulottery n=256 pin=Some(Reference) run
-    (2048, false, 0xe19d5ba32addddf6, 52, 0xc833fe1fb0ca55ce), // pll n=256 pin=Some(Reference) run
-    (77170, true, 0x777b070b5d4822cf, 2, 0xcf43bd1e110ee02b), // fratricide n=256 pin=Some(Reference) elect
-    (2960, true, 0x1eac842d49e17e7b, 219, 0xafe2dd577502a05b), // ulottery n=256 pin=Some(Reference) elect
-    (2325, true, 0xb7ddf5aac0e4a01b, 56, 0x120fa793dbe4be00), // pll n=256 pin=Some(Reference) elect
-    (2048, false, 0x989fbacf6a6dab87, 2, 0xc833fe1fb0ca55ce), // fratricide n=256 pin=Some(Compiled) run
-    (2048, false, 0x3e642dd31c1b261e, 197, 0xc833fe1fb0ca55ce), // ulottery n=256 pin=Some(Compiled) run
-    (2048, false, 0xe19d5ba32addddf6, 52, 0xc833fe1fb0ca55ce), // pll n=256 pin=Some(Compiled) run
-    (77170, true, 0x777b070b5d4822cf, 2, 0xcf43bd1e110ee02b), // fratricide n=256 pin=Some(Compiled) elect
-    (2960, true, 0x1eac842d49e17e7b, 219, 0xafe2dd577502a05b), // ulottery n=256 pin=Some(Compiled) elect
-    (2325, true, 0xb7ddf5aac0e4a01b, 56, 0x120fa793dbe4be00), // pll n=256 pin=Some(Compiled) elect
+    (2048, false, 0x765e137dcfb5438f, 2, 0xc2141b2dffccb603), // fratricide n=256 pin=None run
+    (2048, false, 0x13cffe45dca55879, 214, 0xc833fe1fb0ca55ce), // ulottery n=256 pin=None run
+    (2048, false, 0x8b9d7728872203cc, 51, 0xc833fe1fb0ca55ce), // pll n=256 pin=None run
+    (37908, true, 0x777b070b5d4822cf, 2, 0xb3c89ef950811e64), // fratricide n=256 pin=None elect
+    (11332, true, 0x5d7499a3c621c3cd, 326, 0xe0c9e0c4f2e4ecd3), // ulottery n=256 pin=None elect
+    (2283, true, 0x38ab31f858b5e8fb, 53, 0x2387f25d445ff6ca), // pll n=256 pin=None elect
+    (2048, false, 0x6734c38186eb2e32, 2, 0xc833fe1fb0ca55ce), // fratricide n=256 pin=Some(Reference) run
+    (2048, false, 0x13cffe45dca55879, 214, 0xc833fe1fb0ca55ce), // ulottery n=256 pin=Some(Reference) run
+    (2048, false, 0x8b9d7728872203cc, 51, 0xc833fe1fb0ca55ce), // pll n=256 pin=Some(Reference) run
+    (47276, true, 0x777b070b5d4822cf, 2, 0x6c571cf7b6431c5f), // fratricide n=256 pin=Some(Reference) elect
+    (2502, true, 0xe11b23113a606ab1, 222, 0x75fb9cf74b31876c), // ulottery n=256 pin=Some(Reference) elect
+    (2283, true, 0x38ab31f858b5e8fb, 53, 0x2387f25d445ff6ca), // pll n=256 pin=Some(Reference) elect
+    (2048, false, 0x6734c38186eb2e32, 2, 0xc833fe1fb0ca55ce), // fratricide n=256 pin=Some(Compiled) run
+    (2048, false, 0x13cffe45dca55879, 214, 0xc833fe1fb0ca55ce), // ulottery n=256 pin=Some(Compiled) run
+    (2048, false, 0x8b9d7728872203cc, 51, 0xc833fe1fb0ca55ce), // pll n=256 pin=Some(Compiled) run
+    (47276, true, 0x777b070b5d4822cf, 2, 0x6c571cf7b6431c5f), // fratricide n=256 pin=Some(Compiled) elect
+    (2502, true, 0xe11b23113a606ab1, 222, 0x75fb9cf74b31876c), // ulottery n=256 pin=Some(Compiled) elect
+    (2283, true, 0x38ab31f858b5e8fb, 53, 0x2387f25d445ff6ca), // pll n=256 pin=Some(Compiled) elect
     (2048, false, 0xfd0d6455c61fbdd2, 2, 0xef60be3d7ba0c5f1), // fratricide n=256 pin=Some(Jump) run
     (2048, false, 0x333e36889bab0253, 199, 0x59d9701f9e9dbd7b), // ulottery n=256 pin=Some(Jump) run
     (2048, false, 0xe6e3388283ce75b7, 46, 0x5a0c6ab70103b341), // pll n=256 pin=Some(Jump) run
@@ -128,23 +132,23 @@ const EXPECTED: [Fingerprint; 60] = [
     (2160, true, 0xe4deac2702ff5537, 215, 0x45a3cc5d87b994bc), // ulottery n=256 pin=Some(Batch) elect
     (77222, true, 0xfc77022c54ca8a7d, 709, 0x5caa83bab22d4b61), // pll n=256 pin=Some(Batch) elect
     (131072, false, 0xf3617b7c31b92388, 2, 0x2562103cf87914ac), // fratricide n=16384 pin=None run
-    (131072, false, 0x88ae1d740e761d0b, 1786, 0x7947c0cccf4ee036), // ulottery n=16384 pin=None run
-    (131072, false, 0x4c0feb1da409335d, 74, 0xff5f5481574a5723), // pll n=16384 pin=None run
+    (131072, false, 0x34a3511db9032aa, 1617, 0x7947c0cccf4ee036), // ulottery n=16384 pin=None run
+    (131072, false, 0xb74dde342a7f5bf1, 75, 0xff5f5481574a5723), // pll n=16384 pin=None run
     (786432, false, 0x828013a76e3c0d98, 2, 0xeaa4a101ec012951), // fratricide n=16384 pin=None elect
-    (284913, true, 0xe970c7c9269636bc, 1913, 0x1b95124020010223), // ulottery n=16384 pin=None elect
-    (179788, true, 0xc41524a1cd0610ff, 84, 0xdba1b1a0da766a66), // pll n=16384 pin=None elect
-    (131072, false, 0xe06ec88bf584afd1, 2, 0x374dce6e01b3523c), // fratricide n=16384 pin=Some(Reference) run
-    (131072, false, 0x24c520335820a992, 1762, 0x374dce6e01b3523c), // ulottery n=16384 pin=Some(Reference) run
-    (131072, false, 0x9fa7ee5affee932b, 71, 0x374dce6e01b3523c), // pll n=16384 pin=Some(Reference) run
-    (786432, false, 0x4f3319a3a5039ada, 2, 0x82a7c24277d7b360), // fratricide n=16384 pin=Some(Reference) elect
-    (195504, true, 0xf41e3c19d07c3ca6, 1807, 0x02b998cc68be7f33), // ulottery n=16384 pin=Some(Reference) elect
-    (233864, true, 0x203c56ac500461eb, 89, 0x7a0a6d694f683b94), // pll n=16384 pin=Some(Reference) elect
-    (131072, false, 0xe06ec88bf584afd1, 2, 0x374dce6e01b3523c), // fratricide n=16384 pin=Some(Compiled) run
-    (131072, false, 0x24c520335820a992, 1762, 0x374dce6e01b3523c), // ulottery n=16384 pin=Some(Compiled) run
-    (131072, false, 0x9fa7ee5affee932b, 71, 0x374dce6e01b3523c), // pll n=16384 pin=Some(Compiled) run
-    (786432, false, 0x4f3319a3a5039ada, 2, 0x82a7c24277d7b360), // fratricide n=16384 pin=Some(Compiled) elect
-    (195504, true, 0xf41e3c19d07c3ca6, 1807, 0x02b998cc68be7f33), // ulottery n=16384 pin=Some(Compiled) elect
-    (233864, true, 0x203c56ac500461eb, 89, 0x7a0a6d694f683b94), // pll n=16384 pin=Some(Compiled) elect
+    (188489, true, 0xebd1d4b1b58b5c11, 1679, 0x656adfe04f1e9e97), // ulottery n=16384 pin=None elect
+    (786432, false, 0x7bf5b85afc3ef8e9, 179, 0x494f0b58fed11b46), // pll n=16384 pin=None elect
+    (131072, false, 0x852421cb4d1d46e2, 2, 0x374dce6e01b3523c), // fratricide n=16384 pin=Some(Reference) run
+    (131072, false, 0x62ec596f678bd442, 1675, 0x374dce6e01b3523c), // ulottery n=16384 pin=Some(Reference) run
+    (131072, false, 0x91a99f6821e685fe, 71, 0x374dce6e01b3523c), // pll n=16384 pin=Some(Reference) run
+    (786432, false, 0xf63eaf66dbe5b7ef, 2, 0x82a7c24277d7b360), // fratricide n=16384 pin=Some(Reference) elect
+    (241579, true, 0x52e9aae283eaf18e, 1745, 0x9da4e9ca74317ea9), // ulottery n=16384 pin=Some(Reference) elect
+    (280798, true, 0x5e51d120a340bdb9, 100, 0xd62fcdcf3c0ec82b), // pll n=16384 pin=Some(Reference) elect
+    (131072, false, 0x852421cb4d1d46e2, 2, 0x374dce6e01b3523c), // fratricide n=16384 pin=Some(Compiled) run
+    (131072, false, 0x62ec596f678bd442, 1675, 0x374dce6e01b3523c), // ulottery n=16384 pin=Some(Compiled) run
+    (131072, false, 0x91a99f6821e685fe, 71, 0x374dce6e01b3523c), // pll n=16384 pin=Some(Compiled) run
+    (786432, false, 0xf63eaf66dbe5b7ef, 2, 0x82a7c24277d7b360), // fratricide n=16384 pin=Some(Compiled) elect
+    (241579, true, 0x52e9aae283eaf18e, 1745, 0x9da4e9ca74317ea9), // ulottery n=16384 pin=Some(Compiled) elect
+    (280798, true, 0x5e51d120a340bdb9, 100, 0xd62fcdcf3c0ec82b), // pll n=16384 pin=Some(Compiled) elect
     (131072, false, 0x7bdb74d8655c2c2c, 2, 0xf2ae7c52206460f9), // fratricide n=16384 pin=Some(Jump) run
     (131072, false, 0xf3f87c152321c109, 1813, 0x52df981c31788da2), // ulottery n=16384 pin=Some(Jump) run
     (131072, false, 0xa14bf557f6b77498, 74, 0xa57f1c75ebd2b9d4), // pll n=16384 pin=Some(Jump) run
