@@ -1,9 +1,9 @@
-//! RNG substrate micro-benchmarks: generator throughput, bounded sampling,
-//! pair sampling, and weighted samplers.
+//! RNG substrate micro-benchmarks: generator throughput, bounded sampling
+//! and pair sampling.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pp_bench::fast_criterion;
-use pp_rand::{FenwickSampler, Rng64, SplitMix64, Xoshiro256PlusPlus};
+use pp_rand::{Rng64, SplitMix64, Xoshiro256PlusPlus};
 use std::hint::black_box;
 
 fn bench_generators(c: &mut Criterion) {
@@ -26,20 +26,9 @@ fn bench_sampling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_weighted(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rng/weighted");
-    let weights: Vec<u64> = (1..=512).collect();
-    let fenwick = FenwickSampler::from_weights(&weights).expect("non-empty");
-    let mut rng = Xoshiro256PlusPlus::seed_from_u64(3);
-    group.bench_function("fenwick_sample_512", |b| {
-        b.iter(|| black_box(fenwick.sample(&mut rng).expect("non-zero total")))
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = fast_criterion();
-    targets = bench_generators, bench_sampling, bench_weighted
+    targets = bench_generators, bench_sampling
 }
 criterion_main!(benches);

@@ -96,22 +96,6 @@ impl<S: Clone + Eq + std::hash::Hash + std::fmt::Debug> Configuration<S> {
         })
     }
 
-    /// Overwrites the state of one agent (for adversarial test setups).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::AgentOutOfBounds`] for an invalid index.
-    pub fn set_state(&mut self, agent: usize, state: S) -> Result<(), EngineError> {
-        let n = self.states.len();
-        match self.states.get_mut(agent) {
-            Some(slot) => {
-                *slot = state;
-                Ok(())
-            }
-            None => Err(EngineError::AgentOutOfBounds { agent, n }),
-        }
-    }
-
     /// Applies one interaction under `protocol`: `C —e→ C'` in place.
     ///
     /// Returns `true` if either participant's state changed.
@@ -172,18 +156,6 @@ impl<S: Clone + Eq + std::hash::Hash + std::fmt::Debug> Configuration<S> {
         counts
     }
 
-    /// Counts agents per output symbol.
-    pub fn output_counts<P>(&self, protocol: &P) -> HashMap<P::Output, usize>
-    where
-        P: Protocol<State = S>,
-    {
-        let mut counts = HashMap::new();
-        for s in &self.states {
-            *counts.entry(protocol.output(s)).or_insert(0) += 1;
-        }
-        counts
-    }
-
     /// Counts the agents outputting [`Role::Leader`].
     pub fn leader_count<P>(&self, protocol: &P) -> usize
     where
@@ -193,11 +165,6 @@ impl<S: Clone + Eq + std::hash::Hash + std::fmt::Debug> Configuration<S> {
             .iter()
             .filter(|s| protocol.output(s) == Role::Leader)
             .count()
-    }
-
-    /// Consumes the configuration, returning the state vector.
-    pub fn into_states(self) -> Vec<S> {
-        self.states
     }
 }
 
@@ -303,18 +270,17 @@ mod tests {
         let sc = c.state_counts();
         assert_eq!(sc[&true], 1);
         assert_eq!(sc[&false], 2);
-        let oc = c.output_counts(&Frat);
-        assert_eq!(oc[&Role::Leader], 1);
-        assert_eq!(oc[&Role::Follower], 2);
+        assert_eq!(sc[&true], c.leader_count(&Frat));
     }
 
     #[test]
-    fn set_state_and_accessors() {
-        let mut c = Configuration::initial(&Frat, 3).unwrap();
-        c.set_state(1, false).unwrap();
+    fn state_accessor_checks_bounds() {
+        let c = Configuration::from_states(vec![true, false, true]).unwrap();
         assert!(!*c.state(1).unwrap());
-        assert!(c.state(7).is_err());
-        assert!(c.set_state(7, true).is_err());
-        assert_eq!(c.into_states(), vec![true, false, true]);
+        assert!(matches!(
+            c.state(7),
+            Err(EngineError::AgentOutOfBounds { agent: 7, n: 3 })
+        ));
+        assert_eq!(c.states(), [true, false, true]);
     }
 }

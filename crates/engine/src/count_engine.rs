@@ -17,10 +17,9 @@
 //!
 //! # The four execution tiers
 //!
-//! Every batched driver ([`run`](CountSimulation::run),
-//! [`run_batched`](CountSimulation::run_batched),
+//! Both batched drivers ([`run`](CountSimulation::run) and
 //! [`run_until_single_leader`](CountSimulation::run_until_single_leader))
-//! runs one dispatch loop over the [tier controller](crate::tier): periodic
+//! run one dispatch loop over the [tier controller](crate::tier): periodic
 //! reviews pick the cheapest execution strategy for the *current*
 //! configuration and re-evaluate as it evolves.
 //!
@@ -101,6 +100,11 @@ use std::time::Instant;
 /// reclaimed by compaction). Re-interning such a state allocates a fresh
 /// slot without recounting it as newly distinct.
 const DEAD_ID: u32 = u32::MAX;
+
+/// The largest population the engine holds: the sum tree applies count
+/// changes as signed `i64` deltas and the convergence drivers track leader
+/// counts as `i64`, so every count and their total must fit one.
+const MAX_POPULATION: u64 = i64::MAX as u64;
 
 /// A per-step draw that missed the pair cache: the states `(s, t)` and,
 /// on the agent array, their positions `(i, j)`.
@@ -183,10 +187,14 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::PopulationTooSmall`] when `n < 2`.
+    /// Returns [`EngineError::PopulationTooSmall`] when `n < 2` and
+    /// [`EngineError::PopulationOverflow`] when `n > i64::MAX`.
     pub fn new(protocol: P, n: usize, rng: R) -> Result<Self, EngineError> {
         if n < 2 {
             return Err(EngineError::PopulationTooSmall { n });
+        }
+        if n as u64 > MAX_POPULATION {
+            return Err(EngineError::PopulationOverflow { total: n as u128 });
         }
         let mut sim = Self::empty(protocol, rng);
         let init = sim.protocol.initial_state();
@@ -199,7 +207,9 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::PopulationTooSmall`] when counts sum to < 2.
+    /// Returns [`EngineError::PopulationTooSmall`] when counts sum to < 2
+    /// and [`EngineError::PopulationOverflow`] when they sum past
+    /// `i64::MAX`.
     pub fn from_counts(
         protocol: P,
         counts: impl IntoIterator<Item = (P::State, u64)>,
@@ -209,6 +219,10 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         for (state, count) in counts {
             if count == 0 {
                 continue;
+            }
+            if count > MAX_POPULATION - sim.n {
+                let total = u128::from(sim.n) + u128::from(count);
+                return Err(EngineError::PopulationOverflow { total });
             }
             let id = sim.intern(state) as usize;
             sim.add_agents(id, count);
@@ -284,8 +298,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         }
     }
 
-    /// Test hook: pins the batched drivers ([`run`](Self::run),
-    /// [`run_batched`](Self::run_batched),
+    /// Test hook: pins the batched drivers ([`run`](Self::run) and
     /// [`run_until_single_leader`](Self::run_until_single_leader)) to one
     /// execution tier in place of the engage/exit heuristics, for the whole
     /// execution. A pin is set once, before the first interaction:
@@ -414,14 +427,6 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         }
     }
 
-    /// Accounts one dispatch's wall time to the observer's timeline.
-    fn note_time(&mut self, tier: EngineTier, interactions: u64, t0: Instant) {
-        let seconds = t0.elapsed().as_secs_f64();
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.timeline_mut().note(tier, interactions, seconds);
-        }
-    }
-
     /// Per-step chunk cap that lands samples exactly on the trajectory
     /// sampler's grid (`u64::MAX` — never binding — when detached or
     /// without a sampler). Only per-step windows are capped: subdividing
@@ -542,15 +547,6 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     /// Maintained incrementally; this is `O(1)`.
     pub fn support_size(&self) -> usize {
         self.support
-    }
-
-    /// The number of agents currently in `state`.
-    pub fn count_of(&self, state: &P::State) -> u64 {
-        self.ids
-            .get(state)
-            .filter(|&&id| id != DEAD_ID)
-            .map(|&id| self.sampler.weights()[id as usize])
-            .unwrap_or(0)
     }
 
     /// A snapshot of all (state, count) pairs with positive count.
@@ -1074,6 +1070,11 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     #[inline(always)]
     fn drive(&mut self, end: u64, mut leaders: Option<&mut i64>) {
         let watched = self.obs.is_some();
+        // The monotonic clock is read once per dispatch, after its
+        // bookkeeping, and the whole interval since the previous read —
+        // review, dispatch and bookkeeping — is charged to the tier just
+        // dispatched, so the timeline's spans tile the loop's wall time.
+        let mut clock = watched.then(Instant::now);
         while self.steps < end && leaders.as_deref() != Some(&1) {
             // Observation work happens only here, at dispatch boundaries:
             // one branch on the detached path, tier-transition events plus
@@ -1086,7 +1087,6 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             }
             let budget = end - self.steps;
             let tier = self.active_tier();
-            let t0 = watched.then(Instant::now);
             let consumed = match tier {
                 EngineTier::Jump => {
                     // Null interactions cannot change the leader count, so
@@ -1113,13 +1113,18 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
                 }
             };
             self.tiers.usage.note(tier, consumed);
-            if let Some(t0) = t0 {
-                self.note_time(tier, consumed, t0);
+            if let Some(last) = clock.as_mut() {
                 if tier == EngineTier::Jump {
                     self.observe_transition(tier);
                 }
                 if let Some(&l) = leaders.as_deref() {
                     self.sample_trajectory(l, false);
+                }
+                let now = Instant::now();
+                let seconds = now.duration_since(*last).as_secs_f64();
+                *last = now;
+                if let Some(obs) = self.obs.as_deref_mut() {
+                    obs.timeline_mut().note(tier, consumed, seconds);
                 }
             }
             // Sampled invariant check: once per dispatch, not per step.
@@ -1277,40 +1282,6 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             .filter(|&(output, _)| Some(output) == leader)
             .map(|(_, &w)| w as i64)
             .sum()
-    }
-
-    /// Runs until `predicate` holds (checked every `batch` steps, starting
-    /// immediately) or `max_steps` total interactions have executed.
-    ///
-    /// The predicate is evaluated only at batch boundaries, so per-step work
-    /// stays on the hash-free fast path; choose `batch` against the
-    /// resolution the convergence condition needs (e.g. `n/4` steps for a
-    /// parallel-time-scale condition).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0`.
-    pub fn run_batched<F>(&mut self, batch: u64, max_steps: u64, mut predicate: F) -> RunOutcome
-    where
-        F: FnMut(&Self) -> bool,
-    {
-        assert!(batch > 0, "batch must be positive");
-        loop {
-            if predicate(self) {
-                return RunOutcome {
-                    steps: self.steps,
-                    converged: true,
-                };
-            }
-            if self.steps >= max_steps {
-                return RunOutcome {
-                    steps: self.steps,
-                    converged: false,
-                };
-            }
-            let burst = batch.min(max_steps - self.steps);
-            self.run(burst);
-        }
     }
 }
 
@@ -1616,6 +1587,9 @@ where
         if n < 2 {
             return Err(Corrupt("population below 2"));
         }
+        if n > MAX_POPULATION {
+            return Err(Corrupt("population beyond i64::MAX"));
+        }
         let total = weights
             .iter()
             .try_fold(0u64, |acc, &w| acc.checked_add(w))
@@ -1775,12 +1749,56 @@ mod tests {
     }
 
     #[test]
+    fn rejects_populations_past_i64_max() {
+        let overflow = |r: Result<CountSimulation<Frat, _>, EngineError>| match r {
+            Err(EngineError::PopulationOverflow { total }) => total,
+            other => panic!("expected PopulationOverflow, got {:?}", other.map(|s| s.n)),
+        };
+        let max = i64::MAX as u64;
+        assert_eq!(
+            overflow(CountSimulation::new(Frat, 1 << 63, rng(0))),
+            1 << 63
+        );
+        let almost = usize::MAX - 1;
+        assert_eq!(
+            overflow(CountSimulation::new(Frat, almost, rng(0))),
+            almost as u128
+        );
+        for (counts, total) in [
+            (vec![(true, 1u64 << 63)], 1u128 << 63),
+            (
+                vec![(true, u64::MAX - 1), (false, 5)],
+                u128::from(u64::MAX - 1),
+            ),
+            (vec![(true, max - 4), (false, 5)], u128::from(max) + 1),
+            (
+                vec![(true, u64::MAX), (false, u64::MAX)],
+                u128::from(u64::MAX),
+            ),
+            (
+                vec![(true, max), (false, 0), (false, 1)],
+                u128::from(max) + 1,
+            ),
+        ] {
+            assert_eq!(
+                overflow(CountSimulation::from_counts(Frat, counts, rng(0))),
+                total
+            );
+        }
+        let sim = CountSimulation::new(Frat, max as usize, rng(0)).unwrap();
+        assert_eq!(sim.population() as u64, max);
+        let counts = [(true, max - 5), (false, 5)];
+        let sim = CountSimulation::from_counts(Frat, counts, rng(0)).unwrap();
+        assert_eq!(sim.population() as u64, max);
+    }
+
+    #[test]
     fn from_counts_sets_up_configuration() {
         let sim = CountSimulation::from_counts(Frat, [(true, 3), (false, 7)], rng(3)).unwrap();
         assert_eq!(sim.population(), 10);
         assert_eq!(sim.leader_count(), 3);
-        assert_eq!(sim.count_of(&true), 3);
-        assert_eq!(sim.count_of(&false), 7);
+        let counts = sim.state_counts();
+        assert_eq!((counts[&true], counts[&false]), (3, 7));
         assert_eq!(sim.support_size(), 2);
     }
 
@@ -1970,26 +1988,6 @@ mod tests {
             );
             assert_eq!(cached.support_size(), reference.support_size());
         }
-    }
-
-    #[test]
-    fn run_batched_checks_only_at_batch_boundaries() {
-        let mut sim = CountSimulation::new(Frat, 100, rng(13)).unwrap();
-        let outcome = sim.run_batched(64, 1_000_000, |s| s.steps() >= 100);
-        assert!(outcome.converged);
-        // 100 is not a multiple of the batch: first boundary at/after 100.
-        assert_eq!(outcome.steps, 128);
-        let outcome = sim.run_batched(64, 200, |_| false);
-        assert!(!outcome.converged);
-        assert_eq!(outcome.steps, 200);
-    }
-
-    #[test]
-    fn run_batched_checks_predicate_before_running() {
-        let mut sim = CountSimulation::new(Frat, 10, rng(14)).unwrap();
-        let outcome = sim.run_batched(100, 1_000, |_| true);
-        assert!(outcome.converged);
-        assert_eq!(outcome.steps, 0);
     }
 
     #[test]

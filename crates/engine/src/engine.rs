@@ -162,80 +162,6 @@ impl<P: Protocol, S: Scheduler> Simulation<P, S> {
             self.run(burst);
         }
     }
-
-    /// Alias of [`run_until`](Self::run_until) named for its batching
-    /// behavior: `predicate` is only evaluated at `batch`-step boundaries,
-    /// keeping the per-step path free of convergence bookkeeping. Mirrors
-    /// [`CountSimulation::run_batched`](crate::CountSimulation::run_batched).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0`.
-    pub fn run_batched<F>(&mut self, batch: u64, max_steps: u64, predicate: F) -> RunOutcome
-    where
-        F: FnMut(&Self) -> bool,
-    {
-        self.run_until(batch, max_steps, predicate)
-    }
-
-    /// Runs `steps` interactions, invoking `observer` every `sample_every`
-    /// steps (and once at the end) with the current step count and states.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_every == 0`.
-    pub fn run_sampled<F>(&mut self, steps: u64, sample_every: u64, mut observer: F)
-    where
-        F: FnMut(u64, &[P::State]),
-    {
-        assert!(sample_every > 0, "sample_every must be positive");
-        let target = self.steps + steps;
-        while self.steps < target {
-            let burst = sample_every.min(target - self.steps);
-            self.run(burst);
-            observer(self.steps, &self.states);
-        }
-    }
-
-    /// Runs until no participant's *output* has changed for `window`
-    /// consecutive interactions, or `max_steps` is reached.
-    ///
-    /// This is the generic convergence heuristic for protocols without the
-    /// monotone-leader shortcut: output stability over a long window is
-    /// evidence (not proof) of stabilization. Choose `window` as a multiple
-    /// of the expected per-agent interaction gap, e.g. `c·n·ln n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn run_until_stable_outputs(&mut self, window: u64, max_steps: u64) -> RunOutcome {
-        assert!(window > 0, "window must be positive");
-        let mut last_change = self.steps;
-        while self.steps < max_steps {
-            let interaction = self.scheduler.next_interaction(self.states.len());
-            let (u, v) = (interaction.initiator, interaction.responder);
-            let before_u = self.protocol.output(&self.states[u]);
-            let before_v = self.protocol.output(&self.states[v]);
-            let (nu, nv) = self.protocol.transition(&self.states[u], &self.states[v]);
-            let changed =
-                self.protocol.output(&nu) != before_u || self.protocol.output(&nv) != before_v;
-            self.states[u] = nu;
-            self.states[v] = nv;
-            self.steps += 1;
-            if changed {
-                last_change = self.steps;
-            } else if self.steps - last_change >= window {
-                return RunOutcome {
-                    steps: self.steps,
-                    converged: true,
-                };
-            }
-        }
-        RunOutcome {
-            steps: self.steps,
-            converged: false,
-        }
-    }
 }
 
 impl<P: LeaderElection, S: Scheduler> Simulation<P, S> {
@@ -418,25 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn run_batched_mirrors_run_until() {
-        let mut a = Simulation::new(Frat, 20, UniformScheduler::seed_from_u64(7)).unwrap();
-        let mut b = Simulation::new(Frat, 20, UniformScheduler::seed_from_u64(7)).unwrap();
-        let oa = a.run_until(10, 1_000_000, |sim| sim.leader_count() <= 5);
-        let ob = b.run_batched(10, 1_000_000, |sim| sim.leader_count() <= 5);
-        assert_eq!(oa, ob);
-        assert_eq!(a.states(), b.states());
-    }
-
-    #[test]
-    fn run_sampled_observes_final_step() {
-        let s = UniformScheduler::seed_from_u64(6);
-        let mut sim = Simulation::new(Frat, 10, s).unwrap();
-        let mut samples = Vec::new();
-        sim.run_sampled(105, 25, |t, _| samples.push(t));
-        assert_eq!(samples, vec![25, 50, 75, 100, 105]);
-    }
-
-    #[test]
     fn round_robin_engine_also_elects() {
         // The fratricide protocol stabilizes under ANY fair schedule.
         let mut sim = Simulation::new(Frat, 8, RoundRobinScheduler::new()).unwrap();
@@ -451,24 +358,5 @@ mod tests {
             converged: true,
         };
         assert_eq!(o.parallel_time(100), 5.0);
-    }
-
-    #[test]
-    fn stable_outputs_detects_fratricide_stabilization() {
-        let s = UniformScheduler::seed_from_u64(8);
-        let mut sim = Simulation::new(Frat, 32, s).unwrap();
-        let window = 32 * 32; // far beyond any plausible output change gap
-        let outcome = sim.run_until_stable_outputs(window, u64::MAX);
-        assert!(outcome.converged);
-        assert_eq!(sim.leader_count(), 1, "stability implies election here");
-    }
-
-    #[test]
-    fn stable_outputs_respects_budget() {
-        let s = UniformScheduler::seed_from_u64(9);
-        let mut sim = Simulation::new(Frat, 512, s).unwrap();
-        let outcome = sim.run_until_stable_outputs(u64::MAX / 2, 100);
-        assert!(!outcome.converged);
-        assert_eq!(outcome.steps, 100);
     }
 }

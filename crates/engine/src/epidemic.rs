@@ -11,9 +11,9 @@
 //! > `Pr[I_{V',r,Γ}(2⌈n/n'⌉·t) ≠ V'] ≤ n·e^{−t/n}` for `n' = |V'|`.
 //!
 //! [`Epidemic`] simulates the process directly (it is much lighter than a
-//! full protocol simulation), records the infection curve, and
-//! [`lemma2_bound`] evaluates the paper's closed-form tail bound for
-//! comparison.
+//! full protocol simulation) and records the infection curve;
+//! [`lemma2_horizon`] gives the step horizon at which Lemma 2 evaluates it
+//! (the closed-form bound itself is `pp_stats::theory::epidemic_tail_bound`).
 
 use crate::EngineError;
 use pp_rand::Rng64;
@@ -84,11 +84,6 @@ impl Epidemic {
     /// Population size `n`.
     pub fn population(&self) -> usize {
         self.member.len()
-    }
-
-    /// Sub-population size `n' = |V'|`.
-    pub fn member_count(&self) -> usize {
-        self.member_count
     }
 
     /// Number of currently infected agents.
@@ -175,17 +170,6 @@ impl Epidemic {
         }
         Ok(curve)
     }
-}
-
-/// The right-hand side of the paper's Lemma 2:
-/// `Pr[I(2⌈n/n'⌉·t) ≠ V'] ≤ n·e^{−t/n}` (values above 1 are clipped).
-///
-/// # Panics
-///
-/// Panics if `n == 0` or `n_prime == 0`.
-pub fn lemma2_bound(n: usize, t: f64) -> f64 {
-    assert!(n > 0, "population size must be positive");
-    (n as f64 * (-t / n as f64).exp()).min(1.0)
 }
 
 /// The step horizon `2⌈n/n'⌉·t` at which Lemma 2 evaluates the epidemic.
@@ -288,16 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn lemma2_bound_shapes() {
-        // Clipped at 1 for small t; decays exponentially in t/n.
-        assert_eq!(lemma2_bound(100, 0.0), 1.0);
-        let b1 = lemma2_bound(100, 1000.0);
-        let b2 = lemma2_bound(100, 2000.0);
-        assert!(b2 < b1);
-        assert!((b2 / b1 - (-10.0f64).exp()).abs() < 1e-9);
-    }
-
-    #[test]
     fn lemma2_horizon_formula() {
         assert_eq!(lemma2_horizon(100, 100, 5), 10);
         assert_eq!(lemma2_horizon(100, 50, 5), 20);
@@ -322,7 +296,7 @@ mod tests {
             }
         }
         let p_fail = failures as f64 / trials as f64;
-        let bound = lemma2_bound(n, t as f64);
+        let bound = pp_stats::theory::epidemic_tail_bound(n as u64, t as f64);
         assert!(
             p_fail <= bound + 0.05,
             "empirical {p_fail} exceeds bound {bound}"

@@ -36,6 +36,13 @@ pub enum EngineError {
         /// The tier's largest supported population.
         max: u64,
     },
+    /// The agent counts given to a constructor total more than `i64::MAX`
+    /// agents: the engine applies count changes as signed `i64` deltas.
+    PopulationOverflow {
+        /// The running total of the counts once it passed the cap (later
+        /// counts are not summed).
+        total: u128,
+    },
     /// A tier pin came after the first interaction or after another pin: a
     /// pin holds for a whole execution, so it is set once, up front.
     LatePin {
@@ -61,6 +68,11 @@ impl fmt::Display for EngineError {
             EngineError::PopulationTooLarge { tier, n, max } => write!(
                 f,
                 "population of {n} agents exceeds the {tier} tier's cap of {max}"
+            ),
+            EngineError::PopulationOverflow { total } => write!(
+                f,
+                "counts total at least {total} agents, beyond the engine's cap of {}",
+                i64::MAX
             ),
             EngineError::LatePin { tier, steps } => write!(
                 f,
@@ -90,6 +102,8 @@ mod tests {
             max: u64::from(u32::MAX),
         };
         assert!(e.to_string().contains("batch tier"));
+        let e = EngineError::PopulationOverflow { total: 1 << 64 };
+        assert!(e.to_string().contains("18446744073709551616"));
         let e = EngineError::LatePin {
             tier: EngineTier::Jump,
             steps: 5,

@@ -14,9 +14,12 @@
 //!   optionally samples a [`TrajectorySampler`] trace.
 //! * [`EngineMetrics`] — one unified snapshot of everything the engine can
 //!   report, serializable to JSON by hand (this workspace takes no serde
-//!   dependency) and parseable back for round-trip checks.
+//!   dependency).
 //! * A JSONL event-log encoding — one [`EngineEvent`] per line via
-//!   [`EngineEvent::to_json_line`] / [`EngineEvent::parse_json_line`].
+//!   [`EngineEvent::to_json_line`].
+//!
+//! Both encodings are write-only on the Rust side: `tools/check_obs.py`
+//! validates every field of the files the binaries write.
 //!
 //! # The no-RNG / bit-identity contract
 //!
@@ -245,70 +248,6 @@ impl EngineEvent {
             EngineEvent::Resumed { step } => format!("{}}}", head(step)),
         }
     }
-
-    /// Parses one JSON line produced by [`to_json_line`]
-    /// (Self::to_json_line); `None` on any malformation. Together they form
-    /// the round-trip the schema tests pin.
-    pub fn parse_json_line(line: &str) -> Option<Self> {
-        let kind = scan_str(line, "\"event\"")?;
-        let step = scan_u64(line, "\"step\"")?;
-        Some(match kind.as_str() {
-            "tier_transition" => EngineEvent::TierTransition {
-                step,
-                from: parse_tier(&scan_str(line, "\"from\"")?)?,
-                to: parse_tier(&scan_str(line, "\"to\"")?)?,
-            },
-            "jump_engage" => EngineEvent::JumpEngage {
-                step,
-                w_active: scan_u64(line, "\"w_active\"")?,
-                w_total: scan_u64(line, "\"w_total\"")?,
-            },
-            "jump_disengage" => EngineEvent::JumpDisengage {
-                step,
-                w_active: scan_u64(line, "\"w_active\"")?,
-                w_total: scan_u64(line, "\"w_total\"")?,
-                episodes: scan_u64(line, "\"episodes\"")?,
-                skipped: scan_u64(line, "\"skipped\"")?,
-            },
-            "batch_engage" => EngineEvent::BatchEngage {
-                step,
-                support: scan_u64(line, "\"support\"")?,
-                expected_run: scan_u64(line, "\"expected_run\"")?,
-            },
-            "batch_exit" => EngineEvent::BatchExit {
-                step,
-                support: scan_u64(line, "\"support\"")?,
-                expected_run: scan_u64(line, "\"expected_run\"")?,
-            },
-            "batch_episode" => EngineEvent::BatchEpisode {
-                step,
-                bulk: scan_u64(line, "\"bulk\"")?,
-                collision: scan_bool(line, "\"collision\"")?,
-                walked: scan_bool(line, "\"walked\"")?,
-            },
-            "compaction" => EngineEvent::Compaction {
-                step,
-                live_before: scan_u64(line, "\"live_before\"")?,
-                live_after: scan_u64(line, "\"live_after\"")?,
-            },
-            "snapshot" => EngineEvent::SnapshotTaken {
-                step,
-                bytes: scan_u64(line, "\"bytes\"")?,
-            },
-            "resumed" => EngineEvent::Resumed { step },
-            _ => return None,
-        })
-    }
-}
-
-fn parse_tier(name: &str) -> Option<EngineTier> {
-    Some(match name {
-        "reference" => EngineTier::Reference,
-        "compiled" => EngineTier::Compiled,
-        "jump" => EngineTier::Jump,
-        "batch" => EngineTier::Batch,
-        _ => return None,
-    })
 }
 
 /// Wall-clock and interaction accounting for one execution tier.
@@ -317,8 +256,11 @@ pub struct TierSpan {
     /// Interactions executed (or telescoped) under this tier.
     pub interactions: u64,
     /// Wall-clock seconds spent dispatching to this tier (monotonic clock,
-    /// measured around episode/chunk dispatches only while an observer is
+    /// read once per episode/chunk dispatch only while an observer is
     /// attached; **never serialized** — snapshots stay byte-deterministic).
+    /// Each interval between two reads is charged to the tier dispatched in
+    /// it, so the tier review before a dispatch and the bookkeeping after it
+    /// count toward that dispatch's tier.
     pub seconds: f64,
     /// Dispatches (episodes or per-step chunks) into this tier.
     pub dispatches: u64,
@@ -654,149 +596,6 @@ impl EngineMetrics {
         }
         out
     }
-
-    /// Parses a JSON object produced by [`to_json`](Self::to_json); `None`
-    /// on any malformation, including a missing or wrong schema tag.
-    /// Round-trips exactly (floats are printed in shortest-round-trip
-    /// form).
-    pub fn from_json(text: &str) -> Option<Self> {
-        if scan_str(text, "\"schema\"")? != METRICS_SCHEMA {
-            return None;
-        }
-        let usage = object_slice(text, "\"tier_usage\"")?;
-        let jump = object_slice(text, "\"jump\"")?;
-        let batch = object_slice(text, "\"batch\"")?;
-        let cache = object_slice(text, "\"cache\"")?;
-        let events = object_slice(text, "\"events\"")?;
-        let timeline = match object_slice(text, "\"timeline\"") {
-            Some(t) => {
-                let span = |key: &str| -> Option<TierSpan> {
-                    let obj = object_slice(t, key)?;
-                    Some(TierSpan {
-                        interactions: scan_u64(obj, "\"interactions\"")?,
-                        seconds: scan_f64(obj, "\"seconds\"")?,
-                        dispatches: scan_u64(obj, "\"dispatches\"")?,
-                    })
-                };
-                Some(TierTimeline {
-                    reference: span("\"reference\"")?,
-                    compiled: span("\"compiled\"")?,
-                    jump: span("\"jump\"")?,
-                    batch: span("\"batch\"")?,
-                })
-            }
-            None => None,
-        };
-        Some(Self {
-            population: scan_u64(text, "\"population\"")?,
-            steps: scan_u64(text, "\"steps\"")?,
-            parallel_time: scan_f64(text, "\"parallel_time\"")?,
-            support: scan_u64(text, "\"support\"")?,
-            distinct_states_seen: scan_u64(text, "\"distinct_states_seen\"")?,
-            active_tier: parse_tier(&scan_str(text, "\"active_tier\"")?)?,
-            tier_usage: TierUsage {
-                reference: scan_u64(usage, "\"reference\"")?,
-                compiled: scan_u64(usage, "\"compiled\"")?,
-                jump: scan_u64(usage, "\"jump\"")?,
-                batch: scan_u64(usage, "\"batch\"")?,
-            },
-            jump: JumpStats {
-                episodes: scan_u64(jump, "\"episodes\"")?,
-                skipped: scan_u64(jump, "\"skipped\"")?,
-            },
-            batch: BatchStats {
-                episodes: scan_u64(batch, "\"episodes\"")?,
-                bulk_interactions: scan_u64(batch, "\"bulk_interactions\"")?,
-                collision_interactions: scan_u64(batch, "\"collision_interactions\"")?,
-                exact_walks: scan_u64(batch, "\"exact_walks\"")?,
-                contingency_draws: scan_u64(batch, "\"contingency_draws\"")?,
-                shuffle_skips: scan_u64(batch, "\"shuffle_skips\"")?,
-            },
-            cache_active: scan_bool(cache, "\"active\"")?,
-            compiled_pairs: scan_u64(cache, "\"compiled_pairs\"")?,
-            events_recorded: scan_u64(events, "\"recorded\"")?,
-            events_dropped: scan_u64(events, "\"dropped\"")?,
-            timeline,
-        })
-    }
-}
-
-/// Value of `"key": "string"` after the quoted `key` in `text`.
-fn scan_str(text: &str, key: &str) -> Option<String> {
-    let at = text.find(key)? + key.len();
-    let rest = text[at..].trim_start_matches([':', ' ']);
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Value of `"key": <number>` after the quoted `key` in `text`.
-fn scan_f64(text: &str, key: &str) -> Option<f64> {
-    let at = text.find(key)? + key.len();
-    let rest = text[at..].trim_start_matches([':', ' ']);
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn scan_u64(text: &str, key: &str) -> Option<u64> {
-    let at = text.find(key)? + key.len();
-    let rest = text[at..].trim_start_matches([':', ' ']);
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Value of `"key": true|false` after the quoted `key` in `text`.
-fn scan_bool(text: &str, key: &str) -> Option<bool> {
-    let at = text.find(key)? + key.len();
-    let rest = text[at..].trim_start_matches([':', ' ']);
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// The balanced `{...}` object following `"key":` in `text`; `None` for a
-/// missing key or a `null` value. Occurrences of `key` that are not
-/// followed by `:` and an object (e.g. the same word as a nested key with a
-/// scalar value, or as a string *value*) are skipped, so `"jump"` resolves
-/// to the jump-stats object even though `tier_usage` also has a `jump`
-/// field. The format this parses is the crate's own output (no braces
-/// inside strings), so brace counting is exact.
-fn object_slice<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    for (at, _) in text.match_indices(key) {
-        let rest = text[at + key.len()..].trim_start();
-        let Some(rest) = rest.strip_prefix(':') else {
-            continue;
-        };
-        let rest = rest.trim_start();
-        if rest.starts_with("null") {
-            return None;
-        }
-        if !rest.starts_with('{') {
-            continue;
-        }
-        let mut depth = 0usize;
-        for (i, c) in rest.char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(&rest[..=i]);
-                    }
-                }
-                _ => {}
-            }
-        }
-        return None;
-    }
-    None
 }
 
 #[cfg(test)]
@@ -851,32 +650,34 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn every_event_round_trips_through_jsonl() {
-        for event in sample_events() {
-            let line = event.to_json_line();
-            assert_eq!(
-                EngineEvent::parse_json_line(&line),
-                Some(event),
-                "line: {line}"
+    /// Asserts `line` is one flat JSON object
+    /// `{"event":"<kind>","step":<n>,…}` of `"key":value` fields. Field
+    /// names and values per kind are checked by `tools/check_obs.py`.
+    fn assert_jsonl_shape(line: &str, event: &EngineEvent) {
+        let head = format!("{{\"event\":\"{}\",\"step\":{}", event.kind(), event.step());
+        let rest = line
+            .strip_prefix(&head)
+            .unwrap_or_else(|| panic!("line does not open with {head}: {line}"));
+        assert!(rest == "}" || rest.starts_with(','), "step runs on: {line}");
+        assert!(line.ends_with('}'), "unterminated: {line}");
+        assert_eq!(line.matches('{').count(), 1, "not flat: {line}");
+        assert_eq!(line.matches('}').count(), 1, "not flat: {line}");
+        for field in line[1..line.len() - 1].split(',') {
+            let (key, value) = field
+                .split_once(':')
+                .unwrap_or_else(|| panic!("field without a value in {line}"));
+            assert!(
+                key.len() > 2 && key.starts_with('"') && key.ends_with('"'),
+                "unquoted key {key} in {line}"
             );
-            assert_eq!(
-                event.step(),
-                EngineEvent::parse_json_line(&line).unwrap().step()
-            );
+            assert!(!value.is_empty(), "empty value in {line}");
         }
     }
 
     #[test]
-    fn parser_rejects_malformed_lines() {
-        for line in [
-            "",
-            "{}",
-            "{\"event\":\"unknown\",\"step\":3}",
-            "{\"event\":\"jump_engage\",\"step\":3}", // missing fields
-            "{\"event\":\"tier_transition\",\"step\":1,\"from\":\"warp\",\"to\":\"batch\"}",
-        ] {
-            assert_eq!(EngineEvent::parse_json_line(line), None, "accepted {line}");
+    fn every_event_line_has_the_jsonl_shape() {
+        for event in sample_events() {
+            assert_jsonl_shape(&event.to_json_line(), &event);
         }
     }
 
@@ -890,8 +691,8 @@ mod tests {
         assert_eq!(obs.dropped(), sample_events().len() as u64 - 2);
         let jsonl = obs.events_to_jsonl();
         assert_eq!(jsonl.lines().count(), 2);
-        for line in jsonl.lines() {
-            assert!(EngineEvent::parse_json_line(line).is_some());
+        for (line, event) in jsonl.lines().zip(obs.events()) {
+            assert_jsonl_shape(line, event);
         }
     }
 
@@ -943,32 +744,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn metrics_round_trip_without_timeline() {
-        let m = sample_metrics(None);
-        let json = m.to_json();
-        assert!(json.contains("\"timeline\":null"));
-        assert_eq!(EngineMetrics::from_json(&json), Some(m));
+    /// Asserts `json` is one object with balanced braces that opens with
+    /// the schema tag.
+    fn assert_metrics_shape(json: &str) {
+        let head = format!("{{\"schema\":\"{METRICS_SCHEMA}\",");
+        assert!(json.starts_with(&head), "bad head: {json}");
+        let mut depth = 0i64;
+        for (i, c) in json.char_indices() {
+            match c {
+                '{' => depth += 1,
+                '}' => depth -= 1,
+                _ => {}
+            }
+            assert!(
+                depth > 0 || i == json.len() - 1,
+                "unbalanced at {i}: {json}"
+            );
+        }
+        assert_eq!(depth, 0, "unbalanced: {json}");
     }
 
     #[test]
-    fn metrics_round_trip_with_timeline() {
+    fn metrics_json_writes_a_null_timeline_when_detached() {
+        let json = sample_metrics(None).to_json();
+        assert_metrics_shape(&json);
+        assert!(json.ends_with(",\"timeline\":null}"), "{json}");
+    }
+
+    #[test]
+    fn metrics_json_carries_every_timeline_span() {
         let mut t = TierTimeline::default();
         t.note(EngineTier::Batch, 5000, 0.125);
         t.note(EngineTier::Compiled, 10, 0.5e-6);
         t.note(EngineTier::Jump, 77, 0.25);
         let m = sample_metrics(Some(t));
         let json = m.to_json();
-        assert_eq!(EngineMetrics::from_json(&json), Some(m.clone()));
+        assert_metrics_shape(&json);
+        for span in [
+            "\"reference\":{\"interactions\":0,\"seconds\":0,\"dispatches\":0}",
+            "\"compiled\":{\"interactions\":10,\"seconds\":0.0000005,\"dispatches\":1}",
+            "\"jump\":{\"interactions\":77,\"seconds\":0.25,\"dispatches\":1}",
+            "\"batch\":{\"interactions\":5000,\"seconds\":0.125,\"dispatches\":1}",
+        ] {
+            assert!(json.contains(span), "missing {span} in {json}");
+        }
         assert!((m.timeline.unwrap().total_seconds() - 0.3750005).abs() < 1e-12);
-    }
-
-    #[test]
-    fn metrics_parser_rejects_wrong_schema() {
-        let m = sample_metrics(None);
-        let json = m.to_json().replace(METRICS_SCHEMA, "pp-engine-metrics/v0");
-        assert_eq!(EngineMetrics::from_json(&json), None);
-        assert_eq!(EngineMetrics::from_json("{}"), None);
     }
 
     #[test]

@@ -24,11 +24,6 @@ impl Interaction {
             responder,
         }
     }
-
-    /// Whether `agent` participates in this interaction.
-    pub fn involves(&self, agent: usize) -> bool {
-        self.initiator == agent || self.responder == agent
-    }
 }
 
 /// A source of interactions for a population of `n` agents.
@@ -78,16 +73,6 @@ impl<R: Rng64> UniformScheduler<R> {
     /// Creates a uniform scheduler from an arbitrary RNG.
     pub fn new(rng: R) -> Self {
         Self { rng }
-    }
-
-    /// Gives access to the underlying RNG (e.g. for checkpointing).
-    pub fn rng_mut(&mut self) -> &mut R {
-        &mut self.rng
-    }
-
-    /// Consumes the scheduler and returns the RNG.
-    pub fn into_rng(self) -> R {
-        self.rng
     }
 }
 
@@ -185,14 +170,6 @@ mod tests {
     #[should_panic(expected = "itself")]
     fn interaction_rejects_self_pair() {
         Interaction::new(3, 3);
-    }
-
-    #[test]
-    fn interaction_involves() {
-        let i = Interaction::new(1, 2);
-        assert!(i.involves(1));
-        assert!(i.involves(2));
-        assert!(!i.involves(0));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 
 /// A multi-series trace of simulation observables over execution steps.
 ///
-/// Pairs naturally with [`Simulation::run_sampled`](crate::Simulation::run_sampled):
-/// sample the observables you care about every `k` steps and render the
-/// result as CSV for plotting.
+/// The engine observer's [`TrajectorySampler`](crate::TrajectorySampler)
+/// records into one: sample the observables you care about every `k` steps
+/// and render the result as CSV for plotting.
 ///
 /// # Example
 ///
@@ -70,30 +70,6 @@ impl Trace {
         self.rows.push((step, values.to_vec()));
     }
 
-    /// Appends every row of `other` to `self`, consuming it — the natural way
-    /// to stitch the trace segments of a suspended-and-resumed run back into
-    /// one series.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the series names differ, or if `other` starts at a step
-    /// before the last step recorded in `self`.
-    pub fn merge(&mut self, other: Trace) {
-        assert_eq!(
-            self.names, other.names,
-            "cannot merge traces with different series"
-        );
-        if let (Some(&(last, _)), Some(&(first, _))) = (self.rows.last(), other.rows.first()) {
-            assert!(
-                first >= last,
-                "steps must be non-decreasing: merged trace starts at step {first}, \
-                 before step {last}"
-            );
-        }
-        self.rows.reserve(other.rows.len());
-        self.rows.extend(other.rows);
-    }
-
     /// The step of the most recently recorded row, if any.
     pub fn last_step(&self) -> Option<u64> {
         self.rows.last().map(|&(step, _)| step)
@@ -123,23 +99,6 @@ impl Trace {
     pub fn last_value(&self, series: &str) -> Option<f64> {
         let idx = self.names.iter().position(|n| n == series)?;
         self.rows.last().map(|(_, values)| values[idx])
-    }
-
-    /// Keeps every `k`-th row (plus the final row), reducing resolution for
-    /// plotting long runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn downsample(&self, k: usize) -> Trace {
-        assert!(k > 0, "downsample factor must be positive");
-        let mut out = Trace::new(self.names.clone());
-        for (i, (step, values)) in self.rows.iter().enumerate() {
-            if i % k == 0 || i + 1 == self.rows.len() {
-                out.record(*step, values);
-            }
-        }
-        out
     }
 
     /// Renders the trace as CSV with a `step` column first.
@@ -209,92 +168,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_concatenates_resumed_segments() {
-        let mut a = Trace::new(["v"]);
-        a.record(0, &[3.0]);
-        a.record(10, &[2.0]);
-        let mut b = Trace::new(["v"]);
-        b.record(10, &[2.0]);
-        b.record(25, &[1.0]);
-        a.merge(b);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.last_step(), Some(25));
-        assert_eq!(a.last_value("v"), Some(1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "different series")]
-    fn merge_rejects_mismatched_series() {
-        let mut a = Trace::new(["v"]);
-        a.merge(Trace::new(["w"]));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn merge_rejects_backward_steps() {
-        let mut a = Trace::new(["v"]);
-        a.record(10, &[1.0]);
-        let mut b = Trace::new(["v"]);
-        b.record(5, &[2.0]);
-        a.merge(b);
-    }
-
-    #[test]
     fn csv_shape() {
         let mut t = Trace::new(["x"]);
         t.record(1, &[0.5]);
         let csv = t.to_csv();
         assert_eq!(csv, "step,x\n1,0.5\n");
-    }
-
-    #[test]
-    fn downsampling_keeps_first_and_last() {
-        let mut t = Trace::new(["v"]);
-        for i in 0..10 {
-            t.record(i, &[i as f64]);
-        }
-        let d = t.downsample(4);
-        let steps: Vec<u64> = d.rows().iter().map(|(s, _)| *s).collect();
-        assert_eq!(steps, vec![0, 4, 8, 9]);
-    }
-
-    #[test]
-    fn integrates_with_run_sampled() {
-        use crate::{Protocol, Role, Simulation, UniformScheduler};
-
-        #[derive(Debug, Clone, Copy)]
-        struct Frat;
-        impl Protocol for Frat {
-            type State = bool;
-            type Output = Role;
-            fn initial_state(&self) -> bool {
-                true
-            }
-            fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
-                if *a && *b {
-                    (true, false)
-                } else {
-                    (*a, *b)
-                }
-            }
-            fn output(&self, s: &bool) -> Role {
-                if *s {
-                    Role::Leader
-                } else {
-                    Role::Follower
-                }
-            }
-        }
-
-        let mut sim = Simulation::new(Frat, 20, UniformScheduler::seed_from_u64(1)).unwrap();
-        let mut trace = Trace::new(["leaders"]);
-        sim.run_sampled(2000, 100, |step, states| {
-            let leaders = states.iter().filter(|&&l| l).count();
-            trace.record(step, &[leaders as f64]);
-        });
-        assert_eq!(trace.len(), 20);
-        // Leader counts are non-increasing in the trace.
-        let vals: Vec<f64> = trace.rows().iter().map(|(_, v)| v[0]).collect();
-        assert!(vals.windows(2).all(|w| w[1] <= w[0]));
     }
 }

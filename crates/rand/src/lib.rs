@@ -19,11 +19,11 @@
 //!   geometric sampling, and distinct-pair sampling for interaction schedules,
 //! * discrete distributions for batch simulation: [`Hypergeometric`]
 //!   (inverse-CDF / HRUA) — the per-class draw behind the count engine's
-//!   collision-free interaction batches — and its with-replacement sibling
-//!   [`Binomial`] (inverse-CDF / BTRD), plus
+//!   collision-free interaction batches — plus
 //!   [`multivariate_hypergeometric`], the reference implementation of the
-//!   conditional decomposition (the engine inlines an order-optimized copy;
-//!   the two are pinned draw-for-draw equivalent by its tests), and
+//!   conditional decomposition (a test oracle: the engine draws its round
+//!   margins with its own heavy/light split, and its unit tests compare the
+//!   law of those draws, not the draws themselves, against this one), and
 //!   [`contingency_table`], the fixed-margin table law behind the count
 //!   engine's contingency cells (nested conditional rows),
 //! * weighted samplers: [`FenwickSampler`] (dynamic weights, `O(log k)`
@@ -49,7 +49,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod binomial;
 mod contingency;
 mod geometric;
 mod hypergeom;
@@ -62,7 +61,6 @@ mod sumtree;
 mod weighted;
 mod xoshiro;
 
-pub use binomial::Binomial;
 pub use contingency::contingency_table;
 pub use geometric::Geometric;
 pub use hypergeom::{multivariate_hypergeometric, Hypergeometric};

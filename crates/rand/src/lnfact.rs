@@ -1,7 +1,7 @@
 //! Log-factorials for the discrete-distribution samplers.
 //!
-//! [`Binomial`](crate::Binomial) and [`Hypergeometric`](crate::Hypergeometric)
-//! evaluate log-probability-mass ratios inside their acceptance tests, which
+//! [`Hypergeometric`](crate::Hypergeometric) evaluates log-probability-mass
+//! ratios inside its acceptance tests and inverse-CDF start, which
 //! reduces to `ln k!` at integer arguments. Rust's standard library has no
 //! stable `ln_gamma`, so this module provides one specialized to what the
 //! samplers need: exact products below 16 (where `k!` fits an integer and a

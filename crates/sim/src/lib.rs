@@ -41,9 +41,8 @@ mod runner;
 pub mod trajectory;
 
 pub use runner::{
-    enable_sweep_rollup, parallel_map, set_sweep_shard, stabilization_sweep,
-    stabilization_sweep_agents, sweep_lane_width, sweep_shard, take_sweep_rollups, SweepPoint,
-    SweepRollup,
+    enable_sweep_rollup, parallel_map, set_sweep_shard, stabilization_sweep, sweep_lane_width,
+    sweep_shard, take_sweep_rollups, SweepPoint, SweepRollup,
 };
 pub use trajectory::{
     observed_pll_election, pll_attribution_trajectory, ObservedElection, PllTrajectory,

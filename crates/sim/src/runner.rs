@@ -11,7 +11,7 @@
 //! (`PP_SIM_THREADS`, the one env override, for reproducible benchmarking)
 //! changes a bit of the output.
 
-use pp_engine::{CountSimulation, LeaderElection, Simulation, UniformScheduler};
+use pp_engine::{CountSimulation, LeaderElection};
 use pp_rand::{SeedSequence, Xoshiro256PlusPlus};
 use pp_stats::Summary;
 use std::io::{self, IsTerminal, Write as _};
@@ -322,9 +322,7 @@ pub struct SweepPoint {
 /// uniformly random scheduler, so the measured distribution is the same
 /// law as the per-agent engine's at a vanishing fraction of the cost, and
 /// every result is deterministic for a fixed `master_seed` — independent
-/// of block size and thread count. Use [`stabilization_sweep_agents`] to
-/// drive the per-agent reference engine instead (e.g. to cross-validate
-/// the engines against each other).
+/// of block size and thread count.
 ///
 /// Repeated entries in `ns` are measured independently (each job range
 /// aggregates into its own [`SweepPoint`]).
@@ -371,8 +369,8 @@ pub(crate) fn cost_order(bundles: &[SweepBundle]) -> Vec<usize> {
 
 /// Job-ordered flat `(converged, parallel_time)` outcomes of a sweep in
 /// blocks of `block` seeds, each block run by `run`: the in-memory sweep
-/// fan-out of [`stabilization_sweep`], [`stabilization_sweep_agents`] and
-/// the sweep fabric's sequential mode. Blocks fan out largest-`n`-first
+/// fan-out of [`stabilization_sweep`] and the sweep fabric's sequential
+/// mode. Blocks fan out largest-`n`-first
 /// ([`cost_order`]) and results come back in block-start order, so the
 /// returned order — and every bit of every result — is independent of the
 /// scheduling and of `block`.
@@ -398,41 +396,6 @@ where
         .into_iter()
         .flat_map(|(_, results)| results)
         .collect()
-}
-
-/// [`stabilization_sweep`] on the per-agent reference engine
-/// ([`Simulation`] + [`UniformScheduler`]), on the same fan-out, one seed
-/// per block.
-///
-/// Slower and `O(n)` memory per run, but exercises the engine whose
-/// semantics are the most direct reading of the model — useful when a sweep
-/// doubles as an engine cross-check.
-pub fn stabilization_sweep_agents<P, F>(
-    make: F,
-    ns: &[usize],
-    seeds: u64,
-    master_seed: u64,
-    max_steps: u64,
-) -> Vec<SweepPoint>
-where
-    P: LeaderElection,
-    F: Fn(usize) -> P + Sync,
-{
-    let flat = sweep_flat(ns, seeds, master_seed, 1, |bundle| {
-        let n = bundle.n;
-        bundle
-            .seeds
-            .iter()
-            .map(|&seed| {
-                let scheduler = UniformScheduler::seed_from_u64(seed);
-                let mut sim = Simulation::new(make(n), n, scheduler)
-                    .expect("population sizes are >= 2 by construction");
-                let outcome = sim.run_until_single_leader(max_steps);
-                (outcome.converged, outcome.parallel_time(n))
-            })
-            .collect()
-    });
-    aggregate_points(ns, seeds, &flat)
 }
 
 /// `InvalidInput` when `seeds ≥ 2^32`: job seeds derive from the packed
@@ -729,20 +692,6 @@ mod tests {
             assert_eq!(pa.times.count(), 5);
             assert!((pa.times.mean() - pb.times.mean()).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn engine_sweeps_agree_distributionally() {
-        // The count-engine sweep and the agent-engine sweep sample the
-        // same Markov chain: over enough seeds their means must agree
-        // loosely (fratricide at n=32 has E[parallel time] ≈ n).
-        let ns = [32usize];
-        let fast = stabilization_sweep(|_| Fratricide, &ns, 24, 7, u64::MAX);
-        let slow = stabilization_sweep_agents(|_| Fratricide, &ns, 24, 7, u64::MAX);
-        assert_eq!(fast[0].unconverged, 0);
-        assert_eq!(slow[0].unconverged, 0);
-        let (a, b) = (fast[0].times.mean(), slow[0].times.mean());
-        assert!((a / b - 1.0).abs() < 0.5, "count {a} vs agent {b}");
     }
 
     #[test]

@@ -2,13 +2,12 @@
 //! attached [`EngineObserver`] (with or without a trajectory sampler)
 //! consumes no randomness and leaves the execution bit-identical to a
 //! detached run: same step counts, same final configurations, and same
-//! `snapshot()` bytes, across all four tiers. Plus schema round-trips for
-//! the JSONL event log and the metrics JSON.
+//! `snapshot()` bytes, across all four tiers. Plus the metrics' survival
+//! across snapshot/resume.
 
 use population_protocols::core::Pll;
 use population_protocols::engine::{
-    CountSimulation, EngineEvent, EngineMetrics, EngineObserver, EngineTier, LeaderElection,
-    SnapshotState,
+    CountSimulation, EngineObserver, EngineTier, LeaderElection, SnapshotState,
 };
 use population_protocols::rand::Xoshiro256PlusPlus;
 use proptest::prelude::*;
@@ -95,31 +94,6 @@ fn observation_is_invisible_on_the_heuristic_batch_crossover() {
     // n = 2^13 fratricide crosses Compiled → Batch/Jump on its own.
     use population_protocols::protocols::Fratricide;
     assert_observation_invisible(Fratricide, 1 << 13, 7, None);
-}
-
-#[test]
-fn metrics_and_events_survive_their_serialized_forms() {
-    let n = 1 << 12;
-    let protocol = Pll::for_population(n).expect("n >= 2");
-    let mut sim = build(protocol, n, 99, None);
-    sim.set_observer(EngineObserver::new().with_trajectory(512));
-    let _ = sim.run_until_single_leader(200_000);
-    let _ = sim.snapshot();
-
-    let metrics = sim.metrics();
-    let parsed = EngineMetrics::from_json(&metrics.to_json()).expect("metrics JSON round-trips");
-    assert_eq!(metrics, parsed);
-
-    let observer = sim.observer().expect("observer attached");
-    assert!(
-        !observer.events().is_empty(),
-        "an auto-tier election must emit events"
-    );
-    for line in observer.events_to_jsonl().lines() {
-        let event = EngineEvent::parse_json_line(line)
-            .unwrap_or_else(|| panic!("event line failed to parse: {line}"));
-        assert_eq!(event.to_json_line(), line);
-    }
 }
 
 #[test]
