@@ -145,7 +145,8 @@ impl PairCache {
     }
 
     /// Bytes held by the dense table.
-    pub fn table_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn table_bytes(&self) -> usize {
         self.table.len() * std::mem::size_of::<u32>()
     }
 

@@ -87,7 +87,8 @@ impl Epidemic {
     }
 
     /// Number of currently infected agents.
-    pub fn infected_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn infected_count(&self) -> usize {
         self.infected_count
     }
 
@@ -97,7 +98,8 @@ impl Epidemic {
     }
 
     /// Whether agent `v` is infected.
-    pub fn is_infected(&self, v: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_infected(&self, v: usize) -> bool {
         self.infected.get(v).copied().unwrap_or(false)
     }
 

@@ -12,7 +12,8 @@
 //! ```
 //!
 //! A sweep that must survive being killed runs through `ppsweep`, whose
-//! worker shards journal every finished block and resume from it.
+//! worker shards journal every finished block; rerunning a killed worker
+//! resumes it.
 
 use pp_sim::{
     enable_sweep_rollup, observed_pll_election, pll_attribution_trajectory, run_experiment,
@@ -120,8 +121,8 @@ fn print_help() {
     println!("  --events-out FILE       write the observed election's structured event log");
     println!("                          as JSONL (schema documented in pp_engine::obs)");
     println!();
-    println!("Sweeps that must survive a kill run through `ppsweep --worker K --job-limit J`,");
-    println!("which journals each finished block and resumes from it.");
+    println!("Sweeps that must survive a kill run through `ppsweep --worker K`, which journals");
+    println!("each finished block; rerun the same command to resume after a kill.");
 }
 
 fn write_csvs(output: &ExperimentOutput, dir: &PathBuf) -> std::io::Result<()> {

@@ -1,42 +1,40 @@
 //! `ppsweep` — the sweep fabric CLI: one stabilization-time grid, run
-//! sequentially, as one worker shard of many, or as a local multi-process
-//! orchestration, always producing byte-identical artifacts.
+//! sequentially or as worker shards merged afterwards, always producing
+//! byte-identical artifacts.
 //!
 //! ```text
 //! # one process, whole grid
 //! ppsweep --protocol fratricide --ns 64,128 --seeds 32 --dir out/
 //!
-//! # same grid across 4 local worker processes, merged on completion
-//! ppsweep --protocol fratricide --ns 64,128 --seeds 32 --dir out/ --shards 4 --spawn
+//! # worker shards, one live process per shard id, on this box or on any
+//! # box sharing the directory; after a kill or a --job-limit suspension,
+//! # rerun the same command: the worker takes back its unfinished blocks
+//! ppsweep ... --dir out/ --worker 0 &
+//! ppsweep ... --dir out/ --worker 1 &
+//! wait
 //!
-//! # one worker shard (what --spawn launches; runnable by hand on any box
-//! # sharing the directory)
-//! ppsweep ... --dir out/ --worker 2
-//!
-//! # merge shards that ran elsewhere (manifest-driven multi-box mode)
-//! ppsweep ... --dir out/ --shards 4 --merge
+//! # merge the shards
+//! ppsweep ... --dir out/ --shards 2 --merge
 //! ```
 //!
 //! Every complete mode writes `journal.txt` (the canonical merged journal),
 //! `table.csv`, and `metrics.json` under `--dir` and prints the results
 //! table to stdout — and those bytes are identical whichever mode produced
 //! them (the fabric's merge contract; see [`pp_sim::fabric`]). Mode
-//! chatter, progress, and retry diagnostics go to stderr only.
+//! chatter and progress go to stderr only.
 //!
 //! Exit codes: 0 success; 1 error; 2 worker suspended at `--job-limit`
-//! (rerun to resume); 3 merge incomplete (jobs still missing).
+//! (rerun to resume); 3 merge incomplete (rerun the shard workers, then
+//! merge again).
 
 use pp_core::Pll;
 use pp_engine::LeaderElection;
 use pp_protocols::{BoundedLottery, Fratricide, UnboundedLottery};
 use pp_sim::fabric::{
-    aggregate_progress, clean_stale_claims, merge_shards, points_table, run_sequential,
-    run_worker_shard, shard_dir, FabricSpec, MergeReport, MAX_SHARDS,
+    merge_shards, points_table, run_sequential, run_worker_shard, shard_dir, FabricSpec, MAX_SHARDS,
 };
 use pp_sim::{enable_sweep_rollup, take_sweep_rollups, SweepPoint};
-use std::io::IsTerminal;
-use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::path::PathBuf;
 use std::time::Instant;
 
 fn main() {
@@ -64,13 +62,10 @@ usage: ppsweep --ns N,N,... --dir DIR [options]
   --master SEED       master seed (default 42)
   --max-steps M       per-run step budget, 0 = unbounded (default 0)
   --dir DIR           fabric run directory (required)
-  --shards N          shard count for --spawn / --merge
-  --spawn             orchestrate: launch N local workers, monitor, merge
-  --threads-per-worker T  PP_SIM_THREADS for spawned workers (default 1)
-  --retry-rounds R    crash-recovery relaunch rounds (default 3)
-  --worker K          run as worker shard K
+  --worker K          run as worker shard K; rerun it to resume after a kill
   --job-limit J       suspend this worker invocation after ~J >= 1 fresh jobs
-  --merge             merge existing shard dirs without running anything
+  --shards N          shard count for --merge
+  --merge             merge shards 0..N-1 without running anything
   --metrics-out FILE  also write the metrics JSON to FILE";
 
 /// Parsed command line.
@@ -87,11 +82,6 @@ enum Mode {
         shard: u64,
         job_limit: Option<usize>,
     },
-    Orchestrate {
-        shards: u64,
-        threads_per_worker: usize,
-        retry_rounds: usize,
-    },
     Merge {
         shards: u64,
     },
@@ -106,12 +96,9 @@ impl Cli {
         let mut max_steps = 0u64;
         let mut dir: Option<PathBuf> = None;
         let mut shards: Option<u64> = None;
-        let mut spawn = false;
         let mut merge = false;
         let mut worker: Option<u64> = None;
         let mut job_limit: Option<usize> = None;
-        let mut threads_per_worker = 1usize;
-        let mut retry_rounds = 3usize;
         let mut metrics_out: Option<PathBuf> = None;
 
         let mut args = args;
@@ -133,18 +120,10 @@ impl Cli {
                 "--max-steps" => max_steps = parse_num(&value("--max-steps")?, "--max-steps")?,
                 "--dir" => dir = Some(PathBuf::from(value("--dir")?)),
                 "--shards" => shards = Some(parse_num(&value("--shards")?, "--shards")?),
-                "--spawn" => spawn = true,
                 "--merge" => merge = true,
                 "--worker" => worker = Some(parse_num(&value("--worker")?, "--worker")?),
                 "--job-limit" => {
                     job_limit = Some(parse_num(&value("--job-limit")?, "--job-limit")?);
-                }
-                "--threads-per-worker" => {
-                    threads_per_worker =
-                        parse_num(&value("--threads-per-worker")?, "--threads-per-worker")?;
-                }
-                "--retry-rounds" => {
-                    retry_rounds = parse_num(&value("--retry-rounds")?, "--retry-rounds")?;
                 }
                 "--metrics-out" => metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
                 other => return Err(format!("unknown flag `{other}`")),
@@ -177,20 +156,13 @@ impl Cli {
             max_steps: if max_steps == 0 { u64::MAX } else { max_steps },
             lanes: pp_sim::sweep_lane_width(),
         };
-        let mode = match (worker, shards, spawn, merge) {
-            (Some(shard), None, false, false) => Mode::Worker { shard, job_limit },
-            (None, Some(shards), true, false) => Mode::Orchestrate {
-                shards,
-                threads_per_worker: threads_per_worker.max(1),
-                retry_rounds,
-            },
-            (None, Some(shards), false, true) => Mode::Merge { shards },
-            (None, None, false, false) => Mode::Sequential,
+        let mode = match (worker, shards, merge) {
+            (Some(shard), None, false) => Mode::Worker { shard, job_limit },
+            (None, Some(shards), true) => Mode::Merge { shards },
+            (None, None, false) => Mode::Sequential,
             _ => {
                 return Err(
-                    "pick one mode: default sequential, --worker K, --shards N --spawn, \
-                     or --shards N --merge"
-                        .into(),
+                    "pick one mode: default sequential, --worker K, or --shards N --merge".into(),
                 );
             }
         };
@@ -244,20 +216,16 @@ where
             enable_sweep_rollup();
             let started = Instant::now();
             let points = run_sequential(&make, &cli.spec, &cli.dir)?;
-            let metrics = metrics_json(
-                &cli.spec,
-                0,
-                started.elapsed().as_secs_f64(),
-                &rollup_lines(),
-            );
+            let wall_seconds = Some(started.elapsed().as_secs_f64());
+            let metrics = metrics_json(&cli.spec, 0, wall_seconds, &rollup_lines());
             finish(cli, &points, &metrics)?;
             Ok(0)
         }
         Mode::Worker { shard, job_limit } => {
             enable_sweep_rollup();
             let outcome = run_worker_shard(&make, &cli.spec, &cli.dir, shard, job_limit)?;
-            // Per-shard metrics land in the shard dir; the orchestrator (or
-            // a later --merge) folds them into the run-level metrics.json.
+            // Per-shard metrics land in the shard dir; --merge folds them
+            // into the run-level metrics.json.
             let metrics = format!("{{\"rollups\":[{}]}}\n", rollup_lines().join(","));
             std::fs::write(shard_dir(&cli.dir, shard).join("metrics.json"), metrics)?;
             eprintln!(
@@ -271,135 +239,18 @@ where
             );
             Ok(if outcome.suspended { 2 } else { 0 })
         }
-        Mode::Orchestrate {
-            shards,
-            threads_per_worker,
-            retry_rounds,
-        } => orchestrate(cli, shards, threads_per_worker, retry_rounds),
-        Mode::Merge { shards } => {
-            let started = Instant::now();
-            let report = merge_shards(&cli.spec, &cli.dir, shards)?;
-            conclude_merge(cli, shards, started, report)
-        }
+        Mode::Merge { shards } => merge(cli, shards),
     }
 }
 
-/// Launches `shards` local worker processes over the run directory,
-/// streams one aggregate progress line, survives worker crashes by
-/// releasing their stale claims and relaunching, and merges on completion.
-fn orchestrate(
-    cli: &Cli,
-    shards: u64,
-    threads_per_worker: usize,
-    retry_rounds: usize,
-) -> std::io::Result<i32> {
-    let started = Instant::now();
-    std::fs::create_dir_all(&cli.dir)?;
-    let exe = std::env::current_exe()?;
-    for round in 0..=retry_rounds {
-        if round > 0 {
-            let released = clean_stale_claims(&cli.spec, &cli.dir, shards)?;
-            eprintln!(
-                "ppsweep: retry round {round}/{retry_rounds}: released {released} stale claims"
-            );
-        }
-        let mut children = Vec::new();
-        for shard in 0..shards {
-            children.push(spawn_worker(&exe, cli, shard, threads_per_worker)?);
-        }
-        wait_with_progress(&cli.dir, shards, &mut children);
-        let report = merge_shards(&cli.spec, &cli.dir, shards)?;
-        if report.points.is_some() {
-            return conclude_merge(cli, shards, started, report);
-        }
-        eprintln!(
-            "ppsweep: {} jobs missing after round {round} (a worker died); retrying",
-            report.missing
-        );
-    }
-    eprintln!("ppsweep: jobs still missing after {retry_rounds} retry rounds");
-    Ok(3)
-}
-
-fn spawn_worker(
-    exe: &Path,
-    cli: &Cli,
-    shard: u64,
-    threads_per_worker: usize,
-) -> std::io::Result<std::process::Child> {
-    let spec = &cli.spec;
-    let ns = spec
-        .ns
-        .iter()
-        .map(|n| n.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let max_steps = if spec.max_steps == u64::MAX {
-        0
-    } else {
-        spec.max_steps
-    };
-    Command::new(exe)
-        .arg("--worker")
-        .arg(shard.to_string())
-        .arg("--protocol")
-        .arg(&spec.protocol)
-        .arg("--ns")
-        .arg(ns)
-        .arg("--seeds")
-        .arg(spec.seeds.to_string())
-        .arg("--master")
-        .arg(spec.master_seed.to_string())
-        .arg("--max-steps")
-        .arg(max_steps.to_string())
-        .arg("--dir")
-        .arg(&cli.dir)
-        // Workers must not repaint their own progress lines over ours, and
-        // threads-per-worker × shards is the run's total thread budget.
-        .env("PP_SIM_PROGRESS", "0")
-        .env("PP_SIM_THREADS", threads_per_worker.to_string())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-}
-
-/// Waits for every child, repainting one aggregate progress line on the
-/// terminal (suppressed exactly like `parallel_map`'s own line: piped
-/// stderr or `PP_SIM_PROGRESS=0`).
-fn wait_with_progress(dir: &Path, shards: u64, children: &mut [std::process::Child]) {
-    let show = std::io::stderr().is_terminal()
-        && std::env::var("PP_SIM_PROGRESS").map_or(true, |v| v != "0");
-    loop {
-        let all_exited = children
-            .iter_mut()
-            .all(|child| matches!(child.try_wait(), Ok(Some(_))));
-        if show {
-            let (done, total) = aggregate_progress(dir, shards);
-            eprint!("\r  fabric: {done}/{total} jobs done across {shards} shards");
-            use std::io::Write as _;
-            let _ = std::io::stderr().flush();
-        }
-        if all_exited {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(200));
-    }
-    if show {
-        eprint!("\r{:64}\r", "");
-    }
-}
-
-/// Writes the merged artifacts and prints the results table; exit code 3
-/// when jobs are still missing (multi-box merges of unfinished runs).
-fn conclude_merge(
-    cli: &Cli,
-    shards: u64,
-    started: Instant,
-    report: MergeReport,
-) -> std::io::Result<i32> {
+/// Merges the shards, writes the merged artifacts and prints the results
+/// table; exit code 3 when jobs are still missing.
+fn merge(cli: &Cli, shards: u64) -> std::io::Result<i32> {
+    let report = merge_shards(&cli.spec, &cli.dir, shards)?;
     let Some(points) = report.points else {
         eprintln!(
-            "ppsweep: merge incomplete, {} jobs missing across {shards} shards",
+            "ppsweep: merge incomplete, {} jobs missing across {shards} shards; \
+             rerun the shard workers (--worker K), then merge again",
             report.missing
         );
         return Ok(3);
@@ -420,7 +271,9 @@ fn conclude_merge(
             }
         }
     }
-    let metrics = metrics_json(&cli.spec, shards, started.elapsed().as_secs_f64(), &rollups);
+    // A merge does not time the sweep: each shard's manifest holds its own
+    // wall time.
+    let metrics = metrics_json(&cli.spec, shards, None, &rollups);
     finish(cli, &points, &metrics)?;
     for manifest in &report.manifests {
         eprintln!(
@@ -432,13 +285,19 @@ fn conclude_merge(
 }
 
 /// Run-level metrics JSON: the cross-process aggregate plus every
-/// collected rollup line.
-fn metrics_json(spec: &FabricSpec, shards: u64, wall_seconds: f64, rollups: &[String]) -> String {
+/// collected rollup line. `wall_seconds` is the sweep's when this process
+/// ran it, and `None` (`null` time and rate) for a merge.
+fn metrics_json(
+    spec: &FabricSpec,
+    shards: u64,
+    wall_seconds: Option<f64>,
+    rollups: &[String],
+) -> String {
     let jobs = spec.total_jobs();
-    let rate = if wall_seconds > 0.0 {
-        jobs as f64 / wall_seconds
-    } else {
-        0.0
+    let (wall_seconds, rate) = match wall_seconds {
+        Some(secs) if secs > 0.0 => (secs.to_string(), (jobs as f64 / secs).to_string()),
+        Some(secs) => (secs.to_string(), "0".to_string()),
+        None => ("null".to_string(), "null".to_string()),
     };
     format!(
         "{{\"schema\":\"pp-sweep-metrics/v1\",\"aggregate\":{{\"jobs\":{jobs},\
@@ -489,10 +348,20 @@ mod tests {
             parse(&last).map(|c| c.mode),
             Ok(Mode::Worker { .. })
         ));
-        for mode in ["--spawn", "--merge"] {
-            let err = parse(&format!("--ns 64 --dir d --shards 5000 {mode}")).err();
-            assert_eq!(err, Some(format!("--shards must be in 1..={MAX_SHARDS}")));
+        let err = parse("--ns 64 --dir d --shards 5000 --merge").err();
+        assert_eq!(err, Some(format!("--shards must be in 1..={MAX_SHARDS}")));
+        // The local orchestrator is gone: rerunning a worker is the one
+        // recovery path, and its flags are unknown.
+        for flag in ["--spawn", "--threads-per-worker 1", "--retry-rounds 3"] {
+            let err = parse(&format!("--ns 64 --dir d --shards 2 {flag}")).err();
+            let name = flag.split(' ').next().unwrap();
+            assert_eq!(err, Some(format!("unknown flag `{name}`")));
         }
+        let err = parse("--ns 64 --dir d --shards 2").err();
+        assert_eq!(
+            err.as_deref(),
+            Some("pick one mode: default sequential, --worker K, or --shards N --merge")
+        );
         let err = parse("--ns 64 --dir d --worker 0 --job-limit 0").err();
         assert_eq!(err.as_deref(), Some("--job-limit must be at least 1"));
         assert!(parse("--ns 64 --dir d --worker 0 --job-limit 1").is_ok());

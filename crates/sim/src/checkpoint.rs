@@ -66,8 +66,7 @@ pub(crate) const HEADER_PREFIX: &str = "ppsweep v3";
 /// each to the journal at `path` (opened, header `fp` first, only once a
 /// block is selected) and adds its results to `done`. `run` returns a
 /// block's results in job order, or `None` to decline it (the fabric's
-/// claim gate); `after_append(block, fresh jobs so far)` runs under the
-/// journal lock. Returns the jobs it ran — a rerun block counts whole — and
+/// claim gate). Returns the jobs it ran — a rerun block counts whole — and
 /// whether the job limit stopped the selection with pending blocks left
 /// over.
 ///
@@ -76,18 +75,16 @@ pub(crate) const HEADER_PREFIX: &str = "ppsweep v3";
 /// The first error of `run` or of the journal. The failed block journals
 /// nothing, and a failed append closes the journal — no block starts or
 /// appends after it, so a torn write stays the final record.
-pub(crate) fn drive_blocks<R, A>(
+pub(crate) fn drive_blocks<R>(
     bundles: &[SweepBundle],
     done: &mut HashMap<usize, (bool, f64)>,
     job_limit: Option<usize>,
     path: &Path,
     fp: u64,
     run: R,
-    after_append: A,
 ) -> io::Result<(usize, bool)>
 where
     R: Fn(&SweepBundle) -> io::Result<Option<Vec<(bool, f64)>>> + Sync,
-    A: Fn(&SweepBundle, usize) + Sync,
 {
     let limit = job_limit.unwrap_or(usize::MAX);
     let mut selected = vec![false; bundles.len()];
@@ -114,10 +111,10 @@ where
     if order.is_empty() {
         return Ok((0, suspended));
     }
-    let journal = Mutex::new((Some(open_journal_for_append(path, fp)?), 0));
+    let journal = Mutex::new(Some(open_journal_for_append(path, fp)?));
     let lock = || journal.lock().expect("journal writers do not panic");
     let outcomes = parallel_map(&order, |bundle| -> io::Result<Option<_>> {
-        if lock().0.is_none() {
+        if lock().is_none() {
             return Ok(None);
         }
         let Some(results) = run(bundle)? else {
@@ -125,25 +122,23 @@ where
         };
         let mut text = String::new();
         render_block(&mut text, bundle.start, &results);
-        let mut guard = lock();
-        let (slot, fresh) = &mut *guard;
-        let Some(file) = slot else {
+        let mut slot = lock();
+        let Some(file) = slot.as_mut() else {
             return Ok(None);
         };
         if let Err(e) = file.write_all(text.as_bytes()).and_then(|()| file.flush()) {
             *slot = None;
             return Err(e);
         }
-        *fresh += results.len();
-        after_append(bundle, *fresh);
         Ok(Some((bundle.start, results)))
     });
+    let mut fresh = 0;
     for outcome in outcomes {
         if let Some((start, results)) = outcome? {
+            fresh += results.len();
             done.extend((start..).zip(results));
         }
     }
-    let fresh = lock().1;
     Ok((fresh, suspended))
 }
 
@@ -164,12 +159,12 @@ pub(crate) fn render_block(text: &mut String, start: usize, results: &[(bool, f6
 }
 
 /// Whether every job of `bundle` has a journaled result in `done`.
-pub(crate) fn journaled(bundle: &SweepBundle, done: &HashMap<usize, (bool, f64)>) -> bool {
+fn journaled(bundle: &SweepBundle, done: &HashMap<usize, (bool, f64)>) -> bool {
     (bundle.start..bundle.start + bundle.seeds.len()).all(|i| done.contains_key(&i))
 }
 
 /// Writes via a temporary file + rename so readers never observe a torn
-/// file (the fabric's manifests, progress snapshots and canonical journal).
+/// file (the fabric's manifests, claim bodies and canonical journal).
 pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = path.with_extension("ckpt.tmp");
     std::fs::write(&tmp, bytes)?;
@@ -332,8 +327,8 @@ mod tests {
 
     use super::*;
     use crate::fabric::{
-        clean_stale_claims, merge_shards, points_table, run_sequential, run_worker_shard,
-        shard_dir, FabricSpec, ShardOutcome,
+        merge_shards, points_table, run_sequential, run_worker_shard, shard_dir, FabricSpec,
+        ShardOutcome,
     };
     use pp_protocols::Fratricide;
     use std::path::PathBuf;
@@ -423,11 +418,11 @@ mod tests {
     #[test]
     fn snapshot_write_failure_is_an_error_not_a_panic() {
         // A directory squatting on the temporary path of the worker's
-        // progress snapshot makes its first write fail: the worker must
-        // return the error and journal nothing.
+        // claim body makes its first write fail: the worker must return
+        // the error and journal nothing.
         let spec = spec(&[16], 3, 5, 2);
         let dir = Scratch::new("snapshot_failure");
-        let squat = shard_dir(&dir.0, 0).join("progress.ckpt.tmp");
+        let squat = shard_dir(&dir.0, 0).join("claim.ckpt.tmp");
         std::fs::create_dir_all(&squat).unwrap();
         let err = work(&spec, &dir, None).expect_err("a failed write must surface as an error");
         assert_ne!(err.kind(), io::ErrorKind::InvalidData);
@@ -471,7 +466,6 @@ mod tests {
         let foreign = spec(&[16], 2, 2, 2);
         assert_invalid_data(work(&foreign, &dir, None));
         assert_invalid_data(merge_shards(&foreign, &dir.0, 1));
-        assert_invalid_data(clean_stale_claims(&foreign, &dir.0, 1));
     }
 
     #[test]
@@ -489,18 +483,18 @@ mod tests {
         let spec = spec(&[16], 3, 9, 1);
         let dir = Scratch::new("torn_tail");
         assert!(work(&spec, &dir, Some(2)).expect("worker runs").suspended);
-        // A crash mid-append: block 2 claimed, its record cut halfway.
+        // A crash mid-append: block 2 claimed by shard 0, its record cut
+        // halfway.
         let mut file = std::fs::OpenOptions::new()
             .append(true)
             .open(journal(&dir))
             .unwrap();
         file.write_all(b"block 2 1\ndone 2 1 3ff").unwrap();
         std::fs::write(dir.0.join("claims/2.claim"), "0 1\n").unwrap();
-        // The orchestrator's retry round releases the dead claim; the torn
-        // record is discarded, so its job reruns — and the rerun's append
-        // must not fuse with the torn bytes, or the merge would reread a
-        // corrupt journal.
-        assert_eq!(clean_stale_claims(&spec, &dir.0, 1).unwrap(), 1);
+        // Rerunning shard 0 takes its claim back; the torn record is
+        // discarded, so its job reruns — and the rerun's append must not
+        // fuse with the torn bytes, or the merge would reread a corrupt
+        // journal.
         assert_eq!(
             work(&spec, &dir, None)
                 .expect("torn tail is tolerated")
@@ -513,8 +507,9 @@ mod tests {
     #[test]
     fn torn_bundle_block_reruns_the_whole_bundle() {
         // Cut a width-2 block after its first record: the block is
-        // incomplete, so both of its jobs rerun — and, being deterministic,
-        // land on the same points as the clean sweep.
+        // incomplete, so rerunning the shard that claimed it reruns both of
+        // its jobs — and, being deterministic, they land on the same points
+        // as the clean sweep.
         let spec = spec(&[16], 4, 13, 2);
         let dir = Scratch::new("torn_bundle");
         work(&spec, &dir, Some(1)).expect("worker runs");
@@ -523,7 +518,6 @@ mod tests {
             assert_eq!(lines.len(), 4, "unexpected journal shape: {lines:?}");
             lines.pop();
         });
-        assert_eq!(clean_stale_claims(&spec, &dir.0, 1).unwrap(), 1);
         let outcome = work(&spec, &dir, None).expect("incomplete blocks rerun");
         assert_eq!(
             outcome.fresh_jobs, 4,
@@ -540,7 +534,6 @@ mod tests {
         edit_journal(&dir, |lines| lines.insert(1, "done garbage"));
         assert_invalid_data(work(&spec, &dir, None));
         assert_invalid_data(merge_shards(&spec, &dir.0, 1));
-        assert_invalid_data(clean_stale_claims(&spec, &dir.0, 1));
     }
 
     #[test]

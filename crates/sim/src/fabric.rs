@@ -11,16 +11,16 @@
 //!
 //! ```text
 //! dir/
-//!   claims/<start>.claim   cross-process block claims (create_new is atomic)
+//!   claims/<start>.claim   cross-process block claims, each naming its shard
+//!   shard_<k>/claim.txt    the claim body shard k's claims hard-link to
 //!   shard_<k>/journal.txt  ppsweep v3 journal of the jobs shard k ran
 //!   shard_<k>/manifest.json  machine-readable shard exit summary
-//!   shard_<k>/progress.txt   "done total" snapshot for live aggregation
 //!   journal.txt            canonical merged journal (written by the merge)
 //! ```
 //!
 //! Work is claimed at **block** granularity ([`sweep_bundles`]' same-`n`
 //! seed blocks): a worker runs the journal's block driver over the
-//! unclaimed blocks and gates each on atomically creating
+//! unclaimed blocks and gates each on atomically linking
 //! `claims/<start>.claim`, so shards never duplicate work — *dynamic range
 //! claiming*, not static partitioning. The job space's heavy tail is what
 //! rules static shards out: whichever shard owned the straggler would cap
@@ -35,7 +35,7 @@
 //!
 //! Each job's result is a deterministic function of
 //! `(protocol, n, seed, max_steps)` — never of which process, thread,
-//! block, or retry round ran it — and shard journals record exact `f64`
+//! block, or rerun ran it — and shard journals record exact `f64`
 //! bit patterns. The merge unions the shard journals (refusing mismatched
 //! fingerprints and, defensively, conflicting duplicates), then renders the
 //! *canonical journal*: blocks in block-start order, a pure
@@ -47,11 +47,17 @@
 //!
 //! # Crash recovery
 //!
-//! A worker that dies mid-block leaves its claim behind with no journal
-//! block. Between retry rounds the orchestrator calls
-//! [`clean_stale_claims`] — drop every claim whose block is not fully
-//! journaled in *some* shard — and relaunches workers; the released blocks
-//! get re-claimed and rerun, deterministically, to the same bits. A worker
+//! A claim names its shard from the moment it exists: a worker writes the
+//! body `"<shard> <pid>"` once to `shard_<k>/claim.txt` and claims a block
+//! by hard-linking that file to `claims/<start>.claim`, which fails with
+//! `AlreadyExists` exactly as `create_new` does. A worker killed mid-block
+//! leaves its claim behind with no journal block; rerunning the same shard
+//! takes it back: a worker reruns every block whose claim names its own
+//! shard and that its journal does not hold whole, deterministically, to
+//! the same bits. A claim naming another shard waits for that shard's
+//! rerun, and a claim whose body names no shard stays held until it is
+//! removed by hand. So recovery needs one live process per shard id: two
+//! processes of one shard would both rerun its unfinished blocks. A worker
 //! that died *after* journaling loses nothing: its journal is read by the
 //! merge whether or not the process exited cleanly. Torn final blocks are
 //! tolerated by the journal loader and rerun whole.
@@ -60,7 +66,7 @@
 //! [`cost_order`]: crate::runner::cost_order
 
 use crate::checkpoint::{
-    drive_blocks, fingerprint, journaled, load_journal, open_journal_for_append, render_block,
+    drive_blocks, fingerprint, load_journal, open_journal_for_append, render_block,
     write_atomically, HEADER_PREFIX, JOURNAL_FILE,
 };
 use crate::runner::{
@@ -69,16 +75,13 @@ use crate::runner::{
 };
 use pp_engine::LeaderElection;
 use pp_stats::Table;
-use std::collections::HashMap;
-use std::io::{self, Write as _};
+use std::collections::{HashMap, HashSet};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Shard manifest file name inside a shard directory.
 const MANIFEST_FILE: &str = "manifest.json";
-
-/// Progress snapshot file name inside a shard directory.
-const PROGRESS_FILE: &str = "progress.txt";
 
 /// Claim directory name inside a fabric run directory.
 const CLAIMS_DIR: &str = "claims";
@@ -237,14 +240,14 @@ fn scan_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
 
 /// Runs one worker shard of the grid: claims unclaimed blocks from the
 /// shared claim directory, journals each completed block into
-/// `shard_<shard>/journal.txt`, keeps a live progress snapshot, and writes
-/// the shard manifest on exit.
+/// `shard_<shard>/journal.txt`, and writes the shard manifest on exit.
 ///
-/// Reinvoking with the same directory resumes: blocks already claimed
-/// (here, elsewhere, or by a killed run) are left alone. `job_limit` bounds
-/// the *fresh* jobs of this invocation, block-granularly (see the [module
-/// docs](self)); hitting it with unclaimed blocks left over reports
-/// `suspended`.
+/// Reinvoking with the same directory resumes: blocks already journaled or
+/// claimed by another shard are left alone, and blocks this shard claimed
+/// without journaling them whole (a killed run) are rerun (see [Crash
+/// recovery](self#crash-recovery)). `job_limit` bounds the *fresh* jobs of
+/// this invocation, block-granularly (see the [module docs](self));
+/// hitting it with unclaimed blocks left over reports `suspended`.
 ///
 /// # Errors
 ///
@@ -273,27 +276,38 @@ where
     let started = Instant::now();
     crate::set_sweep_shard(Some(shard));
     let fp = spec.fingerprint();
-    let total = spec.total_jobs();
     let claims = dir.join(CLAIMS_DIR);
     std::fs::create_dir_all(&claims)?;
-    // A held block would count against the job limit only to be declined,
-    // so a limited rerun would pick the same held blocks forever.
-    let bundles: Vec<SweepBundle> = spec
-        .bundles()
-        .into_iter()
-        .filter(|bundle| !claim_path(&claims, bundle.start).exists())
-        .collect();
     let my_dir = shard_dir(dir, shard);
     std::fs::create_dir_all(&my_dir)?;
     let journal_path = my_dir.join(JOURNAL_FILE);
-    let mut done = load_journal(&journal_path, fp, total)?;
+    let mut done = load_journal(&journal_path, fp, spec.total_jobs())?;
     // Always leave a headed journal: the merge refuses foreign shards by it.
     open_journal_for_append(&journal_path, fp)?;
-    let journaled = done.len();
-    write_progress(&my_dir, journaled, total)?;
+    // Written once, by rename, so the claims of an earlier run keep their
+    // body.
+    let (body, pid) = (my_dir.join("claim.txt"), std::process::id());
+    write_atomically(&body, format!("{shard} {pid}\n").as_bytes())?;
+    // A held block would count against the job limit only to be declined,
+    // so a limited rerun would pick the same held blocks forever. This
+    // shard's own claims stay in: the drive skips the journaled ones and
+    // reruns the rest.
+    let mut owned = HashSet::new();
+    let mut bundles = spec.bundles();
+    bundles.retain(|bundle| {
+        let claim = std::fs::read_to_string(claim_path(&claims, bundle.start));
+        if matches!(&claim, Err(e) if e.kind() == io::ErrorKind::NotFound) {
+            return true;
+        }
+        let mine = claim.ok().as_deref().and_then(claim_shard) == Some(shard);
+        if mine {
+            owned.insert(bundle.start);
+        }
+        mine
+    });
     // A suspended worker never strands a claim: the limit is applied when
     // blocks are selected, before any is claimed (only a killed worker
-    // strands one — that's what clean_stale_claims is for).
+    // strands one, and its rerun takes it back).
     let (fresh_jobs, suspended) = drive_blocks(
         &bundles,
         &mut done,
@@ -301,19 +315,14 @@ where
         &journal_path,
         fp,
         |bundle| {
-            Ok(claim_bundle(&claims, bundle.start, shard)?
-                .then(|| run_bundle(&make, bundle.n, &bundle.seeds, spec.max_steps)))
-        },
-        // Under the journal lock, so the last progress write is the final
-        // count.
-        |_, fresh| {
-            let _ = write_progress(&my_dir, journaled + fresh, total);
+            let mine = owned.contains(&bundle.start) || claim_bundle(&claims, &body, bundle.start)?;
+            Ok(mine.then(|| run_bundle(&make, bundle.n, &bundle.seeds, spec.max_steps)))
         },
     )?;
 
     let manifest = ShardManifest {
         shard,
-        pid: std::process::id(),
+        pid,
         fingerprint: fp,
         jobs: done.len() as u64,
         threads: worker_count(bundles.len()) as u64,
@@ -327,83 +336,30 @@ where
     })
 }
 
-/// Atomically claims block `start`: `create_new` is atomic on every
-/// platform the workspace targets, so exactly one worker — across all
-/// processes sharing the directory — wins each block. The file body
-/// records the claimant for post-mortems; only its existence matters.
-fn claim_bundle(claims: &Path, start: usize, shard: u64) -> io::Result<bool> {
-    match std::fs::OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(claim_path(claims, start))
-    {
-        Ok(mut file) => {
-            let _ = writeln!(file, "{shard} {}", std::process::id());
-            Ok(true)
-        }
+/// Atomically claims block `start` by hard-linking the claim body file
+/// `body` to its claim: the link fails with `AlreadyExists` when the claim
+/// exists, as `create_new` does, so exactly one worker — across all
+/// processes sharing the directory — wins each block, and the claim names
+/// its shard from the moment it exists.
+fn claim_bundle(claims: &Path, body: &Path, start: usize) -> io::Result<bool> {
+    match std::fs::hard_link(body, claim_path(claims, start)) {
+        Ok(()) => Ok(true),
         Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(false),
         Err(e) => Err(e),
     }
 }
 
+/// The shard a claim body `"<shard> <pid>\n"` names; `None` for any other
+/// body (empty, torn or garbage).
+fn claim_shard(body: &str) -> Option<u64> {
+    let (shard, pid) = body.strip_suffix('\n')?.split_once(' ')?;
+    pid.parse::<u32>().ok()?;
+    shard.parse().ok()
+}
+
 /// The claim file of block `start` in claim directory `claims`.
 fn claim_path(claims: &Path, start: usize) -> PathBuf {
     claims.join(format!("{start}.claim"))
-}
-
-/// Atomically rewrites a shard's `progress.txt` as `"<done> <total>"`.
-fn write_progress(shard_dir: &Path, done: usize, total: usize) -> io::Result<()> {
-    write_atomically(
-        &shard_dir.join(PROGRESS_FILE),
-        format!("{done} {total}\n").as_bytes(),
-    )
-}
-
-/// Sums the shard progress snapshots into `(jobs done, jobs total)`.
-/// Missing or unreadable snapshots count zero — progress is advisory, the
-/// journals are the truth.
-pub fn aggregate_progress(dir: &Path, shards: u64) -> (usize, usize) {
-    let mut done = 0;
-    let mut total = 0;
-    for shard in 0..shards {
-        if let Ok(text) = std::fs::read_to_string(shard_dir(dir, shard).join(PROGRESS_FILE)) {
-            let mut fields = text.split_ascii_whitespace();
-            let d: Option<usize> = fields.next().and_then(|v| v.parse().ok());
-            let t: Option<usize> = fields.next().and_then(|v| v.parse().ok());
-            if let (Some(d), Some(t)) = (d, t) {
-                done += d;
-                total = t;
-            }
-        }
-    }
-    (done, total)
-}
-
-/// Removes claims on blocks no shard journal has completed: their
-/// claimants died between claiming and journaling. Call between retry
-/// rounds, never while workers run — a live worker's in-flight claim is
-/// indistinguishable from a dead one's until its journal block lands.
-/// Returns the number of claims released.
-///
-/// # Errors
-///
-/// `InvalidInput` when `shards > MAX_SHARDS` or `spec.seeds ≥ 2^32`;
-/// journal I/O errors, a fingerprint-mismatched or conflicting shard
-/// journal, or a claim that cannot be removed.
-pub fn clean_stale_claims(spec: &FabricSpec, dir: &Path, shards: u64) -> io::Result<usize> {
-    let done = union_journals(spec, dir, shards)?;
-    let mut removed = 0;
-    for bundle in spec.bundles() {
-        if journaled(&bundle, &done) {
-            continue;
-        }
-        match std::fs::remove_file(claim_path(&dir.join(CLAIMS_DIR), bundle.start)) {
-            Ok(()) => removed += 1,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(removed)
 }
 
 /// What a merge found.
@@ -421,7 +377,7 @@ pub struct MergeReport {
 /// Merges shard journals `shard_0 .. shard_<shards>` under `dir`. When the
 /// union covers every job, writes the canonical merged journal to
 /// `dir/journal.txt` and returns the aggregated points; otherwise reports
-/// how many jobs are missing (rerun workers, then merge again).
+/// how many jobs are missing (rerun the shard workers, then merge again).
 ///
 /// # Errors
 ///
@@ -432,42 +388,6 @@ pub struct MergeReport {
 /// honestly-produced shards, since runs are deterministic, so disagreement
 /// means foreign state and the merge must not guess.
 pub fn merge_shards(spec: &FabricSpec, dir: &Path, shards: u64) -> io::Result<MergeReport> {
-    let done = union_journals(spec, dir, shards)?;
-    let total = spec.total_jobs();
-    let manifests = (0..shards)
-        .filter_map(|shard| {
-            let text = std::fs::read_to_string(shard_dir(dir, shard).join(MANIFEST_FILE));
-            ShardManifest::parse(&text.ok()?)
-        })
-        .collect();
-    let missing = total - done.len();
-    if missing > 0 {
-        return Ok(MergeReport {
-            points: None,
-            missing,
-            manifests,
-        });
-    }
-    let flat: Vec<(bool, f64)> = (0..total).map(|i| done[&i]).collect();
-    write_atomically(
-        &dir.join(JOURNAL_FILE),
-        canonical_journal(spec, spec.fingerprint(), &flat).as_bytes(),
-    )?;
-    Ok(MergeReport {
-        points: Some(aggregate_points(&spec.ns, spec.seeds, &flat)),
-        missing: 0,
-        manifests,
-    })
-}
-
-/// The union of the shard journals `shard_0 .. shard_<shards>` under
-/// `dir`, after [`FabricSpec::check`]. Refuses mismatched fingerprints and
-/// shard journals that disagree on a job's exact result (`InvalidData`).
-fn union_journals(
-    spec: &FabricSpec,
-    dir: &Path,
-    shards: u64,
-) -> io::Result<HashMap<usize, (bool, f64)>> {
     spec.check(shards)?;
     let (fp, total) = (spec.fingerprint(), spec.total_jobs());
     let mut done = HashMap::new();
@@ -488,7 +408,30 @@ fn union_journals(
             }
         }
     }
-    Ok(done)
+    let manifests = (0..shards)
+        .filter_map(|shard| {
+            let text = std::fs::read_to_string(shard_dir(dir, shard).join(MANIFEST_FILE));
+            ShardManifest::parse(&text.ok()?)
+        })
+        .collect();
+    let missing = total - done.len();
+    if missing > 0 {
+        return Ok(MergeReport {
+            points: None,
+            missing,
+            manifests,
+        });
+    }
+    let flat: Vec<(bool, f64)> = (0..total).map(|i| done[&i]).collect();
+    write_atomically(
+        &dir.join(JOURNAL_FILE),
+        canonical_journal(spec, fp, &flat).as_bytes(),
+    )?;
+    Ok(MergeReport {
+        points: Some(aggregate_points(&spec.ns, spec.seeds, &flat)),
+        missing: 0,
+        manifests,
+    })
 }
 
 /// Runs the whole grid in this process and writes the canonical journal —
@@ -669,29 +612,21 @@ mod tests {
         assert_eq!(report.manifests.len(), 2);
     }
 
-    #[test]
-    fn stale_claim_blocks_bundle_until_cleaned() {
-        let spec = spec();
-        let dir = Scratch::new("stale_claim");
-        // Fake a worker that died after claiming block 0 and before
-        // journaling it.
+    /// Writes block `start`'s claim with body `body`, as a worker of
+    /// another run (or a hand edit) left it.
+    fn fake_claim(dir: &Scratch, start: usize, body: &[u8]) {
         let claims = dir.0.join(CLAIMS_DIR);
         std::fs::create_dir_all(&claims).unwrap();
-        assert!(claim_bundle(&claims, 0, 7).expect("claim dir is writable"));
-        let outcome =
-            run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None).expect("worker runs");
-        assert_eq!(outcome.fresh_jobs, spec.total_jobs() - 2, "block 0 held");
-        let report = merge_shards(&spec, &dir.0, 1).expect("merge reads journals");
-        assert_eq!(report.missing, 2);
-        assert!(report.points.is_none());
-        // The orchestrator's retry round: release dead claims, rerun, merge.
-        assert_eq!(clean_stale_claims(&spec, &dir.0, 1).unwrap(), 1);
-        let outcome = run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None).expect("retry runs");
-        assert_eq!(outcome.fresh_jobs, 2);
-        let report = merge_shards(&spec, &dir.0, 1).expect("merge succeeds");
-        let merged = report.points.expect("complete after retry");
-        let seq = Scratch::new("stale_claim_seq");
-        let points = run_sequential(|_| Fratricide, &spec, &seq.0).expect("sequential runs");
+        std::fs::write(claim_path(&claims, start), body).unwrap();
+    }
+
+    /// Merges `shards` shards under `dir` and requires the sequential run's
+    /// exact table (checksums included) and canonical journal bytes.
+    fn assert_merges_to_sequential(spec: &FabricSpec, dir: &Scratch, shards: u64) {
+        let merged = merge_shards(spec, &dir.0, shards).expect("merge reads the shards");
+        let merged = merged.points.expect("every job is journaled");
+        let seq = Scratch(dir.0.with_extension("seq"));
+        let points = run_sequential(|_| Fratricide, spec, &seq.0).expect("sequential runs");
         assert_eq!(
             points_table(&points).to_csv(),
             points_table(&merged).to_csv()
@@ -700,6 +635,75 @@ mod tests {
             std::fs::read(seq.0.join(JOURNAL_FILE)).unwrap(),
             std::fs::read(dir.0.join(JOURNAL_FILE)).unwrap()
         );
+    }
+
+    #[test]
+    fn stale_claim_blocks_bundle_until_its_shard_reruns() {
+        let spec = spec();
+        let dir = Scratch::new("stale_claim");
+        // Fake shard 7 dying after claiming block 0 and before journaling
+        // it.
+        fake_claim(&dir, 0, b"7 4242\n");
+        let outcome =
+            run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None).expect("worker runs");
+        assert_eq!(outcome.fresh_jobs, spec.total_jobs() - 2, "block 0 held");
+        let report = merge_shards(&spec, &dir.0, 8).expect("merge reads journals");
+        assert_eq!(report.missing, 2);
+        assert!(report.points.is_none());
+        // Rerunning shard 7 takes its claim back and completes the grid.
+        let outcome = run_worker_shard(|_| Fratricide, &spec, &dir.0, 7, None).expect("rerun");
+        assert_eq!(outcome.fresh_jobs, 2);
+        assert_merges_to_sequential(&spec, &dir, 8);
+    }
+
+    #[test]
+    fn rerun_worker_takes_back_only_its_own_claims() {
+        // Blocks [0,2) [2,4) [4,5) [5,7) [7,9) [9,10). Killed workers left
+        // claims with no journal record: block 0 by shard 0, block 2 by
+        // shard 7, and two claims whose body names no shard.
+        let spec = spec();
+        let dir = Scratch::new("own_claims");
+        let held: [(usize, &[u8]); 3] = [(2, b"7 4242\n"), (5, b""), (7, b"garbage\n")];
+        fake_claim(&dir, 0, b"0 4242\n");
+        for (start, body) in held {
+            fake_claim(&dir, start, body);
+        }
+        let worker = |shard| {
+            run_worker_shard(|_| Fratricide, &spec, &dir.0, shard, None).expect("worker runs")
+        };
+        // Shard 0 reruns its own block 0 and runs the unclaimed 4 and 9.
+        assert_eq!(worker(0).fresh_jobs, 4);
+        let missing = || merge_shards(&spec, &dir.0, 8).expect("merge").missing;
+        assert_eq!(missing(), 6);
+        for (start, body) in held {
+            let claim = claim_path(&dir.0.join(CLAIMS_DIR), start);
+            assert_eq!(
+                std::fs::read(claim).unwrap(),
+                body,
+                "claim {start} untouched"
+            );
+        }
+        // Shard 7's rerun recovers its own claim, and nothing else.
+        assert_eq!(worker(7).fresh_jobs, 2);
+        assert_eq!(missing(), 4);
+        // Claims that name no shard stay held until removed by hand.
+        assert_eq!(worker(0).fresh_jobs, 0);
+        for start in [5, 7] {
+            std::fs::remove_file(claim_path(&dir.0.join(CLAIMS_DIR), start)).unwrap();
+        }
+        assert_eq!(worker(0).fresh_jobs, 4);
+        assert_merges_to_sequential(&spec, &dir, 8);
+    }
+
+    #[test]
+    fn claim_bodies_name_exactly_one_shard() {
+        assert_eq!(claim_shard("0 4242\n"), Some(0));
+        assert_eq!(claim_shard("4095 1\n"), Some(4095));
+        for body in [
+            "", "0", "0\n", "0 4242", "0 x\n", "x 1\n", "0 1 2\n", " 0 1\n",
+        ] {
+            assert_eq!(claim_shard(body), None, "accepted {body:?}");
+        }
     }
 
     #[test]
@@ -713,9 +717,6 @@ mod tests {
         foreign.master_seed = 43;
         run_worker_shard(|_| Fratricide, &foreign, &dir.0, 1, None).expect("foreign shard runs");
         let err = merge_shards(&spec, &dir.0, 2).expect_err("mixed fingerprints must refuse");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        // Same for the claim janitor, which reads the same journals.
-        let err = clean_stale_claims(&spec, &dir.0, 2).expect_err("janitor must refuse too");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -734,18 +735,6 @@ mod tests {
         assert_eq!(resumed.fresh_jobs + outcome.fresh_jobs, spec.total_jobs());
         let report = merge_shards(&spec, &dir.0, 1).expect("merge succeeds");
         assert_eq!(report.missing, 0);
-    }
-
-    #[test]
-    fn progress_snapshots_aggregate_across_shards() {
-        let spec = spec();
-        let dir = Scratch::new("progress");
-        run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None).expect("worker runs");
-        let (done, total) = aggregate_progress(&dir.0, 1);
-        assert_eq!((done, total), (spec.total_jobs(), spec.total_jobs()));
-        // A shard with no snapshot contributes nothing rather than erroring.
-        let (done_two, total_two) = aggregate_progress(&dir.0, 2);
-        assert_eq!((done_two, total_two), (done, total));
     }
 
     #[test]
@@ -779,7 +768,7 @@ mod tests {
         let dir = Scratch::new("held_blocks");
         let first = run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, Some(2)).expect("shard 0");
         assert_eq!(first.fresh_jobs, 2);
-        assert!(claim_bundle(&dir.0.join(CLAIMS_DIR), 4, 7).expect("claim dir is writable"));
+        fake_claim(&dir, 4, b"7 4242\n");
         let limited = |shard| {
             run_worker_shard(|_| Fratricide, &spec, &dir.0, shard, Some(2)).expect("worker runs")
         };
@@ -815,12 +804,10 @@ mod tests {
         invalid(run_sequential(|_| Fratricide, &huge, &dir.0).map(drop));
         invalid(run_worker_shard(|_| Fratricide, &huge, &dir.0, 0, None).map(drop));
         invalid(merge_shards(&huge, &dir.0, 1).map(drop));
-        invalid(clean_stale_claims(&huge, &dir.0, 1).map(drop));
         let spec = spec();
         invalid(run_worker_shard(|_| Fratricide, &spec, &dir.0, MAX_SHARDS, None).map(drop));
         invalid(run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, Some(0)).map(drop));
         invalid(merge_shards(&spec, &dir.0, MAX_SHARDS + 1).map(drop));
-        invalid(clean_stale_claims(&spec, &dir.0, MAX_SHARDS + 1).map(drop));
         assert!(
             !dir.0.exists(),
             "refused calls must not touch the directory"
@@ -854,31 +841,38 @@ mod tests {
     proptest! {
         #[test]
         fn hostile_shard_files_are_typed_errors_never_panics(
-            (journal, manifest) in {
+            (journal, manifest, claim) in {
                 let (journal, manifest) = real_shard_files();
-                (hostile(journal), hostile(manifest))
+                (hostile(journal), hostile(manifest), hostile(b"0 4242\n".to_vec()))
             }
         ) {
             let dir = Scratch::new("hostile");
             std::fs::create_dir_all(shard_dir(&dir.0, 0)).unwrap();
             std::fs::write(shard_dir(&dir.0, 0).join(JOURNAL_FILE), &journal).unwrap();
             std::fs::write(shard_dir(&dir.0, 0).join(MANIFEST_FILE), &manifest).unwrap();
+            fake_claim(&dir, 0, &claim);
             let spec = spec();
+            let path = shard_dir(&dir.0, 0).join(JOURNAL_FILE);
+            let before = load_journal(&path, spec.fingerprint(), spec.total_jobs());
             let rejected = |result: io::Result<()>| match result {
                 Ok(()) => Ok(false),
                 Err(e) if e.kind() == io::ErrorKind::InvalidData => Ok(true),
                 Err(e) => Err(TestCaseError::Fail(format!("untyped rejection: {e}"))),
             };
             let merge = rejected(merge_shards(&spec, &dir.0, 1).map(drop))?;
-            let clean = rejected(clean_stale_claims(&spec, &dir.0, 1).map(drop))?;
             let worker = run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None);
             let work = rejected(worker.map(drop))?;
-            // All three read the journal the same way.
-            prop_assert_eq!((merge, clean), (work, work));
-            if !work {
-                // An accepted journal is whole once the worker has run.
+            // Both read the journal the same way.
+            prop_assert_eq!((merge, before.is_err()), (work, work));
+            if let Ok(before) = before {
+                // An accepted journal is whole once the worker has run,
+                // except for block 0 when its claim names another shard or
+                // none: that claim holds whatever block 0 had not journaled.
+                let owner = std::str::from_utf8(&claim).ok().and_then(claim_shard);
+                let unjournaled = (0..2).filter(|i| !before.contains_key(i)).count();
                 let report = merge_shards(&spec, &dir.0, 1);
-                prop_assert_eq!(report.expect("the worker's journal merges").missing, 0);
+                let missing = report.expect("the worker's journal merges").missing;
+                prop_assert_eq!(missing, if owner == Some(0) { 0 } else { unjournaled });
             }
         }
     }

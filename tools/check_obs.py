@@ -24,8 +24,10 @@ The first file's ``schema`` picks the form.
 
 ``pp-sweep-metrics/v1`` (``ppsweep``'s ``metrics.json``): the aggregate
 and every rollup have exactly their fields; a sequential run (no
-manifests given) reports zero shards and unsharded rollups; a merged run
-reports one shard per manifest given, every manifest is a complete
+manifests given) reports zero shards, numbers for the aggregate's
+``wall_seconds`` and ``jobs_per_second`` and unsharded rollups; a merged
+run, which does not time the sweep, reports null for both, one shard
+per manifest given, every manifest is a complete
 ``pp-sweep-shard/v1`` manifest with exactly its fields, the manifests'
 jobs sum to the aggregate's, and every rollup names one of their shards.
 
@@ -114,8 +116,9 @@ ROLLUP_FIELDS = {
 SWEEP_AGGREGATE_FIELDS = {
     "jobs": INT,
     "shards": INT,
-    "wall_seconds": NUM,
-    "jobs_per_second": NUM,
+    # Numbers for a sequential run, null for a merge; check_sweep checks.
+    "wall_seconds": ANY,
+    "jobs_per_second": ANY,
 }
 
 MANIFEST_FIELDS = {
@@ -328,6 +331,12 @@ def check_sweep(path, manifest_paths):
             f"{path}: aggregate reports {aggregate['shards']} shards, "
             f"but {len(manifests)} distinct manifests were given"
         )
+    merged = aggregate["shards"] != 0
+    for key in ("wall_seconds", "jobs_per_second"):
+        if merged and aggregate[key] is not None:
+            fail(f"{path}: aggregate {key} {aggregate[key]!r} must be null for a merge")
+        if not merged and not type_ok(aggregate[key], NUM):
+            fail(f"{path}: aggregate {key} {aggregate[key]!r} must be a number")
     for i, rollup in enumerate(rollups):
         if manifests and rollup["shard"] not in shards:
             fail(f"{path}:rollups[{i}]: shard {rollup['shard']!r} has no manifest")
