@@ -356,8 +356,8 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
 
     /// Interactions executed per tier over the whole execution (maintained
     /// at dispatch boundaries whether or not an observer is attached, and
-    /// persisted across [`snapshot`](Self::snapshot)/[`resume`]
-    /// (Self::resume) since snapshot format v3).
+    /// persisted across [`snapshot`](Self::snapshot) and
+    /// [`resume`](Self::resume) since snapshot format v3).
     pub fn tier_usage(&self) -> TierUsage {
         self.tiers.usage
     }

@@ -26,7 +26,7 @@
 //!   "number of states" column of the paper's Table 1. It dispatches across
 //!   **four execution tiers** (see the [`tier` docs](EngineTier) and the
 //!   [`count_engine` docs](CountSimulation)): the uncached reference path,
-//!   the hash-free [compiled](compiled) per-step path, a null-skipping jump
+//!   the hash-free [compiled] per-step path, a null-skipping jump
 //!   scheduler that telescopes runs of null interactions into single
 //!   geometric draws wherever they dominate (making `Θ(n²)`-step election
 //!   tails at `n = 2^28`–`2^30` seconds-scale), and a collision-free

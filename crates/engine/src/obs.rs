@@ -375,11 +375,9 @@ impl TrajectorySampler {
 /// [`EngineEvent`]s up to a capacity, accounts a [`TierTimeline`], and
 /// optionally drives a [`TrajectorySampler`].
 ///
-/// Attach with [`CountSimulation::set_observer`]
-/// (crate::CountSimulation::set_observer), read through [`CountSimulation::observer`]
-/// (crate::CountSimulation::observer), detach with
-/// [`CountSimulation::take_observer`]
-/// (crate::CountSimulation::take_observer).
+/// Attach with [`set_observer`](crate::CountSimulation::set_observer), read
+/// through [`observer`](crate::CountSimulation::observer), detach with
+/// [`take_observer`](crate::CountSimulation::take_observer).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineObserver {
     events: Vec<EngineEvent>,
@@ -521,17 +519,14 @@ pub struct EngineMetrics {
     pub timeline: Option<TierTimeline>,
 }
 
-/// Schema tag embedded in (and required from) the metrics JSON. Version 2
-/// dropped the round-law tag and the batch tier's segment counter.
-pub const METRICS_SCHEMA: &str = "pp-engine-metrics/v2";
-
 impl EngineMetrics {
-    /// Serializes the metrics as one JSON object (pretty-stable field
-    /// order; hand-rolled — the workspace takes no serde dependency).
+    /// Serializes the metrics as one JSON object (stable field order;
+    /// hand-rolled, no serde): the `engine` section of the `pp-metrics/v1`
+    /// document the `pp-sim` binaries write.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str(&format!(
-            "{{\"schema\":\"{METRICS_SCHEMA}\",\"population\":{},\"steps\":{},\
+            "{{\"population\":{},\"steps\":{},\
              \"parallel_time\":{},\"support\":{},\"distinct_states_seen\":{},\
              \"active_tier\":\"{}\",",
             self.population,
@@ -745,10 +740,9 @@ mod tests {
     }
 
     /// Asserts `json` is one object with balanced braces that opens with
-    /// the schema tag.
+    /// the population.
     fn assert_metrics_shape(json: &str) {
-        let head = format!("{{\"schema\":\"{METRICS_SCHEMA}\",");
-        assert!(json.starts_with(&head), "bad head: {json}");
+        assert!(json.starts_with("{\"population\":"), "bad head: {json}");
         let mut depth = 0i64;
         for (i, c) in json.char_indices() {
             match c {

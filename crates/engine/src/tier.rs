@@ -54,8 +54,9 @@ const BATCH_SUPPORT_DIVISOR: u64 = 3;
 /// round's set-up below it.
 const BATCH_MIN_POPULATION: u64 = 4096;
 
-/// The execution tier the count engine is currently dispatching to (see the
-/// [module docs](self) for the selection rules).
+/// The execution tier the count engine is currently dispatching to. Tier
+/// reviews at batch boundaries select it from the live configuration, with
+/// hysteresis around fixed thresholds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineTier {
     /// Uncached per-step fallback: hash, clone, and call

@@ -316,7 +316,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         len: Range<usize>,

@@ -36,8 +36,8 @@ pub struct TransferEffect {
 }
 
 /// Dynamic weighted sampler over integer weights, backed by a complete
-/// binary sum tree (see the [module docs](self) for the layout and why it
-/// beats the Fenwick layout on branch prediction).
+/// binary sum tree, whose layout beats the Fenwick layout on branch
+/// prediction.
 ///
 /// # Example
 ///

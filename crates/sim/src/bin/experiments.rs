@@ -6,23 +6,27 @@
 //! experiments all --quick          # smoke-run everything
 //! experiments theorem1 --csv DIR   # also write CSV files into DIR
 //!
-//! # observability: trajectory CSV, unified metrics JSON, event log
+//! # observability: trajectory CSV, metrics document, event log
 //! experiments --quick --trajectory 256 --csv DIR \
 //!             --metrics-out metrics.json --events-out events.jsonl
 //! ```
+//!
+//! `--metrics-out` writes one [`pp_sim::metrics_document`], the schema
+//! `ppsweep` writes too.
 //!
 //! A sweep that must survive being killed runs through `ppsweep`, whose
 //! worker shards journal every finished block; rerunning a killed worker
 //! resumes it.
 
 use pp_sim::{
-    enable_sweep_rollup, observed_pll_election, pll_attribution_trajectory, run_experiment,
-    take_sweep_rollups, ExperimentOutput, EXPERIMENT_IDS,
+    enable_sweep_rollup, metrics_document, observed_pll_election, pll_attribution_trajectory,
+    run_experiment, take_sweep_rollups, ExperimentOutput, EXPERIMENT_IDS,
 };
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+#[derive(Default)]
 struct Args {
     ids: Vec<String>,
     quick: bool,
@@ -41,12 +45,7 @@ impl Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut ids = Vec::new();
-    let mut quick = false;
-    let mut csv_dir = None;
-    let mut metrics_out = None;
-    let mut events_out = None;
-    let mut trajectory = None;
+    let mut args = Args::default();
     let mut argv = std::env::args().skip(1);
     let path_arg = |argv: &mut dyn Iterator<Item = String>, flag: &str| {
         argv.next()
@@ -55,10 +54,10 @@ fn parse_args() -> Result<Args, String> {
     };
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--quick" => quick = true,
-            "--csv" => csv_dir = Some(path_arg(&mut argv, "--csv")?),
-            "--metrics-out" => metrics_out = Some(path_arg(&mut argv, "--metrics-out")?),
-            "--events-out" => events_out = Some(path_arg(&mut argv, "--events-out")?),
+            "--quick" => args.quick = true,
+            "--csv" => args.csv_dir = Some(path_arg(&mut argv, "--csv")?),
+            "--metrics-out" => args.metrics_out = Some(path_arg(&mut argv, "--metrics-out")?),
+            "--events-out" => args.events_out = Some(path_arg(&mut argv, "--events-out")?),
             "--trajectory" => {
                 let k = argv
                     .next()
@@ -69,31 +68,19 @@ fn parse_args() -> Result<Args, String> {
                 if k == 0 {
                     return Err("--trajectory stride must be positive".to_string());
                 }
-                trajectory = Some(k);
+                args.trajectory = Some(k);
             }
-            "--help" | "-h" => {
-                ids.push("help".to_string());
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown flag `{other}`"));
-            }
-            id => ids.push(id.to_string()),
+            "--help" | "-h" => args.ids.push("help".to_string()),
+            other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
+            id => args.ids.push(id.to_string()),
         }
     }
-    // A pure observability invocation (`--trajectory`/`--metrics-out`/
-    // `--events-out` with no ids) runs the capture alone instead of
-    // printing help.
-    if ids.is_empty() && metrics_out.is_none() && events_out.is_none() && trajectory.is_none() {
-        ids.push("help".to_string());
+    // A pure observability invocation (no ids) runs the capture alone
+    // instead of printing help.
+    if args.ids.is_empty() && !args.wants_observability() {
+        args.ids.push("help".to_string());
     }
-    Ok(Args {
-        ids,
-        quick,
-        csv_dir,
-        metrics_out,
-        events_out,
-        trajectory,
-    })
+    Ok(args)
 }
 
 fn print_help() {
@@ -115,9 +102,9 @@ fn print_help() {
     println!("  --trajectory K          capture a P_LL election trajectory sampled every K");
     println!("                          interactions (leader count + per-mechanism demotion");
     println!("                          attribution) as CSV into --csv DIR, else to stdout");
-    println!("  --metrics-out FILE      write a unified metrics JSON: the observed election's");
-    println!("                          EngineMetrics, the trajectory summary, and per-sweep");
-    println!("                          throughput rollups of any experiments run");
+    println!("  --metrics-out FILE      write a pp-metrics/v1 document, the schema ppsweep");
+    println!("                          writes: the observed election's engine metrics, the");
+    println!("                          trajectory summary and every fan-out's rollup");
     println!("  --events-out FILE       write the observed election's structured event log");
     println!("                          as JSONL (schema documented in pp_engine::obs)");
     println!();
@@ -185,7 +172,7 @@ fn run_observability(args: &Args) -> std::io::Result<()> {
     }
 
     if let Some(path) = &args.metrics_out {
-        let trajectory_json = trajectory.as_ref().map_or("null".to_string(), |report| {
+        let trajectory_json = trajectory.as_ref().map(|report| {
             format!(
                 "{{\"n\":{},\"every\":{},\"steps\":{},\"converged\":{},\
                  \"final_leaders\":{},\"rows\":{}}}",
@@ -197,12 +184,12 @@ fn run_observability(args: &Args) -> std::io::Result<()> {
                 report.trace.len()
             )
         });
-        let sweeps: Vec<String> = take_sweep_rollups().iter().map(|r| r.to_json()).collect();
-        let json = format!(
-            "{{\"schema\":\"pp-sim-metrics/v1\",\"engine\":{},\
-             \"trajectory\":{trajectory_json},\"sweeps\":[{}]}}\n",
-            observed.metrics.to_json(),
-            sweeps.join(",")
+        let json = metrics_document(
+            Some(&observed.metrics.to_json()),
+            trajectory_json.as_deref(),
+            None,
+            None,
+            &take_sweep_rollups(),
         );
         std::fs::write(path, json)?;
         eprintln!("wrote {}", path.display());

@@ -19,9 +19,13 @@
 //!
 //! Every complete mode writes `journal.txt` (the canonical merged journal),
 //! `table.csv`, and `metrics.json` under `--dir` and prints the results
-//! table to stdout — and those bytes are identical whichever mode produced
-//! them (the fabric's merge contract; see [`pp_sim::fabric`]). Mode
-//! chatter and progress go to stderr only.
+//! table to stdout. The journal, table and stdout bytes are identical
+//! whichever mode produced them (the fabric's merge contract; see
+//! [`pp_sim::fabric`]). Mode chatter and progress go to stderr only.
+//!
+//! Every `metrics.json` is one [`pp_sim::metrics_document`]: a run's holds
+//! the sweep totals and rollups, a worker's `shard_<k>/metrics.json` its
+//! shard record and the rollup of the jobs it ran.
 //!
 //! Exit codes: 0 success; 1 error; 2 worker suspended at `--job-limit`
 //! (rerun to resume); 3 merge incomplete (rerun the shard workers, then
@@ -31,11 +35,10 @@ use pp_core::Pll;
 use pp_engine::LeaderElection;
 use pp_protocols::{BoundedLottery, Fratricide, UnboundedLottery};
 use pp_sim::fabric::{
-    merge_shards, points_table, run_sequential, run_worker_shard, shard_dir, FabricSpec, MAX_SHARDS,
+    merge_shards, points_table, run_sequential, run_worker_shard, FabricSpec, MAX_SHARDS,
 };
-use pp_sim::{enable_sweep_rollup, take_sweep_rollups, SweepPoint};
+use pp_sim::SweepPoint;
 use std::path::PathBuf;
-use std::time::Instant;
 
 fn main() {
     let code = match Cli::parse(std::env::args().skip(1)) {
@@ -66,14 +69,14 @@ usage: ppsweep --ns N,N,... --dir DIR [options]
   --job-limit J       suspend this worker invocation after ~J >= 1 fresh jobs
   --shards N          shard count for --merge
   --merge             merge shards 0..N-1 without running anything
-  --metrics-out FILE  also write the metrics JSON to FILE";
+Writes journal.txt, table.csv and metrics.json under DIR (a worker writes
+DIR/shard_K/); every metrics.json is one pp-metrics/v1 document.";
 
 /// Parsed command line.
 struct Cli {
     spec: FabricSpec,
     dir: PathBuf,
     mode: Mode,
-    metrics_out: Option<PathBuf>,
 }
 
 enum Mode {
@@ -99,7 +102,6 @@ impl Cli {
         let mut merge = false;
         let mut worker: Option<u64> = None;
         let mut job_limit: Option<usize> = None;
-        let mut metrics_out: Option<PathBuf> = None;
 
         let mut args = args;
         while let Some(arg) = args.next() {
@@ -125,7 +127,6 @@ impl Cli {
                 "--job-limit" => {
                     job_limit = Some(parse_num(&value("--job-limit")?, "--job-limit")?);
                 }
-                "--metrics-out" => metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
@@ -166,12 +167,7 @@ impl Cli {
                 );
             }
         };
-        Ok(Self {
-            spec,
-            dir,
-            mode,
-            metrics_out,
-        })
+        Ok(Self { spec, dir, mode })
     }
 }
 
@@ -213,30 +209,19 @@ where
     }
     match cli.mode {
         Mode::Sequential => {
-            enable_sweep_rollup();
-            let started = Instant::now();
             let points = run_sequential(&make, &cli.spec, &cli.dir)?;
-            let wall_seconds = Some(started.elapsed().as_secs_f64());
-            let metrics = metrics_json(&cli.spec, 0, wall_seconds, &rollup_lines());
-            finish(cli, &points, &metrics)?;
+            finish(cli, &points)?;
             Ok(0)
         }
         Mode::Worker { shard, job_limit } => {
-            enable_sweep_rollup();
             let outcome = run_worker_shard(&make, &cli.spec, &cli.dir, shard, job_limit)?;
-            // Per-shard metrics land in the shard dir; --merge folds them
-            // into the run-level metrics.json.
-            let metrics = format!("{{\"rollups\":[{}]}}\n", rollup_lines().join(","));
-            std::fs::write(shard_dir(&cli.dir, shard).join("metrics.json"), metrics)?;
-            eprintln!(
-                "ppsweep: shard {shard} journaled {} fresh jobs{}",
-                outcome.fresh_jobs,
-                if outcome.suspended {
-                    " (suspended at job limit)"
-                } else {
-                    ""
-                }
-            );
+            let suspended = if outcome.suspended {
+                " (suspended at job limit)"
+            } else {
+                ""
+            };
+            let fresh = outcome.fresh_jobs;
+            eprintln!("ppsweep: shard {shard} journaled {fresh} fresh jobs{suspended}");
             Ok(if outcome.suspended { 2 } else { 0 })
         }
         Mode::Merge { shards } => merge(cli, shards),
@@ -255,26 +240,7 @@ fn merge(cli: &Cli, shards: u64) -> std::io::Result<i32> {
         );
         return Ok(3);
     };
-    // Fold the shard-level rollups (each tagged with pid + shard) into the
-    // run-level metrics: per-process fan-outs plus the cross-process
-    // aggregate a single process could never report.
-    let mut rollups = Vec::new();
-    for shard in 0..shards {
-        if let Ok(text) = std::fs::read_to_string(shard_dir(&cli.dir, shard).join("metrics.json")) {
-            if let Some(inner) = text
-                .find('[')
-                .and_then(|a| text.rfind(']').map(|b| &text[a + 1..b]))
-            {
-                if !inner.trim().is_empty() {
-                    rollups.push(inner.trim().to_string());
-                }
-            }
-        }
-    }
-    // A merge does not time the sweep: each shard's manifest holds its own
-    // wall time.
-    let metrics = metrics_json(&cli.spec, shards, None, &rollups);
-    finish(cli, &points, &metrics)?;
+    finish(cli, &points)?;
     for manifest in &report.manifests {
         eprintln!(
             "ppsweep: shard {} (pid {}) ran {} jobs on {} threads in {:.2}s",
@@ -284,44 +250,14 @@ fn merge(cli: &Cli, shards: u64) -> std::io::Result<i32> {
     Ok(0)
 }
 
-/// Run-level metrics JSON: the cross-process aggregate plus every
-/// collected rollup line. `wall_seconds` is the sweep's when this process
-/// ran it, and `None` (`null` time and rate) for a merge.
-fn metrics_json(
-    spec: &FabricSpec,
-    shards: u64,
-    wall_seconds: Option<f64>,
-    rollups: &[String],
-) -> String {
-    let jobs = spec.total_jobs();
-    let (wall_seconds, rate) = match wall_seconds {
-        Some(secs) if secs > 0.0 => (secs.to_string(), (jobs as f64 / secs).to_string()),
-        Some(secs) => (secs.to_string(), "0".to_string()),
-        None => ("null".to_string(), "null".to_string()),
-    };
-    format!(
-        "{{\"schema\":\"pp-sweep-metrics/v1\",\"aggregate\":{{\"jobs\":{jobs},\
-         \"shards\":{shards},\"wall_seconds\":{wall_seconds},\
-         \"jobs_per_second\":{rate}}},\"rollups\":[{}]}}\n",
-        rollups.join(",")
-    )
-}
-
-fn rollup_lines() -> Vec<String> {
-    take_sweep_rollups().iter().map(|r| r.to_json()).collect()
-}
-
-/// The shared tail of every complete mode: write `table.csv` and
-/// `metrics.json`, print the aligned table to stdout. Table and stdout
-/// bytes are pure functions of the (bit-identical) points, so sequential
-/// and sharded runs conclude with identical output.
-fn finish(cli: &Cli, points: &[SweepPoint], metrics: &str) -> std::io::Result<()> {
+/// The shared tail of every complete mode (the fabric has written the
+/// journal and `metrics.json`): write `table.csv` and print the aligned
+/// table to stdout. Table and stdout bytes are pure functions of the
+/// (bit-identical) points, so sequential and sharded runs conclude with
+/// identical output.
+fn finish(cli: &Cli, points: &[SweepPoint]) -> std::io::Result<()> {
     let table = points_table(points);
     std::fs::write(cli.dir.join("table.csv"), table.to_csv())?;
-    std::fs::write(cli.dir.join("metrics.json"), metrics)?;
-    if let Some(out) = &cli.metrics_out {
-        std::fs::write(out, metrics)?;
-    }
     print!("{}", table.to_aligned());
     Ok(())
 }
@@ -351,8 +287,14 @@ mod tests {
         let err = parse("--ns 64 --dir d --shards 5000 --merge").err();
         assert_eq!(err, Some(format!("--shards must be in 1..={MAX_SHARDS}")));
         // The local orchestrator is gone: rerunning a worker is the one
-        // recovery path, and its flags are unknown.
-        for flag in ["--spawn", "--threads-per-worker 1", "--retry-rounds 3"] {
+        // recovery path, and its flags are unknown. So is --metrics-out:
+        // the metrics document is always DIR/metrics.json.
+        for flag in [
+            "--spawn",
+            "--threads-per-worker 1",
+            "--retry-rounds 3",
+            "--metrics-out m.json",
+        ] {
             let err = parse(&format!("--ns 64 --dir d --shards 2 {flag}")).err();
             let name = flag.split(' ').next().unwrap();
             assert_eq!(err, Some(format!("unknown flag `{name}`")));

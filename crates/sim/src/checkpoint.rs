@@ -24,7 +24,7 @@
 //! [`drive_blocks`] selects pending blocks (any record missing) in job
 //! order until the planned fresh jobs reach the job limit — deterministic,
 //! overshooting by at most `block − 1` jobs — runs them largest-`n`-first
-//! ([`cost_order`]) on [`parallel_map`], and appends each finished block,
+//! on [`parallel_map`]'s thread pool, and appends each finished block,
 //! marker plus records, in one buffered write through [`render_block`], so
 //! a crash tears at most the final block. A block missing any record reruns
 //! whole on resume; runs are deterministic, so rerun seeds rewrite
@@ -46,7 +46,7 @@
 //! [`parallel_map`]: crate::parallel_map
 //! [`run_worker_shard`]: crate::fabric::run_worker_shard
 
-use crate::runner::{cost_order, parallel_map, SweepBundle};
+use crate::runner::{cost_order, fan_out, SweepBundle, SweepRollup};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, Read as _, Write};
@@ -66,9 +66,10 @@ pub(crate) const HEADER_PREFIX: &str = "ppsweep v3";
 /// each to the journal at `path` (opened, header `fp` first, only once a
 /// block is selected) and adds its results to `done`. `run` returns a
 /// block's results in job order, or `None` to decline it (the fabric's
-/// claim gate). Returns the jobs it ran — a rerun block counts whole — and
-/// whether the job limit stopped the selection with pending blocks left
-/// over.
+/// claim gate). Returns the rollup of its fan-out, whose `jobs` are the
+/// jobs it ran (a rerun block counts whole; `None` when it selected no
+/// block), and whether the job limit stopped the selection with pending
+/// blocks left over.
 ///
 /// # Errors
 ///
@@ -82,7 +83,7 @@ pub(crate) fn drive_blocks<R>(
     path: &Path,
     fp: u64,
     run: R,
-) -> io::Result<(usize, bool)>
+) -> io::Result<(Option<SweepRollup>, bool)>
 where
     R: Fn(&SweepBundle) -> io::Result<Option<Vec<(bool, f64)>>> + Sync,
 {
@@ -103,17 +104,17 @@ where
     // Selected in job order (the limit's semantics), scheduled
     // most-expensive-first. Results are journaled and aggregated by block
     // start, so the order changes makespan only, never a byte of output.
-    let order: Vec<&SweepBundle> = cost_order(bundles)
+    let order: Vec<&SweepBundle> = cost_order(bundles, |b| b.n)
         .into_iter()
         .filter(|&k| selected[k])
         .map(|k| &bundles[k])
         .collect();
     if order.is_empty() {
-        return Ok((0, suspended));
+        return Ok((None, suspended));
     }
     let journal = Mutex::new(Some(open_journal_for_append(path, fp)?));
     let lock = || journal.lock().expect("journal writers do not panic");
-    let outcomes = parallel_map(&order, |bundle| -> io::Result<Option<_>> {
+    let run_block = |bundle: &&SweepBundle| -> io::Result<Option<_>> {
         if lock().is_none() {
             return Ok(None);
         }
@@ -131,15 +132,18 @@ where
             return Err(e);
         }
         Ok(Some((bundle.start, results)))
-    });
-    let mut fresh = 0;
+    };
+    let ran = |outcome: &io::Result<Option<(usize, Vec<_>)>>| match outcome {
+        Ok(Some((_, results))) => results.len() as u64,
+        _ => 0,
+    };
+    let (outcomes, rollup) = fan_out(&order, run_block, ran);
     for outcome in outcomes {
         if let Some((start, results)) = outcome? {
-            fresh += results.len();
             done.extend((start..).zip(results));
         }
     }
-    Ok((fresh, suspended))
+    Ok((Some(rollup), suspended))
 }
 
 /// Appends one block to `text`: its `block` marker, then the `done` record

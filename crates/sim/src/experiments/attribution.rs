@@ -3,8 +3,8 @@
 //! A figure-equivalent breakdown motivating the paper's three-phase design:
 //! status assignment fells about half the population instantly,
 //! `QuickElimination()` removes almost all remaining leaders, `Tournament()`
-//! settles the stragglers, and `BackUp()` is rarely touched — exactly the
-//! probability cascade of Section 3.1.
+//! settles the stragglers, and `BackUp()` rarely demotes anyone. That ranks
+//! demotions, not time: the slow mode is a QuickElimination tie (`theorem1`).
 
 use crate::{parallel_map, ExperimentOutput};
 use pp_core::metrics::DemotionTally;
@@ -94,8 +94,8 @@ pub fn run(quick: bool) -> ExperimentOutput {
             .to_string(),
         "The cascade of Section 3.1 is visible: ~n/2 agents never lead past their first \
          interaction (status assignment), QuickElimination eliminates nearly all remaining \
-         leaders, Tournament handles the geometric-tie stragglers, and BackUp barely fires \
-         (it exists for the O(1/log n) failure tail)."
+         leaders, Tournament handles the geometric-tie stragglers, and BackUp rarely demotes \
+         anyone. That counts demotions, not time: BackUp is not the slow mode (see theorem1)."
             .to_string(),
     ];
 

@@ -67,6 +67,11 @@ pub fn run(quick: bool) -> ExperimentOutput {
         "All runs converge (unconverged = 0): stabilization is certain, not just expected — \
          the BackUp() phase guarantees it (Theorem 1's probability-1 clause)."
             .to_string(),
+        "The slow mode is a QuickElimination tie (≥ 2 leaders as the first agent enters epoch \
+         2), not BackUp, which rarely demotes: in a 512-seed probe at n = 2^10–2^16, 149 seeds \
+         tied (the max of the levelQ draws ties w.p. ≈ 0.279) and 122 of them resolved in \
+         Tournament's first epoch, 4 in BackUp: a constant tie rate times one epoch wait."
+            .to_string(),
     ];
 
     ExperimentOutput {

@@ -1,9 +1,6 @@
-//! Multi-process sweep fabric: sharded sweeps with a bit-identical merge.
-//!
-//! The engine saturates a single core on every workload shape, so the next
-//! throughput lever is horizontal: run one sweep grid across several OS
-//! processes (or boxes sharing a directory) and merge the shards back into
-//! exactly the artifact a sequential sweep would have produced.
+//! Multi-process sweep fabric: one sweep grid run across several OS
+//! processes (or boxes sharing a directory), merged back into exactly the
+//! artifact a sequential sweep produces.
 //!
 //! # Shard model
 //!
@@ -14,22 +11,20 @@
 //!   claims/<start>.claim   cross-process block claims, each naming its shard
 //!   shard_<k>/claim.txt    the claim body shard k's claims hard-link to
 //!   shard_<k>/journal.txt  ppsweep v3 journal of the jobs shard k ran
-//!   shard_<k>/manifest.json  machine-readable shard exit summary
+//!   shard_<k>/metrics.json shard k's metrics document: shard record, rollups
 //!   journal.txt            canonical merged journal (written by the merge)
+//!   metrics.json           the run's metrics document: sweep totals, rollups
 //! ```
 //!
-//! Work is claimed at **block** granularity ([`sweep_bundles`]' same-`n`
-//! seed blocks): a worker runs the journal's block driver over the
-//! unclaimed blocks and gates each on atomically linking
-//! `claims/<start>.claim`, so shards never duplicate work — *dynamic range
-//! claiming*, not static partitioning. The job space's heavy tail is what
-//! rules static shards out: whichever shard owned the straggler would cap
-//! the whole run. Instead a worker runs its blocks largest-`n`-first
-//! ([`cost_order`]'s LPT schedule), and any idle worker can pick up
-//! whatever remains. `--job-limit J` (at least 1) bounds one invocation's
-//! fresh jobs: blocks are *selected* in job order until the planned jobs
-//! reach `J` (overshoot at most `block − 1` jobs, whatever the thread
-//! count) and only then ordered largest-`n`-first.
+//! Every `metrics.json` is one [`metrics_document`]. Work is claimed at
+//! **block** granularity ([`FabricSpec::lanes`] same-`n` seeds): a worker
+//! runs the journal's block driver over the unclaimed blocks and gates each
+//! on atomically linking `claims/<start>.claim`, so shards never duplicate
+//! work — *dynamic range claiming*, not static partitioning. The job
+//! space's heavy tail is what rules static shards out: whichever shard
+//! owned the straggler would cap the whole run. Instead a worker runs its
+//! blocks largest-`n`-first (an LPT schedule), and any idle worker can pick
+//! up whatever remains.
 //!
 //! # Merge contract
 //!
@@ -43,7 +38,10 @@
 //! [`crate::stabilization_sweep`] traverses it, and [`Summary`] retains raw
 //! values so in-order accumulation is bit-exact. Sequential run, 1 shard,
 //! 40 shards, crashed-and-resumed shards: same bytes, same checksums
-//! ([`Summary::checksum`] is the witness surfaced in [`points_table`]).
+//! ([`Summary::checksum`] is the witness surfaced in [`points_table`]). The
+//! journals alone decide the merge, so shard directories an older binary
+//! left (with a `manifest.json` beside another `metrics.json` layout) merge
+//! too; a shard document it cannot parse only drops out of the metrics.
 //!
 //! # Crash recovery
 //!
@@ -63,15 +61,16 @@
 //! tolerated by the journal loader and rerun whole.
 //!
 //! [`Summary`]: pp_stats::Summary
-//! [`cost_order`]: crate::runner::cost_order
+//! [`Summary::checksum`]: pp_stats::Summary::checksum
 
 use crate::checkpoint::{
     drive_blocks, fingerprint, load_journal, open_journal_for_append, render_block,
     write_atomically, HEADER_PREFIX, JOURNAL_FILE,
 };
+use crate::metrics_document;
 use crate::runner::{
-    aggregate_points, check_seeds, run_bundle, sweep_bundles, sweep_flat, worker_count,
-    SweepBundle, SweepPoint,
+    aggregate_points, check_seeds, run_seed, sweep_bundles, sweep_flat, worker_count, SweepBundle,
+    SweepPoint, SweepRollup,
 };
 use pp_engine::LeaderElection;
 use pp_stats::Table;
@@ -80,14 +79,13 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Shard manifest file name inside a shard directory.
-const MANIFEST_FILE: &str = "manifest.json";
+/// Metrics document file name inside a run or shard directory.
+const METRICS_FILE: &str = "metrics.json";
 
 /// Claim directory name inside a fabric run directory.
 const CLAIMS_DIR: &str = "claims";
 
-/// Hard cap on shard ids — far above any useful fan-out, low enough that
-/// shard ids always fit the rollups' `i64` encoding.
+/// Hard cap on shard ids, far above any useful fan-out.
 pub const MAX_SHARDS: u64 = 4096;
 
 /// One sweep grid as the fabric identifies it: every worker and the merge
@@ -170,8 +168,7 @@ pub struct ShardOutcome {
     pub suspended: bool,
 }
 
-/// Machine-readable shard exit summary (`manifest.json`), hand-rolled JSON
-/// like the rest of the workspace.
+/// A shard's exit summary: the `shard` section of its metrics document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardManifest {
     /// Shard id.
@@ -191,12 +188,11 @@ pub struct ShardManifest {
 }
 
 impl ShardManifest {
-    /// Serializes the manifest as one JSON object.
+    /// Serializes the record as one JSON object.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"schema\":\"pp-sweep-shard/v1\",\"shard\":{},\"pid\":{},\
-             \"fingerprint\":\"{:016x}\",\"jobs\":{},\"threads\":{},\
-             \"wall_seconds\":{},\"complete\":{}}}\n",
+            "{{\"shard\":{},\"pid\":{},\"fingerprint\":\"{:016x}\",\"jobs\":{},\
+             \"threads\":{},\"wall_seconds\":{},\"complete\":{}}}",
             self.shard,
             self.pid,
             self.fingerprint,
@@ -206,55 +202,93 @@ impl ShardManifest {
             self.complete
         )
     }
-
-    /// Parses [`Self::to_json`]'s output; `None` on any malformation or an
-    /// unknown schema.
-    pub fn parse(text: &str) -> Option<Self> {
-        if scan_field(text, "schema")? != "\"pp-sweep-shard/v1\"" {
-            return None;
-        }
-        Some(Self {
-            shard: scan_field(text, "shard")?.parse().ok()?,
-            pid: scan_field(text, "pid")?.parse().ok()?,
-            fingerprint: u64::from_str_radix(
-                scan_field(text, "fingerprint")?.trim_matches('"'),
-                16,
-            )
-            .ok()?,
-            jobs: scan_field(text, "jobs")?.parse().ok()?,
-            threads: scan_field(text, "threads")?.parse().ok()?,
-            wall_seconds: scan_field(text, "wall_seconds")?.parse().ok()?,
-            complete: scan_field(text, "complete")?.parse().ok()?,
-        })
-    }
 }
 
-/// The raw text of `"key":` up to the next `,` or `}` — enough of a JSON
-/// scanner for the flat objects this module writes.
-fn scan_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+/// Parses a worker's metrics document (see [`run_worker_shard`]) into its
+/// shard record and rollups: the one reader of shard documents. `None`
+/// unless the writer renders exactly `text` back from them, so any other
+/// document (an older binary's files included) is refused whole.
+fn parse_shard_document(text: &str) -> Option<(ShardManifest, Vec<SweepRollup>)> {
+    let (_, rest) = text.split_once("\"shard\":{")?;
+    let (record, list) = rest.split_once("},\"rollups\":[")?;
+    let rollups = match list.strip_suffix("]}\n")? {
+        "" => Vec::new(),
+        list => list.split("},{").map(parse_rollup).collect::<Option<_>>()?,
+    };
+    let hex: String = field(record, "fingerprint")?;
+    let record = ShardManifest {
+        shard: field(record, "shard")?,
+        pid: field(record, "pid")?,
+        fingerprint: u64::from_str_radix(hex.trim_matches('"'), 16).ok()?,
+        jobs: field(record, "jobs")?,
+        threads: field(record, "threads")?,
+        wall_seconds: field(record, "wall_seconds")?,
+        complete: field(record, "complete")?,
+    };
+    let document = metrics_document(None, None, None, Some(&record.to_json()), &rollups);
+    (document == text).then_some((record, rollups))
+}
+
+/// One rollup of a shard document's list (the list split may cut its
+/// braces off).
+fn parse_rollup(object: &str) -> Option<SweepRollup> {
+    Some(SweepRollup {
+        jobs: field(object, "jobs")?,
+        workers: field(object, "workers")?,
+        wall_seconds: field(object, "wall_seconds")?,
+        jobs_per_second: field(object, "jobs_per_second")?,
+        pid: field(object, "pid")?,
+        // `null` parses to `None`; the roundtrip refuses any other misfit.
+        shard: field::<String>(object, "shard")?.parse().ok(),
+    })
+}
+
+/// The value of `"key":` in a flat JSON object (up to the next `,`, `}` or
+/// the end), parsed: enough of a reader for the objects this module writes.
+fn field<T: std::str::FromStr>(object: &str, key: &str) -> Option<T> {
     let pat = format!("\"{key}\":");
-    let at = text.find(&pat)? + pat.len();
-    let rest = &text[at..];
-    Some(rest[..rest.find([',', '}'])?].trim())
+    let rest = &object[object.find(&pat)? + pat.len()..];
+    rest[..rest.find([',', '}']).unwrap_or(rest.len())]
+        .trim()
+        .parse()
+        .ok()
+}
+
+/// The `sweep` section of a run's metrics document: the grid's jobs, the
+/// shards merged (0 for a sequential run) and the sweep's wall time and
+/// rate, `null` when this process did not time the sweep (a merge).
+fn sweep_json(spec: &FabricSpec, shards: u64, wall_seconds: Option<f64>) -> String {
+    let jobs = spec.total_jobs();
+    let rate = wall_seconds.map(|secs| if secs > 0.0 { jobs as f64 / secs } else { 0.0 });
+    let [wall_seconds, rate] =
+        [wall_seconds, rate].map(|v| v.map_or("null".into(), |v| v.to_string()));
+    format!(
+        "{{\"jobs\":{jobs},\"shards\":{shards},\"wall_seconds\":{wall_seconds},\
+         \"jobs_per_second\":{rate}}}"
+    )
 }
 
 /// Runs one worker shard of the grid: claims unclaimed blocks from the
 /// shared claim directory, journals each completed block into
-/// `shard_<shard>/journal.txt`, and writes the shard manifest on exit.
+/// `shard_<shard>/journal.txt`, and on exit writes
+/// `shard_<shard>/metrics.json`, a [`metrics_document`] holding its
+/// [`ShardManifest`] and the rollup of the blocks this invocation ran.
 ///
 /// Reinvoking with the same directory resumes: blocks already journaled or
 /// claimed by another shard are left alone, and blocks this shard claimed
 /// without journaling them whole (a killed run) are rerun (see [Crash
 /// recovery](self#crash-recovery)). `job_limit` bounds the *fresh* jobs of
-/// this invocation, block-granularly (see the [module docs](self));
-/// hitting it with unclaimed blocks left over reports `suspended`.
+/// this invocation: blocks are selected in job order until the planned
+/// jobs reach it (overshoot at most `lanes − 1`, whatever the thread
+/// count), and hitting it with unclaimed blocks left over reports
+/// `suspended`.
 ///
 /// # Errors
 ///
 /// `InvalidInput` when `shard ≥ MAX_SHARDS`, `spec.seeds ≥ 2^32` or
 /// `job_limit` is `Some(0)` (a worker that may run nothing would suspend
 /// forever);
-/// otherwise the first claim / journal / manifest I/O error, or a shard
+/// otherwise the first claim / journal / metrics I/O error, or a shard
 /// journal whose fingerprint does not match `spec`.
 pub fn run_worker_shard<P, F>(
     make: F,
@@ -274,7 +308,6 @@ where
         return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
     }
     let started = Instant::now();
-    crate::set_sweep_shard(Some(shard));
     let fp = spec.fingerprint();
     let claims = dir.join(CLAIMS_DIR);
     std::fs::create_dir_all(&claims)?;
@@ -308,7 +341,7 @@ where
     // A suspended worker never strands a claim: the limit is applied when
     // blocks are selected, before any is claimed (only a killed worker
     // strands one, and its rerun takes it back).
-    let (fresh_jobs, suspended) = drive_blocks(
+    let (rollup, suspended) = drive_blocks(
         &bundles,
         &mut done,
         job_limit,
@@ -316,11 +349,12 @@ where
         fp,
         |bundle| {
             let mine = owned.contains(&bundle.start) || claim_bundle(&claims, &body, bundle.start)?;
-            Ok(mine.then(|| run_bundle(&make, bundle.n, &bundle.seeds, spec.max_steps)))
+            let run = |&seed: &u64| run_seed(&make, bundle.n, seed, spec.max_steps);
+            Ok(mine.then(|| bundle.seeds.iter().map(run).collect()))
         },
     )?;
 
-    let manifest = ShardManifest {
+    let record = ShardManifest {
         shard,
         pid,
         fingerprint: fp,
@@ -329,9 +363,12 @@ where
         wall_seconds: started.elapsed().as_secs_f64(),
         complete: !suspended,
     };
-    write_atomically(&my_dir.join(MANIFEST_FILE), manifest.to_json().as_bytes())?;
+    let mut rollups: Vec<SweepRollup> = rollup.into_iter().collect();
+    rollups.iter_mut().for_each(|r| r.shard = Some(shard));
+    let document = metrics_document(None, None, None, Some(&record.to_json()), &rollups);
+    write_atomically(&my_dir.join(METRICS_FILE), document.as_bytes())?;
     Ok(ShardOutcome {
-        fresh_jobs,
+        fresh_jobs: rollup.map_or(0, |r| r.jobs as usize),
         suspended,
     })
 }
@@ -370,14 +407,18 @@ pub struct MergeReport {
     pub points: Option<Vec<SweepPoint>>,
     /// Jobs with no journaled result in any shard.
     pub missing: usize,
-    /// Parsed manifests of the shard directories that had one.
+    /// The shard records of the shard directories whose metrics document
+    /// parsed.
     pub manifests: Vec<ShardManifest>,
 }
 
 /// Merges shard journals `shard_0 .. shard_<shards>` under `dir`. When the
 /// union covers every job, writes the canonical merged journal to
-/// `dir/journal.txt` and returns the aggregated points; otherwise reports
-/// how many jobs are missing (rerun the shard workers, then merge again).
+/// `dir/journal.txt` and the run's [`metrics_document`] to
+/// `dir/metrics.json` (the shards' rollups, and a `null` sweep time: a
+/// merge does not time the sweep) and returns the aggregated points;
+/// otherwise reports how many jobs are missing (rerun the shard workers,
+/// then merge again).
 ///
 /// # Errors
 ///
@@ -408,12 +449,14 @@ pub fn merge_shards(spec: &FabricSpec, dir: &Path, shards: u64) -> io::Result<Me
             }
         }
     }
-    let manifests = (0..shards)
-        .filter_map(|shard| {
-            let text = std::fs::read_to_string(shard_dir(dir, shard).join(MANIFEST_FILE));
-            ShardManifest::parse(&text.ok()?)
-        })
-        .collect();
+    let (mut manifests, mut rollups) = (Vec::new(), Vec::new());
+    for shard in 0..shards {
+        let text = std::fs::read_to_string(shard_dir(dir, shard).join(METRICS_FILE));
+        if let Some((record, ran)) = text.ok().as_deref().and_then(parse_shard_document) {
+            manifests.push(record);
+            rollups.extend(ran);
+        }
+    }
     let missing = total - done.len();
     if missing > 0 {
         return Ok(MergeReport {
@@ -427,6 +470,9 @@ pub fn merge_shards(spec: &FabricSpec, dir: &Path, shards: u64) -> io::Result<Me
         &dir.join(JOURNAL_FILE),
         canonical_journal(spec, fp, &flat).as_bytes(),
     )?;
+    let sweep = sweep_json(spec, shards, None);
+    let document = metrics_document(None, None, Some(&sweep), None, &rollups);
+    write_atomically(&dir.join(METRICS_FILE), document.as_bytes())?;
     Ok(MergeReport {
         points: Some(aggregate_points(&spec.ns, spec.seeds, &flat)),
         missing: 0,
@@ -434,9 +480,12 @@ pub fn merge_shards(spec: &FabricSpec, dir: &Path, shards: u64) -> io::Result<Me
     })
 }
 
-/// Runs the whole grid in this process and writes the canonical journal —
-/// the fabric's 0-shard baseline, producing exactly the artifacts a
-/// sharded run merges to.
+/// Runs the whole grid in this process, one seed per [`parallel_map`]
+/// item, and writes the canonical journal — the fabric's 0-shard baseline,
+/// producing exactly the journal a sharded run merges to — and the run's
+/// [`metrics_document`] (the sweep's wall time and its one rollup).
+///
+/// [`parallel_map`]: crate::parallel_map
 ///
 /// # Errors
 ///
@@ -447,24 +496,28 @@ where
     F: Fn(usize) -> P + Sync,
 {
     spec.check(0)?;
+    let started = Instant::now();
     std::fs::create_dir_all(dir)?;
-    let flat = sweep_flat(
+    let (flat, rollup) = sweep_flat(
+        &make,
         &spec.ns,
         spec.seeds,
         spec.master_seed,
-        spec.lanes,
-        |bundle| run_bundle(&make, bundle.n, &bundle.seeds, spec.max_steps),
+        spec.max_steps,
     );
     write_atomically(
         &dir.join(JOURNAL_FILE),
         canonical_journal(spec, spec.fingerprint(), &flat).as_bytes(),
     )?;
+    let sweep = sweep_json(spec, 0, Some(started.elapsed().as_secs_f64()));
+    let document = metrics_document(None, None, Some(&sweep), None, &[rollup]);
+    write_atomically(&dir.join(METRICS_FILE), document.as_bytes())?;
     Ok(aggregate_points(&spec.ns, spec.seeds, &flat))
 }
 
 /// Renders the canonical journal of a fully-known job list: the `ppsweep
-/// v3` header plus one block per [`sweep_bundles`] entry, in block-start
-/// order. A pure function of the results — which process ran which block,
+/// v3` header plus one block per [`FabricSpec::lanes`]-wide block, in
+/// block-start order. A pure function of the results — which process ran which block,
 /// in what order, across how many crashes, leaves no trace —
 /// so every complete run of the same spec renders the same bytes.
 fn canonical_journal(spec: &FabricSpec, fp: u64, flat: &[(bool, f64)]) -> String {
@@ -549,6 +602,8 @@ mod tests {
 
     #[test]
     fn manifest_json_roundtrips() {
+        // The shard record and its rollups roundtrip through the one shard
+        // document; any other document is refused, never half-read.
         let manifest = ShardManifest {
             shard: 3,
             pid: 4242,
@@ -558,12 +613,116 @@ mod tests {
             wall_seconds: 1.25,
             complete: true,
         };
-        let parsed = ShardManifest::parse(&manifest.to_json()).expect("roundtrip");
-        assert_eq!(parsed, manifest);
-        assert_eq!(ShardManifest::parse("{}"), None);
+        let rollup = |jobs| SweepRollup {
+            jobs,
+            workers: 2,
+            wall_seconds: 0.5,
+            jobs_per_second: jobs as f64 / 0.5,
+            pid: 4242,
+            shard: Some(3),
+        };
+        for rollups in [vec![], vec![rollup(9)], vec![rollup(9), rollup(8)]] {
+            let text = metrics_document(None, None, None, Some(&manifest.to_json()), &rollups);
+            let parsed = parse_shard_document(&text).expect("roundtrip");
+            assert_eq!(parsed, (manifest.clone(), rollups));
+        }
+        let text = metrics_document(None, None, None, Some(&manifest.to_json()), &[rollup(9)]);
+        let sweep = sweep_json(&spec(), 0, Some(1.0));
+        for other in [
+            String::new(),
+            "{}".to_string(),
+            text.replace("pp-metrics/v1", "pp-metrics/v9"),
+            text.replace("\"jobs\":9", "\"jobs\":-9"),
+            text.replace("\"pid\":4242,\"fingerprint", "\"fingerprint"),
+            text[..text.len() - 3].to_string(),
+            metrics_document(None, None, Some(&sweep), None, &[rollup(9)]),
+            format!("{{\"rollups\":[{}]}}\n", rollup(9).to_json()),
+        ] {
+            assert_eq!(parse_shard_document(&other), None, "accepted {other:?}");
+        }
+    }
+
+    /// The rollups of the metrics document at `path`.
+    fn document_rollups(path: &Path) -> String {
+        let text = std::fs::read_to_string(path).expect("a metrics document");
+        assert!(text.starts_with("{\"schema\":\"pp-metrics/v1\","), "{text}");
+        text[text.find("\"rollups\":").unwrap()..].to_string()
+    }
+
+    #[test]
+    fn rollups_count_the_jobs_a_fan_out_ran() {
+        // Regression: rollups counted the blocks a fan-out visited. A
+        // sequential one-size 8-seed sweep (one 8-seed block) reported 1
+        // job, and a worker over two sizes of 12 seeds (blocks of 8 and 4)
+        // reported 4 for 24 journaled jobs.
+        let mut spec = spec();
+        (spec.ns, spec.seeds, spec.lanes) = (vec![4096], 8, 8);
+        let seq = Scratch::new("rollup_seq");
+        run_sequential(|_| Fratricide, &spec, &seq.0).expect("sequential runs");
+        let rollups = document_rollups(&seq.0.join(METRICS_FILE));
+        assert!(
+            rollups.starts_with("\"rollups\":[{\"jobs\":8,"),
+            "{rollups}"
+        );
+        assert_eq!(rollups.matches("\"jobs\":").count(), 1, "{rollups}");
+
+        (spec.ns, spec.seeds) = (vec![4096, 2048], 12);
+        let dir = Scratch::new("rollup_worker");
+        let outcome = run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None).expect("worker");
+        assert_eq!(outcome.fresh_jobs, 24);
+        let shard = shard_dir(&dir.0, 0);
+        let text = std::fs::read_to_string(shard.join(METRICS_FILE)).unwrap();
+        let (record, rollups) = parse_shard_document(&text).expect("a shard document");
+        assert_eq!((record.shard, record.jobs, record.complete), (0, 24, true));
+        assert_eq!(rollups.len(), 1);
+        assert_eq!((rollups[0].jobs, rollups[0].shard), (24, Some(0)));
+        let mut files: Vec<String> = std::fs::read_dir(&shard)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["claim.txt", "journal.txt", "metrics.json"]);
+        // The merge carries the shard's rollup into the run's document.
+        merge_shards(&spec, &dir.0, 1)
+            .expect("merge")
+            .points
+            .expect("complete");
+        let merged = document_rollups(&dir.0.join(METRICS_FILE));
         assert_eq!(
-            ShardManifest::parse("{\"schema\":\"pp-sweep-shard/v9\",\"shard\":0}"),
-            None
+            merged,
+            format!("\"rollups\":[{}]}}\n", rollups[0].to_json())
+        );
+    }
+
+    #[test]
+    fn old_two_file_shard_layout_still_merges() {
+        // An older binary left a manifest.json and a schemaless
+        // {"rollups":[...]} metrics.json in each shard directory. The
+        // journals alone decide the merge: it completes to the sequential
+        // bytes, and the unreadable documents only drop out of the metrics.
+        let spec = spec();
+        let dir = Scratch::new("old_layout");
+        run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None).expect("worker runs");
+        let shard = shard_dir(&dir.0, 0);
+        let manifest = format!(
+            "{{\"shard\":0,\"pid\":4242,\"fingerprint\":\"{:016x}\",\"jobs\":10,\
+             \"threads\":2,\"wall_seconds\":0.01,\"complete\":true}}\n",
+            spec.fingerprint()
+        );
+        std::fs::write(shard.join("manifest.json"), manifest).unwrap();
+        let rollup = "{\"jobs\":6,\"workers\":2,\"wall_seconds\":0.01,\
+                      \"jobs_per_second\":600,\"pid\":4242,\"shard\":0}";
+        std::fs::write(
+            shard.join(METRICS_FILE),
+            format!("{{\"rollups\":[{rollup}]}}\n"),
+        )
+        .unwrap();
+        let report = merge_shards(&spec, &dir.0, 1).expect("merge reads the journals");
+        assert!(report.manifests.is_empty());
+        assert_merges_to_sequential(&spec, &dir, 1);
+        assert_eq!(
+            document_rollups(&dir.0.join(METRICS_FILE)),
+            "\"rollups\":[]}\n"
         );
     }
 
@@ -589,7 +748,7 @@ mod tests {
         let seq_journal = std::fs::read(seq.0.join(JOURNAL_FILE)).unwrap();
         let merged_journal = std::fs::read(sharded.0.join(JOURNAL_FILE)).unwrap();
         assert_eq!(seq_journal, merged_journal);
-        // The manifest records the whole grid.
+        // The shard record holds the whole grid.
         assert_eq!(report.manifests.len(), 1);
         assert_eq!(report.manifests[0].jobs, spec.total_jobs() as u64);
         assert!(report.manifests[0].complete);
@@ -601,7 +760,7 @@ mod tests {
         let dir = Scratch::new("two_shards");
         let first = run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None).expect("shard 0 runs");
         // Shard 0 claimed everything; shard 1 finds no work but still exits
-        // complete with a manifest.
+        // complete with a shard record.
         let second =
             run_worker_shard(|_| Fratricide, &spec, &dir.0, 1, None).expect("shard 1 runs");
         assert_eq!(first.fresh_jobs, spec.total_jobs());
@@ -814,13 +973,13 @@ mod tests {
         );
     }
 
-    /// A complete shard journal and manifest of [`spec`], written by a
-    /// real worker: the seed bytes the hostile inputs below mutate.
+    /// A complete shard journal and metrics document of [`spec`], written
+    /// by a real worker: the seed bytes the hostile inputs below mutate.
     fn real_shard_files() -> (Vec<u8>, Vec<u8>) {
         let dir = Scratch::new("hostile_seed");
         run_worker_shard(|_| Fratricide, &spec(), &dir.0, 0, None).expect("worker runs");
         let read = |name| std::fs::read(shard_dir(&dir.0, 0).join(name)).unwrap();
-        (read(JOURNAL_FILE), read(MANIFEST_FILE))
+        (read(JOURNAL_FILE), read(METRICS_FILE))
     }
 
     /// Arbitrary bytes (non-UTF-8 included), truncations of `real`, and
@@ -841,15 +1000,17 @@ mod tests {
     proptest! {
         #[test]
         fn hostile_shard_files_are_typed_errors_never_panics(
-            (journal, manifest, claim) in {
-                let (journal, manifest) = real_shard_files();
-                (hostile(journal), hostile(manifest), hostile(b"0 4242\n".to_vec()))
+            (journal, metrics, claim) in {
+                let (journal, metrics) = real_shard_files();
+                (hostile(journal), hostile(metrics), hostile(b"0 4242\n".to_vec()))
             }
         ) {
             let dir = Scratch::new("hostile");
             std::fs::create_dir_all(shard_dir(&dir.0, 0)).unwrap();
             std::fs::write(shard_dir(&dir.0, 0).join(JOURNAL_FILE), &journal).unwrap();
-            std::fs::write(shard_dir(&dir.0, 0).join(MANIFEST_FILE), &manifest).unwrap();
+            std::fs::write(shard_dir(&dir.0, 0).join(METRICS_FILE), &metrics).unwrap();
+            // The one shard-document reader never panics on any bytes.
+            let _ = std::str::from_utf8(&metrics).ok().and_then(parse_shard_document);
             fake_claim(&dir, 0, &claim);
             let spec = spec();
             let path = shard_dir(&dir.0, 0).join(JOURNAL_FILE);

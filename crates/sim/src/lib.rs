@@ -41,8 +41,8 @@ mod runner;
 pub mod trajectory;
 
 pub use runner::{
-    enable_sweep_rollup, parallel_map, set_sweep_shard, stabilization_sweep, sweep_lane_width,
-    sweep_shard, take_sweep_rollups, SweepPoint, SweepRollup,
+    enable_sweep_rollup, parallel_map, stabilization_sweep, sweep_lane_width, take_sweep_rollups,
+    SweepPoint, SweepRollup,
 };
 pub use trajectory::{
     observed_pll_election, pll_attribution_trajectory, ObservedElection, PllTrajectory,
@@ -82,6 +82,29 @@ impl ExperimentOutput {
         }
         out
     }
+}
+
+/// Renders one `pp-metrics/v1` document, the one schema of every metrics
+/// file the binaries write: the fixed keys `schema`, `engine`
+/// ([`pp_engine::EngineMetrics::to_json`]), `trajectory`, `sweep`, `shard`
+/// and `rollups`, then a newline. Each section is the JSON object its owner
+/// renders, or `null` where it does not apply; `tools/check_obs.py` holds
+/// the field tables.
+pub fn metrics_document(
+    engine: Option<&str>,
+    trajectory: Option<&str>,
+    sweep: Option<&str>,
+    shard: Option<&str>,
+    rollups: &[SweepRollup],
+) -> String {
+    let [engine, trajectory, sweep, shard] =
+        [engine, trajectory, sweep, shard].map(|section| section.unwrap_or("null"));
+    let rollups: Vec<String> = rollups.iter().map(SweepRollup::to_json).collect();
+    format!(
+        "{{\"schema\":\"pp-metrics/v1\",\"engine\":{engine},\"trajectory\":{trajectory},\
+         \"sweep\":{sweep},\"shard\":{shard},\"rollups\":[{}]}}\n",
+        rollups.join(",")
+    )
 }
 
 /// All experiment ids, in presentation order.

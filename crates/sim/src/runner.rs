@@ -1,11 +1,11 @@
 //! Parallel execution of embarrassingly parallel experiment jobs.
 //!
 //! [`parallel_map`] fans jobs out across worker **threads**; it is the one
-//! thread pool every sweep rides. [`stabilization_sweep`] hands each worker
-//! a **block** of same-`n` seeds, largest-`n`-first ([`cost_order`]), and
-//! runs every seed of the block on its own scalar [`CountSimulation`]; the
-//! fabric's durable worker shards run the same blocks through
-//! `checkpoint::drive_blocks`.
+//! thread pool every sweep rides. [`stabilization_sweep`] hands the workers
+//! one seed per item, largest-`n`-first, and runs every seed on its own
+//! scalar [`CountSimulation`]; the fabric's durable worker shards run
+//! **blocks** of same-`n` seeds through `checkpoint::drive_blocks`, because
+//! a block is the unit a worker claims and journals.
 //! A seed's result is a pure function of `(protocol, n, master seed, seed
 //! index, max_steps)`, so neither the block size nor the thread count
 //! (`PP_SIM_THREADS`, the one env override, for reproducible benchmarking)
@@ -15,7 +15,7 @@ use pp_engine::{CountSimulation, LeaderElection};
 use pp_rand::{SeedSequence, Xoshiro256PlusPlus};
 use pp_stats::Summary;
 use std::io::{self, IsTerminal, Write as _};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -24,8 +24,8 @@ use std::time::Instant;
 const MAX_WORKERS: usize = 1024;
 
 /// Seeds per sweep block: small enough that a grid of a few sizes spreads
-/// over every worker, large enough that claim files and journal appends
-/// stay rare next to the runs they record.
+/// over a worker's threads, large enough that claim files and journal
+/// appends stay rare next to the runs they record.
 const BLOCK_SEEDS: usize = 8;
 
 /// `PP_SIM_THREADS` resolution: a parseable override is clamped to
@@ -49,10 +49,9 @@ pub(crate) fn worker_count(jobs: usize) -> usize {
     worker_override(threads.as_deref().ok(), detected).min(jobs.max(1))
 }
 
-/// Seeds per sweep block, fixed at 8: the block size
-/// [`stabilization_sweep`] uses, and the width `ppsweep` gives every
-/// [`FabricSpec`](crate::fabric::FabricSpec). Results never
-/// depend on it.
+/// Seeds per sweep block, fixed at 8: the width `ppsweep` gives every
+/// [`FabricSpec`](crate::fabric::FabricSpec), which shapes the canonical
+/// journal and a worker's claims. Results never depend on it.
 pub fn sweep_lane_width() -> usize {
     BLOCK_SEEDS
 }
@@ -67,13 +66,13 @@ fn progress_enabled(jobs: usize) -> bool {
 
 /// Throughput and progress aggregate of one [`parallel_map`] fan-out,
 /// recorded when rollup collection is enabled (see
-/// [`enable_sweep_rollup`]). One rollup per `parallel_map` call — a
-/// sweep's experiment typically accumulates several.
+/// [`enable_sweep_rollup`]). One rollup per fan-out — a sweep's experiment
+/// typically accumulates several.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepRollup {
-    /// Items the fan-out mapped — blocks, for a sweep's fan-out. A fabric
-    /// worker's count includes blocks a racing shard claimed first, so it
-    /// is no measure of that worker's throughput.
+    /// Jobs the fan-out ran: one per item, which for a sweep is one per
+    /// seed. A fabric worker counts the seeds of the blocks it ran, not the
+    /// blocks another shard held.
     pub jobs: u64,
     /// Worker threads it ran on.
     pub workers: u64,
@@ -86,8 +85,8 @@ pub struct SweepRollup {
     /// a metrics consumer group per-process rows before summing throughput
     /// across them.
     pub pid: u32,
-    /// Sweep-fabric shard identity ([`set_sweep_shard`]), `None` outside
-    /// `ppsweep` worker mode.
+    /// The sweep-fabric shard whose worker ran the fan-out, `None` outside
+    /// a worker.
     pub shard: Option<u64>,
 }
 
@@ -96,9 +95,7 @@ impl SweepRollup {
     /// workspace takes no serde dependency). `shard` is `null` outside
     /// fabric worker mode.
     pub fn to_json(&self) -> String {
-        let shard = self
-            .shard
-            .map_or_else(|| "null".to_string(), |s| s.to_string());
+        let shard = self.shard.map_or("null".to_string(), |s| s.to_string());
         format!(
             "{{\"jobs\":{},\"workers\":{},\"wall_seconds\":{},\"jobs_per_second\":{},\
              \"pid\":{},\"shard\":{shard}}}",
@@ -109,27 +106,6 @@ impl SweepRollup {
 
 static ROLLUPS: OnceLock<Mutex<Vec<SweepRollup>>> = OnceLock::new();
 static ROLLUP_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Process-global shard identity for rollups: `-1` encodes `None` (shard
-/// ids are far below `i64::MAX` — the fabric caps shard counts at 4096).
-static SWEEP_SHARD: AtomicI64 = AtomicI64::new(-1);
-
-/// Declares which sweep-fabric shard this process is (or `None` to clear);
-/// every subsequent [`SweepRollup`] carries it. Called once at `ppsweep`
-/// worker startup so `--metrics-out`-style reports can attribute fan-outs
-/// to shards when aggregating cross-process throughput.
-pub fn set_sweep_shard(shard: Option<u64>) {
-    let encoded = shard.map_or(-1, |s| i64::try_from(s).expect("shard ids are small"));
-    SWEEP_SHARD.store(encoded, Ordering::Release);
-}
-
-/// The shard identity declared by [`set_sweep_shard`], if any.
-pub fn sweep_shard() -> Option<u64> {
-    match SWEEP_SHARD.load(Ordering::Acquire) {
-        -1 => None,
-        s => Some(s as u64),
-    }
-}
 
 /// Turns on process-wide rollup collection: every subsequent
 /// [`parallel_map`] records a [`SweepRollup`] retrievable with
@@ -223,6 +199,20 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    fan_out(jobs, f, |_| 1).0
+}
+
+/// [`parallel_map`], also returning the fan-out's rollup (recorded as
+/// `parallel_map` records it). Its `jobs` sums `weight` over the results,
+/// so a fabric worker's blocks count the seeds they ran and a declined
+/// block counts none.
+pub(crate) fn fan_out<T, R, F, W>(jobs: &[T], f: F, weight: W) -> (Vec<R>, SweepRollup)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+    W: Fn(&R) -> u64,
+{
     let workers = worker_count(jobs.len());
     let total = jobs.len();
     let started = Instant::now();
@@ -270,26 +260,28 @@ where
             }
         }
     });
+    let results: Vec<R> = results
+        .into_iter()
+        .map(|r| r.expect("every job index was claimed exactly once"))
+        .collect();
+    let ran: u64 = results.iter().map(weight).sum();
+    let wall = started.elapsed().as_secs_f64();
+    let rollup = SweepRollup {
+        jobs: ran,
+        workers: workers as u64,
+        wall_seconds: wall,
+        jobs_per_second: if wall > 0.0 { ran as f64 / wall } else { 0.0 },
+        pid: std::process::id(),
+        shard: None,
+    };
     if ROLLUP_ENABLED.load(Ordering::Acquire) {
-        let wall = started.elapsed().as_secs_f64();
-        let rollup = SweepRollup {
-            jobs: total as u64,
-            workers: workers as u64,
-            wall_seconds: wall,
-            jobs_per_second: if wall > 0.0 { total as f64 / wall } else { 0.0 },
-            pid: std::process::id(),
-            shard: sweep_shard(),
-        };
         ROLLUPS
             .get_or_init(|| Mutex::new(Vec::new()))
             .lock()
             .expect("rollup lock poisoned")
             .push(rollup);
     }
-    results
-        .into_iter()
-        .map(|r| r.expect("every job index was claimed exactly once"))
-        .collect()
+    (results, rollup)
 }
 
 /// One measured point of a stabilization-time sweep.
@@ -313,16 +305,16 @@ pub struct SweepPoint {
 /// below `2^32` — far beyond any realistic sweep; asserted at entry rather
 /// than silently reusing seed streams across sizes.
 ///
-/// Each [`parallel_map`] worker receives a **block** of up to
-/// [`sweep_lane_width`] same-`n` seeds and runs each on its own
-/// [`CountSimulation`], whose tiers pick the cheapest exact execution per
-/// phase (the jump scheduler telescopes null-dominated tails: a fratricide
+/// Each seed is one [`parallel_map`] item, handed out largest-`n`-first,
+/// and runs on its own [`CountSimulation`], whose tiers pick the cheapest
+/// exact execution per phase (the jump scheduler telescopes null-dominated
+/// tails: a fratricide
 /// sweep point at `n = 2^28` telescopes `~10^16` null interactions and
 /// completes in seconds). Every run is an exact simulation of the
 /// uniformly random scheduler, so the measured distribution is the same
 /// law as the per-agent engine's at a vanishing fraction of the cost, and
 /// every result is deterministic for a fixed `master_seed` — independent
-/// of block size and thread count.
+/// of the thread count.
 ///
 /// Repeated entries in `ns` are measured independently (each job range
 /// aggregates into its own [`SweepPoint`]).
@@ -337,65 +329,52 @@ where
     P: LeaderElection,
     F: Fn(usize) -> P + Sync,
 {
-    let flat = sweep_flat(ns, seeds, master_seed, sweep_lane_width(), |bundle| {
-        run_bundle(&make, bundle.n, &bundle.seeds, max_steps)
-    });
+    let (flat, _) = sweep_flat(&make, ns, seeds, master_seed, max_steps);
     aggregate_points(ns, seeds, &flat)
 }
 
-/// Cost-model ordering of a bundle fan-out: indices into `bundles`,
-/// most-expensive-first.
+/// Cost-model ordering of a fan-out: indices into `items`, whose
+/// population sizes `n` reads, most-expensive-first (stable, so same-`n`
+/// items keep job order).
 ///
-/// Per-bundle cost is monotone in `n` for every protocol in this workspace
-/// (table 1's scaling exponents all have positive slope: even the
-/// `O(log n)`-time protocols cost `Ω(n)` work per seed since steps scale as
-/// `n · time`), so
-/// largest-`n`-first **is** the fitted-cost order — no per-protocol rate
-/// table needed for ordering to be correct, only monotonicity. The sort is
-/// stable, so same-`n` bundles keep job order.
-///
-/// Why ordering matters: stabilization times are heavy-tailed per seed, and
-/// a mixed-`n` grid's biggest bundles dominate the makespan. A FIFO
-/// fan-out can hand a worker a largest-`n` bundle *last*, leaving every
-/// other worker idle behind it; scheduling the expensive work first bounds
-/// that idle tail by the cheapest bundle's cost instead of the dearest's
-/// (classic LPT scheduling). Results are scattered back by bundle start
-/// index, so observable output is unchanged.
-pub(crate) fn cost_order(bundles: &[SweepBundle]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..bundles.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(bundles[i].n));
+/// Per-item cost is monotone in `n` for every protocol in this workspace
+/// (steps scale as `n · time`), so largest-`n`-first **is** the fitted-cost
+/// order. A FIFO fan-out can hand a worker a largest-`n` job *last*,
+/// leaving every other worker idle behind it; scheduling the expensive work
+/// first bounds that idle tail by the cheapest job's cost (classic LPT
+/// scheduling). Callers scatter results back into job order.
+pub(crate) fn cost_order<T>(items: &[T], n: impl Fn(&T) -> usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(n(&items[i])));
     order
 }
 
-/// Job-ordered flat `(converged, parallel_time)` outcomes of a sweep in
-/// blocks of `block` seeds, each block run by `run`: the in-memory sweep
-/// fan-out of [`stabilization_sweep`] and the sweep fabric's sequential
-/// mode. Blocks fan out largest-`n`-first
-/// ([`cost_order`]) and results come back in block-start order, so the
-/// returned order — and every bit of every result — is independent of the
-/// scheduling and of `block`.
-pub(crate) fn sweep_flat<R>(
+/// Job-ordered flat `(converged, parallel_time)` outcomes of a sweep, and
+/// its fan-out's rollup: the in-memory sweep of [`stabilization_sweep`] and
+/// the sweep fabric's sequential mode. Every seed is one [`fan_out`] item,
+/// largest-`n`-first ([`cost_order`]), and its result is scattered back to
+/// its job index, so the returned order — and every bit of every result —
+/// is independent of the scheduling.
+pub(crate) fn sweep_flat<P, F>(
+    make: &F,
     ns: &[usize],
     seeds: u64,
     master_seed: u64,
-    block: usize,
-    run: R,
-) -> Vec<(bool, f64)>
+    max_steps: u64,
+) -> (Vec<(bool, f64)>, SweepRollup)
 where
-    R: Fn(&SweepBundle) -> Vec<(bool, f64)> + Sync,
+    P: LeaderElection,
+    F: Fn(usize) -> P + Sync,
 {
-    let bundles = sweep_bundles(ns, seeds, master_seed, block);
-    let order = cost_order(&bundles);
-    let ordered: Vec<&SweepBundle> = order.iter().map(|&i| &bundles[i]).collect();
-    let mut outcomes = parallel_map(&ordered, |bundle| (bundle.start, run(bundle)));
-    // Blocks partition the job list into contiguous ranges, so concatenating
-    // them by start restores flat job order (the aggregation slices by
-    // contiguous job range).
-    outcomes.sort_unstable_by_key(|&(start, _)| start);
-    outcomes
-        .into_iter()
-        .flat_map(|(_, results)| results)
-        .collect()
+    let jobs = sweep_jobs(ns, seeds, master_seed);
+    let order = cost_order(&jobs, |&(n, _)| n);
+    let run = |&i: &usize| run_seed(make, jobs[i].0, jobs[i].1, max_steps);
+    let (results, rollup) = fan_out(&order, run, |_| 1);
+    let mut flat = vec![(false, 0.0); jobs.len()];
+    for (i, result) in order.into_iter().zip(results) {
+        flat[i] = result;
+    }
+    (flat, rollup)
 }
 
 /// `InvalidInput` when `seeds ≥ 2^32`: job seeds derive from the packed
@@ -433,7 +412,7 @@ pub(crate) fn sweep_jobs(ns: &[usize], seeds: u64, master_seed: u64) -> Vec<(usi
 }
 
 /// One sweep block: a contiguous run of same-`n` seed-stream jobs, the
-/// unit a worker thread runs and a fabric journal records.
+/// unit a fabric worker claims, runs on one thread and journals.
 #[derive(Debug, Clone)]
 pub(crate) struct SweepBundle {
     /// Population size shared by every job of the block.
@@ -469,29 +448,18 @@ pub(crate) fn sweep_bundles(
     bundles
 }
 
-/// Runs every seed of one block to stabilization, each on its own
-/// [`CountSimulation`]. Returns `(converged, parallel_time)` per seed in
-/// job order.
-pub(crate) fn run_bundle<P, F>(
-    make: &F,
-    n: usize,
-    seeds: &[u64],
-    max_steps: u64,
-) -> Vec<(bool, f64)>
+/// Runs one seed to stabilization on its own [`CountSimulation`]:
+/// `(converged, parallel_time)`.
+pub(crate) fn run_seed<P, F>(make: &F, n: usize, seed: u64, max_steps: u64) -> (bool, f64)
 where
     P: LeaderElection,
     F: Fn(usize) -> P,
 {
-    seeds
-        .iter()
-        .map(|&seed| {
-            let rng = Xoshiro256PlusPlus::seed_from_u64(seed);
-            let mut sim = CountSimulation::new(make(n), n, rng)
-                .expect("population sizes are >= 2 by construction");
-            let outcome = sim.run_until_single_leader(max_steps);
-            (outcome.converged, outcome.parallel_time(n))
-        })
-        .collect()
+    let rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+    let mut sim =
+        CountSimulation::new(make(n), n, rng).expect("population sizes are >= 2 by construction");
+    let outcome = sim.run_until_single_leader(max_steps);
+    (outcome.converged, outcome.parallel_time(n))
 }
 
 /// Aggregates flat per-job outcomes into one [`SweepPoint`] per entry of
@@ -616,7 +584,7 @@ mod tests {
         // [2, 2, 1] per size, and the order must pick every n = 64 bundle
         // first while preserving job order within each size.
         let bundles = sweep_bundles(&[16, 64, 32], 5, 3, 2);
-        let order = cost_order(&bundles);
+        let order = cost_order(&bundles, |b| b.n);
         let ns: Vec<usize> = order.iter().map(|&i| bundles[i].n).collect();
         assert_eq!(ns, vec![64, 64, 64, 32, 32, 32, 16, 16, 16]);
         let starts: Vec<usize> = order.iter().map(|&i| bundles[i].start).collect();
@@ -629,13 +597,15 @@ mod tests {
         // job-order results of a plain bundle-by-bundle traversal — same
         // order, same bits.
         let ns = [32usize, 16];
-        let flat = sweep_flat(&ns, 5, 42, 2, |b| {
-            run_bundle(&|_| Fratricide, b.n, &b.seeds, u64::MAX)
-        });
+        let (flat, _) = sweep_flat(&|_| Fratricide, &ns, 5, 42, u64::MAX);
         let bundles = sweep_bundles(&ns, 5, 42, 2);
         let expected: Vec<(bool, f64)> = bundles
             .iter()
-            .flat_map(|b| run_bundle(&|_| Fratricide, b.n, &b.seeds, u64::MAX))
+            .flat_map(|b| {
+                b.seeds
+                    .iter()
+                    .map(|&s| run_seed(&|_| Fratricide, b.n, s, u64::MAX))
+            })
             .collect();
         assert_eq!(flat.len(), expected.len());
         for (a, b) in flat.iter().zip(&expected) {
@@ -698,13 +668,11 @@ mod tests {
     fn sweep_checksums_ignore_block_width_and_threads() {
         // Every seed runs on its own scalar engine, so a sweep's results are
         // a function of (protocol, n, master seed, seed index, max_steps)
-        // alone: block width and worker count must not move a bit.
+        // alone: the worker count of the per-seed fan-out and the width of
+        // the blocks a fabric worker runs must not move a bit.
         let ns = [2048usize, 32, 4096];
-        let checksums = |block: usize| -> Vec<u64> {
-            let flat = sweep_flat(&ns, 11, 7, block, |b| {
-                run_bundle(&|_| Fratricide, b.n, &b.seeds, u64::MAX)
-            });
-            aggregate_points(&ns, 11, &flat)
+        let checksums = |flat: &[(bool, f64)]| -> Vec<u64> {
+            aggregate_points(&ns, 11, flat)
                 .iter()
                 .map(|p| p.times.checksum())
                 .collect()
@@ -713,18 +681,40 @@ mod tests {
         let mut runs = Vec::new();
         for workers in ["1", "2"] {
             std::env::set_var("PP_SIM_THREADS", workers);
-            for block in [1, 3, 8] {
-                runs.push((workers, block, checksums(block)));
-            }
+            let (flat, _) = sweep_flat(&|_| Fratricide, &ns, 11, 7, u64::MAX);
+            runs.push((format!("{workers} threads"), checksums(&flat)));
         }
         match threads {
             Some(v) => std::env::set_var("PP_SIM_THREADS", v),
             None => std::env::remove_var("PP_SIM_THREADS"),
         }
-        let (_, _, reference) = &runs[0];
-        for (workers, block, sums) in &runs {
-            assert_eq!(sums, reference, "{workers} threads, block {block}");
+        for block in [1, 3, 8] {
+            let flat: Vec<(bool, f64)> = sweep_bundles(&ns, 11, 7, block)
+                .iter()
+                .flat_map(|b| {
+                    b.seeds
+                        .iter()
+                        .map(|&s| run_seed(&|_| Fratricide, b.n, s, u64::MAX))
+                })
+                .collect();
+            runs.push((format!("block {block}"), checksums(&flat)));
         }
+        let (_, reference) = &runs[0];
+        for (run, sums) in &runs {
+            assert_eq!(sums, reference, "{run}");
+        }
+    }
+
+    #[test]
+    fn sweep_rollup_counts_seeds_not_blocks() {
+        // Regression: the sweep fanned out 8-seed blocks, so a one-size
+        // 8-seed sweep reported one job on one worker and idled every
+        // other core. One seed per item: 8 jobs, spread over the workers.
+        let (flat, rollup) = sweep_flat(&|_| Fratricide, &[4096], 8, 42, u64::MAX);
+        assert_eq!(flat.len(), 8);
+        assert_eq!(rollup.jobs, 8);
+        assert_eq!(rollup.workers, worker_count(8) as u64);
+        assert_eq!(rollup.shard, None);
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! `(n, seed, every)`:
 //!
 //! * [`pll_attribution_trajectory`] — the per-agent reference engine,
-//!   sampling the leader count **and** the cumulative per-[`Demotion`]
-//!   elimination counts every `every` interactions. This is the CSV behind
-//!   the `--trajectory` flag: the paper's three-mechanism cascade (status
-//!   assignment → `QuickElimination()` → `Tournament()`, with `BackUp()`
-//!   as the rare tail) becomes a plottable time series keyed by
-//!   interactions and by `interactions / n²`.
+//!   sampling the leader count **and** the cumulative
+//!   per-[`Demotion`](pp_core::metrics::Demotion) elimination counts every
+//!   `every` interactions. This is the CSV behind the `--trajectory` flag:
+//!   the paper's three-mechanism cascade (status assignment →
+//!   `QuickElimination()` → `Tournament()`, with `BackUp()` as the rare
+//!   tail) becomes a plottable time series keyed by interactions and by
+//!   `interactions / n²`.
 //! * [`observed_pll_election`] — the count engine under an attached
 //!   [`EngineObserver`] with a trajectory sampler, yielding the unified
 //!   [`EngineMetrics`] snapshot and the JSONL event log behind

@@ -1,38 +1,17 @@
 #!/usr/bin/env python3
-"""Validates the metrics and event files the binaries write.
+"""Validates the metrics documents and event files the binaries write.
 
 Usage:
-    python3 tools/check_obs.py METRICS_JSON EVENTS_JSONL [TRAJECTORY_CSV]
-    python3 tools/check_obs.py SWEEP_METRICS_JSON [SHARD_MANIFEST_JSON ...]
+    python3 tools/check_obs.py DOCUMENT.json [SHARD.json ...] [EVENTS.jsonl] [TRAJECTORY.csv]
 
-The first file's ``schema`` picks the form.
-
-``pp-sim-metrics/v1`` (``experiments --metrics-out``), checked in order:
-
-* the report has exactly its ``engine``, ``trajectory`` and ``sweeps``
-  fields; the engine block has the complete ``pp-engine-metrics/v2``
-  field set with the right types (every tier-keyed object names all four
-  tiers, and ``timeline`` is null or holds one ``interactions`` /
-  ``seconds`` / ``dispatches`` span per tier), and its per-tier usage sums
-  exactly to its step count;
-* the event log is non-empty, every line is a JSON object with exactly
-  the fields of its ``event`` kind, steps never decrease;
-* when a trajectory CSV is given, its final row agrees with the metrics
-  report's trajectory summary (same step count, same leader count), the
-  leader column starts at ``n`` and the cumulative demotion total ends at
-  ``n - 1`` on a converged run — the conservation law of leader election.
-
-``pp-sweep-metrics/v1`` (``ppsweep``'s ``metrics.json``): the aggregate
-and every rollup have exactly their fields; a sequential run (no
-manifests given) reports zero shards, numbers for the aggregate's
-``wall_seconds`` and ``jobs_per_second`` and unsharded rollups; a merged
-run, which does not time the sweep, reports null for both, one shard
-per manifest given, every manifest is a complete
-``pp-sweep-shard/v1`` manifest with exactly its fields, the manifests'
-jobs sum to the aggregate's, and every rollup names one of their shards.
-
-Exits non-zero with a message on the first violation (used by the CI
-observability smoke job).
+Every metrics file is one ``pp-metrics/v1`` document; ``check_document``
+checks each ``.json`` argument against the field tables below and the
+rules that tie its sections together. Against the first document, further
+``.json`` arguments are a merge's shard documents, an ``.jsonl`` event log
+must hold the engine's recorded events in step order, and a ``.csv``
+trajectory must agree with the trajectory summary and, on a converged run,
+attribute ``n - 1`` demotions (conservation). Exits non-zero with a
+message on the first violation (used by the CI observability smoke job).
 """
 
 import csv
@@ -48,7 +27,6 @@ NUM = "number"
 BOOL = "bool"
 STR = "string"
 TIER = "tier"
-NULLABLE_INT = "int or null"
 ANY = "any"  # checked by the caller
 
 EVENT_FIELDS = {
@@ -69,7 +47,6 @@ EVENT_FIELDS = {
 }
 
 ENGINE_FIELDS = {
-    "schema": STR,
     "population": INT,
     "steps": INT,
     "parallel_time": NUM,
@@ -88,7 +65,7 @@ ENGINE_FIELDS = {
     },
     "cache": {"active": BOOL, "compiled_pairs": INT},
     "events": {"recorded": INT, "dropped": INT},
-    # "timeline" is null or TIMELINE_FIELDS; check_engine checks it.
+    "timeline": ANY,  # null or TIMELINE_FIELDS; check_engine checks it
 }
 
 TIMELINE_FIELDS = {
@@ -104,16 +81,7 @@ TRAJECTORY_FIELDS = {
     "rows": INT,
 }
 
-ROLLUP_FIELDS = {
-    "jobs": INT,
-    "workers": INT,
-    "wall_seconds": NUM,
-    "jobs_per_second": NUM,
-    "pid": INT,
-    "shard": NULLABLE_INT,
-}
-
-SWEEP_AGGREGATE_FIELDS = {
+SWEEP_FIELDS = {
     "jobs": INT,
     "shards": INT,
     # Numbers for a sequential run, null for a merge; check_sweep checks.
@@ -121,8 +89,7 @@ SWEEP_AGGREGATE_FIELDS = {
     "jobs_per_second": ANY,
 }
 
-MANIFEST_FIELDS = {
-    "schema": STR,
+SHARD_FIELDS = {
     "shard": INT,
     "pid": INT,
     "fingerprint": STR,
@@ -130,6 +97,23 @@ MANIFEST_FIELDS = {
     "threads": INT,
     "wall_seconds": NUM,
     "complete": BOOL,
+}
+
+ROLLUP_FIELDS = {
+    "jobs": INT,
+    "workers": INT,
+    "wall_seconds": NUM,
+    "jobs_per_second": NUM,
+    "pid": INT,
+    "shard": ANY,  # null or the shard that ran it; check_rollup_shards checks it
+}
+
+# A document's sections: each is null or an object with these fields.
+SECTIONS = {
+    "engine": ENGINE_FIELDS,
+    "trajectory": TRAJECTORY_FIELDS,
+    "sweep": SWEEP_FIELDS,
+    "shard": SHARD_FIELDS,
 }
 
 
@@ -152,8 +136,6 @@ def type_ok(value, kind):
         return isinstance(value, str)
     if kind == TIER:
         return value in TIERS
-    if kind == NULLABLE_INT:
-        return value is None or type_ok(value, INT)
     if kind == ANY:
         return True
     raise AssertionError(f"unknown field kind {kind!r}")
@@ -183,57 +165,117 @@ def load_json(path):
             fail(f"{path}: not valid JSON ({e})")
 
 
-def check_engine(where, engine):
-    check_fields(where, engine, {**ENGINE_FIELDS, "timeline": ANY})
-    if engine["schema"] != "pp-engine-metrics/v2":
-        fail(f"{where}: unexpected engine schema {engine['schema']!r}")
-    usage = engine["tier_usage"]
+def check_rollup_shards(path, doc, valid, expected):
+    """Asserts every rollup's ``shard`` passes ``valid``; returns their jobs."""
+    for i, rollup in enumerate(doc["rollups"]):
+        if not valid(rollup["shard"]):
+            fail(f"{path}:rollups[{i}]: shard {rollup['shard']!r}, expected {expected}")
+    return sum(rollup["jobs"] for rollup in doc["rollups"])
+
+
+def check_engine(path, engine, doc):
+    usage, timeline = engine["tier_usage"], engine["timeline"]
     total = sum(usage[t] for t in TIERS)
     if total != engine["steps"]:
-        fail(
-            f"{where}: tier usage sums to {total}, "
-            f"but the engine reports {engine['steps']} steps"
-        )
-    timeline = engine["timeline"]
+        fail(f"{path}: tier usage sums to {total}, but the engine ran {engine['steps']} steps")
     if timeline is not None:
-        check_fields(f"{where}.timeline", timeline, TIMELINE_FIELDS)
+        check_fields(f"{path}:engine.timeline", timeline, TIMELINE_FIELDS)
         for tier in TIERS:
             span = timeline[tier]
             if span["interactions"] > usage[tier]:
                 fail(
-                    f"{where}.timeline.{tier}: {span['interactions']} interactions "
+                    f"{path}:engine.timeline.{tier}: {span['interactions']} interactions "
                     f"timed, but only {usage[tier]} executed on the tier"
                 )
             if span["interactions"] > 0 and span["dispatches"] == 0:
-                fail(f"{where}.timeline.{tier}: interactions without a dispatch")
+                fail(f"{path}:engine.timeline.{tier}: interactions without a dispatch")
+    check_rollup_shards(path, doc, lambda s: s is None, "null")
 
 
-def check_metrics(path):
-    report = load_json(path)
-    check_fields(path, report, {"schema": STR, "engine": ANY, "trajectory": ANY, "sweeps": ANY})
-    if report["schema"] != "pp-sim-metrics/v1":
-        fail(f"{path}: unexpected report schema {report['schema']!r}")
-    check_engine(f"{path}:engine", report["engine"])
-    if report["trajectory"] is not None:
-        check_fields(f"{path}:trajectory", report["trajectory"], TRAJECTORY_FIELDS)
-    if not isinstance(report["sweeps"], list):
-        fail(f"{path}:sweeps: expected a list")
-    for i, rollup in enumerate(report["sweeps"]):
-        check_fields(f"{path}:sweeps[{i}]", rollup, ROLLUP_FIELDS)
-    engine = report["engine"]
-    print(
-        f"metrics ok: n={engine['population']}, {engine['steps']} steps, "
-        f"tier usage {engine['tier_usage']}, "
-        f"timeline {'present' if engine['timeline'] else 'absent'}"
+def check_sweep(path, sweep, doc):
+    shards = sweep["shards"]
+    for key in ("wall_seconds", "jobs_per_second"):
+        if shards and sweep[key] is not None:
+            fail(f"{path}: sweep {key} {sweep[key]!r} must be null for a merge")
+        if not shards and not type_ok(sweep[key], NUM):
+            fail(f"{path}: sweep {key} {sweep[key]!r} must be a number")
+    if shards:
+        check_rollup_shards(path, doc, lambda s: is_int(s) and s < shards, f"below {shards}")
+        return
+    jobs = check_rollup_shards(path, doc, lambda s: s is None, "null")
+    if jobs != sweep["jobs"]:
+        fail(f"{path}: rollups ran {jobs} jobs, but the sweep has {sweep['jobs']}")
+
+
+def check_shard(path, shard, doc):
+    if not re.fullmatch(r"[0-9a-f]{16}", shard["fingerprint"]):
+        fail(f"{path}: fingerprint {shard['fingerprint']!r} is not 16 hex digits")
+    own = shard["shard"]
+    jobs = check_rollup_shards(path, doc, lambda s: is_int(s) and s == own, own)
+    if jobs > shard["jobs"]:
+        fail(f"{path}: rollups ran {jobs} jobs, but the shard journaled {shard['jobs']}")
+
+
+def check_document(path):
+    """Checks one metrics document: the fixed keys, then each non-null
+    section against its field table, then what ties its sections together."""
+    doc = load_json(path)
+    check_fields(path, doc, {"schema": STR, **dict.fromkeys(SECTIONS, ANY), "rollups": ANY})
+    if doc["schema"] != "pp-metrics/v1":
+        fail(f"{path}: unexpected schema {doc['schema']!r}")
+    for key, fields in SECTIONS.items():
+        if doc[key] is not None:
+            check_fields(f"{path}:{key}", doc[key], fields)
+    kinds = [key for key in ("engine", "sweep", "shard") if doc[key] is not None]
+    if len(kinds) != 1:
+        fail(f"{path}: expected exactly one of engine, sweep and shard, got {kinds}")
+    if doc["trajectory"] is not None and doc["engine"] is None:
+        fail(f"{path}: a trajectory summary without an engine section")
+    if not isinstance(doc["rollups"], list):
+        fail(f"{path}:rollups: expected a list")
+    for i, rollup in enumerate(doc["rollups"]):
+        check_fields(f"{path}:rollups[{i}]", rollup, ROLLUP_FIELDS)
+    kind = kinds[0]
+    {"engine": check_engine, "sweep": check_sweep, "shard": check_shard}[kind](
+        path, doc[kind], doc
     )
-    return report
+    print(f"{path}: {kind} document ok, {len(doc['rollups'])} rollup(s)")
+    return doc
 
 
-def check_events(path):
+def check_shards(path, doc, shard_docs):
+    sweep = doc["sweep"]
+    if sweep is None or sweep["shards"] == 0:
+        fail(f"{path}: shard documents need a merged sweep document first")
+    shard_docs = sorted(shard_docs, key=lambda d: d["shard"]["shard"])
+    records = [d["shard"] for d in shard_docs]
+    ids = [r["shard"] for r in records]
+    if ids != list(range(sweep["shards"])):
+        fail(f"{path}: sweep merged {sweep['shards']} shards, the shard documents are {ids}")
+    for record in records:
+        if not record["complete"]:
+            fail(f"{path}: shard {record['shard']} did not complete")
+    jobs = sum(r["jobs"] for r in records)
+    if jobs != sweep["jobs"]:
+        fail(f"{path}: shards journal {jobs} jobs, the sweep has {sweep['jobs']}")
+    fingerprints = {r["fingerprint"] for r in records}
+    if len(fingerprints) != 1:
+        fail(f"{path}: shards disagree on the grid fingerprint {sorted(fingerprints)}")
+    if [r for d in shard_docs for r in d["rollups"]] != doc["rollups"]:
+        fail(f"{path}: rollups are not the shard documents' rollups in shard order")
+    print(f"shards ok: {len(records)} shard document(s) make up the merge")
+
+
+def check_events(path, doc):
+    if doc["engine"] is None:
+        fail(f"{path}: an event log needs an engine document first")
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines:
         fail(f"{path}: event log is empty")
+    recorded = doc["engine"]["events"]["recorded"]
+    if len(lines) != recorded:
+        fail(f"{path}: {len(lines)} events, but the engine recorded {recorded}")
     last_step = 0
     kinds = {}
     for i, line in enumerate(lines, 1):
@@ -258,10 +300,10 @@ def check_events(path):
     print(f"events ok: {len(lines)} events, kinds {kinds}")
 
 
-def check_trajectory(path, report):
-    summary = report.get("trajectory")
-    if not isinstance(summary, dict):
-        fail(f"{path}: metrics report has no trajectory summary to compare")
+def check_trajectory(path, doc):
+    summary = doc["trajectory"]
+    if summary is None:
+        fail(f"{path}: the document has no trajectory summary to compare")
     with open(path) as f:
         rows = list(csv.DictReader(f))
     if not rows:
@@ -270,25 +312,16 @@ def check_trajectory(path, report):
         if col not in rows[0]:
             fail(f"{path}: missing column {col!r}")
     if len(rows) != summary["rows"]:
-        fail(
-            f"{path}: {len(rows)} rows, but the metrics report "
-            f"counts {summary['rows']}"
-        )
+        fail(f"{path}: {len(rows)} rows, but the trajectory summary counts {summary['rows']}")
     n = summary["n"]
     first, final = rows[0], rows[-1]
     if int(first["step"]) != 0 or int(float(first["leaders"])) != n:
         fail(f"{path}: first row must sample step 0 with {n} leaders")
     if int(final["step"]) != summary["steps"]:
-        fail(
-            f"{path}: final row at step {final['step']}, but the run "
-            f"reports stabilization at step {summary['steps']}"
-        )
+        fail(f"{path}: final row at step {final['step']}, but the run took {summary['steps']}")
     leaders = int(float(final["leaders"]))
     if leaders != summary["final_leaders"]:
-        fail(
-            f"{path}: final row has {leaders} leaders, but the run "
-            f"reports {summary['final_leaders']}"
-        )
+        fail(f"{path}: final row has {leaders} leaders, the run {summary['final_leaders']}")
     demoted = int(float(final["demotions_total"]))
     if summary["converged"]:
         if leaders != 1:
@@ -304,73 +337,20 @@ def check_trajectory(path, report):
     )
 
 
-def check_manifest(path):
-    manifest = load_json(path)
-    check_fields(path, manifest, MANIFEST_FIELDS)
-    if manifest["schema"] != "pp-sweep-shard/v1":
-        fail(f"{path}: unexpected manifest schema {manifest['schema']!r}")
-    if not re.fullmatch(r"[0-9a-f]{16}", manifest["fingerprint"]):
-        fail(f"{path}: fingerprint {manifest['fingerprint']!r} is not 16 hex digits")
-    if not manifest["complete"]:
-        fail(f"{path}: shard {manifest['shard']} did not complete")
-    return manifest
-
-
-def check_sweep(path, manifest_paths):
-    report = load_json(path)
-    check_fields(path, report, {"schema": STR, "aggregate": SWEEP_AGGREGATE_FIELDS, "rollups": ANY})
-    aggregate, rollups = report["aggregate"], report["rollups"]
-    if not isinstance(rollups, list) or not rollups:
-        fail(f"{path}: expected a non-empty rollups list")
-    for i, rollup in enumerate(rollups):
-        check_fields(f"{path}:rollups[{i}]", rollup, ROLLUP_FIELDS)
-    manifests = [check_manifest(m) for m in manifest_paths]
-    shards = {m["shard"] for m in manifests}
-    if aggregate["shards"] != len(manifests) or len(shards) != len(manifests):
-        fail(
-            f"{path}: aggregate reports {aggregate['shards']} shards, "
-            f"but {len(manifests)} distinct manifests were given"
-        )
-    merged = aggregate["shards"] != 0
-    for key in ("wall_seconds", "jobs_per_second"):
-        if merged and aggregate[key] is not None:
-            fail(f"{path}: aggregate {key} {aggregate[key]!r} must be null for a merge")
-        if not merged and not type_ok(aggregate[key], NUM):
-            fail(f"{path}: aggregate {key} {aggregate[key]!r} must be a number")
-    for i, rollup in enumerate(rollups):
-        if manifests and rollup["shard"] not in shards:
-            fail(f"{path}:rollups[{i}]: shard {rollup['shard']!r} has no manifest")
-        if not manifests and rollup["shard"] is not None:
-            fail(f"{path}:rollups[{i}]: sequential run has shard {rollup['shard']!r}")
-    if manifests:
-        jobs = sum(m["jobs"] for m in manifests)
-        if jobs != aggregate["jobs"]:
-            fail(f"{path}: manifests journal {jobs} jobs, aggregate reports {aggregate['jobs']}")
-        fingerprints = {m["fingerprint"] for m in manifests}
-        if len(fingerprints) != 1:
-            fail(f"{path}: manifests disagree on the grid fingerprint {sorted(fingerprints)}")
-    print(
-        f"sweep ok: {aggregate['jobs']} jobs, {aggregate['shards']} shard(s), "
-        f"{len(rollups)} rollup(s)"
-    )
-
-
 def main(argv):
-    if len(argv) < 2:
-        fail(
-            f"usage: {argv[0]} METRICS_JSON EVENTS_JSONL [TRAJECTORY_CSV] | "
-            "SWEEP_METRICS_JSON [SHARD_MANIFEST_JSON ...]"
-        )
-    schema = load_json(argv[1]).get("schema")
-    if schema == "pp-sweep-metrics/v1":
-        check_sweep(argv[1], argv[2:])
-    else:
-        if len(argv) not in (3, 4):
-            fail(f"usage: {argv[0]} METRICS_JSON EVENTS_JSONL [TRAJECTORY_CSV]")
-        report = check_metrics(argv[1])
-        check_events(argv[2])
-        if len(argv) == 4:
-            check_trajectory(argv[3], report)
+    paths = argv[1:]
+    if not paths or not paths[0].endswith(".json"):
+        fail(f"usage: {argv[0]} DOCUMENT.json [SHARD.json ...] [EVENTS.jsonl] [TRAJECTORY.csv]")
+    docs = [check_document(p) for p in paths if p.endswith(".json")]
+    if len(docs) > 1:
+        check_shards(paths[0], docs[0], docs[1:])
+    for path in paths:
+        if path.endswith(".jsonl"):
+            check_events(path, docs[0])
+        elif path.endswith(".csv"):
+            check_trajectory(path, docs[0])
+        elif not path.endswith(".json"):
+            fail(f"{path}: expected a .json, .jsonl or .csv file")
     print("all observability checks passed")
 
 
