@@ -15,7 +15,7 @@
 //! `ppsweep` writes too.
 //!
 //! A sweep that must survive being killed runs through `ppsweep`, whose
-//! worker shards journal every finished block; rerunning a killed worker
+//! worker shards journal every finished seed; rerunning a killed worker
 //! resumes it.
 
 use pp_sim::{
@@ -109,7 +109,7 @@ fn print_help() {
     println!("                          as JSONL (schema documented in pp_engine::obs)");
     println!();
     println!("Sweeps that must survive a kill run through `ppsweep --worker K`, which journals");
-    println!("each finished block; rerun the same command to resume after a kill.");
+    println!("each finished seed; rerun the same command to resume after a kill.");
 }
 
 fn write_csvs(output: &ExperimentOutput, dir: &PathBuf) -> std::io::Result<()> {

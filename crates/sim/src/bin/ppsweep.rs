@@ -8,7 +8,8 @@
 //!
 //! # worker shards, one live process per shard id, on this box or on any
 //! # box sharing the directory; after a kill or a --job-limit suspension,
-//! # rerun the same command: the worker takes back its unfinished blocks
+//! # rerun the same command: the worker runs the missing seeds of the
+//! # blocks it claimed
 //! ppsweep ... --dir out/ --worker 0 &
 //! ppsweep ... --dir out/ --worker 1 &
 //! wait
@@ -21,7 +22,9 @@
 //! `table.csv`, and `metrics.json` under `--dir` and prints the results
 //! table to stdout. The journal, table and stdout bytes are identical
 //! whichever mode produced them (the fabric's merge contract; see
-//! [`pp_sim::fabric`]). Mode chatter and progress go to stderr only.
+//! [`pp_sim::fabric`]). Mode chatter and progress go to stderr only. Every
+//! mode hands its threads one seed at a time; a worker journals each seed as
+//! it finishes, and the 8-seed block is only the unit it claims.
 //!
 //! Every `metrics.json` is one [`pp_sim::metrics_document`]: a run's holds
 //! the sweep totals and rollups, a worker's `shard_<k>/metrics.json` its
@@ -139,6 +142,10 @@ impl Cli {
         if seeds >= 1 << 32 {
             return Err("--seeds must be below 2^32".into());
         }
+        // A zero-run row's mean would read like a measurement.
+        if seeds == 0 {
+            return Err("--seeds must be at least 1".into());
+        }
         if worker.is_some_and(|k| k >= MAX_SHARDS) {
             return Err(format!("--worker must be below {MAX_SHARDS}"));
         }
@@ -241,10 +248,12 @@ fn merge(cli: &Cli, shards: u64) -> std::io::Result<i32> {
         return Ok(3);
     };
     finish(cli, &points)?;
-    for manifest in &report.manifests {
+    for (manifest, rollups) in &report.manifests {
+        // A last invocation that found nothing to run used no threads.
+        let workers = rollups.iter().map(|r| r.workers).max().unwrap_or(0);
         eprintln!(
-            "ppsweep: shard {} (pid {}) ran {} jobs on {} threads in {:.2}s",
-            manifest.shard, manifest.pid, manifest.jobs, manifest.threads, manifest.wall_seconds
+            "ppsweep: shard {} (pid {}) ran {} jobs on {workers} threads in {:.2}s",
+            manifest.shard, manifest.pid, manifest.jobs, manifest.wall_seconds
         );
     }
     Ok(0)
@@ -276,6 +285,11 @@ mod tests {
         // zero job limit used to exit "suspended" on every rerun.
         let err = parse("--ns 64 --dir d --seeds 4294967296").err();
         assert_eq!(err.as_deref(), Some("--seeds must be below 2^32"));
+        // Zero seeds used to exit 0 with a zero-run row in every mode.
+        for mode in ["", "--worker 0", "--shards 1 --merge"] {
+            let err = parse(&format!("--ns 64 --dir d --seeds 0 {mode}")).err();
+            assert_eq!(err.as_deref(), Some("--seeds must be at least 1"));
+        }
         assert!(parse("--ns 64 --dir d --seeds 4294967295").is_ok());
         let err = parse("--ns 64 --dir d --worker 5000").err();
         assert_eq!(err, Some(format!("--worker must be below {MAX_SHARDS}")));

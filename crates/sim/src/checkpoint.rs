@@ -1,34 +1,30 @@
-//! The sweep journal and its block driver: what makes a `ppsweep` worker
+//! The sweep journal and its seed driver: what makes a `ppsweep` worker
 //! shard ([`run_worker_shard`]) crash-recoverable.
 //!
 //! A worker records progress in a *journal* — a line-oriented text file
 //! listing every completed job with its exact result. Killing the process
-//! at any point loses at most the blocks in flight; rerunning the worker on
+//! at any point loses at most the seeds in flight; rerunning the worker on
 //! the same directory picks up where it left off.
 //!
 //! # Journal format (`ppsweep v3`)
 //!
-//! The header line fingerprints the sweep parameters and the block width.
-//! Two record kinds follow:
-//!
-//! * `done <job> <0|1> <f64-bits-hex>` — one completed job (one seed).
-//! * `block <start> <len>` — a block marker: the `len` `done` records of
-//!   block `[start, start + len)` follow as one appended block.
+//! The header line fingerprints the sweep parameters and the claim width.
+//! Every record after it is `done <job> <0|1> <f64-bits-hex>`: one
+//! completed job (one seed). Journals written before seeds became the unit
+//! of work also hold `block <start> <len>` markers; the loader validates
+//! and skips them, so those journals still resume and merge.
 //!
 //! Only whole lines count. Bytes after the last newline are an append cut
 //! short by a crash: [`load_journal`] ignores them and
-//! [`open_journal_for_append`] cuts them before the next block lands.
+//! [`open_journal_for_append`] cuts them before the next record lands.
 //!
-//! # The block driver
+//! # The seed driver
 //!
-//! [`drive_blocks`] selects pending blocks (any record missing) in job
-//! order until the planned fresh jobs reach the job limit — deterministic,
-//! overshooting by at most `block − 1` jobs — runs them largest-`n`-first
-//! on [`parallel_map`]'s thread pool, and appends each finished block,
-//! marker plus records, in one buffered write through [`render_block`], so
-//! a crash tears at most the final block. A block missing any record reruns
-//! whole on resume; runs are deterministic, so rerun seeds rewrite
-//! identical records.
+//! [`drive_seeds`] runs the seeds a worker selected as [`parallel_map`]
+//! items, largest `n` first, and appends each finished seed's record in
+//! one write, so a crash tears at most the final record. A missing record
+//! reruns on resume; runs are deterministic, so a rerun seed rewrites an
+//! identical record.
 //!
 //! # Determinism contract
 //!
@@ -36,19 +32,18 @@
 //! are journaled as exact `f64` bit patterns and re-aggregated in job-index
 //! order, so a killed-then-resumed sweep aggregates into [`SweepPoint`]s
 //! **bit-identical** to an uninterrupted one: every mean, variance and
-//! quantile string downstream comes out byte-for-byte equal. The block
-//! width shapes the journal and the fabric's claims (never the results), so
-//! it is part of the fingerprint: resuming under another width is an
-//! `InvalidData` error, not a silently mixed journal.
+//! quantile string downstream comes out byte-for-byte equal. The claim
+//! width shapes the fabric's claims (never the results), so it is part of
+//! the fingerprint: resuming under another width is an `InvalidData`
+//! error, not a silently mixed claim directory.
 //!
 //! [`stabilization_sweep`]: crate::stabilization_sweep
 //! [`SweepPoint`]: crate::SweepPoint
 //! [`parallel_map`]: crate::parallel_map
 //! [`run_worker_shard`]: crate::fabric::run_worker_shard
 
-use crate::runner::{cost_order, fan_out, SweepBundle, SweepRollup};
+use crate::runner::{cost_order, fan_out, SweepRollup};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::io::{self, Read as _, Write};
 use std::path::Path;
 use std::sync::Mutex;
@@ -59,116 +54,98 @@ pub(crate) const JOURNAL_FILE: &str = "journal.txt";
 /// Journal header prefix; the version is part of the format. `v2` added
 /// block markers and the execution mode in the fingerprint; `v3` renamed
 /// the marker to `block` and dropped the round law from the fingerprint.
-pub(crate) const HEADER_PREFIX: &str = "ppsweep v3";
+const HEADER_PREFIX: &str = "ppsweep v3";
 
-/// The block driver (see the [module docs](self)): runs the blocks of
-/// `bundles` that `done` does not fully journal, up to `job_limit`, appends
-/// each to the journal at `path` (opened, header `fp` first, only once a
-/// block is selected) and adds its results to `done`. `run` returns a
-/// block's results in job order, or `None` to decline it (the fabric's
-/// claim gate). Returns the rollup of its fan-out, whose `jobs` are the
-/// jobs it ran (a rerun block counts whole; `None` when it selected no
-/// block), and whether the job limit stopped the selection with pending
-/// blocks left over.
+/// The seed driver (see the [module docs](self)): runs the jobs `pending`
+/// (indices into the sweep's `(n, seed)` list `jobs`) largest-`n`-first,
+/// appends each finished job's record to `journal` and adds its result to
+/// `done`. `run` returns a job's result, or `None` to decline it (the
+/// fabric's claim gate). Returns the rollup of its fan-out, whose `jobs`
+/// are the seeds it ran, or `None` when nothing was pending.
 ///
 /// # Errors
 ///
-/// The first error of `run` or of the journal. The failed block journals
-/// nothing, and a failed append closes the journal — no block starts or
-/// appends after it, so a torn write stays the final record.
-pub(crate) fn drive_blocks<R>(
-    bundles: &[SweepBundle],
+/// The first error of `run` or of the journal. A failed append closes the
+/// journal: no seed starts or appends after it, so a torn write stays the
+/// final record.
+pub(crate) fn drive_seeds<R>(
+    jobs: &[(usize, u64)],
+    pending: &[usize],
+    journal: std::fs::File,
     done: &mut HashMap<usize, (bool, f64)>,
-    job_limit: Option<usize>,
-    path: &Path,
-    fp: u64,
     run: R,
-) -> io::Result<(Option<SweepRollup>, bool)>
+) -> io::Result<Option<SweepRollup>>
 where
-    R: Fn(&SweepBundle) -> io::Result<Option<Vec<(bool, f64)>>> + Sync,
+    R: Fn(usize) -> io::Result<Option<(bool, f64)>> + Sync,
 {
-    let limit = job_limit.unwrap_or(usize::MAX);
-    let mut selected = vec![false; bundles.len()];
-    let (mut planned, mut suspended) = (0, false);
-    for (k, bundle) in bundles.iter().enumerate() {
-        if journaled(bundle, done) {
-            continue;
-        }
-        if planned >= limit {
-            suspended = true;
-            break;
-        }
-        planned += bundle.seeds.len();
-        selected[k] = true;
+    if pending.is_empty() {
+        return Ok(None);
     }
-    // Selected in job order (the limit's semantics), scheduled
-    // most-expensive-first. Results are journaled and aggregated by block
-    // start, so the order changes makespan only, never a byte of output.
-    let order: Vec<&SweepBundle> = cost_order(bundles, |b| b.n)
+    // Results are journaled and aggregated by job index, so the order
+    // changes makespan only, never a byte of output.
+    let order: Vec<usize> = cost_order(pending, |&i| jobs[i].0)
         .into_iter()
-        .filter(|&k| selected[k])
-        .map(|k| &bundles[k])
+        .map(|k| pending[k])
         .collect();
-    if order.is_empty() {
-        return Ok((None, suspended));
-    }
-    let journal = Mutex::new(Some(open_journal_for_append(path, fp)?));
+    let journal = Mutex::new(Some(journal));
     let lock = || journal.lock().expect("journal writers do not panic");
-    let run_block = |bundle: &&SweepBundle| -> io::Result<Option<_>> {
+    let run_job = |&i: &usize| -> io::Result<Option<(bool, f64)>> {
         if lock().is_none() {
             return Ok(None);
         }
-        let Some(results) = run(bundle)? else {
+        let Some(result) = run(i)? else {
             return Ok(None);
         };
-        let mut text = String::new();
-        render_block(&mut text, bundle.start, &results);
         let mut slot = lock();
         let Some(file) = slot.as_mut() else {
             return Ok(None);
         };
-        if let Err(e) = file.write_all(text.as_bytes()).and_then(|()| file.flush()) {
+        if let Err(e) = file.write_all(record(i, result).as_bytes()) {
             *slot = None;
             return Err(e);
         }
-        Ok(Some((bundle.start, results)))
+        Ok(Some(result))
     };
-    let ran = |outcome: &io::Result<Option<(usize, Vec<_>)>>| match outcome {
-        Ok(Some((_, results))) => results.len() as u64,
-        _ => 0,
-    };
-    let (outcomes, rollup) = fan_out(&order, run_block, ran);
-    for outcome in outcomes {
-        if let Some((start, results)) = outcome? {
-            done.extend((start..).zip(results));
+    let ran = |outcome: &io::Result<Option<_>>| u64::from(matches!(outcome, Ok(Some(_))));
+    let (outcomes, rollup) = fan_out(&order, run_job, ran);
+    for (i, outcome) in order.into_iter().zip(outcomes) {
+        if let Some(result) = outcome? {
+            done.insert(i, result);
         }
     }
-    Ok((Some(rollup), suspended))
+    Ok(Some(rollup))
 }
 
-/// Appends one block to `text`: its `block` marker, then the `done` record
-/// of each job. The one writer of record text — the driver's appends and
-/// the fabric's canonical journal both render through it.
-pub(crate) fn render_block(text: &mut String, start: usize, results: &[(bool, f64)]) {
-    let _ = writeln!(text, "block {start} {}", results.len());
-    for (k, &(converged, time)) in results.iter().enumerate() {
-        let _ = writeln!(
-            text,
-            "done {} {} {:016x}",
-            start + k,
-            u8::from(converged),
-            time.to_bits()
-        );
+/// The `done` record line of job `job`: the one writer of record text,
+/// for the driver's appends and the canonical journal alike.
+fn record(job: usize, (converged, time): (bool, f64)) -> String {
+    format!(
+        "done {job} {} {:016x}\n",
+        u8::from(converged),
+        time.to_bits()
+    )
+}
+
+/// Writes the *canonical journal* of a fully-known job list to `path`: the
+/// header, then one `done` record per job in job order. A pure function
+/// of the results — which process ran which seed, in what order, across
+/// how many crashes, leaves no trace — so every complete run of the same
+/// spec writes the same bytes.
+pub(crate) fn write_canonical_journal(
+    path: &Path,
+    fp: u64,
+    flat: &[(bool, f64)],
+) -> io::Result<()> {
+    let mut text = format!("{HEADER_PREFIX} {fp:016x}\n");
+    for (i, &result) in flat.iter().enumerate() {
+        text.push_str(&record(i, result));
     }
-}
-
-/// Whether every job of `bundle` has a journaled result in `done`.
-fn journaled(bundle: &SweepBundle, done: &HashMap<usize, (bool, f64)>) -> bool {
-    (bundle.start..bundle.start + bundle.seeds.len()).all(|i| done.contains_key(&i))
+    write_atomically(path, text.as_bytes())
 }
 
 /// Writes via a temporary file + rename so readers never observe a torn
-/// file (the fabric's manifests, claim bodies and canonical journal).
+/// file (the fabric's metrics documents, claim bodies and canonical
+/// journal).
 pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = path.with_extension("ckpt.tmp");
     std::fs::write(&tmp, bytes)?;
@@ -183,10 +160,10 @@ pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// written before it hash no revision and are refused.
 const STREAM_REVISION: u64 = 1;
 
-/// FNV-1a 64 over the sweep parameters, the block width and the
+/// FNV-1a 64 over the sweep parameters, the claim width and the
 /// [`STREAM_REVISION`]: the journal's compatibility check. The width shapes
-/// the journal's blocks and the fabric's claims, so it must match. The `1`
-/// hashed before it tags block mode, which every journal since `v2` hashes.
+/// the fabric's claims, so it must match. The `1` hashed before it tags
+/// block mode, which every journal since `v2` hashes.
 pub(crate) fn fingerprint(
     ns: &[usize],
     seeds: u64,
@@ -249,10 +226,9 @@ pub(crate) fn load_journal(
             Some((index, result)) => {
                 done.insert(index, result);
             }
-            // Block markers delimit appended blocks; the results live in the
-            // `done` records that follow, so the marker itself carries no
-            // data — it is validated and skipped. A block whose append was
-            // cut short simply ends up with missing records and reruns.
+            // Legacy block markers carry no data (the results live in the
+            // `done` records): validated and skipped. A block whose append
+            // was cut short just lacks records, whose seeds rerun.
             None if parse_bundle_marker(line, job_count).is_some() => {}
             None => {
                 return Err(bad(format!(
@@ -285,8 +261,8 @@ fn parse_record(line: &str, job_count: usize) -> Option<(usize, (bool, f64))> {
     Some((index, (converged, time)))
 }
 
-/// Parses `block <start> <len>`; `None` on any malformation, including a
-/// block range that overruns the job list.
+/// Parses a legacy `block <start> <len>` marker; `None` on any
+/// malformation, including a block range that overruns the job list.
 fn parse_bundle_marker(line: &str, job_count: usize) -> Option<()> {
     let mut fields = line.split_ascii_whitespace();
     if fields.next()? != "block" {
@@ -301,7 +277,7 @@ fn parse_bundle_marker(line: &str, job_count: usize) -> Option<()> {
 }
 
 /// Opens the journal for appending. Cuts the bytes after the last newline
-/// first (the torn append [`load_journal`] ignored), so the next block
+/// first (the torn append [`load_journal`] ignored), so the next record
 /// starts on a line of its own, and writes the header when nothing whole
 /// is left.
 pub(crate) fn open_journal_for_append(path: &Path, fp: u64) -> io::Result<std::fs::File> {
@@ -475,8 +451,8 @@ mod tests {
     #[test]
     fn journal_rejects_mismatched_execution_modes() {
         // The block width is the one execution-mode parameter left: it
-        // shapes the journal's blocks and the claims, so a journal written
-        // at one width must refuse another.
+        // shapes the claims, so a journal written at one width must refuse
+        // another.
         let dir = Scratch::new("width_mismatch");
         work(&spec(&[16], 2, 1, 2), &dir, None).expect("worker runs");
         assert_invalid_data(work(&spec(&[16], 2, 1, 3), &dir, None));
@@ -504,28 +480,6 @@ mod tests {
                 .expect("torn tail is tolerated")
                 .fresh_jobs,
             1
-        );
-        assert_merges_to_sequential(&spec, &dir);
-    }
-
-    #[test]
-    fn torn_bundle_block_reruns_the_whole_bundle() {
-        // Cut a width-2 block after its first record: the block is
-        // incomplete, so rerunning the shard that claimed it reruns both of
-        // its jobs — and, being deterministic, they land on the same points
-        // as the clean sweep.
-        let spec = spec(&[16], 4, 13, 2);
-        let dir = Scratch::new("torn_bundle");
-        work(&spec, &dir, Some(1)).expect("worker runs");
-        edit_journal(&dir, |lines| {
-            // header + "block 0 2" + two done lines: drop the final one.
-            assert_eq!(lines.len(), 4, "unexpected journal shape: {lines:?}");
-            lines.pop();
-        });
-        let outcome = work(&spec, &dir, None).expect("incomplete blocks rerun");
-        assert_eq!(
-            outcome.fresh_jobs, 4,
-            "the cut block plus the remaining one"
         );
         assert_merges_to_sequential(&spec, &dir);
     }

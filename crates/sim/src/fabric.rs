@@ -16,15 +16,16 @@
 //!   metrics.json           the run's metrics document: sweep totals, rollups
 //! ```
 //!
-//! Every `metrics.json` is one [`metrics_document`]. Work is claimed at
-//! **block** granularity ([`FabricSpec::lanes`] same-`n` seeds): a worker
-//! runs the journal's block driver over the unclaimed blocks and gates each
-//! on atomically linking `claims/<start>.claim`, so shards never duplicate
+//! Every `metrics.json` is one [`metrics_document`]. The seed is the unit
+//! of work; the **block** ([`FabricSpec::lanes`] same-`n` seeds) is only
+//! the unit a worker claims. A worker selects the unclaimed blocks, fans
+//! their seeds out through the journal's seed driver largest-`n`-first (an
+//! LPT schedule) and claims each block when its first seed starts, by
+//! atomically linking `claims/<start>.claim`, so shards never duplicate
 //! work — *dynamic range claiming*, not static partitioning. The job
 //! space's heavy tail is what rules static shards out: whichever shard
-//! owned the straggler would cap the whole run. Instead a worker runs its
-//! blocks largest-`n`-first (an LPT schedule), and any idle worker can pick
-//! up whatever remains.
+//! owned the straggler would cap the whole run. Instead any idle worker
+//! can pick up whatever remains.
 //!
 //! # Merge contract
 //!
@@ -32,8 +33,8 @@
 //! `(protocol, n, seed, max_steps)` — never of which process, thread,
 //! block, or rerun ran it — and shard journals record exact `f64`
 //! bit patterns. The merge unions the shard journals (refusing mismatched
-//! fingerprints and, defensively, conflicting duplicates), then renders the
-//! *canonical journal*: blocks in block-start order, a pure
+//! fingerprints and, defensively, conflicting duplicates), then writes the
+//! *canonical journal*: one record per job in job order, a pure
 //! function of the results. Aggregation replays job-index order exactly as
 //! [`crate::stabilization_sweep`] traverses it, and [`Summary`] retains raw
 //! values so in-order accumulation is bit-exact. Sequential run, 1 shard,
@@ -49,34 +50,35 @@
 //! body `"<shard> <pid>"` once to `shard_<k>/claim.txt` and claims a block
 //! by hard-linking that file to `claims/<start>.claim`, which fails with
 //! `AlreadyExists` exactly as `create_new` does. A worker killed mid-block
-//! leaves its claim behind with no journal block; rerunning the same shard
-//! takes it back: a worker reruns every block whose claim names its own
-//! shard and that its journal does not hold whole, deterministically, to
-//! the same bits. A claim naming another shard waits for that shard's
-//! rerun, and a claim whose body names no shard stays held until it is
-//! removed by hand. So recovery needs one live process per shard id: two
-//! processes of one shard would both rerun its unfinished blocks. A worker
-//! that died *after* journaling loses nothing: its journal is read by the
-//! merge whether or not the process exited cleanly. Torn final blocks are
-//! tolerated by the journal loader and rerun whole.
+//! leaves its claim behind with some of the block's records missing;
+//! rerunning the same shard takes it back: a worker reruns the missing
+//! seeds of every block whose claim names its own shard, deterministically,
+//! to the same bits. So a kill loses only the seeds in flight. A claim
+//! naming another shard waits for that shard's rerun, and a claim whose
+//! body names no shard stays held until it is removed by hand. So recovery
+//! needs one live process per shard id: two processes of one shard would
+//! both rerun its unfinished blocks. A worker that died *after* journaling
+//! loses nothing: its journal is read by the merge whether or not the
+//! process exited cleanly. A torn final record is tolerated by the journal
+//! loader and its seed reruns.
 //!
 //! [`Summary`]: pp_stats::Summary
 //! [`Summary::checksum`]: pp_stats::Summary::checksum
 
 use crate::checkpoint::{
-    drive_blocks, fingerprint, load_journal, open_journal_for_append, render_block,
-    write_atomically, HEADER_PREFIX, JOURNAL_FILE,
+    drive_seeds, fingerprint, load_journal, open_journal_for_append, write_atomically,
+    write_canonical_journal, JOURNAL_FILE,
 };
 use crate::metrics_document;
 use crate::runner::{
-    aggregate_points, check_seeds, run_seed, sweep_bundles, sweep_flat, worker_count, SweepBundle,
-    SweepPoint, SweepRollup,
+    aggregate_points, check_seeds, run_seed, sweep_flat, sweep_jobs, SweepPoint, SweepRollup,
 };
 use pp_engine::LeaderElection;
 use pp_stats::Table;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Metrics document file name inside a run or shard directory.
@@ -107,7 +109,7 @@ pub struct FabricSpec {
     pub max_steps: u64,
     /// Seeds per claimed block ([`crate::sweep_lane_width`] in `ppsweep`).
     /// Explicit so every process of a run agrees on block composition;
-    /// results do not depend on it, the journal layout and claims do.
+    /// results and journals do not depend on it, the claims do.
     pub lanes: usize,
 }
 
@@ -135,19 +137,25 @@ impl FabricSpec {
         self.ns.len() * self.seeds as usize
     }
 
-    fn bundles(&self) -> Vec<SweepBundle> {
-        sweep_bundles(&self.ns, self.seeds, self.master_seed, self.lanes)
+    /// Start of the claim block holding job `i`: each size's seeds chunk
+    /// into blocks of [`lanes`](Self::lanes) in job order, so a block never
+    /// spans two entries of `ns`.
+    fn block_start(&self, i: usize) -> usize {
+        i - i % self.seeds as usize % self.lanes.max(1)
     }
 
-    /// `InvalidInput` unless the seed count fits the packed job index and
-    /// `shards` shard ids fit under [`MAX_SHARDS`]: every entry point's
-    /// first step, before it builds a job list.
+    /// `InvalidInput` unless the seed count is at least 1 and fits the
+    /// packed job index, and `shards` shard ids fit under [`MAX_SHARDS`]:
+    /// every entry point's first step, before it builds a job list.
     fn check(&self, shards: u64) -> io::Result<()> {
         check_seeds(self.seeds)?;
-        if shards <= MAX_SHARDS {
+        let msg = if self.seeds == 0 {
+            "a sweep needs at least one seed per size".to_string()
+        } else if shards > MAX_SHARDS {
+            format!("shard ids must be below {MAX_SHARDS} (got {shards} shards)")
+        } else {
             return Ok(());
-        }
-        let msg = format!("shard ids must be below {MAX_SHARDS} (got {shards} shards)");
+        };
         Err(io::Error::new(io::ErrorKind::InvalidInput, msg))
     }
 }
@@ -179,8 +187,6 @@ pub struct ShardManifest {
     pub fingerprint: u64,
     /// Jobs journaled by this shard in total (across invocations).
     pub jobs: u64,
-    /// Worker threads inside the shard process.
-    pub threads: u64,
     /// Wall-clock seconds of the final invocation.
     pub wall_seconds: f64,
     /// `false` when the invocation suspended at a job limit.
@@ -192,14 +198,8 @@ impl ShardManifest {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"shard\":{},\"pid\":{},\"fingerprint\":\"{:016x}\",\"jobs\":{},\
-             \"threads\":{},\"wall_seconds\":{},\"complete\":{}}}",
-            self.shard,
-            self.pid,
-            self.fingerprint,
-            self.jobs,
-            self.threads,
-            self.wall_seconds,
-            self.complete
+             \"wall_seconds\":{},\"complete\":{}}}",
+            self.shard, self.pid, self.fingerprint, self.jobs, self.wall_seconds, self.complete
         )
     }
 }
@@ -221,7 +221,6 @@ fn parse_shard_document(text: &str) -> Option<(ShardManifest, Vec<SweepRollup>)>
         pid: field(record, "pid")?,
         fingerprint: u64::from_str_radix(hex.trim_matches('"'), 16).ok()?,
         jobs: field(record, "jobs")?,
-        threads: field(record, "threads")?,
         wall_seconds: field(record, "wall_seconds")?,
         complete: field(record, "complete")?,
     };
@@ -268,26 +267,27 @@ fn sweep_json(spec: &FabricSpec, shards: u64, wall_seconds: Option<f64>) -> Stri
     )
 }
 
-/// Runs one worker shard of the grid: claims unclaimed blocks from the
-/// shared claim directory, journals each completed block into
-/// `shard_<shard>/journal.txt`, and on exit writes
-/// `shard_<shard>/metrics.json`, a [`metrics_document`] holding its
-/// [`ShardManifest`] and the rollup of the blocks this invocation ran.
+/// Runs one worker shard of the grid: runs the seeds of unclaimed blocks,
+/// claiming each block from the shared claim directory when its first seed
+/// starts, journals each finished seed into `shard_<shard>/journal.txt`,
+/// and on exit writes `shard_<shard>/metrics.json`, a [`metrics_document`]
+/// holding its [`ShardManifest`] and the rollup of the seeds this
+/// invocation ran.
 ///
-/// Reinvoking with the same directory resumes: blocks already journaled or
-/// claimed by another shard are left alone, and blocks this shard claimed
-/// without journaling them whole (a killed run) are rerun (see [Crash
+/// Reinvoking with the same directory resumes: jobs already journaled and
+/// blocks claimed by another shard are left alone, and the missing seeds of
+/// blocks this shard claimed (a killed run) are rerun (see [Crash
 /// recovery](self#crash-recovery)). `job_limit` bounds the *fresh* jobs of
-/// this invocation: blocks are selected in job order until the planned
-/// jobs reach it (overshoot at most `lanes − 1`, whatever the thread
-/// count), and hitting it with unclaimed blocks left over reports
+/// this invocation: whole blocks are selected in job order until the
+/// selected jobs reach it (overshoot at most `lanes − 1`, whatever the
+/// thread count), and hitting it with unclaimed blocks left over reports
 /// `suspended`.
 ///
 /// # Errors
 ///
-/// `InvalidInput` when `shard ≥ MAX_SHARDS`, `spec.seeds ≥ 2^32` or
-/// `job_limit` is `Some(0)` (a worker that may run nothing would suspend
-/// forever);
+/// `InvalidInput` when `shard ≥ MAX_SHARDS`, `spec.seeds` is 0 or
+/// `≥ 2^32`, or `job_limit` is `Some(0)` (a worker that may run nothing
+/// would suspend forever);
 /// otherwise the first claim / journal / metrics I/O error, or a shard
 /// journal whose fingerprint does not match `spec`.
 pub fn run_worker_shard<P, F>(
@@ -316,50 +316,38 @@ where
     let journal_path = my_dir.join(JOURNAL_FILE);
     let mut done = load_journal(&journal_path, fp, spec.total_jobs())?;
     // Always leave a headed journal: the merge refuses foreign shards by it.
-    open_journal_for_append(&journal_path, fp)?;
+    let journal = open_journal_for_append(&journal_path, fp)?;
     // Written once, by rename, so the claims of an earlier run keep their
     // body.
     let (body, pid) = (my_dir.join("claim.txt"), std::process::id());
     write_atomically(&body, format!("{shard} {pid}\n").as_bytes())?;
-    // A held block would count against the job limit only to be declined,
-    // so a limited rerun would pick the same held blocks forever. This
-    // shard's own claims stay in: the drive skips the journaled ones and
-    // reruns the rest.
-    let mut owned = HashSet::new();
-    let mut bundles = spec.bundles();
-    bundles.retain(|bundle| {
-        let claim = std::fs::read_to_string(claim_path(&claims, bundle.start));
-        if matches!(&claim, Err(e) if e.kind() == io::ErrorKind::NotFound) {
-            return true;
-        }
-        let mine = claim.ok().as_deref().and_then(claim_shard) == Some(shard);
-        if mine {
-            owned.insert(bundle.start);
-        }
-        mine
-    });
     // A suspended worker never strands a claim: the limit is applied when
     // blocks are selected, before any is claimed (only a killed worker
     // strands one, and its rerun takes it back).
-    let (rollup, suspended) = drive_blocks(
-        &bundles,
-        &mut done,
-        job_limit,
-        &journal_path,
-        fp,
-        |bundle| {
-            let mine = owned.contains(&bundle.start) || claim_bundle(&claims, &body, bundle.start)?;
-            let run = |&seed: &u64| run_seed(&make, bundle.n, seed, spec.max_steps);
-            Ok(mine.then(|| bundle.seeds.iter().map(run).collect()))
-        },
-    )?;
+    let (pending, owned, suspended) = select_blocks(spec, &claims, shard, &done, job_limit);
+    // One claim attempt per block and invocation: its outcome gates every
+    // seed of the block.
+    let claimed = Mutex::new(owned);
+    let mine = |start: usize| -> io::Result<bool> {
+        let mut claimed = claimed.lock().expect("claimers do not panic");
+        if let Some(&mine) = claimed.get(&start) {
+            return Ok(mine);
+        }
+        let won = claim_block(&claims, &body, start);
+        claimed.insert(start, matches!(won, Ok(true)));
+        won
+    };
+    let jobs = sweep_jobs(&spec.ns, spec.seeds, spec.master_seed);
+    let rollup = drive_seeds(&jobs, &pending, journal, &mut done, |i| {
+        let (n, seed) = jobs[i];
+        Ok(mine(spec.block_start(i))?.then(|| run_seed(&make, n, seed, spec.max_steps)))
+    })?;
 
     let record = ShardManifest {
         shard,
         pid,
         fingerprint: fp,
         jobs: done.len() as u64,
-        threads: worker_count(bundles.len()) as u64,
         wall_seconds: started.elapsed().as_secs_f64(),
         complete: !suspended,
     };
@@ -373,12 +361,52 @@ where
     })
 }
 
+/// Selects a worker invocation's jobs: the unjournaled jobs of every block
+/// no other shard holds, whole blocks in job order until the selected jobs
+/// reach `job_limit`. A held block would count against the limit only to
+/// be declined, so a limited rerun would pick the same held blocks forever.
+/// Returns the jobs, the selected blocks whose claim already names `shard`
+/// (a killed run's, taken back), and whether the limit left blocks over.
+fn select_blocks(
+    spec: &FabricSpec,
+    claims: &Path,
+    shard: u64,
+    done: &HashMap<usize, (bool, f64)>,
+    job_limit: Option<usize>,
+) -> (Vec<usize>, HashMap<usize, bool>, bool) {
+    let limit = job_limit.unwrap_or(usize::MAX);
+    let (mut pending, mut owned) = (Vec::new(), HashMap::new());
+    let (mut block, mut take) = (usize::MAX, false);
+    for i in (0..spec.total_jobs()).filter(|i| !done.contains_key(i)) {
+        if spec.block_start(i) != block {
+            block = spec.block_start(i);
+            // `None` when unclaimed, else whether the claim names `shard`
+            // (a claim that cannot be read names none).
+            let holder = match std::fs::read_to_string(claim_path(claims, block)) {
+                Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+                claim => Some(claim.ok().as_deref().and_then(claim_shard) == Some(shard)),
+            };
+            take = holder != Some(false);
+            if take && pending.len() >= limit {
+                return (pending, owned, true);
+            }
+            if holder == Some(true) {
+                owned.insert(block, true);
+            }
+        }
+        if take {
+            pending.push(i);
+        }
+    }
+    (pending, owned, false)
+}
+
 /// Atomically claims block `start` by hard-linking the claim body file
 /// `body` to its claim: the link fails with `AlreadyExists` when the claim
 /// exists, as `create_new` does, so exactly one worker — across all
 /// processes sharing the directory — wins each block, and the claim names
 /// its shard from the moment it exists.
-fn claim_bundle(claims: &Path, body: &Path, start: usize) -> io::Result<bool> {
+fn claim_block(claims: &Path, body: &Path, start: usize) -> io::Result<bool> {
     match std::fs::hard_link(body, claim_path(claims, start)) {
         Ok(()) => Ok(true),
         Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(false),
@@ -408,8 +436,8 @@ pub struct MergeReport {
     /// Jobs with no journaled result in any shard.
     pub missing: usize,
     /// The shard records of the shard directories whose metrics document
-    /// parsed.
-    pub manifests: Vec<ShardManifest>,
+    /// parsed, each with the rollups of its last invocation.
+    pub manifests: Vec<(ShardManifest, Vec<SweepRollup>)>,
 }
 
 /// Merges shard journals `shard_0 .. shard_<shards>` under `dir`. When the
@@ -422,7 +450,8 @@ pub struct MergeReport {
 ///
 /// # Errors
 ///
-/// `InvalidInput` when `shards > MAX_SHARDS` or `spec.seeds ≥ 2^32`; I/O
+/// `InvalidInput` when `shards > MAX_SHARDS` or `spec.seeds` is 0 or
+/// `≥ 2^32`; I/O
 /// errors; a shard journal whose header fingerprint does not match
 /// `spec` (mixed-fingerprint shard directories are refused, `InvalidData`);
 /// or shard journals that disagree on a job's exact result — impossible for
@@ -449,14 +478,12 @@ pub fn merge_shards(spec: &FabricSpec, dir: &Path, shards: u64) -> io::Result<Me
             }
         }
     }
-    let (mut manifests, mut rollups) = (Vec::new(), Vec::new());
-    for shard in 0..shards {
-        let text = std::fs::read_to_string(shard_dir(dir, shard).join(METRICS_FILE));
-        if let Some((record, ran)) = text.ok().as_deref().and_then(parse_shard_document) {
-            manifests.push(record);
-            rollups.extend(ran);
-        }
-    }
+    let manifests: Vec<_> = (0..shards)
+        .filter_map(|shard| {
+            let text = std::fs::read_to_string(shard_dir(dir, shard).join(METRICS_FILE));
+            text.ok().as_deref().and_then(parse_shard_document)
+        })
+        .collect();
     let missing = total - done.len();
     if missing > 0 {
         return Ok(MergeReport {
@@ -466,11 +493,12 @@ pub fn merge_shards(spec: &FabricSpec, dir: &Path, shards: u64) -> io::Result<Me
         });
     }
     let flat: Vec<(bool, f64)> = (0..total).map(|i| done[&i]).collect();
-    write_atomically(
-        &dir.join(JOURNAL_FILE),
-        canonical_journal(spec, fp, &flat).as_bytes(),
-    )?;
+    write_canonical_journal(&dir.join(JOURNAL_FILE), fp, &flat)?;
     let sweep = sweep_json(spec, shards, None);
+    let rollups: Vec<SweepRollup> = manifests
+        .iter()
+        .flat_map(|(_, r)| r.iter().copied())
+        .collect();
     let document = metrics_document(None, None, Some(&sweep), None, &rollups);
     write_atomically(&dir.join(METRICS_FILE), document.as_bytes())?;
     Ok(MergeReport {
@@ -489,7 +517,8 @@ pub fn merge_shards(spec: &FabricSpec, dir: &Path, shards: u64) -> io::Result<Me
 ///
 /// # Errors
 ///
-/// `InvalidInput` when `spec.seeds ≥ 2^32`; journal write errors.
+/// `InvalidInput` when `spec.seeds` is 0 or `≥ 2^32`; journal write
+/// errors.
 pub fn run_sequential<P, F>(make: F, spec: &FabricSpec, dir: &Path) -> io::Result<Vec<SweepPoint>>
 where
     P: LeaderElection,
@@ -505,28 +534,11 @@ where
         spec.master_seed,
         spec.max_steps,
     );
-    write_atomically(
-        &dir.join(JOURNAL_FILE),
-        canonical_journal(spec, spec.fingerprint(), &flat).as_bytes(),
-    )?;
+    write_canonical_journal(&dir.join(JOURNAL_FILE), spec.fingerprint(), &flat)?;
     let sweep = sweep_json(spec, 0, Some(started.elapsed().as_secs_f64()));
     let document = metrics_document(None, None, Some(&sweep), None, &[rollup]);
     write_atomically(&dir.join(METRICS_FILE), document.as_bytes())?;
     Ok(aggregate_points(&spec.ns, spec.seeds, &flat))
-}
-
-/// Renders the canonical journal of a fully-known job list: the `ppsweep
-/// v3` header plus one block per [`FabricSpec::lanes`]-wide block, in
-/// block-start order. A pure function of the results — which process ran which block,
-/// in what order, across how many crashes, leaves no trace —
-/// so every complete run of the same spec renders the same bytes.
-fn canonical_journal(spec: &FabricSpec, fp: u64, flat: &[(bool, f64)]) -> String {
-    let mut text = format!("{HEADER_PREFIX} {fp:016x}\n");
-    for bundle in spec.bundles() {
-        let range = bundle.start..bundle.start + bundle.seeds.len();
-        render_block(&mut text, bundle.start, &flat[range]);
-    }
-    text
 }
 
 /// Renders sweep points as the fabric's results table. The `checksum`
@@ -561,6 +573,7 @@ pub fn points_table(points: &[SweepPoint]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::tests::with_threads;
     use pp_protocols::Fratricide;
     use proptest::prelude::*;
 
@@ -609,7 +622,6 @@ mod tests {
             pid: 4242,
             fingerprint: 0x0123_4567_89ab_cdef,
             jobs: 17,
-            threads: 2,
             wall_seconds: 1.25,
             complete: true,
         };
@@ -634,6 +646,8 @@ mod tests {
             text.replace("pp-metrics/v1", "pp-metrics/v9"),
             text.replace("\"jobs\":9", "\"jobs\":-9"),
             text.replace("\"pid\":4242,\"fingerprint", "\"fingerprint"),
+            // An older binary's record, with the retired `threads` field.
+            text.replace("\"jobs\":17,", "\"jobs\":17,\"threads\":2,"),
             text[..text.len() - 3].to_string(),
             metrics_document(None, None, Some(&sweep), None, &[rollup(9)]),
             format!("{{\"rollups\":[{}]}}\n", rollup(9).to_json()),
@@ -750,8 +764,8 @@ mod tests {
         assert_eq!(seq_journal, merged_journal);
         // The shard record holds the whole grid.
         assert_eq!(report.manifests.len(), 1);
-        assert_eq!(report.manifests[0].jobs, spec.total_jobs() as u64);
-        assert!(report.manifests[0].complete);
+        assert_eq!(report.manifests[0].0.jobs, spec.total_jobs() as u64);
+        assert!(report.manifests[0].0.complete);
     }
 
     #[test]
@@ -903,15 +917,16 @@ mod tests {
         // the whole grid. The limit is now applied when blocks are
         // selected: exactly one width-2 block runs, whatever the threads.
         let spec = spec();
-        assert!(spec.bundles().len() >= 4);
+        assert!(
+            (0..spec.total_jobs())
+                .filter(|&i| spec.block_start(i) == i)
+                .count()
+                >= 4
+        );
         let dir = Scratch::new("racing_limit");
-        let threads = std::env::var("PP_SIM_THREADS").ok();
-        std::env::set_var("PP_SIM_THREADS", "4");
-        let outcome = run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, Some(1));
-        match threads {
-            Some(v) => std::env::set_var("PP_SIM_THREADS", v),
-            None => std::env::remove_var("PP_SIM_THREADS"),
-        }
+        let outcome = with_threads("4", || {
+            run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, Some(1))
+        });
         let outcome = outcome.expect("limited worker runs");
         assert_eq!(outcome.fresh_jobs, 2);
         assert!(outcome.suspended);
@@ -949,20 +964,109 @@ mod tests {
     }
 
     #[test]
+    fn claim_blocks_partition_the_job_list() {
+        // 5 seeds at width 2 → blocks [2, 2, 1] per size; blocks never
+        // span sizes, and every job maps to the start of its block.
+        let spec = spec();
+        let starts: Vec<usize> = (0..spec.total_jobs())
+            .map(|i| spec.block_start(i))
+            .collect();
+        assert_eq!(starts, [0, 0, 2, 2, 4, 5, 5, 7, 7, 9]);
+    }
+
+    #[test]
+    fn a_one_block_worker_fans_its_seeds_over_every_thread() {
+        // Regression: a worker ran each claimed block on one thread, so a
+        // grid of one block idled every other core.
+        let mut spec = spec();
+        (spec.ns, spec.seeds, spec.lanes) = (vec![64], 4, 4);
+        let dir = Scratch::new("one_block_threads");
+        let outcome = with_threads("4", || {
+            run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None)
+        });
+        assert_eq!(outcome.expect("worker runs").fresh_jobs, 4);
+        let text = std::fs::read_to_string(shard_dir(&dir.0, 0).join(METRICS_FILE)).unwrap();
+        let (_, rollups) = parse_shard_document(&text).expect("a shard document");
+        assert_eq!(rollups.len(), 1);
+        assert_eq!((rollups[0].jobs, rollups[0].workers), (4, 4));
+    }
+
+    #[test]
+    fn partly_journaled_own_block_reruns_only_its_missing_seeds() {
+        // A worker killed mid-block journaled 3 of the block's 4 seeds
+        // under its own claim: its rerun runs just the missing seed.
+        let mut spec = spec();
+        (spec.ns, spec.seeds, spec.lanes) = (vec![16], 4, 4);
+        let dir = Scratch::new("partial_block");
+        run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None).expect("worker runs");
+        let journal = shard_dir(&dir.0, 0).join(JOURNAL_FILE);
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.pop().map(|l| l.starts_with("done ")), Some(true));
+        std::fs::write(&journal, lines.join("\n") + "\n").unwrap();
+        let claim = std::fs::read_to_string(claim_path(&dir.0.join(CLAIMS_DIR), 0)).unwrap();
+        assert_eq!(claim_shard(&claim), Some(0));
+        let rerun = run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None).expect("rerun");
+        assert_eq!((rerun.fresh_jobs, rerun.suspended), (1, false));
+        assert_merges_to_sequential(&spec, &dir, 1);
+    }
+
+    #[test]
+    fn legacy_block_marker_journal_resumes_and_merges_to_sequential() {
+        // Journals of older binaries frame their records in `block` markers;
+        // this one holds block [0,2) whole, [2,4) torn after one record and
+        // [6,8) whole. The resume runs only the 3 missing seeds, and the
+        // merge writes the sequential run's marker-free canonical journal.
+        let mut spec = spec();
+        (spec.ns, spec.seeds) = (vec![16, 24], 4);
+        let seq = Scratch::new("legacy_seq");
+        run_sequential(|_| Fratricide, &spec, &seq.0).expect("sequential runs");
+        let canonical = std::fs::read_to_string(seq.0.join(JOURNAL_FILE)).unwrap();
+        let lines: Vec<&str> = canonical.lines().collect();
+        assert_eq!(
+            lines.len(),
+            1 + spec.total_jobs(),
+            "header + one record per job"
+        );
+        assert!(lines[1..].iter().all(|l| l.starts_with("done ")));
+        let legacy = [
+            lines[0],
+            "block 0 2",
+            lines[1],
+            lines[2],
+            "block 2 2",
+            lines[3],
+            "block 6 2",
+            lines[7],
+            lines[8],
+        ];
+        let dir = Scratch::new("legacy_markers");
+        std::fs::create_dir_all(shard_dir(&dir.0, 0)).unwrap();
+        let journal = shard_dir(&dir.0, 0).join(JOURNAL_FILE);
+        std::fs::write(&journal, legacy.join("\n") + "\n").unwrap();
+        let outcome = run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None).expect("resumes");
+        assert_eq!((outcome.fresh_jobs, outcome.suspended), (3, false));
+        assert_merges_to_sequential(&spec, &dir, 1);
+    }
+
+    #[test]
     fn out_of_range_inputs_are_invalid_input_errors() {
-        // Seeds past the packed job index, shard ids past MAX_SHARDS and a
-        // zero job limit are refused before any job list is built or any
+        // Zero seeds, seeds past the packed job index, shard ids past
+        // MAX_SHARDS and a zero job limit are refused before any job list is built or any
         // file written.
         let dir = Scratch::new("invalid_input");
-        let mut huge = spec();
-        huge.seeds = 1 << 32;
         let invalid = |result: io::Result<()>| {
             let err = result.expect_err("out-of-range input must be refused");
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
         };
-        invalid(run_sequential(|_| Fratricide, &huge, &dir.0).map(drop));
-        invalid(run_worker_shard(|_| Fratricide, &huge, &dir.0, 0, None).map(drop));
-        invalid(merge_shards(&huge, &dir.0, 1).map(drop));
+        // Zero seeds used to write a zero-run row that read like a mean.
+        for seeds in [1 << 32, 0] {
+            let mut bad = spec();
+            bad.seeds = seeds;
+            invalid(run_sequential(|_| Fratricide, &bad, &dir.0).map(drop));
+            invalid(run_worker_shard(|_| Fratricide, &bad, &dir.0, 0, None).map(drop));
+            invalid(merge_shards(&bad, &dir.0, 1).map(drop));
+        }
         let spec = spec();
         invalid(run_worker_shard(|_| Fratricide, &spec, &dir.0, MAX_SHARDS, None).map(drop));
         invalid(run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, Some(0)).map(drop));

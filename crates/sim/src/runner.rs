@@ -1,15 +1,13 @@
 //! Parallel execution of embarrassingly parallel experiment jobs.
 //!
 //! [`parallel_map`] fans jobs out across worker **threads**; it is the one
-//! thread pool every sweep rides. [`stabilization_sweep`] hands the workers
-//! one seed per item, largest-`n`-first, and runs every seed on its own
-//! scalar [`CountSimulation`]; the fabric's durable worker shards run
-//! **blocks** of same-`n` seeds through `checkpoint::drive_blocks`, because
-//! a block is the unit a worker claims and journals.
-//! A seed's result is a pure function of `(protocol, n, master seed, seed
-//! index, max_steps)`, so neither the block size nor the thread count
-//! (`PP_SIM_THREADS`, the one env override, for reproducible benchmarking)
-//! changes a bit of the output.
+//! thread pool every sweep rides. Every sweep — [`stabilization_sweep`],
+//! the fabric's sequential mode and its durable worker shards — hands the
+//! workers one seed per item, largest-`n`-first, and runs every seed on its
+//! own scalar [`CountSimulation`]. A seed's result is a pure function of
+//! `(protocol, n, master seed, seed index, max_steps)`, so neither the
+//! fabric's claim width nor the thread count (`PP_SIM_THREADS`, the one env
+//! override, for reproducible benchmarking) changes a bit of the output.
 
 use pp_engine::{CountSimulation, LeaderElection};
 use pp_rand::{SeedSequence, Xoshiro256PlusPlus};
@@ -23,9 +21,8 @@ use std::time::Instant;
 /// erroring).
 const MAX_WORKERS: usize = 1024;
 
-/// Seeds per sweep block: small enough that a grid of a few sizes spreads
-/// over a worker's threads, large enough that claim files and journal
-/// appends stay rare next to the runs they record.
+/// Seeds per claimed sweep block: large enough that claim files stay rare
+/// next to the runs they gate.
 const BLOCK_SEEDS: usize = 8;
 
 /// `PP_SIM_THREADS` resolution: a parseable override is clamped to
@@ -49,9 +46,9 @@ pub(crate) fn worker_count(jobs: usize) -> usize {
     worker_override(threads.as_deref().ok(), detected).min(jobs.max(1))
 }
 
-/// Seeds per sweep block, fixed at 8: the width `ppsweep` gives every
-/// [`FabricSpec`](crate::fabric::FabricSpec), which shapes the canonical
-/// journal and a worker's claims. Results never depend on it.
+/// Seeds per claimed block, fixed at 8: the width `ppsweep` gives every
+/// [`FabricSpec`](crate::fabric::FabricSpec), which shapes a worker's
+/// claims. Results and journals never depend on it.
 pub fn sweep_lane_width() -> usize {
     BLOCK_SEEDS
 }
@@ -71,8 +68,8 @@ fn progress_enabled(jobs: usize) -> bool {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepRollup {
     /// Jobs the fan-out ran: one per item, which for a sweep is one per
-    /// seed. A fabric worker counts the seeds of the blocks it ran, not the
-    /// blocks another shard held.
+    /// seed. A fabric worker counts the seeds it ran, not the seeds it
+    /// declined because another shard held their block.
     pub jobs: u64,
     /// Worker threads it ran on.
     pub workers: u64,
@@ -204,8 +201,7 @@ where
 
 /// [`parallel_map`], also returning the fan-out's rollup (recorded as
 /// `parallel_map` records it). Its `jobs` sums `weight` over the results,
-/// so a fabric worker's blocks count the seeds they ran and a declined
-/// block counts none.
+/// so a fabric worker's declined seeds count none.
 pub(crate) fn fan_out<T, R, F, W>(jobs: &[T], f: F, weight: W) -> (Vec<R>, SweepRollup)
 where
     T: Sync,
@@ -411,43 +407,6 @@ pub(crate) fn sweep_jobs(ns: &[usize], seeds: u64, master_seed: u64) -> Vec<(usi
     jobs
 }
 
-/// One sweep block: a contiguous run of same-`n` seed-stream jobs, the
-/// unit a fabric worker claims, runs on one thread and journals.
-#[derive(Debug, Clone)]
-pub(crate) struct SweepBundle {
-    /// Population size shared by every job of the block.
-    pub n: usize,
-    /// Flat job index of the block's first job (the aggregation order).
-    pub start: usize,
-    /// Per-job RNG seeds, in job order.
-    pub seeds: Vec<u64>,
-}
-
-/// Partitions the flat job list of [`sweep_jobs`] into blocks of up to
-/// `block` same-`n` jobs. Blocks never span two entries of `ns` (each
-/// size's seed range chunks independently), so aggregation ranges stay
-/// contiguous.
-pub(crate) fn sweep_bundles(
-    ns: &[usize],
-    seeds: u64,
-    master_seed: u64,
-    block: usize,
-) -> Vec<SweepBundle> {
-    let (block, per_size) = (block.max(1), (seeds as usize).max(1));
-    let jobs = sweep_jobs(ns, seeds, master_seed);
-    let mut bundles = Vec::new();
-    for (size, size_jobs) in jobs.chunks(per_size).enumerate() {
-        for (k, chunk) in size_jobs.chunks(block).enumerate() {
-            bundles.push(SweepBundle {
-                n: chunk[0].0,
-                start: size * per_size + k * block,
-                seeds: chunk.iter().map(|&(_, seed)| seed).collect(),
-            });
-        }
-    }
-    bundles
-}
-
 /// Runs one seed to stabilization on its own [`CountSimulation`]:
 /// `(converged, parallel_time)`.
 pub(crate) fn run_seed<P, F>(make: &F, n: usize, seed: u64, max_steps: u64) -> (bool, f64)
@@ -494,9 +453,24 @@ pub(crate) fn aggregate_points(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pp_protocols::Fratricide;
+
+    /// Runs `f` with `PP_SIM_THREADS` set to `threads`, then restores it.
+    /// The variable is process-global, so the tests that set it take turns.
+    pub(crate) fn with_threads<T>(threads: &str, f: impl FnOnce() -> T) -> T {
+        static LOCK: Mutex<()> = Mutex::new(());
+        let _turn = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let saved = std::env::var("PP_SIM_THREADS").ok();
+        std::env::set_var("PP_SIM_THREADS", threads);
+        let out = f();
+        match saved {
+            Some(v) => std::env::set_var("PP_SIM_THREADS", v),
+            None => std::env::remove_var("PP_SIM_THREADS"),
+        }
+        out
+    }
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -580,32 +554,25 @@ mod tests {
 
     #[test]
     fn cost_order_is_largest_n_first_and_stable() {
-        // ns deliberately not sorted: 5 seeds at width 2 → bundles
-        // [2, 2, 1] per size, and the order must pick every n = 64 bundle
+        // ns deliberately not sorted: the order must pick every n = 64 job
         // first while preserving job order within each size.
-        let bundles = sweep_bundles(&[16, 64, 32], 5, 3, 2);
-        let order = cost_order(&bundles, |b| b.n);
-        let ns: Vec<usize> = order.iter().map(|&i| bundles[i].n).collect();
+        let jobs = sweep_jobs(&[16, 64, 32], 3, 3);
+        let order = cost_order(&jobs, |&(n, _)| n);
+        let ns: Vec<usize> = order.iter().map(|&i| jobs[i].0).collect();
         assert_eq!(ns, vec![64, 64, 64, 32, 32, 32, 16, 16, 16]);
-        let starts: Vec<usize> = order.iter().map(|&i| bundles[i].start).collect();
-        assert_eq!(starts, vec![5, 7, 9, 10, 12, 14, 0, 2, 4]);
+        assert_eq!(order, vec![3, 4, 5, 6, 7, 8, 0, 1, 2]);
     }
 
     #[test]
     fn largest_n_first_scheduling_keeps_results_in_job_order() {
         // The scheduled sweep must scatter back to exactly the flat
-        // job-order results of a plain bundle-by-bundle traversal — same
-        // order, same bits.
+        // job-order results of a plain job-by-job traversal — same order,
+        // same bits.
         let ns = [32usize, 16];
         let (flat, _) = sweep_flat(&|_| Fratricide, &ns, 5, 42, u64::MAX);
-        let bundles = sweep_bundles(&ns, 5, 42, 2);
-        let expected: Vec<(bool, f64)> = bundles
+        let expected: Vec<(bool, f64)> = sweep_jobs(&ns, 5, 42)
             .iter()
-            .flat_map(|b| {
-                b.seeds
-                    .iter()
-                    .map(|&s| run_seed(&|_| Fratricide, b.n, s, u64::MAX))
-            })
+            .map(|&(n, seed)| run_seed(&|_| Fratricide, n, seed, u64::MAX))
             .collect();
         assert_eq!(flat.len(), expected.len());
         for (a, b) in flat.iter().zip(&expected) {
@@ -629,28 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_bundles_partition_the_job_list() {
-        // 5 seeds at width 2 → [2, 2, 1] per size; bundles never span
-        // sizes, starts are the flat job indices, seeds match sweep_jobs.
-        let ns = [16usize, 32];
-        let (seeds, master) = (5u64, 3u64);
-        let jobs = sweep_jobs(&ns, seeds, master);
-        let bundles = sweep_bundles(&ns, seeds, master, 2);
-        assert_eq!(bundles.len(), 6);
-        let widths: Vec<usize> = bundles.iter().map(|b| b.seeds.len()).collect();
-        assert_eq!(widths, vec![2, 2, 1, 2, 2, 1]);
-        let mut flat = 0;
-        for bundle in &bundles {
-            assert_eq!(bundle.start, flat);
-            for (k, &seed) in bundle.seeds.iter().enumerate() {
-                assert_eq!((bundle.n, seed), jobs[flat + k]);
-            }
-            flat += bundle.seeds.len();
-        }
-        assert_eq!(flat, jobs.len());
-    }
-
-    #[test]
     fn sweep_is_deterministic_and_converges() {
         let ns = [16usize, 32];
         let a = stabilization_sweep(|_| Fratricide, &ns, 5, 42, u64::MAX);
@@ -669,35 +614,37 @@ mod tests {
         // Every seed runs on its own scalar engine, so a sweep's results are
         // a function of (protocol, n, master seed, seed index, max_steps)
         // alone: the worker count of the per-seed fan-out and the width of
-        // the blocks a fabric worker runs must not move a bit.
+        // the blocks a fabric worker claims must not move a bit.
         let ns = [2048usize, 32, 4096];
-        let checksums = |flat: &[(bool, f64)]| -> Vec<u64> {
-            aggregate_points(&ns, 11, flat)
-                .iter()
-                .map(|p| p.times.checksum())
-                .collect()
+        let checksums = |points: &[SweepPoint]| -> Vec<u64> {
+            points.iter().map(|p| p.times.checksum()).collect()
         };
-        let threads = std::env::var("PP_SIM_THREADS").ok();
         let mut runs = Vec::new();
         for workers in ["1", "2"] {
-            std::env::set_var("PP_SIM_THREADS", workers);
-            let (flat, _) = sweep_flat(&|_| Fratricide, &ns, 11, 7, u64::MAX);
-            runs.push((format!("{workers} threads"), checksums(&flat)));
-        }
-        match threads {
-            Some(v) => std::env::set_var("PP_SIM_THREADS", v),
-            None => std::env::remove_var("PP_SIM_THREADS"),
+            let (flat, _) = with_threads(workers, || {
+                sweep_flat(&|_| Fratricide, &ns, 11, 7, u64::MAX)
+            });
+            let points = aggregate_points(&ns, 11, &flat);
+            runs.push((format!("{workers} threads"), checksums(&points)));
         }
         for block in [1, 3, 8] {
-            let flat: Vec<(bool, f64)> = sweep_bundles(&ns, 11, 7, block)
-                .iter()
-                .flat_map(|b| {
-                    b.seeds
-                        .iter()
-                        .map(|&s| run_seed(&|_| Fratricide, b.n, s, u64::MAX))
-                })
-                .collect();
-            runs.push((format!("block {block}"), checksums(&flat)));
+            let spec = crate::fabric::FabricSpec {
+                protocol: "fratricide".into(),
+                ns: ns.to_vec(),
+                seeds: 11,
+                master_seed: 7,
+                max_steps: u64::MAX,
+                lanes: block,
+            };
+            let dir =
+                std::env::temp_dir().join(format!("ppsweep_width_{}_{block}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            crate::fabric::run_worker_shard(|_| Fratricide, &spec, &dir, 0, None)
+                .expect("worker runs");
+            let merged = crate::fabric::merge_shards(&spec, &dir, 1).expect("merge");
+            let _ = std::fs::remove_dir_all(&dir);
+            let points = merged.points.expect("every job is journaled");
+            runs.push((format!("block {block}"), checksums(&points)));
         }
         let (_, reference) = &runs[0];
         for (run, sums) in &runs {
@@ -710,11 +657,13 @@ mod tests {
         // Regression: the sweep fanned out 8-seed blocks, so a one-size
         // 8-seed sweep reported one job on one worker and idled every
         // other core. One seed per item: 8 jobs, spread over the workers.
-        let (flat, rollup) = sweep_flat(&|_| Fratricide, &[4096], 8, 42, u64::MAX);
-        assert_eq!(flat.len(), 8);
-        assert_eq!(rollup.jobs, 8);
-        assert_eq!(rollup.workers, worker_count(8) as u64);
-        assert_eq!(rollup.shard, None);
+        with_threads("2", || {
+            let (flat, rollup) = sweep_flat(&|_| Fratricide, &[4096], 8, 42, u64::MAX);
+            assert_eq!(flat.len(), 8);
+            assert_eq!(rollup.jobs, 8);
+            assert_eq!(rollup.workers, worker_count(8) as u64);
+            assert_eq!(rollup.shard, None);
+        });
     }
 
     #[test]

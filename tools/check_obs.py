@@ -94,7 +94,6 @@ SHARD_FIELDS = {
     "pid": INT,
     "fingerprint": STR,
     "jobs": INT,
-    "threads": INT,
     "wall_seconds": NUM,
     "complete": BOOL,
 }
