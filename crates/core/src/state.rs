@@ -177,103 +177,11 @@ impl PllState {
             _ => None,
         }
     }
-
-    /// Packs the state into a single `u64` (compact interning key; also a
-    /// constructive witness that the state fits comfortably in one word).
-    ///
-    /// Layout (low to high): leader(1) status(2) epoch(3) init(3) color(2)
-    /// variant(3) payload(34).
-    pub fn pack(&self) -> u64 {
-        let status = match self.status {
-            Status::X => 0u64,
-            Status::A => 1,
-            Status::B => 2,
-        };
-        let (variant, payload): (u64, u64) = match self.extra {
-            Extra::None => (0, 0),
-            Extra::Timer { count } => (1, count as u64),
-            Extra::Quick { level_q, done } => (2, ((level_q as u64) << 1) | u64::from(done)),
-            Extra::Rand { rand, index } => (3, ((rand as u64) << 8) | index as u64),
-            Extra::Backup { level_b } => (4, level_b as u64),
-        };
-        u64::from(self.leader)
-            | (status << 1)
-            | ((self.epoch as u64) << 3)
-            | ((self.init as u64) << 6)
-            | ((self.color as u64) << 9)
-            | (variant << 11)
-            | (payload << 14)
-    }
-
-    /// Reverses [`pack`](PllState::pack).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a word that does not encode a valid state (unknown status or
-    /// variant tag).
-    pub fn unpack(word: u64) -> Self {
-        let leader = word & 1 == 1;
-        let status = match (word >> 1) & 0b11 {
-            0 => Status::X,
-            1 => Status::A,
-            2 => Status::B,
-            other => panic!("invalid packed status tag {other}"),
-        };
-        let epoch = ((word >> 3) & 0b111) as u8;
-        let init = ((word >> 6) & 0b111) as u8;
-        let color = ((word >> 9) & 0b11) as u8;
-        let payload = word >> 14;
-        let extra = match (word >> 11) & 0b111 {
-            0 => Extra::None,
-            1 => Extra::Timer {
-                count: payload as u32,
-            },
-            2 => Extra::Quick {
-                level_q: (payload >> 1) as u32,
-                done: payload & 1 == 1,
-            },
-            3 => Extra::Rand {
-                rand: (payload >> 8) as u32,
-                index: (payload & 0xFF) as u32,
-            },
-            4 => Extra::Backup {
-                level_b: payload as u32,
-            },
-            other => panic!("invalid packed extra tag {other}"),
-        };
-        Self {
-            leader,
-            status,
-            epoch,
-            init,
-            color,
-            extra,
-        }
-    }
 }
 
 impl Default for PllState {
     fn default() -> Self {
         Self::initial()
-    }
-}
-
-/// Snapshot codec: a `P_LL` state is persisted as its packed word.
-///
-/// [`decode`](pp_engine::SnapshotState::decode) validates the status and
-/// variant tags before unpacking ([`PllState::unpack`] panics on unknown
-/// tags, which a codec for untrusted bytes must never do).
-impl pp_engine::SnapshotState for PllState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.pack().encode(out);
-    }
-
-    fn decode(bytes: &mut &[u8]) -> Option<Self> {
-        let word = u64::decode(bytes)?;
-        if (word >> 1) & 0b11 == 0b11 || (word >> 11) & 0b111 > 4 {
-            return None;
-        }
-        Some(Self::unpack(word))
     }
 }
 
@@ -318,113 +226,9 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_roundtrip_spot() {
-        let states = [
-            PllState::initial(),
-            PllState::timer(409, 2),
-            PllState::backup(true, 80),
-            PllState {
-                leader: true,
-                status: Status::A,
-                epoch: 3,
-                init: 3,
-                color: 1,
-                extra: Extra::Rand { rand: 7, index: 3 },
-            },
-            PllState {
-                leader: false,
-                status: Status::A,
-                epoch: 1,
-                init: 1,
-                color: 0,
-                extra: Extra::Quick {
-                    level_q: 80,
-                    done: true,
-                },
-            },
-        ];
-        for s in states {
-            assert_eq!(PllState::unpack(s.pack()), s, "roundtrip for {s:?}");
-        }
-    }
-
-    #[test]
     fn status_display() {
         assert_eq!(Status::X.to_string(), "X");
         assert_eq!(Status::A.to_string(), "A");
         assert_eq!(Status::B.to_string(), "B");
-    }
-
-    #[test]
-    fn snapshot_decode_rejects_invalid_tags() {
-        use pp_engine::SnapshotState;
-        // Status tag 3 and variant tag 5 have no meaning; `unpack` would
-        // panic on them, `decode` must reject them instead.
-        for word in [0b11u64 << 1, 0b101u64 << 11] {
-            let mut buf = Vec::new();
-            word.encode(&mut buf);
-            assert_eq!(PllState::decode(&mut &buf[..]), None);
-        }
-        assert_eq!(PllState::decode(&mut &[0u8; 4][..]), None, "truncated");
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn arb_extra() -> impl Strategy<Value = Extra> {
-        prop_oneof![
-            Just(Extra::None),
-            (0u32..100_000).prop_map(|count| Extra::Timer { count }),
-            ((0u32..100_000), any::<bool>())
-                .prop_map(|(level_q, done)| Extra::Quick { level_q, done }),
-            ((0u32..1 << 20), (0u32..200)).prop_map(|(rand, index)| Extra::Rand { rand, index }),
-            (0u32..100_000).prop_map(|level_b| Extra::Backup { level_b }),
-        ]
-    }
-
-    pub(crate) fn arb_state() -> impl Strategy<Value = PllState> {
-        (
-            any::<bool>(),
-            prop_oneof![Just(Status::X), Just(Status::A), Just(Status::B)],
-            1u8..=4,
-            1u8..=4,
-            0u8..=2,
-            arb_extra(),
-        )
-            .prop_map(|(leader, status, epoch, init, color, extra)| PllState {
-                leader,
-                status,
-                epoch,
-                init,
-                color,
-                extra,
-            })
-    }
-
-    proptest! {
-        #[test]
-        fn pack_unpack_roundtrip(s in arb_state()) {
-            prop_assert_eq!(PllState::unpack(s.pack()), s);
-        }
-
-        #[test]
-        fn snapshot_codec_roundtrip(s in arb_state()) {
-            use pp_engine::SnapshotState;
-            let mut buf = Vec::new();
-            s.encode(&mut buf);
-            let mut cursor = &buf[..];
-            prop_assert_eq!(PllState::decode(&mut cursor), Some(s));
-            prop_assert!(cursor.is_empty());
-        }
-
-        #[test]
-        fn pack_is_injective(a in arb_state(), b in arb_state()) {
-            if a != b {
-                prop_assert_ne!(a.pack(), b.pack());
-            }
-        }
     }
 }

@@ -283,61 +283,9 @@ impl PairCache {
         }
     }
 
-    /// Snapshot geometry: `(shift, has_table)`. Together with the activity
-    /// flag (which the engine derives from its tier pin) and the filled
-    /// entries from [`for_each_filled`](Self::for_each_filled) this is the
-    /// cache's complete trajectory-relevant state — the stride in
-    /// particular decides which pairs are addressable (and therefore which
-    /// compile, feed the null ledger, and consume RNG), so it must be
-    /// restored exactly rather than re-derived from the entry count.
-    pub(crate) fn snapshot_geometry(&self) -> (u32, bool) {
-        (self.shift, !self.table.is_empty())
-    }
-
-    /// Rebuilds a cache from snapshot parts; the exact inverse of
-    /// [`snapshot_geometry`](Self::snapshot_geometry) + the filled-entry
-    /// list (in fill order). Returns `None` instead of panicking on
-    /// inconsistent input — this is fed from deserialized bytes.
-    pub(crate) fn restore(
-        active: bool,
-        shift: u32,
-        has_table: bool,
-        entries: &[(u16, u16, u32)],
-    ) -> Option<Self> {
-        let mut cache = Self::new();
-        cache.active = active;
-        if !has_table || !active {
-            // An inactive cache never holds a table; a never-grown active
-            // cache has neither table nor entries.
-            if !entries.is_empty() || (!active && has_table) {
-                return None;
-            }
-            return Some(cache);
-        }
-        if shift > ID_BITS {
-            return None;
-        }
-        cache.shift = shift;
-        cache.table = vec![EMPTY; 1 << (2 * shift)];
-        let stride = 1u16 << shift;
-        for &(s, t, entry) in entries {
-            // Packed entries never use bits 28.. and never equal EMPTY.
-            if s >= stride || t >= stride || entry == EMPTY || entry >> (NULL_BIT + 1) != 0 {
-                return None;
-            }
-            let slot = ((s as usize) << shift) | t as usize;
-            if cache.table[slot] != EMPTY {
-                return None;
-            }
-            cache.table[slot] = entry;
-            cache.filled.push((s, t));
-        }
-        Some(cache)
-    }
-
     /// Visits every filled entry as `(s, t, entry)` — used to re-seed the
-    /// jump scheduler's null ledger from already-compiled pairs (on resume
-    /// and after compaction).
+    /// jump scheduler's null ledger from already-compiled pairs after
+    /// compaction.
     pub(crate) fn for_each_filled(&self, mut f: impl FnMut(usize, usize, u32)) {
         let shift = self.shift;
         for &(s, t) in &self.filled {

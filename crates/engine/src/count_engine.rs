@@ -84,14 +84,14 @@
 //! stays exact even when a dead state is later revisited. Compaction is what
 //! keeps the fast tiers engaged past the cache's addressable-id cap.
 
-use crate::batch::BatchStats;
 use crate::compiled::{self, PairCache};
 use crate::obs::{EngineEvent, EngineMetrics, EngineObserver};
 use crate::round::{self, SegmentDraw};
-use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotState, SnapshotWriter};
-use crate::tier::{self, EngineTier, JumpStats, TierController, TierUsage};
-use crate::{EngineError, LeaderElection, Protocol, Role, RunOutcome, CONVERGENCE_BATCH};
-use pp_rand::{pair_targets, Geometric, Rng64, RngSnapshot, SumTreeSampler, Xoshiro256PlusPlus};
+use crate::tier::{self, EngineTier, TierController, TierUsage};
+use crate::{
+    EngineError, LeaderElection, Protocol, Role, RunOutcome, CONVERGENCE_BATCH, MAX_POPULATION,
+};
+use pp_rand::{pair_targets, Geometric, Rng64, SumTreeSampler, Xoshiro256PlusPlus};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -100,11 +100,6 @@ use std::time::Instant;
 /// reclaimed by compaction). Re-interning such a state allocates a fresh
 /// slot without recounting it as newly distinct.
 const DEAD_ID: u32 = u32::MAX;
-
-/// The largest population the engine holds: the sum tree applies count
-/// changes as signed `i64` deltas and the convergence drivers track leader
-/// counts as `i64`, so every count and their total must fit one.
-const MAX_POPULATION: u64 = i64::MAX as u64;
 
 /// A per-step draw that missed the pair cache: the states `(s, t)` and,
 /// on the agent array, their positions `(i, j)`.
@@ -176,10 +171,6 @@ pub struct CountSimulation<P: Protocol, R = Xoshiro256PlusPlus> {
     /// boundaries and nothing per interaction. Observation consumes no RNG,
     /// so attached and detached twins stay bit-identical.
     obs: Option<Box<EngineObserver>>,
-    /// The step count [`resume`](Self::resume) restored, reported as a
-    /// [`EngineEvent::Resumed`] to the next attached observer. Transient:
-    /// never serialized.
-    resumed_at: Option<u64>,
 }
 
 impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
@@ -250,7 +241,6 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             n: 0,
             steps: 0,
             obs: None,
-            resumed_at: None,
         }
     }
 
@@ -355,9 +345,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     }
 
     /// Interactions executed per tier over the whole execution (maintained
-    /// at dispatch boundaries whether or not an observer is attached, and
-    /// persisted across [`snapshot`](Self::snapshot) and
-    /// [`resume`](Self::resume) since snapshot format v3).
+    /// at dispatch boundaries whether or not an observer is attached).
     pub fn tier_usage(&self) -> TierUsage {
         self.tiers.usage
     }
@@ -370,13 +358,8 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     ///
     /// Observation consumes **no randomness** and never changes dispatch:
     /// the observed simulation stays bit-identical (trajectory, step
-    /// counts, snapshot bytes) to a detached twin. On a simulation built by
-    /// [`resume`](Self::resume) this records an [`EngineEvent::Resumed`]
-    /// first, so resumed event logs are self-describing.
-    pub fn set_observer(&mut self, mut observer: EngineObserver) {
-        if let Some(step) = self.resumed_at {
-            observer.record(EngineEvent::Resumed { step });
-        }
+    /// counts, RNG stream) to a detached twin.
+    pub fn set_observer(&mut self, observer: EngineObserver) {
         self.obs = Some(Box::new(observer));
     }
 
@@ -495,7 +478,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     }
 
     /// Re-seeds the ledger's known-null set from already-compiled entries
-    /// (on resume, or after compaction remapped the id space).
+    /// (after compaction remapped the id space).
     fn reseed_jump_ledger(&mut self) {
         if !self.tiers.tracks_nulls() {
             return;
@@ -1344,343 +1327,6 @@ impl<P: LeaderElection, R: Rng64> CountSimulation<P, R> {
     }
 }
 
-impl<P, R> CountSimulation<P, R>
-where
-    P: Protocol,
-    P::State: SnapshotState,
-    R: Rng64 + RngSnapshot,
-{
-    /// Serializes the complete mid-election execution into the versioned
-    /// binary snapshot format of [`crate::snapshot`].
-    ///
-    /// The snapshot is a **transparent pause**: feeding the bytes to
-    /// [`resume`](Self::resume) between two driver calls yields a simulation
-    /// whose remaining trajectory is *bit-identical* — same RNG draws, same
-    /// interactions at the same step counts, same configurations — to the
-    /// original continuing without the pause, on every tier. (It does not
-    /// make `run(a); run(b)` bit-identical to `run(a + b)` on the jump/batch
-    /// tiers; those were never bit-identical, because a budget cap can
-    /// truncate an episode and discard its draws. The pause preserves
-    /// whatever call segmentation the caller uses.)
-    ///
-    /// Equal executions produce byte-identical snapshots: everything
-    /// iteration-order-sensitive (the seen-state map) is serialized in a
-    /// canonical order.
-    ///
-    /// Takes `&mut self` only to record a [`EngineEvent::SnapshotTaken`]
-    /// event on an attached observer; the simulation state proper is not
-    /// modified.
-    pub fn snapshot(&mut self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-
-        w.begin_section(snapshot::TAG_POPULATION);
-        w.put_u64(self.n);
-        w.put_u64(self.steps);
-        w.put_u64(self.tiers.review_at);
-        w.put_u64(self.states.len() as u64);
-        let weights = self.sampler.weights();
-        for (slot, state) in self.states.iter().enumerate() {
-            // Zero-weight live slots are serialized too: compiled entries
-            // reference them by id, so slot order is trajectory state.
-            w.put_state(state);
-            w.put_u64(weights[slot]);
-        }
-        // Dead (seen-only) states sorted by encoding: the map's iteration
-        // order is nondeterministic, and equal executions must snapshot to
-        // equal bytes.
-        let mut dead: Vec<Vec<u8>> = self
-            .ids
-            .iter()
-            .filter(|&(_, &id)| id == DEAD_ID)
-            .map(|(state, _)| {
-                let mut buf = Vec::new();
-                state.encode(&mut buf);
-                buf
-            })
-            .collect();
-        dead.sort_unstable();
-        w.put_u64(dead.len() as u64);
-        for encoding in &dead {
-            w.put_raw(encoding);
-        }
-        w.end_section();
-
-        w.begin_section(snapshot::TAG_CACHE);
-        // v5: whether the cache is active follows from the tier pin.
-        let (shift, has_table) = self.pairs.snapshot_geometry();
-        w.put_bool(has_table);
-        w.put_u32(shift);
-        w.put_u64(self.pairs.compiled_pairs() as u64);
-        self.pairs.for_each_filled(|s, t, entry| {
-            w.put_u16(s as u16);
-            w.put_u16(t as u16);
-            w.put_u32(entry);
-        });
-        w.end_section();
-
-        w.begin_section(snapshot::TAG_TIERS);
-        // v5: the pin replaces the enabled/forced toggles; the engage flags
-        // carry the heuristics' hysteresis state.
-        w.put_u8(match self.tiers.pin {
-            None => 0,
-            Some(EngineTier::Reference) => 1,
-            Some(EngineTier::Compiled) => 2,
-            Some(EngineTier::Jump) => 3,
-            Some(EngineTier::Batch) => 4,
-        });
-        let jump = &self.tiers.jump;
-        w.put_bool(jump.engaged);
-        w.put_u64(jump.stats.episodes);
-        w.put_u64(jump.stats.skipped);
-        let batch = &self.tiers.batch;
-        w.put_bool(batch.engaged);
-        w.put_u64(batch.stats.episodes);
-        w.put_u64(batch.stats.bulk_interactions);
-        w.put_u64(batch.stats.collision_interactions);
-        w.put_u64(batch.stats.exact_walks);
-        w.put_u64(batch.stats.contingency_draws);
-        w.put_u64(batch.stats.shuffle_skips);
-        // v3: per-tier interaction usage survives the pause so resumed
-        // metrics keep attributing work to the tier that did it.
-        let usage = &self.tiers.usage;
-        w.put_u64(usage.reference);
-        w.put_u64(usage.compiled);
-        w.put_u64(usage.jump);
-        w.put_u64(usage.batch);
-        w.end_section();
-
-        w.begin_section(snapshot::TAG_RNG);
-        let words = self.rng.export_state();
-        w.put_u64(words.len() as u64);
-        for word in words {
-            w.put_u64(word);
-        }
-        w.end_section();
-
-        // v6: positions are trajectory state on the per-step tiers, so the
-        // agent array travels as is (empty when stale or unused).
-        w.begin_section(snapshot::TAG_AGENTS);
-        w.put_u64(self.agents.len() as u64);
-        for &id in &self.agents {
-            w.put_u32(id);
-        }
-        w.end_section();
-
-        let bytes = w.finish();
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.record(EngineEvent::SnapshotTaken {
-                step: self.steps,
-                bytes: bytes.len() as u64,
-            });
-        }
-        bytes
-    }
-
-    /// Rebuilds a simulation from [`snapshot`](Self::snapshot) bytes,
-    /// resuming the execution under the bit-identical contract documented
-    /// there. `protocol` must be the same protocol (value, not just type)
-    /// the snapshot was taken with — transitions are recompiled on demand
-    /// from it, so a different protocol silently diverges.
-    ///
-    /// Role tracking resumes unprimed; the first
-    /// [`run_until_single_leader`](Self::run_until_single_leader) call
-    /// re-primes idempotently and retrofits every cached leader delta, so
-    /// convergence runs behave identically.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`SnapshotError`] — never panics — on truncated,
-    /// corrupted, wrong-magic, or future-version input, and on any decoded
-    /// state that is internally inconsistent (counts not summing to the
-    /// population, cache entries referencing unknown ids, duplicate states,
-    /// invalid RNG words).
-    pub fn resume(protocol: P, bytes: &[u8]) -> Result<Self, SnapshotError> {
-        use SnapshotError::Corrupt;
-        let mut r = SnapshotReader::open(bytes)?;
-
-        let mut sec = r.section(snapshot::TAG_POPULATION)?;
-        let n = sec.get_u64()?;
-        let steps = sec.get_u64()?;
-        let review_at = sec.get_u64()?;
-        let live = sec.get_u64()?;
-        if live == 0 || live >= u64::from(DEAD_ID) {
-            return Err(Corrupt("live state count out of range"));
-        }
-        let mut states = Vec::new();
-        let mut weights = Vec::new();
-        for _ in 0..live {
-            states.push(sec.get_state::<P::State>()?);
-            weights.push(sec.get_u64()?);
-        }
-        let dead_count = sec.get_u64()?;
-        let mut dead = Vec::new();
-        for _ in 0..dead_count {
-            dead.push(sec.get_state::<P::State>()?);
-        }
-        sec.expect_end("population section has trailing bytes")?;
-
-        let mut sec = r.section(snapshot::TAG_CACHE)?;
-        let has_table = sec.get_bool()?;
-        let shift = sec.get_u32()?;
-        let entry_count = sec.get_u64()?;
-        let mut entries = Vec::new();
-        for _ in 0..entry_count {
-            entries.push((sec.get_u16()?, sec.get_u16()?, sec.get_u32()?));
-        }
-        sec.expect_end("cache section has trailing bytes")?;
-
-        let mut sec = r.section(snapshot::TAG_TIERS)?;
-        let pin = match sec.get_u8()? {
-            0 => None,
-            1 => Some(EngineTier::Reference),
-            2 => Some(EngineTier::Compiled),
-            3 => Some(EngineTier::Jump),
-            4 => Some(EngineTier::Batch),
-            _ => return Err(Corrupt("unknown tier pin")),
-        };
-        let jump_engaged = sec.get_bool()?;
-        let jump_stats = JumpStats {
-            episodes: sec.get_u64()?,
-            skipped: sec.get_u64()?,
-        };
-        let batch_engaged = sec.get_bool()?;
-        let batch_stats = BatchStats {
-            episodes: sec.get_u64()?,
-            bulk_interactions: sec.get_u64()?,
-            collision_interactions: sec.get_u64()?,
-            exact_walks: sec.get_u64()?,
-            contingency_draws: sec.get_u64()?,
-            shuffle_skips: sec.get_u64()?,
-        };
-        let usage = TierUsage {
-            reference: sec.get_u64()?,
-            compiled: sec.get_u64()?,
-            jump: sec.get_u64()?,
-            batch: sec.get_u64()?,
-        };
-        sec.expect_end("tier section has trailing bytes")?;
-
-        let mut sec = r.section(snapshot::TAG_RNG)?;
-        let word_count = sec.get_u64()?;
-        let mut words = Vec::new();
-        for _ in 0..word_count {
-            words.push(sec.get_u64()?);
-        }
-        sec.expect_end("rng section has trailing bytes")?;
-
-        let mut sec = r.section(snapshot::TAG_AGENTS)?;
-        let agent_count = sec.get_u64()?;
-        if agent_count != 0 && (agent_count != n || n > tier::AGENT_ARRAY_MAX_POPULATION) {
-            return Err(Corrupt(
-                "agent array length is neither 0 nor the population",
-            ));
-        }
-        let mut agents = Vec::new();
-        for _ in 0..agent_count {
-            agents.push(sec.get_u32()?);
-        }
-        sec.expect_end("agent section has trailing bytes")?;
-        r.expect_end("trailing bytes after the last section")?;
-
-        // Cross-validation: the decoded pieces must describe one consistent
-        // simulation before anything executable is built from them.
-        if n < 2 {
-            return Err(Corrupt("population below 2"));
-        }
-        if n > MAX_POPULATION {
-            return Err(Corrupt("population beyond i64::MAX"));
-        }
-        let total = weights
-            .iter()
-            .try_fold(0u64, |acc, &w| acc.checked_add(w))
-            .ok_or(Corrupt("count vector overflows"))?;
-        if total != n {
-            return Err(Corrupt("counts do not sum to the population"));
-        }
-        if (jump_engaged || batch_engaged) && n > tier::BATCH_MAX_POPULATION {
-            // Engaged fast tiers compute n(n−1) in u64.
-            return Err(Corrupt("fast tier engaged beyond its population cap"));
-        }
-        for &(s, t, entry) in &entries {
-            let (a, b, _, _) = compiled::unpack(entry);
-            if (s as usize).max(t as usize).max(a).max(b) >= states.len() {
-                return Err(Corrupt("pair-cache entry references an unknown state id"));
-            }
-        }
-        if !agents.is_empty() {
-            let mut tally = vec![0u64; states.len()];
-            for &id in &agents {
-                let Some(slot) = tally.get_mut(id as usize) else {
-                    return Err(Corrupt("agent array references an unknown state id"));
-                };
-                *slot += 1;
-            }
-            if tally != weights {
-                return Err(Corrupt("agent array does not match the counts"));
-            }
-        }
-
-        let mut tiers = TierController {
-            pin,
-            review_at,
-            usage,
-            ..TierController::default()
-        };
-        tiers.jump.engaged = jump_engaged;
-        tiers.jump.stats = jump_stats;
-        tiers.batch.engaged = batch_engaged;
-        tiers.batch.stats = batch_stats;
-
-        let cache_active = pin != Some(EngineTier::Reference);
-        let pairs = PairCache::restore(cache_active, shift, has_table, &entries)
-            .ok_or(Corrupt("pair-cache table is inconsistent"))?;
-
-        let mut ids = HashMap::new();
-        for (slot, state) in states.iter().enumerate() {
-            if ids.insert(state.clone(), slot as u32).is_some() {
-                return Err(Corrupt("duplicate live state"));
-            }
-        }
-        for state in dead {
-            if ids.insert(state, DEAD_ID).is_some() {
-                return Err(Corrupt("duplicate seen state"));
-            }
-        }
-
-        let outputs: Vec<P::Output> = states.iter().map(|s| protocol.output(s)).collect();
-        let leader_flags = vec![0i8; states.len()];
-        let support = weights.iter().filter(|&&w| w > 0).count();
-        let sampler =
-            SumTreeSampler::from_weights(&weights).map_err(|_| Corrupt("empty count vector"))?;
-        let rng = R::import_state(&words).ok_or(Corrupt("invalid RNG state"))?;
-
-        let mut sim = Self {
-            protocol,
-            rng,
-            ids,
-            states,
-            outputs,
-            leader_flags,
-            leader_output: None,
-            support,
-            sampler,
-            agents,
-            pairs,
-            tiers,
-            n,
-            steps,
-            obs: None,
-            resumed_at: Some(steps),
-        };
-        // The null ledger is recomputed state: reseed the pair set from the
-        // cache's null entries; the next probe/episode re-syncs the weights
-        // deterministically from the counts (registration order is erased by
-        // the ledger's sort-and-dedup rebuild).
-        sim.reseed_jump_ledger();
-        Ok(sim)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2098,240 +1744,5 @@ mod tests {
         sim.run(1_000);
         assert_eq!(sim.steps(), 1_000);
         assert_eq!(sim.active_tier(), EngineTier::Compiled);
-    }
-
-    #[test]
-    fn resume_rejects_a_fast_tier_engaged_beyond_its_population_cap() {
-        let n = (1usize << 32) + 1;
-        let mut sim = CountSimulation::new(Frat, n, rng(31)).unwrap();
-        sim.run(100);
-        let mut bytes = sim.snapshot();
-        assert!(CountSimulation::<Frat, Xoshiro256PlusPlus>::resume(Frat, &bytes).is_ok());
-        // Walk the tagged sections to the tier section, whose payload is
-        // `pin: u8, jump_engaged: bool, …`, set the engage flag, and reseal
-        // the checksum so the cross-check (not the checksum) must fire.
-        let mut at = snapshot::MAGIC.len() + 4;
-        loop {
-            let tag = u16::from_le_bytes([bytes[at], bytes[at + 1]]);
-            let len = u64::from_le_bytes(bytes[at + 2..at + 10].try_into().unwrap()) as usize;
-            if tag == snapshot::TAG_TIERS {
-                bytes[at + 11] = 1;
-                break;
-            }
-            at += 10 + len;
-        }
-        let end = bytes.len() - 8;
-        let sum = snapshot::fnv1a64(&bytes[..end]).to_le_bytes();
-        bytes[end..].copy_from_slice(&sum);
-        assert_eq!(
-            CountSimulation::<Frat, Xoshiro256PlusPlus>::resume(Frat, &bytes).unwrap_err(),
-            SnapshotError::Corrupt("fast tier engaged beyond its population cap")
-        );
-    }
-
-    /// Snapshots `sim`, resumes from the bytes, and drives the resumed copy
-    /// and an in-memory clone through identical segments: every observable
-    /// must match step-for-step (the transparent-pause contract).
-    fn assert_transparent_pause<P>(protocol: P, sim: &CountSimulation<P, Xoshiro256PlusPlus>)
-    where
-        P: Protocol + Clone,
-        P::State: SnapshotState,
-    {
-        let mut twin = sim.clone();
-        let bytes = twin.snapshot();
-        let mut resumed = CountSimulation::<P, Xoshiro256PlusPlus>::resume(protocol, &bytes)
-            .expect("own snapshot must resume");
-        assert_eq!(resumed.steps(), twin.steps());
-        assert_eq!(resumed.population(), twin.population());
-        assert_eq!(resumed.state_counts(), twin.state_counts());
-        assert_eq!(
-            resumed.snapshot(),
-            bytes,
-            "snapshotting a freshly resumed simulation must reproduce the bytes"
-        );
-        for &segment in &[509u64, 4096, 12_000] {
-            twin.run(segment);
-            resumed.run(segment);
-            assert_eq!(resumed.steps(), twin.steps(), "steps after +{segment}");
-            assert_eq!(
-                resumed.state_counts(),
-                twin.state_counts(),
-                "counts after +{segment}"
-            );
-            assert_eq!(
-                resumed.active_tier(),
-                twin.active_tier(),
-                "tier after +{segment}"
-            );
-        }
-        assert_eq!(resumed.distinct_states_seen(), twin.distinct_states_seen());
-    }
-
-    #[test]
-    fn snapshot_resume_is_transparent_on_compiled_tier() {
-        let mut sim = CountSimulation::new(Frat, 1 << 10, rng(22)).unwrap();
-        sim.run(500);
-        assert_eq!(sim.active_tier(), EngineTier::Compiled);
-        assert_transparent_pause(Frat, &sim);
-    }
-
-    #[test]
-    fn snapshot_resume_is_transparent_on_reference_tier() {
-        let mut sim = CountSimulation::new(Frat, 1 << 10, rng(23)).unwrap();
-        sim.pin_tier(EngineTier::Reference).unwrap();
-        sim.run(500);
-        assert_eq!(sim.active_tier(), EngineTier::Reference);
-        assert_transparent_pause(Frat, &sim);
-    }
-
-    #[test]
-    fn snapshot_resume_is_transparent_on_forced_jump_tier() {
-        let mut sim = CountSimulation::new(Frat, 1 << 10, rng(24)).unwrap();
-        sim.pin_tier(EngineTier::Jump).unwrap();
-        sim.run(20_000);
-        assert_eq!(sim.active_tier(), EngineTier::Jump);
-        assert!(sim.metrics().jump.skipped > 0);
-        assert_transparent_pause(Frat, &sim);
-    }
-
-    #[test]
-    fn snapshot_resume_is_transparent_on_forced_batch_tier() {
-        let mut sim = CountSimulation::new(Frat, 1 << 10, rng(25)).unwrap();
-        sim.pin_tier(EngineTier::Batch).unwrap();
-        sim.run(20_000);
-        assert_eq!(sim.active_tier(), EngineTier::Batch);
-        assert!(sim.metrics().batch.episodes > 0);
-        assert_transparent_pause(Frat, &sim);
-    }
-
-    #[test]
-    fn snapshot_resume_is_transparent_under_heuristic_tier_transitions() {
-        // Large-n Fratricide crosses Compiled → Batch/Jump on its own; pausing
-        // right after the transition must not disturb the remaining run.
-        let mut sim = CountSimulation::new(Frat, 1 << 14, rng(26)).unwrap();
-        sim.run(1 << 12);
-        assert!(matches!(
-            sim.active_tier(),
-            EngineTier::Batch | EngineTier::Jump
-        ));
-        assert_transparent_pause(Frat, &sim);
-    }
-
-    #[test]
-    fn snapshot_resume_preserves_leader_election_trajectory() {
-        let mut sim = CountSimulation::new(Frat, 1 << 10, rng(27)).unwrap();
-        // Pause mid-election: role tracking must re-prime on the resumed side.
-        let _ = sim.run_until_single_leader(2_000);
-        let mut twin = sim.clone();
-        let mut resumed =
-            CountSimulation::<Frat, Xoshiro256PlusPlus>::resume(Frat, &sim.snapshot())
-                .expect("own snapshot must resume");
-        let a = twin.run_until_single_leader(u64::MAX);
-        let b = resumed.run_until_single_leader(u64::MAX);
-        assert_eq!(a, b);
-        assert_eq!(twin.steps(), resumed.steps());
-        assert_eq!(twin.leader_count(), resumed.leader_count());
-        assert_eq!(twin.state_counts(), resumed.state_counts());
-    }
-
-    #[test]
-    fn snapshot_resume_roundtrips_dead_states() {
-        // Counter keeps interning fresh states while old ones die out, so a
-        // long run populates the seen-state map that the snapshot must carry.
-        let mut sim = CountSimulation::new(Counter, 16, rng(28)).unwrap();
-        sim.run(3_000);
-        assert!(
-            sim.distinct_states_seen() > sim.support_size(),
-            "test needs dead states to exercise the seen-state section"
-        );
-        assert_transparent_pause(Counter, &sim);
-    }
-
-    /// Re-encodes `bytes`' agent-array section (the last one) after `edit`
-    /// and reseals the checksum, so the resume cross-checks, not the
-    /// envelope, must catch the edit.
-    fn with_agents(bytes: &[u8], edit: impl FnOnce(&mut Vec<u32>)) -> Vec<u8> {
-        let mut at = snapshot::MAGIC.len() + 4;
-        loop {
-            let tag = u16::from_le_bytes([bytes[at], bytes[at + 1]]);
-            if tag == snapshot::TAG_AGENTS {
-                break;
-            }
-            at += 10 + u64::from_le_bytes(bytes[at + 2..at + 10].try_into().unwrap()) as usize;
-        }
-        let mut agents: Vec<u32> = bytes[at + 18..bytes.len() - 8]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        edit(&mut agents);
-        let mut out = bytes[..at].to_vec();
-        out.extend_from_slice(&snapshot::TAG_AGENTS.to_le_bytes());
-        out.extend_from_slice(&(8 + 4 * agents.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(agents.len() as u64).to_le_bytes());
-        for id in agents {
-            out.extend_from_slice(&id.to_le_bytes());
-        }
-        let sum = snapshot::fnv1a64(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
-    }
-
-    #[test]
-    fn resume_rejects_corrupt_bytes_without_panicking() {
-        let mut sim = CountSimulation::new(Frat, 128, rng(29)).unwrap();
-        sim.run(200);
-        let bytes = sim.snapshot();
-        let resume = |b: &[u8]| CountSimulation::<Frat, Xoshiro256PlusPlus>::resume(Frat, b);
-        // The agent array rides along, and an unedited re-encoding resumes.
-        assert!(resume(&with_agents(&bytes, |a| assert_eq!(a.len(), 128))).is_ok());
-        assert!(
-            resume(&with_agents(&bytes, Vec::clear)).is_ok(),
-            "stale array"
-        );
-        let short = with_agents(&bytes, |a| {
-            a.pop();
-        });
-        let unknown = with_agents(&bytes, |a| a[5] = 2);
-        let swapped = with_agents(&bytes, |a| {
-            let leader = a.iter().position(|&id| id == 0).unwrap();
-            a[leader] = 1;
-        });
-        for (bad, why) in [
-            (short, "agent array length is neither 0 nor the population"),
-            (unknown, "agent array references an unknown state id"),
-            (swapped, "agent array does not match the counts"),
-        ] {
-            assert_eq!(resume(&bad).unwrap_err(), SnapshotError::Corrupt(why));
-        }
-        for len in 0..bytes.len() {
-            assert!(
-                CountSimulation::<Frat, Xoshiro256PlusPlus>::resume(Frat, &bytes[..len]).is_err(),
-                "truncation to {len} bytes must be rejected"
-            );
-        }
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            assert!(
-                CountSimulation::<Frat, Xoshiro256PlusPlus>::resume(Frat, &bad).is_err(),
-                "bit flip at offset {i} must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn snapshot_format_canary() {
-        // Golden hash of a fully deterministic snapshot. If this test fails,
-        // the on-disk format changed: bump `SNAPSHOT_VERSION` in snapshot.rs
-        // (old snapshots become unreadable by design) and re-pin the hash.
-        let mut sim = CountSimulation::new(Frat, 256, rng(42)).unwrap();
-        sim.run(1_000);
-        let hash = crate::snapshot::fnv1a64(&sim.snapshot());
-        const GOLDEN: u64 = 0xfdde_a1bc_6d49_f07b;
-        assert!(
-            hash == GOLDEN || crate::snapshot::SNAPSHOT_VERSION > 6,
-            "snapshot bytes changed under version 6 (hash {hash:#018x}); \
-             bump SNAPSHOT_VERSION and update GOLDEN"
-        );
     }
 }

@@ -36,8 +36,9 @@ pub enum EngineError {
         /// The tier's largest supported population.
         max: u64,
     },
-    /// The agent counts given to a constructor total more than `i64::MAX`
-    /// agents: the engine applies count changes as signed `i64` deltas.
+    /// The agent counts given to a constructor total more than
+    /// [`MAX_POPULATION`](crate::MAX_POPULATION) agents: the engine applies
+    /// count changes as signed `i64` deltas.
     PopulationOverflow {
         /// The running total of the counts once it passed the cap (later
         /// counts are not summed).
@@ -72,7 +73,7 @@ impl fmt::Display for EngineError {
             EngineError::PopulationOverflow { total } => write!(
                 f,
                 "counts total at least {total} agents, beyond the engine's cap of {}",
-                i64::MAX
+                crate::MAX_POPULATION
             ),
             EngineError::LatePin { tier, steps } => write!(
                 f,

@@ -82,7 +82,6 @@ pub mod obs;
 mod protocol;
 mod round;
 mod scheduler;
-pub mod snapshot;
 mod tier;
 mod trace;
 
@@ -96,13 +95,19 @@ pub use protocol::{check_symmetry, LeaderElection, Protocol, Role};
 pub use scheduler::{
     Interaction, ReplayScheduler, RoundRobinScheduler, Scheduler, UniformScheduler,
 };
-pub use snapshot::{SnapshotError, SnapshotState, SNAPSHOT_VERSION};
 pub use tier::{EngineTier, JumpStats, TierUsage};
 pub use trace::Trace;
 
 /// How many interactions run between hoisted checks (step budget, sampled
 /// debug assertions) in both engines' batched convergence loops.
 pub(crate) const CONVERGENCE_BATCH: u64 = 4096;
+
+/// The largest population a [`CountSimulation`] holds: the sum tree applies
+/// count changes as signed `i64` deltas and the convergence drivers track
+/// leader counts as `i64`, so every count and their total must fit one.
+/// Constructors refuse a larger population with
+/// [`EngineError::PopulationOverflow`].
+pub const MAX_POPULATION: u64 = i64::MAX as u64;
 
 /// Convenient glob-import of the engine's most common items.
 pub mod prelude {

@@ -9,7 +9,7 @@
 //! * [`EngineObserver`] — an attachable hook that sinks structured
 //!   [`EngineEvent`]s (tier transitions, jump engage/disengage with
 //!   hysteresis context, batch-round episodes with their shape,
-//!   compactions, snapshot/resume ops), accounts per-tier
+//!   compactions), accounts per-tier
 //!   interactions and wall time in a monotonic-clock [`TierTimeline`], and
 //!   optionally samples a [`TrajectorySampler`] trace.
 //! * [`EngineMetrics`] — one unified snapshot of everything the engine can
@@ -25,9 +25,9 @@
 //!
 //! Observation consumes **no randomness** and never changes what the engine
 //! executes: a simulation with an observer attached produces bit-identical
-//! trajectories, final counts, step counts, and
-//! [`snapshot`](crate::CountSimulation::snapshot) bytes to its detached
-//! twin, on all four tiers (pinned by the `tests/obs_identity.rs` suite).
+//! trajectories, final counts, step counts, tier and batch counters, and
+//! RNG stream (the next word drawn) to its detached twin, on all four tiers
+//! (pinned by the `tests/obs_identity.rs` suite).
 //! The disabled path costs one predictable branch at episode/review
 //! boundaries — never inside the per-interaction hot loops. Trajectory sampling only subdivides *per-step* chunk windows
 //! (per-step draws are identical per step, so window partitioning is
@@ -49,8 +49,6 @@
 //! | `batch_exit` | `support`, `expected_run` |
 //! | `batch_episode` | `bulk`, `collision`, `walked` |
 //! | `compaction` | `live_before`, `live_after` (interned state ids) |
-//! | `snapshot` | `bytes` (serialized size) |
-//! | `resumed` | — |
 
 use crate::batch::BatchStats;
 use crate::tier::{EngineTier, JumpStats, TierUsage};
@@ -137,19 +135,6 @@ pub enum EngineEvent {
         /// Interned ids after compaction.
         live_after: u64,
     },
-    /// A snapshot was serialized.
-    SnapshotTaken {
-        /// Engine step count the snapshot captures.
-        step: u64,
-        /// Serialized snapshot size in bytes.
-        bytes: u64,
-    },
-    /// The simulation was resumed from a snapshot (reported when an
-    /// observer is attached to a resumed engine).
-    Resumed {
-        /// Engine step count the snapshot restored.
-        step: u64,
-    },
 }
 
 impl EngineEvent {
@@ -162,9 +147,7 @@ impl EngineEvent {
             | EngineEvent::BatchEngage { step, .. }
             | EngineEvent::BatchExit { step, .. }
             | EngineEvent::BatchEpisode { step, .. }
-            | EngineEvent::Compaction { step, .. }
-            | EngineEvent::SnapshotTaken { step, .. }
-            | EngineEvent::Resumed { step } => step,
+            | EngineEvent::Compaction { step, .. } => step,
         }
     }
 
@@ -178,8 +161,6 @@ impl EngineEvent {
             EngineEvent::BatchExit { .. } => "batch_exit",
             EngineEvent::BatchEpisode { .. } => "batch_episode",
             EngineEvent::Compaction { .. } => "compaction",
-            EngineEvent::SnapshotTaken { .. } => "snapshot",
-            EngineEvent::Resumed { .. } => "resumed",
         }
     }
 
@@ -242,10 +223,6 @@ impl EngineEvent {
                 "{},\"live_before\":{live_before},\"live_after\":{live_after}}}",
                 head(step)
             ),
-            EngineEvent::SnapshotTaken { step, bytes } => {
-                format!("{},\"bytes\":{bytes}}}", head(step))
-            }
-            EngineEvent::Resumed { step } => format!("{}}}", head(step)),
         }
     }
 }
@@ -257,7 +234,7 @@ pub struct TierSpan {
     pub interactions: u64,
     /// Wall-clock seconds spent dispatching to this tier (monotonic clock,
     /// read once per episode/chunk dispatch only while an observer is
-    /// attached; **never serialized** — snapshots stay byte-deterministic).
+    /// attached).
     /// Each interval between two reads is charged to the tier dispatched in
     /// it, so the tier review before a dispatch and the bookkeeping after it
     /// count toward that dispatch's tier.
@@ -267,9 +244,8 @@ pub struct TierSpan {
 }
 
 /// Per-tier interaction and wall-time accounting, maintained by the engine
-/// while an observer is attached. Persistent interaction counters that
-/// survive snapshot/resume live in [`TierUsage`] instead (wall time cannot
-/// survive a resume and is never serialized).
+/// while an observer is attached. The observer-independent interaction
+/// counters live in [`TierUsage`] instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TierTimeline {
     /// The uncached per-step tier.
@@ -499,8 +475,8 @@ pub struct EngineMetrics {
     pub distinct_states_seen: u64,
     /// The tier the engine is currently dispatching to.
     pub active_tier: EngineTier,
-    /// Interactions executed per tier (persistent: serialized in snapshots
-    /// and restored on resume).
+    /// Interactions executed per tier (maintained with or without an
+    /// observer).
     pub tier_usage: TierUsage,
     /// Jump-scheduler counters.
     pub jump: JumpStats,
@@ -637,11 +613,6 @@ mod tests {
                 live_before: 900,
                 live_after: 130,
             },
-            EngineEvent::SnapshotTaken {
-                step: 5000,
-                bytes: 2048,
-            },
-            EngineEvent::Resumed { step: 5000 },
         ]
     }
 

@@ -95,9 +95,8 @@ pub struct JumpStats {
 /// Interactions executed per tier over the whole execution, maintained at
 /// dispatch boundaries regardless of whether an observer is attached (the
 /// counters are pure functions of the trajectory, so attaching one cannot
-/// change them). Serialized in snapshots since format v3, so they survive
-/// resume; wall-clock accounting, which cannot survive a resume, lives in
-/// the observer-only [`TierTimeline`](crate::obs::TierTimeline) instead.
+/// change them). Wall-clock accounting lives in the observer-only
+/// [`TierTimeline`](crate::obs::TierTimeline) instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierUsage {
     /// Interactions executed on the uncached reference tier.
@@ -150,7 +149,7 @@ pub(crate) struct TierController {
     /// Step count at which the next tier review (jump probe, batch
     /// engage/disengage, compaction check) runs.
     pub review_at: u64,
-    /// Per-tier interaction counters (snapshot-persistent since format v3).
+    /// Per-tier interaction counters over the whole execution.
     pub usage: TierUsage,
 }
 

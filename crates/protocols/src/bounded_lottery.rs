@@ -14,23 +14,6 @@ pub struct BoundedLotteryState {
     pub done: bool,
 }
 
-/// Snapshot codec: fields in declaration order, fixed-width little-endian.
-impl pp_engine::SnapshotState for BoundedLotteryState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.leader.encode(out);
-        self.level.encode(out);
-        self.done.encode(out);
-    }
-
-    fn decode(bytes: &mut &[u8]) -> Option<Self> {
-        Some(Self {
-            leader: bool::decode(bytes)?,
-            level: u32::decode(bytes)?,
-            done: bool::decode(bytes)?,
-        })
-    }
-}
-
 /// A bounded-level lottery election, the idea the paper credits to the
 /// lottery protocol of \[Ali+17\] (§3.1.1) — implemented standalone:
 ///
@@ -169,22 +152,6 @@ mod tests {
     use super::*;
     use pp_engine::{CountSimulation, Simulation, UniformScheduler};
     use pp_rand::{SeedSequence, Xoshiro256PlusPlus};
-
-    #[test]
-    fn snapshot_codec_roundtrips() {
-        use pp_engine::SnapshotState;
-        let s = BoundedLotteryState {
-            leader: false,
-            level: 17,
-            done: true,
-        };
-        let mut buf = Vec::new();
-        s.encode(&mut buf);
-        let mut cursor = &buf[..];
-        assert_eq!(BoundedLotteryState::decode(&mut cursor), Some(s));
-        assert!(cursor.is_empty());
-        assert_eq!(BoundedLotteryState::decode(&mut &buf[..4]), None);
-    }
 
     #[test]
     fn roles_drive_the_level_phase() {

@@ -72,29 +72,6 @@ impl Default for LotteryState {
     }
 }
 
-/// Snapshot codec: fields in declaration order, fixed-width little-endian.
-/// Decoding rejects `nbits > 64`, which no reachable state produces.
-impl pp_engine::SnapshotState for LotteryState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.leader.encode(out);
-        self.level.encode(out);
-        self.level_done.encode(out);
-        self.bits.encode(out);
-        self.nbits.encode(out);
-    }
-
-    fn decode(bytes: &mut &[u8]) -> Option<Self> {
-        let state = Self {
-            leader: bool::decode(bytes)?,
-            level: u32::decode(bytes)?,
-            level_done: bool::decode(bytes)?,
-            bits: u64::decode(bytes)?,
-            nbits: u8::decode(bytes)?,
-        };
-        (state.nbits <= 64).then_some(state)
-    }
-}
-
 /// An \[MST18\]-like leader election protocol.
 ///
 /// Every agent plays the geometric lottery with *role coins*: at each
@@ -206,27 +183,6 @@ mod tests {
     use super::*;
     use pp_engine::{CountSimulation, Simulation, UniformScheduler};
     use pp_rand::{SeedSequence, Xoshiro256PlusPlus};
-
-    #[test]
-    fn snapshot_codec_roundtrips_and_validates() {
-        use pp_engine::SnapshotState;
-        let s = LotteryState {
-            leader: true,
-            level: 9,
-            level_done: true,
-            bits: 0b1011,
-            nbits: 4,
-        };
-        let mut buf = Vec::new();
-        s.encode(&mut buf);
-        let mut cursor = &buf[..];
-        assert_eq!(LotteryState::decode(&mut cursor), Some(s));
-        assert!(cursor.is_empty());
-        // nbits > 64 is unreachable and must be rejected.
-        *buf.last_mut().unwrap() = 65;
-        assert_eq!(LotteryState::decode(&mut &buf[..]), None);
-        assert_eq!(LotteryState::decode(&mut &buf[..3]), None, "truncated");
-    }
 
     #[test]
     fn level_phase_counts_initiator_roles() {

@@ -55,7 +55,6 @@ mod hypergeom;
 mod lnfact;
 mod rng;
 mod seq;
-mod snapshot;
 mod splitmix;
 mod sumtree;
 mod weighted;
@@ -66,7 +65,6 @@ pub use geometric::Geometric;
 pub use hypergeom::{multivariate_hypergeometric, Hypergeometric};
 pub use rng::Rng64;
 pub use seq::SeedSequence;
-pub use snapshot::RngSnapshot;
 pub use splitmix::SplitMix64;
 pub use sumtree::{SumTreeSampler, TransferEffect};
 pub use weighted::{pair_targets, FenwickSampler, WeightedError};

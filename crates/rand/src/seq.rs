@@ -37,21 +37,6 @@ impl SeedSequence {
         self.master
     }
 
-    /// Returns the current state as `[master, cursor]` (for checkpointing
-    /// executions).
-    pub fn state(&self) -> [u64; 2] {
-        [self.master, self.counter]
-    }
-
-    /// Rebuilds a sequence from an explicit `[master, cursor]` pair. Every
-    /// state is valid.
-    pub fn from_state(state: [u64; 2]) -> Self {
-        Self {
-            master: state[0],
-            counter: state[1],
-        }
-    }
-
     /// Returns the seed at position `index` without advancing the cursor.
     pub fn seed_at(&self, index: u64) -> u64 {
         // Feistel-ish double mix of (master, index); collision-free in index

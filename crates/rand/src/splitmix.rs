@@ -31,16 +31,6 @@ impl SplitMix64 {
         Self { state: seed }
     }
 
-    /// Returns the current state (for checkpointing executions).
-    pub fn state(&self) -> [u64; 1] {
-        [self.state]
-    }
-
-    /// Builds a generator from an explicit state. Every state is valid.
-    pub fn from_state(state: [u64; 1]) -> Self {
-        Self { state: state[0] }
-    }
-
     /// One finalization step of SplitMix64: a strong 64-bit mix of `x`.
     ///
     /// Useful as a standalone hash for deriving seeds from coordinates, e.g.

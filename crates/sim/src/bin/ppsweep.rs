@@ -38,9 +38,10 @@ use pp_core::Pll;
 use pp_engine::LeaderElection;
 use pp_protocols::{BoundedLottery, Fratricide, UnboundedLottery};
 use pp_sim::fabric::{
-    merge_shards, points_table, run_sequential, run_worker_shard, FabricSpec, MAX_SHARDS,
+    merge_shards, points_table, run_sequential, run_worker_shard, FabricSpec, ShardManifest,
+    MAX_SHARDS,
 };
-use pp_sim::SweepPoint;
+use pp_sim::{SweepPoint, SweepRollup};
 use std::path::PathBuf;
 
 fn main() {
@@ -190,11 +191,11 @@ fn dispatch(cli: &Cli) -> std::io::Result<i32> {
     match cli.spec.protocol.as_str() {
         "fratricide" => run(cli, |_| Fratricide),
         "blottery" => run(cli, |n| {
-            BoundedLottery::for_population(n).expect("n >= 2 by CLI validation")
+            BoundedLottery::for_population(n).expect("n >= 2 by FabricSpec validation")
         }),
         "ulottery" => run(cli, |_| UnboundedLottery),
         "pll" => run(cli, |n| {
-            Pll::for_population(n).expect("n >= 2 by CLI validation")
+            Pll::for_population(n).expect("n >= 2 by FabricSpec validation")
         }),
         other => {
             eprintln!(
@@ -210,10 +211,6 @@ where
     P: LeaderElection,
     F: Fn(usize) -> P + Sync,
 {
-    if cli.spec.ns.iter().any(|&n| n < 2) {
-        eprintln!("ppsweep: every population size must be >= 2");
-        return Ok(1);
-    }
     match cli.mode {
         Mode::Sequential => {
             let points = run_sequential(&make, &cli.spec, &cli.dir)?;
@@ -249,14 +246,23 @@ fn merge(cli: &Cli, shards: u64) -> std::io::Result<i32> {
     };
     finish(cli, &points)?;
     for (manifest, rollups) in &report.manifests {
-        // A last invocation that found nothing to run used no threads.
-        let workers = rollups.iter().map(|r| r.workers).max().unwrap_or(0);
-        eprintln!(
-            "ppsweep: shard {} (pid {}) ran {} jobs on {workers} threads in {:.2}s",
-            manifest.shard, manifest.pid, manifest.jobs, manifest.wall_seconds
-        );
+        eprintln!("{}", shard_line(manifest, rollups));
     }
     Ok(0)
+}
+
+/// The merge's stderr line for one shard. The journaled count spans every
+/// invocation of the shard's worker; the run count, threads and seconds
+/// are its last invocation's alone (`rollups` holds that invocation's
+/// fan-outs, none when it found nothing to run).
+fn shard_line(manifest: &ShardManifest, rollups: &[SweepRollup]) -> String {
+    let ran: u64 = rollups.iter().map(|r| r.jobs).sum();
+    let workers = rollups.iter().map(|r| r.workers).max().unwrap_or(0);
+    format!(
+        "ppsweep: shard {} (pid {}) journaled {} jobs in total; \
+         its last invocation ran {ran} on {workers} threads in {:.2}s",
+        manifest.shard, manifest.pid, manifest.jobs, manifest.wall_seconds
+    )
 }
 
 /// The shared tail of every complete mode (the fabric has written the
@@ -321,5 +327,59 @@ mod tests {
         let err = parse("--ns 64 --dir d --worker 0 --job-limit 0").err();
         assert_eq!(err.as_deref(), Some("--job-limit must be at least 1"));
         assert!(parse("--ns 64 --dir d --worker 0 --job-limit 1").is_ok());
+        // A population past the engine's bound used to panic the worker
+        // after it had claimed a block, so every rerun panicked again. Now
+        // every mode refuses it (exit 1) before touching the directory.
+        let dir = std::env::temp_dir().join(format!("ppsweep-big-n-{}", std::process::id()));
+        for protocol in ["pll", "fratricide"] {
+            for n in ["1", "9223372036854775808", "18446744073709551615"] {
+                for mode in ["", "--worker 0", "--shards 1 --merge"] {
+                    let args = format!(
+                        "--protocol {protocol} --ns 64,{n} --seeds 1 --dir {} {mode}",
+                        dir.display()
+                    );
+                    let cli = parse(&args).expect("parses");
+                    let err = dispatch(&cli).expect_err("out-of-range n must be refused");
+                    assert_eq!(
+                        err.kind(),
+                        std::io::ErrorKind::InvalidInput,
+                        "{args}: {err}"
+                    );
+                    assert!(!dir.exists(), "{args} touched the directory");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merge_line_scopes_the_journaled_total_and_the_last_invocation() {
+        // A SIGKILLed shard journaled 6 seeds; its rerun ran the other 26.
+        let manifest = ShardManifest {
+            shard: 0,
+            pid: 77,
+            fingerprint: 1,
+            jobs: 32,
+            wall_seconds: 8.734,
+            complete: true,
+        };
+        let rollup = SweepRollup {
+            jobs: 26,
+            workers: 2,
+            wall_seconds: 8.7,
+            jobs_per_second: 3.0,
+            pid: 77,
+            shard: Some(0),
+        };
+        assert_eq!(
+            shard_line(&manifest, &[rollup]),
+            "ppsweep: shard 0 (pid 77) journaled 32 jobs in total; \
+             its last invocation ran 26 on 2 threads in 8.73s"
+        );
+        // A last invocation that found nothing to run used no threads.
+        assert_eq!(
+            shard_line(&manifest, &[]),
+            "ppsweep: shard 0 (pid 77) journaled 32 jobs in total; \
+             its last invocation ran 0 on 0 threads in 8.73s"
+        );
     }
 }

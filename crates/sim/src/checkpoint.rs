@@ -396,12 +396,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_write_failure_is_an_error_not_a_panic() {
+    fn claim_write_failure_is_an_error_not_a_panic() {
         // A directory squatting on the temporary path of the worker's
         // claim body makes its first write fail: the worker must return
         // the error and journal nothing.
         let spec = spec(&[16], 3, 5, 2);
-        let dir = Scratch::new("snapshot_failure");
+        let dir = Scratch::new("claim_write_failure");
         let squat = shard_dir(&dir.0, 0).join("claim.ckpt.tmp");
         std::fs::create_dir_all(&squat).unwrap();
         let err = work(&spec, &dir, None).expect_err("a failed write must surface as an error");

@@ -73,7 +73,7 @@ use crate::metrics_document;
 use crate::runner::{
     aggregate_points, check_seeds, run_seed, sweep_flat, sweep_jobs, SweepPoint, SweepRollup,
 };
-use pp_engine::LeaderElection;
+use pp_engine::{LeaderElection, MAX_POPULATION};
 use pp_stats::Table;
 use std::collections::HashMap;
 use std::io;
@@ -144,12 +144,20 @@ impl FabricSpec {
         i - i % self.seeds as usize % self.lanes.max(1)
     }
 
-    /// `InvalidInput` unless the seed count is at least 1 and fits the
+    /// `InvalidInput` unless every population size lies in
+    /// `2..=`[`MAX_POPULATION`], the seed count is at least 1 and fits the
     /// packed job index, and `shards` shard ids fit under [`MAX_SHARDS`]:
-    /// every entry point's first step, before it builds a job list.
+    /// every entry point's first step, before it builds a job list or
+    /// touches the directory.
     fn check(&self, shards: u64) -> io::Result<()> {
         check_seeds(self.seeds)?;
-        let msg = if self.seeds == 0 {
+        let bad_n = self
+            .ns
+            .iter()
+            .find(|&&n| !(2..=MAX_POPULATION).contains(&(n as u64)));
+        let msg = if let Some(n) = bad_n {
+            format!("population sizes must be in 2..={MAX_POPULATION} (got {n})")
+        } else if self.seeds == 0 {
             "a sweep needs at least one seed per size".to_string()
         } else if shards > MAX_SHARDS {
             format!("shard ids must be below {MAX_SHARDS} (got {shards} shards)")
@@ -1051,9 +1059,10 @@ mod tests {
 
     #[test]
     fn out_of_range_inputs_are_invalid_input_errors() {
-        // Zero seeds, seeds past the packed job index, shard ids past
-        // MAX_SHARDS and a zero job limit are refused before any job list is built or any
-        // file written.
+        // Zero seeds, seeds past the packed job index, population sizes
+        // outside 2..=MAX_POPULATION, shard ids past MAX_SHARDS and a zero
+        // job limit are refused before any job list is built or any file
+        // written.
         let dir = Scratch::new("invalid_input");
         let invalid = |result: io::Result<()>| {
             let err = result.expect_err("out-of-range input must be refused");
@@ -1063,6 +1072,15 @@ mod tests {
         for seeds in [1 << 32, 0] {
             let mut bad = spec();
             bad.seeds = seeds;
+            invalid(run_sequential(|_| Fratricide, &bad, &dir.0).map(drop));
+            invalid(run_worker_shard(|_| Fratricide, &bad, &dir.0, 0, None).map(drop));
+            invalid(merge_shards(&bad, &dir.0, 1).map(drop));
+        }
+        // A population past the engine's bound used to panic a worker
+        // after it had claimed its first block.
+        for n in [0, 1, MAX_POPULATION as usize + 1, usize::MAX] {
+            let mut bad = spec();
+            bad.ns.push(n);
             invalid(run_sequential(|_| Fratricide, &bad, &dir.0).map(drop));
             invalid(run_worker_shard(|_| Fratricide, &bad, &dir.0, 0, None).map(drop));
             invalid(merge_shards(&bad, &dir.0, 1).map(drop));

@@ -42,8 +42,6 @@ EVENT_FIELDS = {
     "batch_exit": {"support": INT, "expected_run": INT},
     "batch_episode": {"bulk": INT, "collision": BOOL, "walked": BOOL},
     "compaction": {"live_before": INT, "live_after": INT},
-    "snapshot": {"bytes": INT},
-    "resumed": {},
 }
 
 ENGINE_FIELDS = {
