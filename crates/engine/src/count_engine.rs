@@ -1686,7 +1686,8 @@ mod tests {
         let mut sim = CountSimulation::new(Frat, 1 << 14, rng(17)).unwrap();
         assert_eq!(sim.active_tier(), EngineTier::Compiled);
         sim.run(1 << 12);
-        // Fratricide's support is 2 ≪ √n: batch engages at the first review
+        // Fratricide's support is 2: below the crossover its cells table,
+        // 8·2² = 32, fits E[run] = 80, so batch engages at the first review
         // (until the null fraction crosses the jump threshold much later).
         assert_eq!(sim.active_tier(), EngineTier::Batch);
         assert!(sim.metrics().batch.episodes > 0);
@@ -1694,6 +1695,7 @@ mod tests {
 
     #[test]
     fn batch_never_engages_below_population_floor() {
+        // Two states need 8·2² ≤ E[run], which first holds at 2704 agents.
         let mut sim = CountSimulation::new(Frat, 200, rng(18)).unwrap();
         sim.run(50_000);
         assert_eq!(sim.metrics().batch.episodes, 0);

@@ -9,54 +9,58 @@
 //! | [`Reference`](EngineTier::Reference) | hash + clone + `transition` per step | `O(1)`, large constant | never chosen; the pinned oracle baseline |
 //! | [`Compiled`](EngineTier::Compiled) | [pair cache](crate::compiled) + two agent-array reads (two tree descents past 2^21 agents) | ~20–35 ns below 2^21 agents, ~55 ns above | dense transitions, large live support |
 //! | [`Jump`](EngineTier::Jump) | [null-run telescoping](crate::jump) | `O(1)` per *episode* | known-null pairs ≥ 7/8 of scheduler weight |
-//! | [`Batch`](EngineTier::Batch) | [hypergeometric rounds](crate::batch) | `O((k + √n)/√n)` amortized | small live support `k`, any null density |
+//! | [`Batch`](EngineTier::Batch) | [hypergeometric rounds](crate::batch) | `O((k + √n)/√n)` amortized; sub-constant only as cells | live support `k` with `3k ≤ E[run]` from [`BATCH_CROSSOVER_POPULATION`] agents up, `8k² ≤ E[run]` below |
 //!
 //! The tiers are selected *per workload phase*, not per simulation: reviews
-//! at batch boundaries re-run the engage/disengage heuristics against the
-//! current configuration (null weight for the jump tier, live support for
-//! the batch tier), with hysteresis so the engine never flaps around a
-//! threshold. The thresholds are fixed constants that follow from the cost
-//! model (a collision-free run is expected to last `≈ 0.63·√n`
-//! interactions; jumping pays once it telescopes ≥ 8 interactions per
-//! episode), not tuning knobs. Tests pin one tier with the doc-hidden
-//! [`CountSimulation::pin_tier`](crate::CountSimulation::pin_tier).
-//!
-//! This module owns the dispatch state ([`TierController`]) and the pure
-//! decision rules; the episode/chunk execution lives in
-//! [`count_engine`](crate::CountSimulation) and [`crate::batch`].
+//! at batch boundaries re-run the engage/exit rules against the current
+//! configuration (null weight for the jump tier, live support for the batch
+//! tier), with hysteresis so the engine never flaps around a threshold. The
+//! thresholds are fixed constants from the cost model, not tuning knobs.
+//! Tests pin one tier with the doc-hidden
+//! [`CountSimulation::pin_tier`](crate::CountSimulation::pin_tier). This
+//! module owns the dispatch state ([`TierController`]) and the pure rules;
+//! episodes run in [`count_engine`](crate::CountSimulation) and
+//! [`crate::batch`].
 
 use crate::batch::BatchState;
 use crate::jump::NullLedger;
+use crate::round::CELL_FALLBACK_FACTOR;
 
-/// The jump scheduler engages when `W_active · JUMP_ENGAGE_FACTOR ≤ W_total`,
-/// i.e. when known-null pairs carry at least 7/8 of the scheduler weight,
-/// so each episode is expected to telescope at least 8 raw interactions.
+/// The jump scheduler engages when `W_active · JUMP_ENGAGE_FACTOR ≤ W_total`:
+/// each episode is then expected to telescope at least 8 raw interactions.
 pub(crate) const JUMP_ENGAGE_FACTOR: u64 = 8;
 
 /// Hysteresis: an engaged jump scheduler disengages only once
-/// `W_active · JUMP_EXIT_FACTOR > W_total`, so the engine does not flap
-/// around the engagement boundary.
+/// `W_active · JUMP_EXIT_FACTOR > W_total`.
 pub(crate) const JUMP_EXIT_FACTOR: u64 = 4;
 
-/// The batch tier engages when
-/// `support · BATCH_SUPPORT_DIVISOR ≤ E[collision-free run]`: a round costs
-/// one hypergeometric draw per heavy class (mean at least one draw), one
-/// uniform pick per draw in the light tail and `O(support + run)` cheap
-/// per-class and per-slot work, so it beats the compiled tier only
-/// while the live support is a fraction of the expected `Θ(√n)` round
-/// length. The divisor predates the light-tail picks and has not been
-/// re-priced for them. It disengages (factor-2 hysteresis)
-/// once the support grows past twice the engage threshold.
+/// From [`BATCH_CROSSOVER_POPULATION`] agents up, the batch tier engages
+/// when `support · BATCH_SUPPORT_DIVISOR ≤ E[collision-free run]` and exits
+/// past twice that: a round costs one hypergeometric draw per heavy class,
+/// one uniform pick per light-tail draw and `O(support + run)` cheap work,
+/// so it pays only while the support is a fraction of the `Θ(√n)` run. The
+/// divisor predates the light-tail picks and has not been re-priced.
 const BATCH_SUPPORT_DIVISOR: u64 = 3;
 
-/// Populations below this never engage the batch tier heuristically:
-/// collision-free runs of `E ≈ 0.63·√n` steps are too short to amortize a
-/// round's set-up below it.
-const BATCH_MIN_POPULATION: u64 = 4096;
+/// The batch tier's crossover `N*`. Below it a round must beat the agent
+/// array's 20–35 ns step, which only the cells path does, so batch engages
+/// only while `CELL_FALLBACK_FACTOR · k² ≤ E[run]` (same factor-2 exit; one
+/// class counts as two, since it lasts until one non-null interaction or is
+/// silent and left to the jump tier). For two states that is the old 4096
+/// floor on powers of two (32 ≤ 40 at 4096, 32 > 28 at 2048); `P_LL`'s
+/// support of 180–430 never qualifies. Whole `P_LL` elections, default
+/// dispatch, M interactions/s per run (2-vCPU Xeon, alternating runs):
+///
+/// | n | elections per run | support rule | cells rule |
+/// |---|---|---|---|
+/// | 2^17 | 16 | 20.3, 18.6 | 35.6, 30.9 |
+/// | 2^18 | 12 | 16.7, 17.8 | 31.7, 30.0 |
+/// | 2^19 | 8 | 22.9, 25.8 | 28.6, 31.7 |
+/// | 2^20 | 6 | 23.4, 24.3 | 13.3, 9.8 |
+const BATCH_CROSSOVER_POPULATION: u64 = 1 << 20;
 
-/// The execution tier the count engine is currently dispatching to. Tier
-/// reviews at batch boundaries select it from the live configuration, with
-/// hysteresis around fixed thresholds.
+/// The execution tier the count engine is currently dispatching to, chosen
+/// at tier reviews from the live configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineTier {
     /// Uncached per-step fallback: hash, clone, and call
@@ -92,11 +96,9 @@ pub struct JumpStats {
     pub skipped: u64,
 }
 
-/// Interactions executed per tier over the whole execution, maintained at
-/// dispatch boundaries regardless of whether an observer is attached (the
-/// counters are pure functions of the trajectory, so attaching one cannot
-/// change them). Wall-clock accounting lives in the observer-only
-/// [`TierTimeline`](crate::obs::TierTimeline) instead.
+/// Interactions executed per tier over the whole execution: pure functions
+/// of the trajectory, kept with or without an observer. Wall-clock time
+/// lives in the observer-only [`TierTimeline`](crate::obs::TierTimeline).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierUsage {
     /// Interactions executed on the uncached reference tier.
@@ -136,9 +138,8 @@ pub(crate) struct JumpState {
     pub stats: JumpStats,
 }
 
-/// The dispatch state shared by all of the count engine's batched drivers:
-/// the test pin, per-tier engage state, and the step count of the next
-/// heuristic review.
+/// The dispatch state of the count engine's batched drivers: the test pin,
+/// per-tier engage state, and the step count of the next review.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TierController {
     /// The tier pinned by [`CountSimulation::pin_tier`]
@@ -146,8 +147,7 @@ pub(crate) struct TierController {
     pub pin: Option<EngineTier>,
     pub jump: JumpState,
     pub batch: BatchState,
-    /// Step count at which the next tier review (jump probe, batch
-    /// engage/disengage, compaction check) runs.
+    /// Step count of the next tier review (compaction, jump, batch rules).
     pub review_at: u64,
     /// Per-tier interaction counters over the whole execution.
     pub usage: TierUsage,
@@ -155,24 +155,21 @@ pub(crate) struct TierController {
 
 impl TierController {
     /// Whether compiled null pairs feed the jump ledger: under heuristic
-    /// dispatch and the jump pin. The compiled and batch pins keep the
-    /// ledger empty (which also keeps tier reviews on their short interval);
-    /// the reference pin has no compiled pairs at all.
+    /// dispatch and the jump pin. The other pins keep it empty, which also
+    /// keeps tier reviews on their short interval.
     pub(crate) fn tracks_nulls(&self) -> bool {
         matches!(self.pin, None | Some(EngineTier::Jump))
     }
 }
 
-/// Expected length of a collision-free run at population `n`: the birthday
-/// bound gives `E ≈ √(πn/8) ≈ 0.627·√n`; the integer `5·√n/8` is within 1%
-/// and exact-integer cheap. Floored at 1.
+/// Expected collision-free run at population `n`: the birthday bound's
+/// `√(πn/8) ≈ 0.627·√n`, as the integer `5·⌊√n⌋/8` (within 1%), at least 1.
 pub(crate) fn expected_run_length(n: u64) -> u64 {
     (isqrt(n) * 5 / 8).max(1)
 }
 
-/// Integer square root (`⌊√n⌋`); `u64::isqrt` needs a newer MSRV than the
-/// workspace's 1.75. The f64 estimate is exact for n < 2^52 and the two
-/// correction steps make it exact everywhere.
+/// `⌊√n⌋` (`u64::isqrt` needs a newer MSRV than 1.75): the f64 estimate is
+/// exact below 2^52, and the two correction steps make it exact everywhere.
 fn isqrt(n: u64) -> u64 {
     let mut root = (n as f64).sqrt() as u64;
     while root > 0 && root.checked_mul(root).map_or(true, |sq| sq > n) {
@@ -184,38 +181,40 @@ fn isqrt(n: u64) -> u64 {
     root
 }
 
-/// The batch tier's population ceiling, shared with the jump scheduler's:
-/// the collision round's exact integer category weights are bounded by
-/// `n(n−1)`, which must fit a `u64`. Beyond the cap the heuristics simply
-/// never engage and execution stays per-step.
+/// The batch and jump tiers' population ceiling: their exact pair weights,
+/// up to `n(n−1)`, must fit a `u64`. Beyond it execution stays per-step.
 pub(crate) const BATCH_MAX_POPULATION: u64 = u32::MAX as u64;
 
 /// The compiled and reference tiers step on an array of the agents'
-/// interned state ids up to this population: a step reads two uniform
-/// distinct positions and writes both successors back, instead of two sum
-/// tree descents and two leaf-to-root climbs. The array costs `4n` bytes,
-/// and the cap sits where the per-step time of the compiled pin crosses
-/// the tree's: on a 2-vCPU Xeon with 2 MiB of L2 per core, `P_LL` measured
-/// 34, 51 and 72 ns per interaction on the array at 2^20, 2^21 and 2^22
-/// agents, against 57–58 ns on the tree. Larger populations keep the tree
-/// descent, which is also the only path past 2^32. The tree's cost falls
-/// with the live support and the array's does not, so a compiled *pin* on
-/// a 2-state protocol at 2^20 agents runs slower on the array (≈ 22 ns
-/// against 11); heuristic dispatch never meets that case, because such
-/// supports engage the batch tier from 4096 agents up.
+/// interned state ids up to this population (`4n` bytes): two uniform
+/// distinct positions per step instead of two sum-tree descents and climbs.
+/// The cap is where the compiled pin's step time crosses the tree's (2-vCPU
+/// Xeon, 2 MiB L2 per core): `P_LL` measured 34, 51 and 72 ns on the array
+/// at 2^20, 2^21 and 2^22 agents, against 57–58 ns on the tree. The tree's
+/// cost falls with the live support and the array's does not, so a compiled
+/// *pin* on two states at 2^20 runs slower on the array (≈ 22 ns against
+/// 11); heuristic dispatch never meets that case, because the cells rule
+/// puts two states on the batch tier from 4096 agents up.
 pub(crate) const AGENT_ARRAY_MAX_POPULATION: u64 = 1 << 21;
 
-/// Batch-tier engage rule (see [`BATCH_SUPPORT_DIVISOR`]).
-pub(crate) fn batch_engages(support: usize, n: u64) -> bool {
-    (BATCH_MIN_POPULATION..=BATCH_MAX_POPULATION).contains(&n)
-        && (support as u64).saturating_mul(BATCH_SUPPORT_DIVISOR) <= expected_run_length(n)
+/// What the batch rules weigh against `E[run]`: the support rule from
+/// [`BATCH_CROSSOVER_POPULATION`] agents up, the cells table below.
+fn batch_cost(support: usize, n: u64) -> u64 {
+    let k = support as u64;
+    if n >= BATCH_CROSSOVER_POPULATION {
+        return k.saturating_mul(BATCH_SUPPORT_DIVISOR);
+    }
+    CELL_FALLBACK_FACTOR.saturating_mul(k.max(2).saturating_pow(2))
 }
 
-/// Batch-tier exit rule: the engage inequality failed by more than the
-/// factor-2 hysteresis band.
+/// Batch-tier engage rule: the cost fits one expected run.
+pub(crate) fn batch_engages(support: usize, n: u64) -> bool {
+    n <= BATCH_MAX_POPULATION && batch_cost(support, n) <= expected_run_length(n)
+}
+
+/// Batch-tier exit rule: the cost exceeds two expected runs.
 pub(crate) fn batch_exits(support: usize, n: u64) -> bool {
-    !(BATCH_MIN_POPULATION..=BATCH_MAX_POPULATION).contains(&n)
-        || (support as u64).saturating_mul(BATCH_SUPPORT_DIVISOR) > 2 * expected_run_length(n)
+    n > BATCH_MAX_POPULATION || batch_cost(support, n) > 2 * expected_run_length(n)
 }
 
 #[cfg(test)]
@@ -228,7 +227,6 @@ mod tests {
         assert_eq!(JUMP_ENGAGE_FACTOR, 8);
         assert_eq!(JUMP_EXIT_FACTOR, 4);
         assert_eq!(BATCH_SUPPORT_DIVISOR, 3);
-        assert_eq!(BATCH_MIN_POPULATION, 4096);
     }
 
     #[test]
@@ -249,14 +247,44 @@ mod tests {
 
     #[test]
     fn batch_rules_have_hysteresis() {
-        let n = 1u64 << 20; // expected run 640
-        assert!(batch_engages(213, n)); // 213·3 = 639 ≤ 640
-        assert!(!batch_engages(214, n));
-        assert!(!batch_exits(214, n)); // inside the hysteresis band
-        assert!(!batch_exits(426, n)); // 426·3 = 1278 ≤ 1280
-        assert!(batch_exits(427, n));
-        assert!(!batch_engages(2, 1024), "below the population floor");
-        assert!(batch_exits(2, 1024));
+        let below = BATCH_CROSSOVER_POPULATION - 1;
+        assert_eq!(expected_run_length(below), 639);
+        // (n, support, engages, exits), with E[run] and the cost weighed.
+        let table = [
+            // Two states: the cells rule is the old 4096-agent floor.
+            (4096, 2, true, false),  // 8·2² = 32 ≤ E = 40
+            (2048, 2, false, false), // 32 > E = 28, but ≤ 2E
+            (4096, 1, true, false),  // one class counts as two
+            (200, 1, false, true),   // 32 > 2E = 16
+            (4096, 3, false, false), // 72 > 40, but ≤ 2E = 80
+            (4096, 4, false, true),  // 128 > 80
+            // P_LL-sized supports stay off batch below the crossover.
+            (1 << 16, 40, false, true), // 12800 > 2E = 320
+            (below, 40, false, true),   // 12800 > 2E = 1278
+            (below, 8, true, false),    // 512 ≤ E = 639
+            (below, 9, false, false),   // 648 > 639, but ≤ 1278
+            (below, 12, false, false),  // 1152 ≤ 1278
+            (below, 13, false, true),   // 1352 > 1278
+            // From the crossover up, the support rule.
+            (1 << 20, 213, true, false),  // 3·213 = 639 ≤ E = 640
+            (1 << 20, 214, false, false), // 642 > 640, but ≤ 2E
+            (1 << 20, 426, false, false), // 1278 ≤ 1280
+            (1 << 20, 427, false, true),  // 1281 > 1280
+            // Past the ceiling, never.
+            (BATCH_MAX_POPULATION + 1, 1, false, true),
+        ];
+        for (n, support, engages, exits) in table {
+            assert_eq!(
+                batch_engages(support, n),
+                engages,
+                "engage: n={n}, support {support}"
+            );
+            assert_eq!(
+                batch_exits(support, n),
+                exits,
+                "exit: n={n}, support {support}"
+            );
+        }
     }
 
     #[test]

@@ -140,13 +140,6 @@ impl Cli {
             return Err("--ns must list at least one size".into());
         }
         let dir = dir.ok_or("--dir is required")?;
-        if seeds >= 1 << 32 {
-            return Err("--seeds must be below 2^32".into());
-        }
-        // A zero-run row's mean would read like a measurement.
-        if seeds == 0 {
-            return Err("--seeds must be at least 1".into());
-        }
         if worker.is_some_and(|k| k >= MAX_SHARDS) {
             return Err(format!("--worker must be below {MAX_SHARDS}"));
         }
@@ -285,16 +278,39 @@ mod tests {
         Cli::parse(args.split_whitespace().map(String::from))
     }
 
+    /// Parses and dispatches `args` with `--dir` pointing at a fresh path,
+    /// asserts the run is refused as `InvalidInput` without touching that
+    /// path, and returns the refusal's message.
+    fn refused(args: &str) -> String {
+        let dir = std::env::temp_dir().join(format!("ppsweep-refused-{}", std::process::id()));
+        let args = format!("{args} --dir {}", dir.display());
+        let cli = parse(&args).expect("parses");
+        let err = dispatch(&cli).expect_err("out-of-range input must be refused");
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "{args}: {err}"
+        );
+        assert!(!dir.exists(), "{args} touched the directory");
+        err.to_string()
+    }
+
     #[test]
     fn out_of_range_seeds_and_shards_are_usage_errors() {
         // Seeds and shards used to reach an assert and abort the process; a
-        // zero job limit used to exit "suspended" on every rerun.
-        let err = parse("--ns 64 --dir d --seeds 4294967296").err();
-        assert_eq!(err.as_deref(), Some("--seeds must be below 2^32"));
-        // Zero seeds used to exit 0 with a zero-run row in every mode.
+        // zero job limit used to exit "suspended" on every rerun. The seed
+        // rules are the fabric's own: every mode refuses a bad count with
+        // one message before it claims work or writes a file.
         for mode in ["", "--worker 0", "--shards 1 --merge"] {
-            let err = parse(&format!("--ns 64 --dir d --seeds 0 {mode}")).err();
-            assert_eq!(err.as_deref(), Some("--seeds must be at least 1"));
+            assert_eq!(
+                refused(&format!("--ns 64 --seeds 4294967296 {mode}")),
+                "sweeps support at most 2^32 - 1 seeds per size (got 4294967296)"
+            );
+            // Zero seeds used to exit 0 with a zero-run row in every mode.
+            assert_eq!(
+                refused(&format!("--ns 64 --seeds 0 {mode}")),
+                "a sweep needs at least one seed per size"
+            );
         }
         assert!(parse("--ns 64 --dir d --seeds 4294967295").is_ok());
         let err = parse("--ns 64 --dir d --worker 5000").err();
@@ -330,22 +346,13 @@ mod tests {
         // A population past the engine's bound used to panic the worker
         // after it had claimed a block, so every rerun panicked again. Now
         // every mode refuses it (exit 1) before touching the directory.
-        let dir = std::env::temp_dir().join(format!("ppsweep-big-n-{}", std::process::id()));
         for protocol in ["pll", "fratricide"] {
             for n in ["1", "9223372036854775808", "18446744073709551615"] {
                 for mode in ["", "--worker 0", "--shards 1 --merge"] {
-                    let args = format!(
-                        "--protocol {protocol} --ns 64,{n} --seeds 1 --dir {} {mode}",
-                        dir.display()
-                    );
-                    let cli = parse(&args).expect("parses");
-                    let err = dispatch(&cli).expect_err("out-of-range n must be refused");
-                    assert_eq!(
-                        err.kind(),
-                        std::io::ErrorKind::InvalidInput,
-                        "{args}: {err}"
-                    );
-                    assert!(!dir.exists(), "{args} touched the directory");
+                    let msg = refused(&format!(
+                        "--protocol {protocol} --ns 64,{n} --seeds 1 {mode}"
+                    ));
+                    assert!(msg.starts_with("population sizes must be in 2..="), "{msg}");
                 }
             }
         }

@@ -26,9 +26,11 @@ use std::collections::HashSet;
 
 /// The columns under comparison: the reference and compiled pins,
 /// heuristic dispatch (`None`), the batch pin, and the jump pin. Every
-/// population here is below the batch tier's floor, so heuristic dispatch
-/// is the jump tier engaging and exiting on its own (with compaction on the
-/// unbounded lottery), while the jump pin holds it engaged from step 0.
+/// population here is too small for heuristic dispatch to engage batch
+/// (below the crossover it needs `8·k² ≤ E[run]`, and even `k = 2` first
+/// fits at 2704 agents), so heuristic dispatch is the jump tier engaging
+/// and exiting on its own (with compaction on the unbounded lottery), while
+/// the jump pin holds it engaged from step 0.
 const TIERS: [Option<EngineTier>; 5] = [
     Some(EngineTier::Reference),
     Some(EngineTier::Compiled),
@@ -299,8 +301,8 @@ fn fratricide_mean_matches_the_exact_law_at_2_14() {
     // From k leaders the next kill takes a geometric number of steps with
     // success probability p_k = k(k−1)/(n(n−1)), so the parallel time has
     // mean Σ 1/p_k / n = (n−1)²/n and variance Σ (1−p_k)/p_k² / n², both
-    // exact. Default dispatch runs the batch tier first and the jump tier
-    // in the sparse tail. Band: 4 standard errors of the mean, so a correct
+    // exact. Default dispatch runs the batch tier first (its cells rule
+    // below the crossover) and the jump tier in the sparse tail. Band: 4 standard errors of the mean, so a correct
     // engine fails by chance about 6e-5 of the time (normal approximation
     // to the 400-seed mean).
     let n = 1usize << 14;
