@@ -63,13 +63,15 @@
 //! agent. One [`pair_targets`](pp_rand::pair_targets) word gives
 //! `(ta, tb)`; positions `i = ta` and `j = tb + [tb ≥ ta]` are a uniform
 //! ordered pair of distinct agents, so the states read there are drawn
-//! exactly as the counts would draw them, whatever the arrangement. The
-//! successors are written back in place and the counts change in the sum
-//! tree's leaves only; the window rebuilds the tree's internal sums once,
-//! when it ends. An empty array means stale: jump and batch episodes,
-//! compaction and [`step`](CountSimulation::step) move agents by counts
-//! alone and clear it, and the next per-step window refills it from the
-//! counts in slot order. Construction never allocates it, and populations
+//! exactly as the counts would draw them, whatever the arrangement. A side
+//! whose successor differs from its state is written back in place and
+//! moves its count in the sum tree's leaves only; an unchanged side (most
+//! of them: a null interaction has two) touches neither. The window
+//! rebuilds the tree's internal sums once, when it ends. An empty array
+//! means stale: jump and batch episodes, compaction and
+//! [`step`](CountSimulation::step) move agents by counts alone and clear
+//! it, and the next per-step window refills it from the counts in slot
+//! order. Construction never allocates it, and populations
 //! that only ever run batch rounds never do.
 //!
 //! # State-id compaction
@@ -1162,12 +1164,14 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             let Some(miss) = pending else { break };
             self.steps += 1;
             let (a, b, delta, _) = self.compile_pair(miss.s, miss.t);
-            if array {
-                self.agents[miss.i] = a as u32;
-                self.agents[miss.j] = b as u32;
+            for (from, to, at) in [(miss.s, a, miss.i), (miss.t, b, miss.j)] {
+                if from != to {
+                    if array {
+                        self.agents[at] = to as u32;
+                    }
+                    self.move_agent(from, to, array);
+                }
             }
-            self.move_agent(miss.s, a, array);
-            self.move_agent(miss.t, b, array);
             if TRACK && delta != 0 {
                 count += i64::from(delta);
             }
@@ -1187,7 +1191,8 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     /// miss, which it returns. With `ARRAY` a step reads two positions of
     /// the agent array and moves counts in the sampler's leaves only;
     /// without it, a fused pair draw (two tree descents) picks the states
-    /// and two leaf-to-root transfers move them.
+    /// and leaf-to-root transfers move them. Either way only the sides
+    /// whose state changes are written.
     #[inline(always)]
     fn compiled_steps<const TRACK: bool, const ARRAY: bool>(
         &mut self,
@@ -1228,20 +1233,27 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
                 break;
             }
             let (a, b, delta, _) = compiled::unpack(entry);
-            let moved = if ARRAY {
-                agents[i] = a as u32;
-                agents[j] = b as u32;
-                (sampler.transfer_leaf(s, a), sampler.transfer_leaf(t, b))
-            } else {
-                (sampler.transfer(s, a), sampler.transfer(t, b))
+            // Most interactions are null or change one side; an unchanged
+            // side is skipped outright (no store, no leaf move), which
+            // keeps the hot leaves out of a store-to-load chain.
+            let mut side = |from: usize, to: usize, at: usize| {
+                if from == to {
+                    return;
+                }
+                let moved = if ARRAY {
+                    agents[at] = to as u32;
+                    sampler.transfer_leaf(from, to)
+                } else {
+                    sampler.transfer(from, to)
+                };
+                let Ok(e) = moved else {
+                    debug_assert!(false, "interned slots exist");
+                    return;
+                };
+                sup = sup + usize::from(e.populated) - usize::from(e.emptied);
             };
-            let (Ok(e1), Ok(e2)) = moved else {
-                debug_assert!(false, "interned slots exist");
-                break;
-            };
-            sup = sup + usize::from(e1.populated) + usize::from(e2.populated)
-                - usize::from(e1.emptied)
-                - usize::from(e2.emptied);
+            side(s, a, i);
+            side(t, b, j);
             done += 1;
             if TRACK && delta != 0 {
                 *count += i64::from(delta);
@@ -1572,6 +1584,102 @@ mod tests {
         let b = reference.run_until_single_leader(u64::MAX);
         assert_eq!(a, b);
         assert_eq!(cached.leader_count(), 1);
+    }
+
+    /// A leader bit and one of four colors. Leader meets leader: the
+    /// responder is demoted (one side changes). Otherwise equal colors are
+    /// null, the initiator adopts the next color up (one side), and any
+    /// other colors swap (both sides, often with no net count change).
+    #[derive(Debug, Clone, Copy)]
+    struct Mixed;
+
+    impl Protocol for Mixed {
+        type State = (bool, u8);
+        type Output = Role;
+        fn initial_state(&self) -> (bool, u8) {
+            (true, 0)
+        }
+        fn transition(
+            &self,
+            &(la, ca): &(bool, u8),
+            &(lb, cb): &(bool, u8),
+        ) -> ((bool, u8), (bool, u8)) {
+            if la && lb {
+                ((la, ca), (false, cb))
+            } else if ca == cb {
+                ((la, ca), (lb, cb))
+            } else if (ca + 1) % 4 == cb {
+                ((la, cb), (lb, cb))
+            } else {
+                ((la, cb), (lb, ca))
+            }
+        }
+        fn output(&self, &(leader, _): &(bool, u8)) -> Role {
+            if leader {
+                Role::Leader
+            } else {
+                Role::Follower
+            }
+        }
+    }
+
+    impl LeaderElection for Mixed {
+        fn monotone_leaders(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn array_steps_keep_counts_support_and_agents_consistent() {
+        // On the agent array a step writes only the sides that change. The
+        // reference twin runs every interaction through the cache-miss
+        // path, which skips unchanged sides by the same rule, so the twin
+        // checks that the compiled loop and the miss path agree step for
+        // step; it cannot catch a rule both share. The checks against
+        // `state_counts()` and the agent array itself are what judge the
+        // bookkeeping: a skipped changed side, or a lost support change,
+        // makes them disagree.
+        let n = 512u64;
+        let mut init = vec![((true, 0u8), 8u64)];
+        init.extend((0..4u8).map(|c| ((false, c), (n - 8) / 4)));
+        let twin = |tier| {
+            let mut sim = CountSimulation::from_counts(Mixed, init.clone(), rng(17)).unwrap();
+            sim.pin_tier(tier).unwrap();
+            sim
+        };
+        let mut cached = twin(EngineTier::Compiled);
+        let mut reference = twin(EngineTier::Reference);
+        let check = |sim: &CountSimulation<Mixed>| {
+            let counts = sim.state_counts();
+            assert_eq!(sim.support_size(), counts.len());
+            assert_eq!(counts.values().sum::<u64>(), n);
+            let mut held = vec![0u64; sim.raw_counts().len()];
+            for &id in &sim.agents {
+                held[id as usize] += 1;
+            }
+            assert_eq!(held, sim.raw_counts(), "agent array matches the counts");
+        };
+        for window in [1u64, 37, 500, 4096, 20_000] {
+            cached.run(window);
+            reference.run(window);
+            check(&cached);
+            check(&reference);
+            assert_eq!(cached.raw_counts(), reference.raw_counts());
+            assert_eq!(cached.steps(), reference.steps());
+        }
+        let elected = cached.run_until_single_leader(u64::MAX);
+        assert_eq!(elected, reference.run_until_single_leader(u64::MAX));
+        assert!(elected.converged);
+        check(&cached);
+        check(&reference);
+        assert_eq!(cached.raw_counts(), reference.raw_counts());
+        // All three kinds of step ran: null, one-sided and two-sided.
+        let mut kinds = [false; 3];
+        cached.pairs.for_each_filled_mut(|s, t, entry| {
+            let (a, b, _, _) = compiled::unpack(*entry);
+            kinds[usize::from(a != s) + usize::from(b != t)] = true;
+        });
+        assert_eq!(kinds, [true; 3]);
     }
 
     #[test]

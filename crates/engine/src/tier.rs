@@ -7,7 +7,7 @@
 //! | Tier | Mechanism | Per-interaction cost | Wins when |
 //! |------|-----------|----------------------|-----------|
 //! | [`Reference`](EngineTier::Reference) | hash + clone + `transition` per step | `O(1)`, large constant | never chosen; the pinned oracle baseline |
-//! | [`Compiled`](EngineTier::Compiled) | [pair cache](crate::compiled) + two agent-array reads (two tree descents past 2^21 agents) | ~20–35 ns below 2^21 agents, ~55 ns above | dense transitions, large live support |
+//! | [`Compiled`](EngineTier::Compiled) | [pair cache](crate::compiled) + two agent-array reads (two tree descents past 2^21 agents), writing only the sides that change | ~18–40 ns up to 2^20 agents, ~55 ns at 2^21, ~60–70 ns above | dense transitions, large live support |
 //! | [`Jump`](EngineTier::Jump) | [null-run telescoping](crate::jump) | `O(1)` per *episode* | known-null pairs ≥ 7/8 of scheduler weight |
 //! | [`Batch`](EngineTier::Batch) | [hypergeometric rounds](crate::batch) | `O((k + √n)/√n)` amortized; sub-constant only as cells | live support `k` with `3k ≤ E[run]` from [`BATCH_CROSSOVER_POPULATION`] agents up, `8k² ≤ E[run]` below |
 //!
@@ -43,7 +43,7 @@ pub(crate) const JUMP_EXIT_FACTOR: u64 = 4;
 const BATCH_SUPPORT_DIVISOR: u64 = 3;
 
 /// The batch tier's crossover `N*`. Below it a round must beat the agent
-/// array's 20–35 ns step, which only the cells path does, so batch engages
+/// array's 18–40 ns step, which only the cells path does, so batch engages
 /// only while `CELL_FALLBACK_FACTOR · k² ≤ E[run]` (same factor-2 exit; one
 /// class counts as two, since it lasts until one non-null interaction or is
 /// silent and left to the jump tier). For two states that is the old 4096
@@ -188,12 +188,16 @@ pub(crate) const BATCH_MAX_POPULATION: u64 = u32::MAX as u64;
 /// The compiled and reference tiers step on an array of the agents'
 /// interned state ids up to this population (`4n` bytes): two uniform
 /// distinct positions per step instead of two sum-tree descents and climbs.
-/// The cap is where the compiled pin's step time crosses the tree's (2-vCPU
-/// Xeon, 2 MiB L2 per core): `P_LL` measured 34, 51 and 72 ns on the array
-/// at 2^20, 2^21 and 2^22 agents, against 57–58 ns on the tree. The tree's
+/// The cap was set where the compiled pin's step time crossed the tree's
+/// (2-vCPU Xeon, 2 MiB L2 per core) while every step stored both sides.
+/// Storing only the sides that change, `P_LL` measured 39, 54 and 62 ns on
+/// the array at 2^20, 2^21 and 2^22 agents against 57, 72 and 68 ns on the
+/// tree, and 68 against 63 at 2^24 (medians of alternating runs on a shared
+/// host), so the crossing now lies past 2^22; moving the cap changes the
+/// default stream and is left to a measured change of its own. The tree's
 /// cost falls with the live support and the array's does not, so a compiled
-/// *pin* on two states at 2^20 runs slower on the array (≈ 22 ns against
-/// 11); heuristic dispatch never meets that case, because the cells rule
+/// *pin* on two states at 2^20 runs slower on the array (≈ 27 ns against
+/// 20); heuristic dispatch never meets that case, because the cells rule
 /// puts two states on the batch tier from 4096 agents up.
 pub(crate) const AGENT_ARRAY_MAX_POPULATION: u64 = 1 << 21;
 

@@ -217,7 +217,9 @@ impl SumTreeSampler {
     /// but the internal sums go stale, so no draw may run until
     /// [`rebuild_sums`](Self::rebuild_sums). A caller that picks its pairs
     /// without the tree pays `O(1)` per move instead of two `O(log k)`
-    /// climbs, then one `O(cap)` rebuild.
+    /// climbs, then one `O(cap)` rebuild. A self-transfer still writes its
+    /// leaf twice, so `pp-engine`'s agent-array steps skip the call for a
+    /// side whose state does not change.
     ///
     /// # Errors
     ///
