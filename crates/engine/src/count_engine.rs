@@ -580,9 +580,8 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     /// ids it simply runs once per encounter.
     ///
     /// Marked cold and never-inlined: with the cache active this is off the
-    /// steady-state path, and keeping its hashing/interning machinery out
-    /// of the hot loop lets the register allocator keep the RNG and tree
-    /// state in registers across iterations.
+    /// steady-state path, so its hashing and interning machinery stays out
+    /// of the hot loops' code.
     #[cold]
     #[inline(never)]
     fn compile_pair(&mut self, s: usize, t: usize) -> (usize, usize, i8, bool) {
@@ -1131,14 +1130,15 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     ///
     /// The inner loop ([`compiled_steps`](Self::compiled_steps)) holds
     /// every hot field through *split borrows* and calls nothing that takes
-    /// `&mut self`: a `&mut self` callee (such as
-    /// the interning [`compile_pair`](Self::compile_pair)) could touch any
-    /// field, which would force the optimizer to spill the RNG words, step
-    /// counter, and support count back to memory on every iteration.
-    /// Keeping the miss path outside the loop is what lets them live in
-    /// registers across the window. A miss still consumes its RNG draw, so
-    /// the drawn pair is carried out of the loop and completed through the
-    /// compile path before the loop resumes.
+    /// `&mut self`, so the interning [`compile_pair`](Self::compile_pair)
+    /// runs outside it. That keeps the loop's step and support counts,
+    /// which are locals, in registers across the window. The RNG words are
+    /// not: [`pair_targets`] passes `&mut rng` to its out-of-line rejection
+    /// path and, for totals above 2^32, to [`Rng64::below`], so the release
+    /// build loads and stores the four xoshiro words on every interaction,
+    /// and reloads the pair cache's and the sampler's fields too. A miss
+    /// still consumes its RNG draw, so the drawn pair is carried out of the
+    /// loop and completed through the compile path before the loop resumes.
     fn leader_chunk<const TRACK: bool>(&mut self, max: u64, leaders: &mut i64) -> u64 {
         let array = self.n <= tier::AGENT_ARRAY_MAX_POPULATION;
         if array && self.agents.is_empty() {
