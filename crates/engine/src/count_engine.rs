@@ -89,12 +89,15 @@
 use crate::compiled::{self, PairCache};
 use crate::obs::{EngineEvent, EngineMetrics, EngineObserver};
 use crate::round::{self, SegmentDraw};
+use crate::state_hasher::StateHasher;
 use crate::tier::{self, EngineTier, TierController, TierUsage};
 use crate::{
     EngineError, LeaderElection, Protocol, Role, RunOutcome, CONVERGENCE_BATCH, MAX_POPULATION,
 };
 use pp_rand::{pair_targets, Geometric, Rng64, SumTreeSampler, Xoshiro256PlusPlus};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::time::Instant;
 
 /// Sentinel id in the seen-state map for states that were interned at some
@@ -147,7 +150,9 @@ pub struct CountSimulation<P: Protocol, R = Xoshiro256PlusPlus> {
     rng: R,
     /// Every state the execution has ever visited, mapped to its live slot
     /// id — or [`DEAD_ID`] when its slot was reclaimed by compaction.
-    ids: HashMap<P::State, u32>,
+    /// Hashed by the fixed [`StateHasher`]: ids follow insertion order, so
+    /// the hash function is invisible to every trajectory.
+    ids: HashMap<P::State, u32, BuildHasherDefault<StateHasher>>,
     /// Live states, indexed by slot id (compaction renumbers).
     states: Vec<P::State>,
     outputs: Vec<P::Output>,
@@ -168,6 +173,9 @@ pub struct CountSimulation<P: Protocol, R = Xoshiro256PlusPlus> {
     tiers: TierController,
     n: u64,
     steps: u64,
+    /// [`compile_pair`](Self::compile_pair) runs so far, counting pairs
+    /// that compaction later dropped from the cache.
+    compiles: u64,
     /// Attached observability hook ([`set_observer`](Self::set_observer));
     /// `None` (the default) costs one predictable branch at episode/review
     /// boundaries and nothing per interaction. Observation consumes no RNG,
@@ -230,7 +238,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         Self {
             protocol,
             rng,
-            ids: HashMap::new(),
+            ids: HashMap::default(),
             states: Vec::new(),
             outputs: Vec::new(),
             leader_flags: Vec::new(),
@@ -242,6 +250,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             tiers: TierController::default(),
             n: 0,
             steps: 0,
+            compiles: 0,
             obs: None,
         }
     }
@@ -255,22 +264,30 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         self.n += count;
     }
 
+    /// The live slot id of `state`, allocating one on first sight. Hashes
+    /// `state` once: a hit returns through the entry, a miss inserts there.
     fn intern(&mut self, state: P::State) -> u32 {
-        if let Some(&id) = self.ids.get(&state) {
-            if id != DEAD_ID {
-                return id;
-            }
-            // Seen before, slot reclaimed: allocate a fresh slot below
-            // without recounting it in distinct_states_seen.
-        }
         let id = self.states.len() as u32;
         debug_assert_ne!(id, DEAD_ID, "live id space exhausted");
+        let state = match self.ids.entry(state) {
+            Entry::Occupied(e) if *e.get() != DEAD_ID => return *e.get(),
+            // Seen before, slot reclaimed: a fresh slot below, without
+            // recounting it in distinct_states_seen.
+            Entry::Occupied(mut e) => {
+                e.insert(id);
+                e.key().clone()
+            }
+            Entry::Vacant(e) => {
+                let state = e.key().clone();
+                e.insert(id);
+                state
+            }
+        };
         let output = self.protocol.output(&state);
         self.leader_flags
             .push(i8::from(self.leader_output.as_ref() == Some(&output)));
         self.outputs.push(output);
-        self.states.push(state.clone());
-        self.ids.insert(state, id);
+        self.states.push(state);
         let slot = self.sampler.push_slot();
         debug_assert_eq!(slot, id as usize);
         self.pairs.ensure_states(self.states.len());
@@ -393,6 +410,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             batch: self.tiers.batch.stats,
             cache_active: self.pairs.is_active(),
             compiled_pairs: self.pairs.compiled_pairs() as u64,
+            compiles: self.compiles,
             events_recorded: self.obs.as_deref().map_or(0, |o| o.events().len() as u64),
             events_dropped: self.obs.as_deref().map_or(0, EngineObserver::dropped),
             timeline: self.obs.as_deref().map(|o| *o.timeline()),
@@ -571,7 +589,8 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     }
 
     /// Compiles the transition of the ordered pair `(s, t)`: runs the real
-    /// [`Protocol::transition`], interns the successors, and (when the entry
+    /// [`Protocol::transition`], resolves the successors to slot ids
+    /// ([`successor_id`](Self::successor_id)), and (when the entry
     /// is representable — the cache can be saturated) stores the packed
     /// entry for every later encounter.
     ///
@@ -585,9 +604,10 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     #[cold]
     #[inline(never)]
     fn compile_pair(&mut self, s: usize, t: usize) -> (usize, usize, i8, bool) {
+        self.compiles += 1;
         let (na, nb) = self.protocol.transition(&self.states[s], &self.states[t]);
-        let a = self.intern(na) as usize;
-        let b = self.intern(nb) as usize;
+        let a = self.successor_id(s, na);
+        let b = self.successor_id(t, nb);
         let delta = self.leader_flags[a] + self.leader_flags[b]
             - self.leader_flags[s]
             - self.leader_flags[t];
@@ -600,6 +620,19 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             self.tiers.jump.ledger.register(s, t);
         }
         (a, b, delta, null)
+    }
+
+    /// The slot id of `next`, the successor of slot `from`'s state. Most
+    /// interactions leave at least one side unchanged, and that side
+    /// resolves to `from` itself by one comparison, without hashing; a
+    /// changed side is interned.
+    #[inline]
+    fn successor_id(&mut self, from: usize, next: P::State) -> usize {
+        if next == self.states[from] {
+            debug_assert_eq!(self.ids.get(&next), Some(&(from as u32)));
+            return from;
+        }
+        self.intern(next) as usize
     }
 
     /// The compiled effect of the ordered pair `(s, t)` — `(a, b,
@@ -1136,7 +1169,13 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     /// not: [`pair_targets`] passes `&mut rng` to its out-of-line rejection
     /// path and, for totals above 2^32, to [`Rng64::below`], so the release
     /// build loads and stores the four xoshiro words on every interaction,
-    /// and reloads the pair cache's and the sampler's fields too. A miss
+    /// and reloads the pair cache's and the sampler's fields too. Keeping
+    /// them in registers does not pay: a scratch build with `compiled_steps`
+    /// out of line and the rejection redraw moved out of the loop
+    /// (bit-identical; `objdump` showed the four words in registers) ran
+    /// whole `P_LL` elections at 2^16 at 17.05–21.50 ns per step against
+    /// 17.07–21.19 without it (5 alternating pairs), and prefetching the
+    /// agent array 12 steps ahead gained nothing either. A miss
     /// still consumes its RNG draw, so the drawn pair is carried out of the
     /// loop and completed through the compile path before the loop resumes.
     fn leader_chunk<const TRACK: bool>(&mut self, max: u64, leaders: &mut i64) -> u64 {
@@ -1753,6 +1792,102 @@ mod tests {
         assert!(sim.pair_cache().compiled_pairs() <= 4);
         assert!(sim.pair_cache().compiled_pairs() >= 1);
         assert!(sim.pair_cache().table_bytes() > 0);
+    }
+
+    #[test]
+    fn an_unchanged_side_compiles_to_its_own_id_without_interning() {
+        // Fratricide's leader-meets-leader keeps the initiator and demotes
+        // the responder; the initiator resolves to its own slot. (Leader
+        // deltas read 0: role tracking is not primed.)
+        let mut sim = CountSimulation::from_counts(Frat, [(true, 5), (false, 5)], rng(17)).unwrap();
+        let ids = sim.ids.clone();
+        assert_eq!(sim.compile_pair(0, 0), (0, 1, 0, false));
+        assert_eq!(sim.compile_pair(1, 0), (1, 0, 0, true), "null: both sides");
+        assert_eq!(sim.ids, ids, "nothing new interned");
+        assert_eq!(sim.distinct_states_seen(), 2);
+        assert_eq!(sim.metrics().compiles, 2);
+        // Counter changes only the initiator: the responder keeps its id
+        // while the initiator's successor is interned as the third state.
+        let mut sim = CountSimulation::from_counts(Counter, [(0, 1), (7, 1)], rng(18)).unwrap();
+        assert_eq!(sim.compile_pair(1, 0), (2, 0, 0, false));
+        assert_eq!(sim.distinct_states_seen(), 3);
+        assert_eq!(sim.ids.get(&8), Some(&2));
+        assert_eq!(sim.ids.get(&0), Some(&0));
+    }
+
+    /// A non-`Copy` state: a byte string that grows as agents meet. Equal
+    /// strings shorter than 11 bytes split (the initiator appends 0, the
+    /// responder 1); a shorter initiator copies a longer responder (one side
+    /// changes); anything else is null. Its strings hash through `write`
+    /// with every tail length below 8.
+    #[derive(Debug, Clone, Copy)]
+    struct Splitter;
+
+    impl Protocol for Splitter {
+        type State = Vec<u8>;
+        type Output = usize;
+        fn initial_state(&self) -> Vec<u8> {
+            Vec::new()
+        }
+        fn transition(&self, a: &Vec<u8>, b: &Vec<u8>) -> (Vec<u8>, Vec<u8>) {
+            if a == b && a.len() < 11 {
+                ([a.as_slice(), &[0]].concat(), [b.as_slice(), &[1]].concat())
+            } else if a.len() < b.len() {
+                (b.clone(), b.clone())
+            } else {
+                (a.clone(), b.clone())
+            }
+        }
+        fn output(&self, s: &Vec<u8>) -> usize {
+            s.len()
+        }
+    }
+
+    /// FNV-1a over the sorted `(state, count)` pairs.
+    fn counts_digest(counts: &HashMap<Vec<u8>, u64>) -> u64 {
+        let mut sorted: Vec<_> = counts.iter().collect();
+        sorted.sort();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (state, count) in sorted {
+            let len = state.len() as u64;
+            for byte in state
+                .iter()
+                .copied()
+                .chain(len.to_le_bytes())
+                .chain(count.to_le_bytes())
+            {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn a_non_copy_state_interns_and_runs_to_its_recorded_counts() {
+        // Compiled and reference pins in lockstep, then default dispatch
+        // (compaction included), against counts recorded at 20k steps.
+        let mut cached = CountSimulation::new(Splitter, 300, rng(19)).unwrap();
+        cached.pin_tier(EngineTier::Compiled).unwrap();
+        let mut reference = CountSimulation::new(Splitter, 300, rng(19)).unwrap();
+        reference.pin_tier(EngineTier::Reference).unwrap();
+        let mut dispatched = CountSimulation::new(Splitter, 300, rng(19)).unwrap();
+        for _ in 0..4 {
+            cached.run(5_000);
+            reference.run(5_000);
+            dispatched.run(5_000);
+            assert_eq!(cached.state_counts(), reference.state_counts());
+        }
+        // Recorded before interning changed hashers: ids follow insertion
+        // order, so no hasher can move them.
+        for (sim, support, digest) in [
+            (&cached, 8, 0x631d_8ff5_fd9e_3cfd),
+            (&dispatched, 12, 0xe06d_7bf0_6a45_e9c5),
+        ] {
+            assert_eq!(sim.distinct_states_seen(), 117);
+            assert!(sim.raw_counts().len() < 117, "compaction reclaimed slots");
+            assert_eq!(sim.support_size(), support);
+            assert_eq!(counts_digest(&sim.state_counts()), digest);
+        }
     }
 
     #[test]

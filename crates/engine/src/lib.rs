@@ -82,6 +82,7 @@ pub mod obs;
 mod protocol;
 mod round;
 mod scheduler;
+mod state_hasher;
 mod tier;
 mod trace;
 

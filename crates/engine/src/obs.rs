@@ -486,6 +486,10 @@ pub struct EngineMetrics {
     pub cache_active: bool,
     /// Ordered state pairs currently compiled in the pair cache.
     pub compiled_pairs: u64,
+    /// Runs of the compile path (the protocol's transition on a pair the
+    /// cache did not hold) over the whole execution, counting pairs that
+    /// compaction later dropped; at least `compiled_pairs`.
+    pub compiles: u64,
     /// Events buffered by the attached observer (0 when detached).
     pub events_recorded: u64,
     /// Events dropped past the observer's capacity (0 when detached).
@@ -534,8 +538,8 @@ impl EngineMetrics {
             self.batch.shuffle_skips,
         ));
         out.push_str(&format!(
-            "\"cache\":{{\"active\":{},\"compiled_pairs\":{}}},",
-            self.cache_active, self.compiled_pairs,
+            "\"cache\":{{\"active\":{},\"compiled_pairs\":{},\"compiles\":{}}},",
+            self.cache_active, self.compiled_pairs, self.compiles,
         ));
         out.push_str(&format!(
             "\"events\":{{\"recorded\":{},\"dropped\":{}}},",
@@ -704,6 +708,7 @@ mod tests {
             },
             cache_active: true,
             compiled_pairs: 412,
+            compiles: 530,
             events_recorded: 31,
             events_dropped: 0,
             timeline,
@@ -734,6 +739,10 @@ mod tests {
         let json = sample_metrics(None).to_json();
         assert_metrics_shape(&json);
         assert!(json.ends_with(",\"timeline\":null}"), "{json}");
+        assert!(
+            json.contains("\"cache\":{\"active\":true,\"compiled_pairs\":412,\"compiles\":530},"),
+            "{json}"
+        );
     }
 
     #[test]

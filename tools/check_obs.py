@@ -61,7 +61,7 @@ ENGINE_FIELDS = {
         "contingency_draws": INT,
         "shuffle_skips": INT,
     },
-    "cache": {"active": BOOL, "compiled_pairs": INT},
+    "cache": {"active": BOOL, "compiled_pairs": INT, "compiles": INT},
     "events": {"recorded": INT, "dropped": INT},
     "timeline": ANY,  # null or TIMELINE_FIELDS; check_engine checks it
 }
@@ -175,6 +175,12 @@ def check_engine(path, engine, doc):
     total = sum(usage[t] for t in TIERS)
     if total != engine["steps"]:
         fail(f"{path}: tier usage sums to {total}, but the engine ran {engine['steps']} steps")
+    cache = engine["cache"]
+    if cache["compiles"] < cache["compiled_pairs"]:
+        fail(
+            f"{path}:engine.cache: {cache['compiled_pairs']} pairs compiled, "
+            f"but only {cache['compiles']} compiles ran"
+        )
     if timeline is not None:
         check_fields(f"{path}:engine.timeline", timeline, TIMELINE_FIELDS)
         for tier in TIERS:
