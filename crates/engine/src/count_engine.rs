@@ -32,7 +32,7 @@
 //!    steady-state interaction one table load plus an `O(1)` pair draw,
 //!    with convergence bookkeeping riding on cached leader deltas. Same
 //!    RNG stream and bit-identical executions whether the cache is on or
-//!    off. Up to 2^21 agents the draw reads two uniform distinct positions
+//!    off. Up to 2^22 agents the draw reads two uniform distinct positions
 //!    of an array of interned state ids (see [the agent
 //!    array](#the-agent-array)); past it, it is
 //!    [fused pair sampling](pp_rand::SumTreeSampler::sample_pair_distinct)
@@ -58,11 +58,12 @@
 //!
 //! # The agent array
 //!
-//! Up to 2^21 agents (`AGENT_ARRAY_MAX_POPULATION`) the per-step
-//! windows (compiled and reference) keep `agents`, one interned id per
-//! agent. One [`pair_targets`](pp_rand::pair_targets) word gives
-//! `(ta, tb)`; positions `i = ta` and `j = tb + [tb ≥ ta]` are a uniform
-//! ordered pair of distinct agents, so the states read there are drawn
+//! Up to 2^22 agents (`AGENT_ARRAY_MAX_POPULATION`) the per-step
+//! windows (compiled and reference) keep `agents`, one interned `u16` id
+//! per agent (`2n` bytes, so 8 MiB at the cap). One
+//! [`pair_targets`](pp_rand::pair_targets) word gives `(ta, tb)`;
+//! positions `i = ta` and `j = tb + [tb ≥ ta]` are a uniform ordered pair
+//! of distinct agents, so the states read there are drawn
 //! exactly as the counts would draw them, whatever the arrangement. A side
 //! whose successor differs from its state is written back in place and
 //! moves its count in the sum tree's leaves only; an unchanged side (most
@@ -72,7 +73,12 @@
 //! [`step`](CountSimulation::step) move agents by counts alone and clear
 //! it, and the next per-step window refills it from the counts in slot
 //! order. Construction never allocates it, and populations
-//! that only ever run batch rounds never do.
+//! that only ever run batch rounds never do. The array serves a window only
+//! while at most 2^16 states are interned (compaction renumbers the live
+//! states from 0, so that is the live support plus the dead slack). When a
+//! compile interns an id past that mid-window, the step moves its counts on
+//! the leaves, the window rebuilds the sums, clears the array and ends, and
+//! later windows descend the tree until a compaction brings the ids back.
 //!
 //! # State-id compaction
 //!
@@ -105,6 +111,10 @@ use std::time::Instant;
 /// reclaimed by compaction). Re-interning such a state allocates a fresh
 /// slot without recounting it as newly distinct.
 const DEAD_ID: u32 = u32::MAX;
+
+/// The agent array's id space: it holds `u16` ids, so it serves a per-step
+/// window only while at most this many states are interned.
+const ARRAY_IDS: usize = 1 << 16;
 
 /// A per-step draw that missed the pair cache: the states `(s, t)` and,
 /// on the agent array, their positions `(i, j)`.
@@ -166,9 +176,10 @@ pub struct CountSimulation<P: Protocol, R = Xoshiro256PlusPlus> {
     support: usize,
     sampler: SumTreeSampler,
     /// One interned id per agent, for per-step windows at populations up to
-    /// `tier::AGENT_ARRAY_MAX_POPULATION`; empty when stale or unused (see
-    /// the module docs, "The agent array").
-    agents: Vec<u32>,
+    /// `tier::AGENT_ARRAY_MAX_POPULATION` while every live id is below
+    /// [`ARRAY_IDS`]; empty when stale or unused (see the module docs, "The
+    /// agent array").
+    agents: Vec<u16>,
     pairs: PairCache,
     tiers: TierController,
     n: u64,
@@ -1157,9 +1168,12 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     /// moment the count hits exactly 1, with [`steps`](Self::steps) exact;
     /// without it, `leaders` is untouched.
     ///
-    /// Up to `AGENT_ARRAY_MAX_POPULATION` agents the window steps on the
-    /// agent array (refilled first if stale) and rebuilds the sum tree's
-    /// internal sums once at its end; larger populations descend the tree.
+    /// Up to `AGENT_ARRAY_MAX_POPULATION` agents, and while at most
+    /// [`ARRAY_IDS`] states are interned, the window steps on the agent
+    /// array (refilled first if stale) and rebuilds the sum tree's internal
+    /// sums once at its end; otherwise it descends the tree. A compile that
+    /// interns an id past the array's ends the window after its step, with
+    /// the array cleared, so the next window descends the tree.
     ///
     /// The inner loop ([`compiled_steps`](Self::compiled_steps)) holds
     /// every hot field through *split borrows* and calls nothing that takes
@@ -1179,18 +1193,21 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     /// still consumes its RNG draw, so the drawn pair is carried out of the
     /// loop and completed through the compile path before the loop resumes.
     fn leader_chunk<const TRACK: bool>(&mut self, max: u64, leaders: &mut i64) -> u64 {
-        let array = self.n <= tier::AGENT_ARRAY_MAX_POPULATION;
+        let array = self.n <= tier::AGENT_ARRAY_MAX_POPULATION && self.states.len() <= ARRAY_IDS;
         if array && self.agents.is_empty() {
             let Self {
                 agents, sampler, ..
             } = self;
             agents.reserve_exact(sampler.total() as usize);
             for (id, &count) in sampler.weights().iter().enumerate() {
-                agents.extend(std::iter::repeat(id as u32).take(count as usize));
+                agents.extend(std::iter::repeat(id as u16).take(count as usize));
             }
         }
         let start = self.steps;
         let mut count = *leaders;
+        // Set when a compile interns an id the array cannot hold: that step
+        // moves counts on the leaves only, and the window ends on the tree.
+        let mut spilled = false;
         loop {
             let budget = max - (self.steps - start);
             let (done, pending) = if array {
@@ -1203,10 +1220,11 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             let Some(miss) = pending else { break };
             self.steps += 1;
             let (a, b, delta, _) = self.compile_pair(miss.s, miss.t);
+            spilled = array && self.states.len() > ARRAY_IDS;
             for (from, to, at) in [(miss.s, a, miss.i), (miss.t, b, miss.j)] {
                 if from != to {
-                    if array {
-                        self.agents[at] = to as u32;
+                    if array && !spilled {
+                        self.agents[at] = to as u16;
                     }
                     self.move_agent(from, to, array);
                 }
@@ -1214,12 +1232,15 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             if TRACK && delta != 0 {
                 count += i64::from(delta);
             }
-            if (TRACK && count == 1) || self.steps - start == max {
+            if spilled || (TRACK && count == 1) || self.steps - start == max {
                 break;
             }
         }
         if array {
             self.sampler.rebuild_sums();
+        }
+        if spilled {
+            self.agents.clear();
         }
         *leaders = count;
         self.steps - start
@@ -1280,7 +1301,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
                     return;
                 }
                 let moved = if ARRAY {
-                    agents[at] = to as u32;
+                    agents[at] = to as u16;
                     sampler.transfer_leaf(from, to)
                 } else {
                     sampler.transfer(from, to)
@@ -1719,6 +1740,85 @@ mod tests {
             kinds[usize::from(a != s) + usize::from(b != t)] = true;
         });
         assert_eq!(kinds, [true; 3]);
+    }
+
+    /// A counter-like protocol: the initiator moves to a pseudo-random
+    /// successor of the pair's states. From a configuration of many distinct
+    /// states almost every pair is new, so almost every interaction interns
+    /// a state, and the live support climbs toward `n`.
+    #[derive(Debug, Clone, Copy)]
+    struct Scatter;
+
+    impl Protocol for Scatter {
+        type State = u32;
+        type Output = bool;
+        fn initial_state(&self) -> u32 {
+            0
+        }
+        fn transition(&self, a: &u32, b: &u32) -> (u32, u32) {
+            let pair = u64::from(*a) << 32 | u64::from(*b);
+            let mixed = (pair + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            ((mixed >> 32) as u32, *b)
+        }
+        fn output(&self, s: &u32) -> bool {
+            s & 1 == 1
+        }
+    }
+
+    #[test]
+    fn ids_past_the_array_fall_back_to_the_tree() {
+        // 2^17 agents start in 2^15 states of 4 agents each, so the ids
+        // pass 2^16 after some 30k interactions, inside a per-step window.
+        // That window ends on the step whose compile interns the first id
+        // the array cannot hold, with the array cleared, and later windows
+        // descend the tree. The reference twin compiles every step, so it
+        // crosses on the same step and must stay bit-identical through the
+        // switch.
+        let n = 1u64 << 17;
+        let init: Vec<(u32, u64)> = (0..1u32 << 15).map(|s| (s, 4)).collect();
+        let twin = |tier| {
+            let mut sim = CountSimulation::from_counts(Scatter, init.clone(), rng(19)).unwrap();
+            sim.pin_tier(tier).unwrap();
+            sim
+        };
+        let mut cached = twin(EngineTier::Compiled);
+        let mut reference = twin(EngineTier::Reference);
+        let check = |sim: &CountSimulation<Scatter>| {
+            let counts = sim.state_counts();
+            assert_eq!(sim.support_size(), counts.len());
+            assert_eq!(counts.values().sum::<u64>(), n);
+            let live = sim.raw_counts().iter().filter(|&&c| c > 0).count();
+            assert_eq!(live, sim.support_size());
+            assert_eq!(sim.raw_counts().iter().sum::<u64>(), n);
+            if sim.states.len() > ARRAY_IDS {
+                assert!(sim.agents.is_empty(), "the array outlived its ids");
+            } else {
+                let mut held = vec![0u64; sim.raw_counts().len()];
+                for &id in &sim.agents {
+                    held[id as usize] += 1;
+                }
+                assert_eq!(held, sim.raw_counts(), "agent array matches the counts");
+            }
+        };
+        let mut windows_on_array = 0;
+        for _ in 0..12 {
+            cached.run(8192);
+            reference.run(8192);
+            check(&cached);
+            check(&reference);
+            assert_eq!(cached.raw_counts(), reference.raw_counts());
+            assert_eq!(cached.steps(), reference.steps());
+            assert_eq!(cached.states, reference.states);
+            windows_on_array += usize::from(!cached.agents.is_empty());
+        }
+        assert!(windows_on_array > 0, "the array never ran");
+        assert!(
+            cached.support_size() > ARRAY_IDS,
+            "workload too small to pass the array: support {}",
+            cached.support_size()
+        );
+        assert!(cached.agents.is_empty() && reference.agents.is_empty());
+        assert_eq!(cached.tier_usage().compiled, 12 * 8192);
     }
 
     #[test]

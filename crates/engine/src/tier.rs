@@ -7,9 +7,9 @@
 //! | Tier | Mechanism | Per-interaction cost | Wins when |
 //! |------|-----------|----------------------|-----------|
 //! | [`Reference`](EngineTier::Reference) | hash + clone + `transition` per step | `O(1)`, large constant | never chosen; the pinned oracle baseline |
-//! | [`Compiled`](EngineTier::Compiled) | [pair cache](crate::compiled) + two agent-array reads (two tree descents past 2^21 agents), writing only the sides that change | ~18–40 ns up to 2^20 agents, ~55 ns at 2^21, ~60–70 ns above | dense transitions, large live support |
+//! | [`Compiled`](EngineTier::Compiled) | [pair cache](crate::compiled) + two agent-array reads (two tree descents past 2^22 agents or 2^16 interned states), writing only the sides that change | ~18–24 ns up to 2^22 agents, ~55–70 ns on the tree | dense transitions, large live support |
 //! | [`Jump`](EngineTier::Jump) | [null-run telescoping](crate::jump) | `O(1)` per *episode* | known-null pairs ≥ 7/8 of scheduler weight |
-//! | [`Batch`](EngineTier::Batch) | [hypergeometric rounds](crate::batch) | `O((k + √n)/√n)` amortized; sub-constant only as cells | live support `k` with `3k ≤ E[run]` from [`BATCH_CROSSOVER_POPULATION`] agents up, `8k² ≤ E[run]` below |
+//! | [`Batch`](EngineTier::Batch) | [hypergeometric rounds](crate::batch) | `O((k + √n)/√n)` amortized; sub-constant only as cells | live support `k` with `3k ≤ E[run]` from [`AGENT_ARRAY_MAX_POPULATION`] agents up, `8k² ≤ E[run]` below |
 //!
 //! The tiers are selected *per workload phase*, not per simulation: reviews
 //! at batch boundaries re-run the engage/exit rules against the current
@@ -34,30 +34,13 @@ pub(crate) const JUMP_ENGAGE_FACTOR: u64 = 8;
 /// `W_active · JUMP_EXIT_FACTOR > W_total`.
 pub(crate) const JUMP_EXIT_FACTOR: u64 = 4;
 
-/// From [`BATCH_CROSSOVER_POPULATION`] agents up, the batch tier engages
+/// From [`AGENT_ARRAY_MAX_POPULATION`] agents up, the batch tier engages
 /// when `support · BATCH_SUPPORT_DIVISOR ≤ E[collision-free run]` and exits
 /// past twice that: a round costs one hypergeometric draw per heavy class,
 /// one uniform pick per light-tail draw and `O(support + run)` cheap work,
 /// so it pays only while the support is a fraction of the `Θ(√n)` run. The
 /// divisor predates the light-tail picks and has not been re-priced.
 const BATCH_SUPPORT_DIVISOR: u64 = 3;
-
-/// The batch tier's crossover `N*`. Below it a round must beat the agent
-/// array's 18–40 ns step, which only the cells path does, so batch engages
-/// only while `CELL_FALLBACK_FACTOR · k² ≤ E[run]` (same factor-2 exit; one
-/// class counts as two, since it lasts until one non-null interaction or is
-/// silent and left to the jump tier). For two states that is the old 4096
-/// floor on powers of two (32 ≤ 40 at 4096, 32 > 28 at 2048); `P_LL`'s
-/// support of 180–430 never qualifies. Whole `P_LL` elections, default
-/// dispatch, M interactions/s per run (2-vCPU Xeon, alternating runs):
-///
-/// | n | elections per run | support rule | cells rule |
-/// |---|---|---|---|
-/// | 2^17 | 16 | 20.3, 18.6 | 35.6, 30.9 |
-/// | 2^18 | 12 | 16.7, 17.8 | 31.7, 30.0 |
-/// | 2^19 | 8 | 22.9, 25.8 | 28.6, 31.7 |
-/// | 2^20 | 6 | 23.4, 24.3 | 13.3, 9.8 |
-const BATCH_CROSSOVER_POPULATION: u64 = 1 << 20;
 
 /// The execution tier the count engine is currently dispatching to, chosen
 /// at tier reviews from the live configuration.
@@ -66,7 +49,7 @@ pub enum EngineTier {
     /// Uncached per-step fallback: hash, clone, and call
     /// [`Protocol::transition`](crate::Protocol::transition) every step.
     Reference,
-    /// Compiled pair cache + an O(1) pair draw (agent array up to 2^21
+    /// Compiled pair cache + an O(1) pair draw (agent array up to 2^22
     /// agents, fused sum-tree sampling above), one interaction at a time.
     Compiled,
     /// Null-run telescoping on top of the compiled cache.
@@ -186,26 +169,42 @@ fn isqrt(n: u64) -> u64 {
 pub(crate) const BATCH_MAX_POPULATION: u64 = u32::MAX as u64;
 
 /// The compiled and reference tiers step on an array of the agents'
-/// interned state ids up to this population (`4n` bytes): two uniform
-/// distinct positions per step instead of two sum-tree descents and climbs.
-/// The cap was set where the compiled pin's step time crossed the tree's
-/// (2-vCPU Xeon, 2 MiB L2 per core) while every step stored both sides.
-/// Storing only the sides that change, `P_LL` measured 39, 54 and 62 ns on
-/// the array at 2^20, 2^21 and 2^22 agents against 57, 72 and 68 ns on the
-/// tree, and 68 against 63 at 2^24 (medians of alternating runs on a shared
-/// host), so the crossing now lies past 2^22; moving the cap changes the
-/// default stream and is left to a measured change of its own. The tree's
-/// cost falls with the live support and the array's does not, so a compiled
-/// *pin* on two states at 2^20 runs slower on the array (≈ 27 ns against
-/// 20); heuristic dispatch never meets that case, because the cells rule
-/// puts two states on the batch tier from 4096 agents up.
-pub(crate) const AGENT_ARRAY_MAX_POPULATION: u64 = 1 << 21;
+/// interned `u16` state ids up to this population (`2n` bytes), while at
+/// most 2^16 states are interned: two uniform distinct positions per step
+/// instead of two sum-tree descents and climbs. It is also the batch tier's
+/// crossover `N*`: below it a round must beat the array's 18–24 ns step,
+/// which only the cells path does, so batch engages only while
+/// `CELL_FALLBACK_FACTOR · k² ≤ E[run]` (same factor-2 exit; one class
+/// counts as two, since it lasts until one non-null interaction or is
+/// silent and left to the jump tier). For two states that is the old 4096
+/// floor on powers of two (32 ≤ 40 at 4096, 32 > 28 at 2048); `P_LL`'s
+/// support of 84–430 never qualifies. From the cap up the per-step
+/// alternative is the 55–70 ns tree, and the support rule applies.
+/// `P_LL` on `pll_tail_2e20`'s schedule (seed 1, 40 windows of 10n from the
+/// initial configuration), ns per interaction (2-vCPU Xeon, shared host):
+///
+/// | n | batch | `u32` array pin | `u16` array pin |
+/// |---|---|---|---|
+/// | 2^20 | 26.1, 26.0, 25.4, 24.7 | 20.7, 19.9 | 18.1, 17.7 |
+/// | 2^21 | 24.6, 23.6 | — | 19.9, 22.5 |
+/// | 2^22 | 20.8, 22.6 | — | 23.7, 24.5 |
+///
+/// With `u32` ids the array's cliff sat at its byte width (4 MiB at 2^20
+/// against a 2 MiB L2); the compiled pin measured 32.7–49.4 ns at 2^20 and
+/// 63.5–68.5 at 2^21 on `u32` ids against 26.1–34.9 and 34.0–44.2 on `u16`
+/// ids, with the tree at 51.6 and 52.4. The tree's cost falls with the live
+/// support and the array's does not, so a compiled *pin* on two states at
+/// 2^20 ran slower on the `u32` array (≈ 27 ns against 20); heuristic
+/// dispatch never meets that case, because the cells rule puts two states
+/// on the batch tier from 4096 agents up. It has not been re-measured on
+/// `u16` ids.
+pub(crate) const AGENT_ARRAY_MAX_POPULATION: u64 = 1 << 22;
 
 /// What the batch rules weigh against `E[run]`: the support rule from
-/// [`BATCH_CROSSOVER_POPULATION`] agents up, the cells table below.
+/// [`AGENT_ARRAY_MAX_POPULATION`] agents up, the cells table below.
 fn batch_cost(support: usize, n: u64) -> u64 {
     let k = support as u64;
-    if n >= BATCH_CROSSOVER_POPULATION {
+    if n >= AGENT_ARRAY_MAX_POPULATION {
         return k.saturating_mul(BATCH_SUPPORT_DIVISOR);
     }
     CELL_FALLBACK_FACTOR.saturating_mul(k.max(2).saturating_pow(2))
@@ -251,8 +250,8 @@ mod tests {
 
     #[test]
     fn batch_rules_have_hysteresis() {
-        let below = BATCH_CROSSOVER_POPULATION - 1;
-        assert_eq!(expected_run_length(below), 639);
+        let below = AGENT_ARRAY_MAX_POPULATION - 1;
+        assert_eq!(expected_run_length(below), 1279);
         // (n, support, engages, exits), with E[run] and the cost weighed.
         let table = [
             // Two states: the cells rule is the old 4096-agent floor.
@@ -264,16 +263,16 @@ mod tests {
             (4096, 4, false, true),  // 128 > 80
             // P_LL-sized supports stay off batch below the crossover.
             (1 << 16, 40, false, true), // 12800 > 2E = 320
-            (below, 40, false, true),   // 12800 > 2E = 1278
-            (below, 8, true, false),    // 512 ≤ E = 639
-            (below, 9, false, false),   // 648 > 639, but ≤ 1278
-            (below, 12, false, false),  // 1152 ≤ 1278
-            (below, 13, false, true),   // 1352 > 1278
+            (below, 40, false, true),   // 12800 > 2E = 2558
+            (below, 12, true, false),   // 1152 ≤ E = 1279
+            (below, 13, false, false),  // 1352 > 1279, but ≤ 2558
+            (below, 17, false, false),  // 2312 ≤ 2558
+            (below, 18, false, true),   // 2592 > 2558
             // From the crossover up, the support rule.
-            (1 << 20, 213, true, false),  // 3·213 = 639 ≤ E = 640
-            (1 << 20, 214, false, false), // 642 > 640, but ≤ 2E
-            (1 << 20, 426, false, false), // 1278 ≤ 1280
-            (1 << 20, 427, false, true),  // 1281 > 1280
+            (1 << 22, 426, true, false),  // 3·426 = 1278 ≤ E = 1280
+            (1 << 22, 427, false, false), // 1281 > 1280, but ≤ 2E
+            (1 << 22, 853, false, false), // 2559 ≤ 2560
+            (1 << 22, 854, false, true),  // 2562 > 2560
             // Past the ceiling, never.
             (BATCH_MAX_POPULATION + 1, 1, false, true),
         ];

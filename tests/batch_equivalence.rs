@@ -10,7 +10,7 @@
 //! interactions with frequent collisions), so the suite covers the bulk
 //! path, the collision path, and the exact shuffled convergence walk on
 //! every protocol. A second group of tests is the ROADMAP's
-//! support-compaction regression: `UnboundedLottery` at `n = 2^20` interns
+//! support-compaction regression: `UnboundedLottery` at `n = 2^22` interns
 //! tens of thousands of states, and the compiled cache must *saturate and
 //! recover* — never deactivate — with the fast tiers re-engaging once the
 //! live support collapses.
@@ -162,7 +162,7 @@ fn forced_batch_rounds_exercise_collisions_and_walks() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn unbounded_lottery_keeps_fast_tiers_at_2_20() {
+fn unbounded_lottery_keeps_fast_tiers_at_2_22() {
     // Seed-state behavior: UnboundedLottery at n = 2^20 interned > 4096
     // states within ~4M interactions, *deactivating* the compiled cache
     // (and with it the jump scheduler) for the rest of the run even though
@@ -170,17 +170,22 @@ fn unbounded_lottery_keeps_fast_tiers_at_2_20() {
     // compaction the cache must stay active throughout and the engine must
     // be back on a fast tier once the support fits again.
     //
+    // It runs at the batch crossover N* = 2^22, the smallest population
+    // where the support rule can put the tail on batch; below it the
+    // compiled agent array is the faster tier and default dispatch keeps
+    // the tail there.
+    //
     // The election runs unbounded: when two lottery leaders tie (about 1
     // seed in 40) the tail lasts 10^3–10^5 parallel time, and any fixed
-    // budget fails on whichever seeds the stream makes tie. Seed 16 ties on
-    // the previous pair draw and seed 1 on the agent-array draw; both run.
+    // budget fails on whichever seeds the stream makes tie. Seeds 16 and 1
+    // tied at 2^20 on earlier streams; both run.
     for seed in [1, 16] {
         fast_tiers_engage_in_the_tail(seed);
     }
 }
 
 fn fast_tiers_engage_in_the_tail(seed: u64) {
-    let n = 1 << 20;
+    let n = 1 << 22;
     let rng = Xoshiro256PlusPlus::seed_from_u64(seed);
     let mut sim = CountSimulation::new(UnboundedLottery, n, rng).expect("n >= 2");
     let chunk = n as u64;

@@ -1,5 +1,6 @@
-//! Two throughput smoke gates on `P_LL` at `n = 2^20`, seed 1, each run
-//! with its tier pinned. They time the engine, so they are ignored by
+//! Two throughput smoke gates on `P_LL`, seed 1, each run with its tier
+//! pinned: batch against compiled at the batch crossover `N* = 2^22`, and
+//! an idle observer at `2^20`. They time the engine, so they are ignored by
 //! default and mean something only in a release build with the tests run
 //! one at a time (two timing tests sharing the cores would time each
 //! other):
@@ -20,21 +21,18 @@ use population_protocols::rand::Xoshiro256PlusPlus;
 use population_protocols::stats::Summary;
 use std::time::Instant;
 
-const N: usize = 1 << 20;
-
-/// A `P_LL` simulation at `N` agents and seed 1, pinned to `tier`.
-fn pll_sim(tier: EngineTier) -> CountSimulation<Pll, Xoshiro256PlusPlus> {
-    let pll = Pll::for_population(N).expect("n >= 2");
+/// A `P_LL` simulation at `n` agents and seed 1, pinned to `tier`.
+fn pll_sim(n: usize, tier: EngineTier) -> CountSimulation<Pll, Xoshiro256PlusPlus> {
+    let pll = Pll::for_population(n).expect("n >= 2");
     let rng = Xoshiro256PlusPlus::seed_from_u64(1);
-    let mut sim = CountSimulation::new(pll, N, rng).expect("n >= 2");
-    sim.pin_tier(tier)
-        .expect("2^20 is within the fast tiers' cap");
+    let mut sim = CountSimulation::new(pll, n, rng).expect("n >= 2");
+    sim.pin_tier(tier).expect("n is within the fast tiers' cap");
     sim
 }
 
-/// Runs `units · N` interactions and returns their rate per second.
+/// Runs `units · n` interactions and returns their rate per second.
 fn timed_run(sim: &mut CountSimulation<Pll, Xoshiro256PlusPlus>, units: u64) -> f64 {
-    let steps = units * N as u64;
+    let steps = units * sim.population() as u64;
     let start = Instant::now();
     sim.run(steps);
     steps as f64 / start.elapsed().as_secs_f64()
@@ -50,17 +48,19 @@ fn millions(rates: &Summary) -> String {
 }
 
 /// The batch tier exists to beat per-step execution at large populations,
-/// so pinned to batch, `P_LL` at 2^20 must run no slower than pinned to
-/// compiled. Each round builds fresh twins and times 20 units of parallel
+/// so pinned to batch, `P_LL` at the crossover `N* = 2^22`, where heuristic
+/// dispatch first applies the support rule, must run no slower than pinned
+/// to compiled. Each round builds fresh twins and times 20 units of parallel
 /// time early in the election: the compiled pin over `[4, 24)` from the
 /// initial configuration (the untimed units also fill its agent array),
 /// the batch pin over `[8, 28)`. Rounds alternate which tier runs first.
 #[test]
 #[ignore = "timing gate: run with --release -- --ignored --test-threads 1"]
-fn batch_pin_is_not_slower_than_compiled_pin_on_pll_at_2_20() {
+fn batch_pin_is_not_slower_than_compiled_pin_on_pll_at_2_22() {
     const ROUNDS: usize = 5;
+    const N: usize = 1 << 22;
     let time = |tier: EngineTier, from: u64| {
-        let mut sim = pll_sim(tier);
+        let mut sim = pll_sim(N, tier);
         sim.run(from * N as u64);
         timed_run(&mut sim, 20)
     };
@@ -78,14 +78,14 @@ fn batch_pin_is_not_slower_than_compiled_pin_on_pll_at_2_20() {
     println!("compiled rounds: {} M int/s", millions(&compiled));
     let (batch, compiled) = (batch.median(), compiled.median());
     println!(
-        "batch vs compiled (P_LL, n = 2^20, medians of {ROUNDS}): \
+        "batch vs compiled (P_LL, n = 2^22, medians of {ROUNDS}): \
          batch {:.1}M int/s, compiled {:.1}M int/s",
         batch / 1e6,
         compiled / 1e6
     );
     assert!(
         batch >= compiled,
-        "the batch pin ran slower than the compiled pin on P_LL at 2^20: \
+        "the batch pin ran slower than the compiled pin on P_LL at 2^22: \
          {:.1}M < {:.1}M int/s",
         batch / 1e6,
         compiled / 1e6
@@ -96,15 +96,16 @@ fn batch_pin_is_not_slower_than_compiled_pin_on_pll_at_2_20() {
 /// boundaries, so when idle it must cost at most 2 % of throughput. A
 /// detached and an attached twin, both batch-pinned and warmed to parallel
 /// time 8, run 32 paired windows of 4 units each (to parallel time 136,
-/// the regime heuristic dispatch runs the batch tier in), alternating which
-/// twin goes first; the gate reads the median of the per-window ratios.
+/// the high-support regime that heuristic dispatch runs on the batch tier
+/// from `N* = 2^22` up), alternating which twin goes first; the gate reads the median of the per-window ratios.
 /// Observation draws no randomness, so the twins do identical work.
 #[test]
 #[ignore = "timing gate: run with --release -- --ignored --test-threads 1"]
 fn idle_observer_costs_at_most_2_percent_on_pll_at_2_20() {
     const WINDOWS: usize = 32;
+    const N: usize = 1 << 20;
     let warmed = |observed: bool| {
-        let mut sim = pll_sim(EngineTier::Batch);
+        let mut sim = pll_sim(N, EngineTier::Batch);
         if observed {
             sim.set_observer(EngineObserver::new());
         }
