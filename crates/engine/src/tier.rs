@@ -172,16 +172,18 @@ pub(crate) const BATCH_MAX_POPULATION: u64 = u32::MAX as u64;
 /// interned `u16` state ids up to this population (`2n` bytes), while at
 /// most 2^16 states are interned: two uniform distinct positions per step
 /// instead of two sum-tree descents and climbs. It is also the batch tier's
-/// crossover `N*`: below it a round must beat the array's 18–24 ns step,
-/// which only the cells path does, so batch engages only while
+/// crossover `N*`: below it a round must beat the array's step, which only
+/// the cells path does reliably, so batch engages only while
 /// `CELL_FALLBACK_FACTOR · k² ≤ E[run]` (same factor-2 exit; one class
 /// counts as two, since it lasts until one non-null interaction or is
 /// silent and left to the jump tier). For two states that is the old 4096
 /// floor on powers of two (32 ≤ 40 at 4096, 32 > 28 at 2048); `P_LL`'s
 /// support of 84–430 never qualifies. From the cap up the per-step
 /// alternative is the 55–70 ns tree, and the support rule applies.
-/// `P_LL` on `pll_tail_2e20`'s schedule (seed 1, 40 windows of 10n from the
-/// initial configuration), ns per interaction (2-vCPU Xeon, shared host):
+///
+/// The crossover was measured on `P_LL` alone, on `pll_tail_2e20`'s
+/// schedule (seed 1, 40 windows of 10n from the initial configuration,
+/// live support 84–430), ns per interaction (2-vCPU Xeon, shared host):
 ///
 /// | n | batch | `u32` array pin | `u16` array pin |
 /// |---|---|---|---|
@@ -189,15 +191,33 @@ pub(crate) const BATCH_MAX_POPULATION: u64 = u32::MAX as u64;
 /// | 2^21 | 24.6, 23.6 | — | 19.9, 22.5 |
 /// | 2^22 | 20.8, 22.6 | — | 23.7, 24.5 |
 ///
+/// It is a trade, not a win everywhere: a protocol whose support sits
+/// between the two rules (roughly 10–300 at 2^20–2^22) and that the jump
+/// tier does not take now steps on the array where it used to batch. Rows
+/// for two small-support protocols, ns per interaction, same host:
+///
+/// | workload at n | batch pin | `u16` array pin | default, before → after |
+/// |---|---|---|---|
+/// | `UnboundedLottery` tail at 2^21 (from parallel time 20, support 64 → 17 over 10n) | 8.0, 7.6 | 10.5, 9.2 | jump both: 1.05, 1.10 → 1.15, 1.08 |
+/// | `BoundedLottery` whole elections at 2^20, seeds 1–4 | — | — | batch 16–19 → array 17–22; 0.26–0.37 → 0.35–0.39 s |
+/// | `BoundedLottery` whole elections at 2^21, seeds 1–2 | — | — | batch 17.6, 17.7 → array 26.0, 15.2; 0.70, 0.74 → 1.03, 0.82 s |
+///
+/// So the bounded lottery runs up to about 1.4× slower per election in
+/// [2^20, 2^22). No benchmark workload runs at or above `N*`, so the batch
+/// side of this selection has no end-to-end measurement.
+///
 /// With `u32` ids the array's cliff sat at its byte width (4 MiB at 2^20
 /// against a 2 MiB L2); the compiled pin measured 32.7–49.4 ns at 2^20 and
 /// 63.5–68.5 at 2^21 on `u32` ids against 26.1–34.9 and 34.0–44.2 on `u16`
 /// ids, with the tree at 51.6 and 52.4. The tree's cost falls with the live
 /// support and the array's does not, so a compiled *pin* on two states at
-/// 2^20 ran slower on the `u32` array (≈ 27 ns against 20); heuristic
-/// dispatch never meets that case, because the cells rule puts two states
-/// on the batch tier from 4096 agents up. It has not been re-measured on
-/// `u16` ids.
+/// 2^20 used to run slower on the array. On `u16` ids it no longer does:
+/// fratricide from `n` leaders at 2^20, pinned to compiled and timed over
+/// parallel time `[4, 24)`, ran 10.6, 8.6, 10.7 ns per interaction on the
+/// `u16` array, 10.9, 10.6, 11.5 on the `u32` array and 10.4, 10.0, 9.8 on
+/// the tree (a build with this cap lowered to 2^19; alternating runs).
+/// Heuristic dispatch never meets that case, because the cells rule puts
+/// two states on the batch tier from 4096 agents up.
 pub(crate) const AGENT_ARRAY_MAX_POPULATION: u64 = 1 << 22;
 
 /// What the batch rules weigh against `E[run]`: the support rule from

@@ -10,10 +10,10 @@
 //! interactions with frequent collisions), so the suite covers the bulk
 //! path, the collision path, and the exact shuffled convergence walk on
 //! every protocol. A second group of tests is the ROADMAP's
-//! support-compaction regression: `UnboundedLottery` at `n = 2^22` interns
-//! tens of thousands of states, and the compiled cache must *saturate and
-//! recover* — never deactivate — with the fast tiers re-engaging once the
-//! live support collapses.
+//! support-compaction regression: `UnboundedLottery` at `n = 2^20` and
+//! `2^22` interns tens of thousands of states, and the compiled cache must
+//! *saturate and recover* — never deactivate — with the fast tiers
+//! re-engaging once the live support collapses.
 
 use population_protocols::core::Pll;
 use population_protocols::engine::{CountSimulation, EngineTier, LeaderElection, Protocol, Role};
@@ -162,33 +162,43 @@ fn forced_batch_rounds_exercise_collisions_and_walks() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn unbounded_lottery_keeps_fast_tiers_at_2_22() {
+fn unbounded_lottery_compacts_without_deactivating_at_2_20() {
     // Seed-state behavior: UnboundedLottery at n = 2^20 interned > 4096
     // states within ~4M interactions, *deactivating* the compiled cache
     // (and with it the jump scheduler) for the rest of the run even though
     // the live support collapses to a few dozen states. With saturation +
-    // compaction the cache must stay active throughout and the engine must
-    // be back on a fast tier once the support fits again.
-    //
-    // It runs at the batch crossover N* = 2^22, the smallest population
-    // where the support rule can put the tail on batch; below it the
-    // compiled agent array is the faster tier and default dispatch keeps
-    // the tail there.
+    // compaction the cache must stay active throughout. At 2^20 default
+    // dispatch keeps this phase on the compiled agent array.
+    let rng = Xoshiro256PlusPlus::seed_from_u64(1);
+    let mut sim = CountSimulation::new(UnboundedLottery, 1 << 20, rng).expect("n >= 2");
+    compacts_without_deactivating(&mut sim);
+}
+
+#[test]
+fn unbounded_lottery_keeps_fast_tiers_at_2_22() {
+    // The same regression run to the end of the election: after the
+    // compaction phase the engine must be back on a fast tier once the
+    // support fits again. It runs at the batch crossover N* = 2^22, the
+    // smallest population where the support rule can put the tail on
+    // batch; below it the compiled agent array is the faster tier for the
+    // high-support phase, and default dispatch keeps it there. At 4M agents
+    // this is the suite's slowest test (about 17 s in the test profile).
     //
     // The election runs unbounded: when two lottery leaders tie (about 1
     // seed in 40) the tail lasts 10^3–10^5 parallel time, and any fixed
     // budget fails on whichever seeds the stream makes tie. Seeds 16 and 1
-    // tied at 2^20 on earlier streams; both run.
+    // tied at 2^20 on earlier streams; both run. A stream change that makes
+    // a seed tie here lengthens the test by that tail.
     for seed in [1, 16] {
         fast_tiers_engage_in_the_tail(seed);
     }
 }
 
-fn fast_tiers_engage_in_the_tail(seed: u64) {
-    let n = 1 << 22;
-    let rng = Xoshiro256PlusPlus::seed_from_u64(seed);
-    let mut sim = CountSimulation::new(UnboundedLottery, n, rng).expect("n >= 2");
-    let chunk = n as u64;
+/// Runs six units of parallel time and checks that the compiled cache
+/// stayed active while the lottery interned more than 4096 states, and
+/// that the live slot space was compacted.
+fn compacts_without_deactivating(sim: &mut CountSimulation<UnboundedLottery>) {
+    let chunk = sim.population() as u64;
     for _ in 0..6 {
         sim.run(chunk);
         assert!(
@@ -211,6 +221,12 @@ fn fast_tiers_engage_in_the_tail(seed: u64) {
         sim.raw_counts().len(),
         sim.distinct_states_seen()
     );
+}
+
+fn fast_tiers_engage_in_the_tail(seed: u64) {
+    let rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+    let mut sim = CountSimulation::new(UnboundedLottery, 1 << 22, rng).expect("n >= 2");
+    compacts_without_deactivating(&mut sim);
     // Drive the election into its sparse tail: support collapses, the
     // cache covers every live id again, and a fast tier engages.
     let before = sim.tier_usage();

@@ -7,9 +7,9 @@
 //! `k` leaders remain. Its stabilization time in interactions is therefore
 //! the sum of independent geometrics `Geom(p_n) + … + Geom(p_2)` on
 //! `{1, 2, …}`, whose pmf is computed here in plain `f64` arithmetic. The
-//! compiled and reference pins (the agent array below 2^21 agents) must
-//! match it: Pearson's chi-square on equal-probability exact bins and the
-//! Dvoretzky–Kiefer–Wolfowitz band on the empirical CDF, each at level
+//! compiled and reference pins (both on the agent array at these sizes)
+//! must match it: Pearson's chi-square on equal-probability exact bins and
+//! the Dvoretzky–Kiefer–Wolfowitz band on the empirical CDF, each at level
 //! 0.001. The two pins draw the same positions, so their step counts must
 //! also agree seed for seed.
 

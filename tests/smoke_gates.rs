@@ -97,7 +97,8 @@ fn batch_pin_is_not_slower_than_compiled_pin_on_pll_at_2_22() {
 /// detached and an attached twin, both batch-pinned and warmed to parallel
 /// time 8, run 32 paired windows of 4 units each (to parallel time 136,
 /// the high-support regime that heuristic dispatch runs on the batch tier
-/// from `N* = 2^22` up), alternating which twin goes first; the gate reads the median of the per-window ratios.
+/// from `N* = 2^22` up), alternating which twin goes first; the gate reads
+/// the median of the per-window ratios.
 /// Observation draws no randomness, so the twins do identical work.
 #[test]
 #[ignore = "timing gate: run with --release -- --ignored --test-threads 1"]
