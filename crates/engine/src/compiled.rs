@@ -39,10 +39,27 @@
 //! `u32::MAX` as the vacant sentinel (unreachable by any packed entry, whose
 //! bits 28.. are always zero). The 12-bit id fields are what cap the
 //! addressable range at 4096; the narrow entries keep the dense table half
-//! the size it would be with `u64`, which matters because the steady-state
-//! step's one table load is the only memory access in the hot loop that can
-//! miss L1. Filled slots are additionally tracked in a coordinate list, so
+//! the size it would be with `u64`. On the agent array a steady-state step
+//! reads the table slot and bumps the pair's tally (below), next to two
+//! loads and two stores of the array, which outgrows L1 from about 2^14
+//! agents. Filled slots are additionally tracked in a coordinate list, so
 //! iteration and compaction cost `O(compiled pairs)`, never `O(stride²)`.
+//!
+//! # Pair tallies
+//!
+//! The count engine's agent-array windows do not move counts per step:
+//! each hit adds 1 to its slot's tally, and the window moves the counts of
+//! every touched pair once, by its hit count, when it ends. The tallies
+//! live in the table's own allocation, after the entries: `stride²` hit
+//! counts, then the touched list, the slots whose tally left 0 in this
+//! window, with room for every filled slot plus one. The list is pushed
+//! without a branch (the slot is always written, and the length grows only
+//! on a first hit), so the caller keeps its length. The first agent-array
+//! window adds the region, never construction, and a table that grows
+//! mid-window carries its pending tallies over to their new slots.
+//! Compaction, role priming and deactivation run between windows, with
+//! every tally at 0; compaction drops the region, and the next window adds
+//! it again.
 
 /// Vacant-slot sentinel: no packed entry can equal this (bits 28..32 of a
 /// packed entry are always zero).
@@ -93,7 +110,9 @@ pub(crate) fn unpack(entry: u32) -> (usize, usize, i8, bool) {
 /// transition, never that it behaves differently.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairCache {
-    /// Dense `stride × stride` table; `EMPTY` marks vacant slots.
+    /// Dense `stride × stride` table; `EMPTY` marks vacant slots. During
+    /// agent-array windows the pair tallies follow the entries (see [Pair
+    /// tallies](self#pair-tallies)).
     table: Vec<u32>,
     /// `stride == 1 << shift`; index of `(s, t)` is `s << shift | t`.
     shift: u32,
@@ -152,6 +171,7 @@ impl PairCache {
 
     /// Deactivates the cache and releases the table.
     pub(crate) fn deactivate(&mut self) {
+        debug_assert!(self.tally_is_empty(), "deactivated mid-window");
         self.active = false;
         self.table = Vec::new();
         self.filled = Vec::new();
@@ -174,14 +194,91 @@ impl PairCache {
         states <= (1 << self.shift)
     }
 
+    /// Moves every entry to a `1 << new_shift` stride, and with them the
+    /// pending tallies: the touched list is rebuilt in fill order, so it
+    /// holds the same slots, renumbered, and the caller's length stays
+    /// valid.
     fn grow(&mut self, new_shift: u32) {
-        let old_shift = self.shift;
+        let (old_shift, old_size) = (self.shift, self.size());
+        let tallying = self.table.len() > old_size;
         let old = std::mem::replace(&mut self.table, vec![EMPTY; 1 << (2 * new_shift)]);
         self.shift = new_shift;
+        if tallying {
+            self.begin_tally();
+        }
+        let size = self.size();
+        let mut touched = 0;
         for &(s, t) in &self.filled {
             let (s, t) = (s as usize, t as usize);
-            self.table[(s << new_shift) | t] = old[(s << old_shift) | t];
+            let (from, to) = ((s << old_shift) | t, (s << new_shift) | t);
+            self.table[to] = old[from];
+            if tallying && old[old_size + from] > 0 {
+                self.table[size + to] = old[old_size + from];
+                self.table[2 * size + touched] = to as u32;
+                touched += 1;
+            }
         }
+    }
+
+    /// Slots in the entry table, `stride²`.
+    fn size(&self) -> usize {
+        1 << (2 * self.shift)
+    }
+
+    /// Adds the tally region after the entries unless it is there already
+    /// (see [Pair tallies](self#pair-tallies)). Called at the start of
+    /// every agent-array window.
+    pub(crate) fn begin_tally(&mut self) {
+        let size = self.size();
+        if self.active && self.table.len() == size {
+            self.table.resize(2 * size + self.filled.len() + 1, 0);
+        }
+    }
+
+    /// The compiled entry for `(s, t)`, as [`get`](Self::get); a filled
+    /// entry also adds 1 to the pair's tally, and its slot goes on the
+    /// touched list at `touched`, which moves past it on the pair's first
+    /// hit. Requires [`begin_tally`](Self::begin_tally).
+    #[inline]
+    pub(crate) fn tally(&mut self, s: usize, t: usize, touched: &mut usize) -> u32 {
+        let entry = self.get(s, t);
+        if entry != EMPTY {
+            let size = self.size();
+            let slot = (s << self.shift) | t;
+            let hits = self.table[size + slot];
+            self.table[size + slot] = hits + 1;
+            self.table[2 * size + *touched] = slot as u32;
+            *touched += usize::from(hits == 0);
+        }
+        entry
+    }
+
+    /// Visits the first `touched` slots of the touched list as `(s, t, a,
+    /// b, hits)` and sets their tallies back to 0.
+    pub(crate) fn drain_tally(
+        &mut self,
+        touched: usize,
+        mut f: impl FnMut(usize, usize, usize, usize, u64),
+    ) {
+        let (size, shift) = (self.size(), self.shift);
+        for i in 0..touched {
+            let slot = self.table[2 * size + i] as usize;
+            let hits = std::mem::take(&mut self.table[size + slot]);
+            debug_assert!(hits > 0, "slot {slot} listed twice");
+            let (s, t) = (slot >> shift, slot & ((1 << shift) - 1));
+            let (a, b, _, _) = unpack(self.table[slot]);
+            f(s, t, a, b, u64::from(hits));
+        }
+    }
+
+    /// Whether no tally is pending: the state between agent-array windows.
+    pub(crate) fn tally_is_empty(&self) -> bool {
+        let size = self.size();
+        self.table.len() == size
+            || self
+                .filled
+                .iter()
+                .all(|&(s, t)| self.table[size + ((s as usize) << self.shift | t as usize)] == 0)
     }
 
     /// The compiled entry for `(s, t)`, or `EMPTY` when vacant, out of the
@@ -225,6 +322,10 @@ impl PairCache {
         debug_assert_eq!(self.table[slot], EMPTY, "pair ({s}, {t}) compiled twice");
         self.table[slot] = pack(a, b, delta, null);
         self.filled.push((s as u16, t as u16));
+        if self.table.len() > self.size() {
+            // One more touched-list slot for the new entry.
+            self.table.push(0);
+        }
         true
     }
 
@@ -239,11 +340,13 @@ impl PairCache {
         if !self.active {
             return;
         }
+        debug_assert!(self.tally_is_empty(), "compacted mid-window");
         let old_shift = self.shift;
         let old = std::mem::take(&mut self.table);
         let old_filled = std::mem::take(&mut self.filled);
         let covered = live.min(MAX_COMPILED_STATES);
         self.shift = covered.next_power_of_two().max(16).trailing_zeros();
+        // Without the tally region: the next agent-array window adds it.
         self.table = vec![EMPTY; 1 << (2 * self.shift)];
         let stride = 1usize << self.shift;
         for &(s, t) in &old_filled {

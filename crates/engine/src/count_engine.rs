@@ -30,9 +30,9 @@
 //! 2. **Compiled** — the hash-free per-step path: a
 //!    [compiled pair-transition cache](crate::compiled) makes each
 //!    steady-state interaction one table load plus an `O(1)` pair draw,
-//!    with convergence bookkeeping riding on cached leader deltas. Same
-//!    RNG stream and bit-identical executions whether the cache is on or
-//!    off. Up to 2^22 agents the draw reads two uniform distinct positions
+//!    with convergence bookkeeping riding on cached leader deltas (and, on
+//!    the agent array, the pair's tally). Same RNG stream and
+//!    bit-identical executions whether the cache is on or off. Up to 2^22 agents the draw reads two uniform distinct positions
 //!    of an array of interned state ids (see [the agent
 //!    array](#the-agent-array)); past it, it is
 //!    [fused pair sampling](pp_rand::SumTreeSampler::sample_pair_distinct)
@@ -64,20 +64,23 @@
 //! [`pair_targets`](pp_rand::pair_targets) word gives `(ta, tb)`;
 //! positions `i = ta` and `j = tb + [tb ≥ ta]` are a uniform ordered pair
 //! of distinct agents, so the states read there are drawn
-//! exactly as the counts would draw them, whatever the arrangement. A side
-//! whose successor differs from its state is written back in place and
-//! moves its count in the sum tree's leaves only; an unchanged side (most
-//! of them: a null interaction has two) touches neither. The window
-//! rebuilds the tree's internal sums once, when it ends. An empty array
-//! means stale: jump and batch episodes, compaction and
-//! [`step`](CountSimulation::step) move agents by counts alone and clear
-//! it, and the next per-step window refills it from the counts in slot
+//! exactly as the counts would draw them, whatever the arrangement. Both
+//! successors are written back in place, changed or not (an unchanged side
+//! rewrites its own id), and the step adds 1 to its pair's tally in the
+//! pair cache (see [pair tallies](crate::compiled#pair-tallies)); no count
+//! moves per step, and nothing branches on whether a side changed. When the
+//! window ends, every touched pair moves its counts once, by its hits, on
+//! the sum tree's leaves, and the window rebuilds the tree's internal sums
+//! and recounts the support. An empty array means stale: jump and batch
+//! episodes, compaction and [`step`](CountSimulation::step) move agents by
+//! counts alone and clear it, and the next per-step window refills it from the counts in slot
 //! order. Construction never allocates it, and populations
 //! that only ever run batch rounds never do. The array serves a window only
 //! while at most 2^16 states are interned (compaction renumbers the live
 //! states from 0, so that is the live support plus the dead slack). When a
-//! compile interns an id past that mid-window, the step moves its counts on
-//! the leaves, the window rebuilds the sums, clears the array and ends, and
+//! compile interns an id past that mid-window, the window drains its
+//! tally, the step moves its counts on the leaves, and the window rebuilds
+//! the sums, clears the array and ends, and
 //! later windows descend the tree until a compaction brings the ids back.
 //!
 //! # State-id compaction
@@ -577,22 +580,15 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
 
     /// Moves one agent from state slot `from` to state slot `to` (free
     /// no-op when `from == to`), folding occupancy changes into the
-    /// incremental support count. With `leaf_only` it moves the count in
-    /// the sampler's leaves alone, as agent-array windows do until their
-    /// closing [`rebuild_sums`](SumTreeSampler::rebuild_sums).
+    /// incremental support count.
     ///
     /// Interned ids are always in range, so the error arm is unreachable;
     /// it is handled with a debug assertion plus silent no-op rather than a
     /// panic so the hot loop has no unwind edges (panic paths would force
     /// every cached field back to memory at each call).
     #[inline]
-    fn move_agent(&mut self, from: usize, to: usize, leaf_only: bool) {
-        let moved = if leaf_only {
-            self.sampler.transfer_leaf(from, to)
-        } else {
-            self.sampler.transfer(from, to)
-        };
-        let Ok(effect) = moved else {
+    fn move_agent(&mut self, from: usize, to: usize) {
+        let Ok(effect) = self.sampler.transfer(from, to) else {
             debug_assert!(false, "interned slots {from}/{to} exist");
             return;
         };
@@ -666,8 +662,8 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         let (a, b, delta, null) = self.pair_effect(s, t);
         // Self-transfers fall out of the lockstep walk for free, so no
         // branching on which side changed.
-        self.move_agent(s, a, false);
-        self.move_agent(t, b, false);
+        self.move_agent(s, a);
+        self.move_agent(t, b);
         (!null, delta)
     }
 
@@ -886,8 +882,8 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             .ledger
             .sample_active(self.sampler.weights(), self.n, u);
         let (a, b, delta, null) = self.pair_effect(s, t);
-        self.move_agent(s, a, false);
-        self.move_agent(t, b, false);
+        self.move_agent(s, a);
+        self.move_agent(t, b);
         if !null {
             self.agents.clear();
         }
@@ -1170,63 +1166,98 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     ///
     /// Up to `AGENT_ARRAY_MAX_POPULATION` agents, and while at most
     /// [`ARRAY_IDS`] states are interned, the window steps on the agent
-    /// array (refilled first if stale) and rebuilds the sum tree's internal
-    /// sums once at its end; otherwise it descends the tree. A compile that
-    /// interns an id past the array's ends the window after its step, with
-    /// the array cleared, so the next window descends the tree.
+    /// array (refilled first if stale). Its steps move no counts: each one
+    /// tallies its pair in the pair cache (see [pair
+    /// tallies](crate::compiled#pair-tallies)), and the window's end moves
+    /// the counts of every touched pair once, by its hits, on the sum
+    /// tree's leaves, then rebuilds the internal sums and recounts the
+    /// support. A miss whose compiled entry is stored is tallied like a
+    /// hit. One that cannot be stored (a saturated cache, or the reference
+    /// pin) drains the tally first, so the leaves are exact, and moves its
+    /// two sides on them. A compile that interns an id past the array's
+    /// ends the window after its step, with the array cleared, so the next
+    /// window descends the tree. Otherwise the window descends the tree:
+    /// one fused pair draw per step, and leaf-to-root transfers for the
+    /// sides that change.
+    ///
+    /// Why tallies: an array step costs about the same from 2^13 to 2^20
+    /// agents, so its cost is latency, not memory. Moving counts per step
+    /// takes one of two forms. One branches on `from == to` for each side,
+    /// and that outcome is random (64–75% of fast-mode `P_LL` steps are
+    /// one-sided, 56% of slow-mode steps are null): each misprediction
+    /// throws away the next step's draw and loads, which had already
+    /// started. The other moves both sides unconditionally, which chains
+    /// read-modify-writes through the few hot leaves (a null step
+    /// decrements a leaf and increments it again); it ran at 29.9 ns per
+    /// step against the branch's 18.0 at 2^16. A tallied step has no
+    /// data-dependent branch: it stores both array positions whether or
+    /// not they change, and its one read-modify-write is its pair's tally.
     ///
     /// The inner loop ([`compiled_steps`](Self::compiled_steps)) holds
     /// every hot field through *split borrows* and calls nothing that takes
     /// `&mut self`, so the interning [`compile_pair`](Self::compile_pair)
-    /// runs outside it. That keeps the loop's step and support counts,
-    /// which are locals, in registers across the window. The RNG words are
-    /// not: [`pair_targets`] passes `&mut rng` to its out-of-line rejection
-    /// path and, for totals above 2^32, to [`Rng64::below`], so the release
-    /// build loads and stores the four xoshiro words on every interaction,
-    /// and reloads the pair cache's and the sampler's fields too. Keeping
-    /// them in registers does not pay: a scratch build with `compiled_steps`
-    /// out of line and the rejection redraw moved out of the loop
-    /// (bit-identical; `objdump` showed the four words in registers) ran
-    /// whole `P_LL` elections at 2^16 at 17.05–21.50 ns per step against
-    /// 17.07–21.19 without it (5 alternating pairs), and prefetching the
-    /// agent array 12 steps ahead gained nothing either. A miss
-    /// still consumes its RNG draw, so the drawn pair is carried out of the
-    /// loop and completed through the compile path before the loop resumes.
+    /// runs outside it. Two experiments on the loop's memory traffic, not
+    /// its branches, were measured and gained nothing. [`pair_targets`]
+    /// passes `&mut rng` to its out-of-line rejection path and, for totals
+    /// above 2^32, to [`Rng64::below`], so the release build loads and
+    /// stores the four xoshiro words on every interaction. A scratch build
+    /// with `compiled_steps` out of line and the rejection redraw moved out
+    /// of the loop (bit-identical; `objdump` showed the four words in
+    /// registers) ran whole `P_LL` elections at 2^16 at 17.05–21.50 ns per
+    /// step against 17.07–21.19 without it (5 alternating pairs), and
+    /// prefetching the agent array 12 steps ahead gained nothing either. A
+    /// miss still consumes its RNG draw, so the drawn pair is carried out
+    /// of the loop and completed through the compile path before the loop
+    /// resumes.
     fn leader_chunk<const TRACK: bool>(&mut self, max: u64, leaders: &mut i64) -> u64 {
         let array = self.n <= tier::AGENT_ARRAY_MAX_POPULATION && self.states.len() <= ARRAY_IDS;
-        if array && self.agents.is_empty() {
-            let Self {
-                agents, sampler, ..
-            } = self;
-            agents.reserve_exact(sampler.total() as usize);
-            for (id, &count) in sampler.weights().iter().enumerate() {
-                agents.extend(std::iter::repeat(id as u16).take(count as usize));
+        if array {
+            if self.agents.is_empty() {
+                let Self {
+                    agents, sampler, ..
+                } = self;
+                agents.reserve_exact(sampler.total() as usize);
+                for (id, &count) in sampler.weights().iter().enumerate() {
+                    agents.extend(std::iter::repeat(id as u16).take(count as usize));
+                }
             }
+            self.pairs.begin_tally();
         }
         let start = self.steps;
         let mut count = *leaders;
+        // The pair cache's touched-list length: pairs tallied since the
+        // last drain.
+        let mut touched = 0;
         // Set when a compile interns an id the array cannot hold: that step
         // moves counts on the leaves only, and the window ends on the tree.
         let mut spilled = false;
         loop {
             let budget = max - (self.steps - start);
             let (done, pending) = if array {
-                self.compiled_steps::<TRACK, true>(budget, &mut count)
+                self.compiled_steps::<TRACK, true>(budget, &mut count, &mut touched)
             } else {
-                self.compiled_steps::<TRACK, false>(budget, &mut count)
+                self.compiled_steps::<TRACK, false>(budget, &mut count, &mut touched)
             };
             self.steps += done;
             // No pending miss: the window is exhausted or the count hit 1.
             let Some(miss) = pending else { break };
             self.steps += 1;
             let (a, b, delta, _) = self.compile_pair(miss.s, miss.t);
-            spilled = array && self.states.len() > ARRAY_IDS;
-            for (from, to, at) in [(miss.s, a, miss.i), (miss.t, b, miss.j)] {
-                if from != to {
-                    if array && !spilled {
+            if !array {
+                self.move_agent(miss.s, a);
+                self.move_agent(miss.t, b);
+            } else if self.pairs.tally(miss.s, miss.t, &mut touched) != compiled::EMPTY {
+                self.agents[miss.i] = a as u16;
+                self.agents[miss.j] = b as u16;
+            } else {
+                self.drain_tally(std::mem::take(&mut touched));
+                spilled = self.states.len() > ARRAY_IDS;
+                for (from, to, at) in [(miss.s, a, miss.i), (miss.t, b, miss.j)] {
+                    if !spilled {
                         self.agents[at] = to as u16;
                     }
-                    self.move_agent(from, to, array);
+                    let moved = self.sampler.transfer_leaf(from, to, 1);
+                    debug_assert!(moved.is_ok(), "interned slots {from}/{to} exist");
                 }
             }
             if TRACK && delta != 0 {
@@ -1237,7 +1268,9 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             }
         }
         if array {
+            self.drain_tally(touched);
             self.sampler.rebuild_sums();
+            self.support = self.sampler.weights().iter().filter(|&&w| w > 0).count();
         }
         if spilled {
             self.agents.clear();
@@ -1246,18 +1279,34 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         self.steps - start
     }
 
+    /// Moves the counts of the first `touched` tallied pairs on the
+    /// sampler's leaves, once per pair by its hits, and clears their
+    /// tallies. The leaves are exact once every pair has moved, whatever
+    /// the order.
+    fn drain_tally(&mut self, touched: usize) {
+        let Self { pairs, sampler, .. } = self;
+        pairs.drain_tally(touched, |s, t, a, b, hits| {
+            for (from, to) in [(s, a), (t, b)] {
+                let moved = sampler.transfer_leaf(from, to, hits);
+                debug_assert!(moved.is_ok(), "interned slots {from}/{to} exist");
+            }
+        });
+    }
+
     /// The inner loop of [`leader_chunk`](Self::leader_chunk): runs
     /// compiled steps until `budget` is spent, the count hits 1, or a cache
     /// miss, which it returns. With `ARRAY` a step reads two positions of
-    /// the agent array and moves counts in the sampler's leaves only;
-    /// without it, a fused pair draw (two tree descents) picks the states
-    /// and leaf-to-root transfers move them. Either way only the sides
-    /// whose state changes are written.
+    /// the agent array, stores both successors back and tallies its pair
+    /// (`touched` is the touched list's length), with no branch on whether
+    /// a side changes; without it, a fused pair draw (two tree descents)
+    /// picks the states and leaf-to-root transfers move the sides that
+    /// change.
     #[inline(always)]
     fn compiled_steps<const TRACK: bool, const ARRAY: bool>(
         &mut self,
         budget: u64,
         count: &mut i64,
+        touched: &mut usize,
     ) -> (u64, Option<Miss>) {
         let Self {
             sampler,
@@ -1272,48 +1321,47 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         let mut done = 0u64;
         let mut pending = None;
         while done < budget {
-            let (s, t, i, j) = if ARRAY {
+            let delta = if ARRAY {
                 let (ta, tb) = pair_targets(rng, *n);
                 let (i, j) = (ta as usize, (tb + u64::from(tb >= ta)) as usize);
                 let (Some(&s), Some(&t)) = (agents.get(i), agents.get(j)) else {
                     debug_assert!(false, "positions lie below n");
                     break;
                 };
-                (s as usize, t as usize, i, j)
+                let (s, t) = (s as usize, t as usize);
+                let entry = pairs.tally(s, t, touched);
+                if entry == compiled::EMPTY {
+                    pending = Some(Miss { s, t, i, j });
+                    break;
+                }
+                let (a, b, delta, _) = compiled::unpack(entry);
+                agents[i] = a as u16;
+                agents[j] = b as u16;
+                delta
             } else {
                 let Ok((s, t)) = sampler.sample_pair_distinct(rng) else {
                     debug_assert!(false, "population has >= 2 agents");
                     break;
                 };
-                (s, t, 0, 0)
-            };
-            let entry = pairs.get(s, t);
-            if entry == compiled::EMPTY {
-                pending = Some(Miss { s, t, i, j });
-                break;
-            }
-            let (a, b, delta, _) = compiled::unpack(entry);
-            // Most interactions are null or change one side; an unchanged
-            // side is skipped outright (no store, no leaf move), which
-            // keeps the hot leaves out of a store-to-load chain.
-            let mut side = |from: usize, to: usize, at: usize| {
-                if from == to {
-                    return;
+                let entry = pairs.get(s, t);
+                if entry == compiled::EMPTY {
+                    pending = Some(Miss { s, t, i: 0, j: 0 });
+                    break;
                 }
-                let moved = if ARRAY {
-                    agents[at] = to as u16;
-                    sampler.transfer_leaf(from, to)
-                } else {
-                    sampler.transfer(from, to)
-                };
-                let Ok(e) = moved else {
-                    debug_assert!(false, "interned slots exist");
-                    return;
-                };
-                sup = sup + usize::from(e.populated) - usize::from(e.emptied);
+                let (a, b, delta, _) = compiled::unpack(entry);
+                for (from, to) in [(s, a), (t, b)] {
+                    // An unchanged side is skipped outright.
+                    if from == to {
+                        continue;
+                    }
+                    let Ok(e) = sampler.transfer(from, to) else {
+                        debug_assert!(false, "interned slots exist");
+                        continue;
+                    };
+                    sup = sup + usize::from(e.populated) - usize::from(e.emptied);
+                }
+                delta
             };
-            side(s, a, i);
-            side(t, b, j);
             done += 1;
             if TRACK && delta != 0 {
                 *count += i64::from(delta);
@@ -1356,6 +1404,7 @@ impl<P: LeaderElection, R: Rng64> CountSimulation<P, R> {
         if self.leader_output.is_some() {
             return;
         }
+        debug_assert!(self.pairs.tally_is_empty(), "primed mid-window");
         self.leader_output = Some(Role::Leader);
         for i in 0..self.states.len() {
             self.leader_flags[i] = i8::from(self.outputs[i] == Role::Leader);
@@ -1691,14 +1740,14 @@ mod tests {
 
     #[test]
     fn array_steps_keep_counts_support_and_agents_consistent() {
-        // On the agent array a step writes only the sides that change. The
-        // reference twin runs every interaction through the cache-miss
-        // path, which skips unchanged sides by the same rule, so the twin
-        // checks that the compiled loop and the miss path agree step for
-        // step; it cannot catch a rule both share. The checks against
-        // `state_counts()` and the agent array itself are what judge the
-        // bookkeeping: a skipped changed side, or a lost support change,
-        // makes them disagree.
+        // On the agent array a step writes both sides and tallies its pair;
+        // the window moves the counts. The reference twin stores no entry,
+        // so every interaction takes the miss path, which moves its counts
+        // on the leaves at once: the twin checks that tallied and direct
+        // moves agree step for step. The checks against `state_counts()`
+        // and the agent array itself are what judge the bookkeeping: a
+        // lost write, a lost tally, or a support the recount misses makes
+        // them disagree.
         let n = 512u64;
         let mut init = vec![((true, 0u8), 8u64)];
         init.extend((0..4u8).map(|c| ((false, c), (n - 8) / 4)));
@@ -1819,6 +1868,132 @@ mod tests {
         );
         assert!(cached.agents.is_empty() && reference.agents.is_empty());
         assert_eq!(cached.tier_usage().compiled, 12 * 8192);
+    }
+
+    /// A leader bit and a level. Leader meets leader: the responder is
+    /// demoted. Otherwise equal levels, and a fixed pseudo-random 5/16 of
+    /// the other level pairs, move the initiator one level up (to `top` at
+    /// most); another 6/16 swap levels; the rest are null. New states keep
+    /// appearing mid-window, so the pair table grows while tallies are
+    /// pending.
+    #[derive(Debug, Clone, Copy)]
+    struct Climb {
+        top: u16,
+    }
+
+    impl Protocol for Climb {
+        type State = (bool, u16);
+        type Output = Role;
+        fn initial_state(&self) -> (bool, u16) {
+            (true, 0)
+        }
+        fn transition(
+            &self,
+            &(la, xa): &(bool, u16),
+            &(lb, xb): &(bool, u16),
+        ) -> ((bool, u16), (bool, u16)) {
+            let pair = u64::from(xa) << 16 | u64::from(xb);
+            let h = (pair + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60;
+            if la && lb {
+                ((la, xa), (false, xb))
+            } else if xa == xb || h < 5 {
+                ((la, (xa + 1).min(self.top)), (lb, xb))
+            } else if h < 11 {
+                ((la, xb), (lb, xa))
+            } else {
+                ((la, xa), (lb, xb))
+            }
+        }
+        fn output(&self, &(leader, _): &(bool, u16)) -> Role {
+            if leader {
+                Role::Leader
+            } else {
+                Role::Follower
+            }
+        }
+    }
+
+    impl LeaderElection for Climb {
+        fn monotone_leaders(&self) -> bool {
+            true
+        }
+    }
+
+    /// Runs compiled and reference twins of `Climb` from `init` in lockstep
+    /// over windows of 1, 37, 500, 4096 and 20000 steps, then
+    /// `run_until_single_leader(budget)`, checking after each that both
+    /// agree on counts, support and steps, and that each agent array holds
+    /// its counts. Returns the compiled twin's addressable-state count
+    /// after every window.
+    fn tallied_twins_agree(top: u16, init: &[((bool, u16), u64)], budget: u64) -> Vec<usize> {
+        let n: u64 = init.iter().map(|&(_, c)| c).sum();
+        let twin = |tier| {
+            let mut sim =
+                CountSimulation::from_counts(Climb { top }, init.to_vec(), rng(23)).unwrap();
+            sim.pin_tier(tier).unwrap();
+            sim
+        };
+        let mut cached = twin(EngineTier::Compiled);
+        let mut reference = twin(EngineTier::Reference);
+        let histogram = |sim: &CountSimulation<Climb>| {
+            let mut held = vec![0u64; sim.raw_counts().len()];
+            for &id in &sim.agents {
+                held[id as usize] += 1;
+            }
+            held
+        };
+        let check = |cached: &CountSimulation<Climb>, reference: &CountSimulation<Climb>| {
+            for sim in [cached, reference] {
+                let counts = sim.state_counts();
+                assert_eq!(sim.support_size(), counts.len());
+                assert_eq!(counts.values().sum::<u64>(), n);
+                assert_eq!(
+                    histogram(sim),
+                    sim.raw_counts(),
+                    "agent array matches the counts"
+                );
+                assert!(sim.pairs.tally_is_empty(), "a window left tallies pending");
+            }
+            assert_eq!(cached.raw_counts(), reference.raw_counts());
+            assert_eq!(cached.support_size(), reference.support_size());
+            assert_eq!(cached.steps(), reference.steps());
+        };
+        let mut addressable = vec![cached.pair_cache().addressable_states()];
+        for window in [1u64, 37, 500, 4096, 20_000] {
+            cached.run(window);
+            reference.run(window);
+            check(&cached, &reference);
+            addressable.push(cached.pair_cache().addressable_states());
+        }
+        let end = cached.steps().saturating_add(budget);
+        let elected = cached.run_until_single_leader(end);
+        assert_eq!(elected, reference.run_until_single_leader(end));
+        check(&cached, &reference);
+        addressable.push(cached.pair_cache().addressable_states());
+        addressable
+    }
+
+    #[test]
+    fn tallies_survive_table_growth_and_unstored_misses() {
+        // Growth: 8 leaders among 504 followers start on levels 0..4, 8
+        // states in a 16-wide table; levels climb past 16 states inside
+        // the windows, so the table doubles while tallies are pending.
+        let mut init = vec![((true, 0u16), 8u64)];
+        init.extend((0..4u16).map(|x| ((false, x), 126)));
+        let addressable = tallied_twins_agree(200, &init, u64::MAX);
+        assert_eq!(addressable[0], 16);
+        assert!(
+            addressable.last() > Some(&64),
+            "the table never grew: {addressable:?}"
+        );
+        // Saturation: 4200 levels of 2 agents each, past the cache's 4096
+        // addressable ids, so pairs touching the rest cannot be stored and
+        // drain the pending tallies before moving counts directly.
+        let mut init = vec![((true, 0u16), 8u64)];
+        init.extend((0..4200u16).map(|x| ((false, x), 2)));
+        let addressable = tallied_twins_agree(u16::MAX, &init, 200_000);
+        assert_eq!(addressable[0], compiled::MAX_COMPILED_STATES);
+        assert_eq!(addressable[1], compiled::MAX_COMPILED_STATES);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! | Tier | Mechanism | Per-interaction cost | Wins when |
 //! |------|-----------|----------------------|-----------|
 //! | [`Reference`](EngineTier::Reference) | hash + clone + `transition` per step | `O(1)`, large constant | never chosen; the pinned oracle baseline |
-//! | [`Compiled`](EngineTier::Compiled) | [pair cache](crate::compiled) + two agent-array reads (two tree descents past 2^22 agents or 2^16 interned states), writing only the sides that change | ~18–24 ns up to 2^22 agents, ~55–70 ns on the tree | dense transitions, large live support |
+//! | [`Compiled`](EngineTier::Compiled) | [pair cache](crate::compiled) + two agent-array reads and two stores, with a [pair tally](crate::compiled#pair-tallies) per window in place of per-step count moves (two tree descents past 2^22 agents or 2^16 interned states, moving only the sides that change) | ~16–22 ns on `P_LL` from 2^20 to 2^22 agents, ~55–70 ns on the tree | dense transitions, large live support |
 //! | [`Jump`](EngineTier::Jump) | [null-run telescoping](crate::jump) | `O(1)` per *episode* | known-null pairs ≥ 7/8 of scheduler weight |
 //! | [`Batch`](EngineTier::Batch) | [hypergeometric rounds](crate::batch) | `O((k + √n)/√n)` amortized; sub-constant only as cells | live support `k` with `3k ≤ E[run]` from [`AGENT_ARRAY_MAX_POPULATION`] agents up, `8k² ≤ E[run]` below |
 //!
@@ -190,6 +190,22 @@ pub(crate) const BATCH_MAX_POPULATION: u64 = u32::MAX as u64;
 /// | 2^20 | 26.1, 26.0, 25.4, 24.7 | 20.7, 19.9 | 18.1, 17.7 |
 /// | 2^21 | 24.6, 23.6 | — | 19.9, 22.5 |
 /// | 2^22 | 20.8, 22.6 | — | 23.7, 24.5 |
+///
+/// Since array steps tally pair hits instead of moving counts, the same
+/// schedule reads as follows (two rounds of a scratch probe; in each round
+/// the two array builds ran back to back, then the batch pin):
+///
+/// | n | batch | `u16` array pin, per-step moves | `u16` array pin, tallied |
+/// |---|---|---|---|
+/// | 2^20 | 26.2, 35.8 | 19.5, 20.1 | 15.7, 16.2 |
+/// | 2^21 | 23.6, 26.4 | 24.4, 26.2 | 18.7, 20.8 |
+/// | 2^22 | 24.9, 23.9 | 25.1, 29.3 | 22.5, 21.2 |
+///
+/// So on this schedule the tallied array now beats batch at 2^22 too,
+/// while the smoke gate's own windows (`tests/smoke_gates.rs`) still read
+/// batch ahead at 2^22. The cap and `N*` are unchanged; moving them
+/// changes the stream for every population above the old cap, so it needs
+/// its own measurement at 2^23.
 ///
 /// It is a trade, not a win everywhere: a protocol whose support sits
 /// between the two rules (roughly 10–300 at 2^20–2^22) and that the jump

@@ -212,43 +212,39 @@ impl SumTreeSampler {
         })
     }
 
-    /// [`transfer`](Self::transfer) on the two leaves alone: the weights
-    /// (and [`total`](Self::total), which a transfer conserves) stay exact,
-    /// but the internal sums go stale, so no draw may run until
-    /// [`rebuild_sums`](Self::rebuild_sums). A caller that picks its pairs
-    /// without the tree pays `O(1)` per move instead of two `O(log k)`
-    /// climbs, then one `O(cap)` rebuild. A self-transfer still writes its
-    /// leaf twice, so `pp-engine`'s agent-array steps skip the call for a
-    /// side whose state does not change.
+    /// Moves `count` units of weight from slot `from` to slot `to` on the
+    /// two leaves alone: the internal sums go stale, so no draw may run
+    /// until [`rebuild_sums`](Self::rebuild_sums). A caller that picks its
+    /// pairs without the tree pays `O(1)` per move instead of two
+    /// `O(log k)` climbs, then one `O(cap)` rebuild. The leaves wrap, so a
+    /// set of moves that is valid as a whole may run in any order, even one
+    /// that takes a slot below 0 on the way; `pp-engine`'s agent-array
+    /// windows move each touched pair once this way, by its hit count, and
+    /// count the occupied slots after the rebuild. A self-transfer leaves
+    /// the leaf as it was.
     ///
     /// # Errors
     ///
     /// Returns [`WeightedError::IndexOutOfBounds`] if either slot is out of
     /// range.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if slot `from` is empty.
     #[inline]
     pub fn transfer_leaf(
         &mut self,
         from: usize,
         to: usize,
-    ) -> Result<TransferEffect, WeightedError> {
+        count: u64,
+    ) -> Result<(), WeightedError> {
         if from >= self.len || to >= self.len {
             return Err(WeightedError::IndexOutOfBounds {
                 index: from.max(to),
                 len: self.len,
             });
         }
-        debug_assert!(self.nodes[self.cap + from] >= 1, "slot {from} is empty");
-        self.nodes[self.cap + from] -= 1;
-        self.nodes[self.cap + to] += 1;
-        let distinct = from != to;
-        Ok(TransferEffect {
-            emptied: distinct && self.nodes[self.cap + from] == 0,
-            populated: distinct && self.nodes[self.cap + to] == 1,
-        })
+        let leaf = &mut self.nodes[self.cap + from];
+        *leaf = leaf.wrapping_sub(count);
+        let leaf = &mut self.nodes[self.cap + to];
+        *leaf = leaf.wrapping_add(count);
+        Ok(())
     }
 
     /// Grows the sampler by one zero-weight slot and returns its index.
@@ -455,14 +451,19 @@ mod tests {
     fn leaf_transfers_then_one_rebuild_match_tree_transfers() {
         let mut climbed = SumTreeSampler::from_weights(&[4, 7, 1, 0, 2]).unwrap();
         let mut leaves = climbed.clone();
-        for (from, to) in [(0, 3), (1, 1), (1, 4), (3, 0), (2, 3)] {
-            let a = climbed.transfer(from, to).unwrap();
-            let b = leaves.transfer_leaf(from, to).unwrap();
-            assert_eq!(a, b);
-            assert_eq!(climbed.weights(), leaves.weights());
-            assert_eq!(climbed.total(), leaves.total());
+        // Valid in this order; reversed, slot 3 goes below 0 on the way.
+        let moves = [(0, 3, 2), (3, 4, 2), (1, 1, 5), (2, 0, 1)];
+        for &(from, to, count) in &moves {
+            for _ in 0..count {
+                climbed.transfer(from, to).unwrap();
+            }
         }
-        assert!(leaves.transfer_leaf(0, 5).is_err());
+        for &(from, to, count) in moves.iter().rev() {
+            leaves.transfer_leaf(from, to, count).unwrap();
+        }
+        assert_eq!(climbed.weights(), &[3, 7, 0, 0, 4]);
+        assert_eq!(climbed.weights(), leaves.weights());
+        assert!(leaves.transfer_leaf(0, 5, 1).is_err());
         leaves.rebuild_sums();
         assert_eq!(climbed, leaves);
     }
